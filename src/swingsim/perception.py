@@ -205,11 +205,31 @@ def crop_and_project(cloud: PointCloud, corridor_width: float = 0.15,
     return flat[np.argsort(flat[:, 0], kind="stable")]
 
 
+def _sqdist(px, pz, cx, cz, out=None) -> np.ndarray:
+    """Squared distances between points (px, pz) and centers (cx, cz).
+
+    Pass point columns as px[:, None] to get the (n, k) matrix, and a reused
+    `out` buffer to spare a fresh (n, k) allocation per call. Each term is
+    squared as d * d (the same float as d ** 2) and the two are added
+    directly: a sum over a length-2 axis is exactly a + b, so these are the
+    bits an (n, k, 2) difference array reduced over its last axis gives.
+    The expanded |p|^2 - 2 p.c + |c|^2 is avoided because it moves the last
+    bits, which can flip argmin ties.
+    """
+    d2 = np.subtract(px, cx, out=out)
+    d2 *= d2
+    dz = pz - cz
+    dz *= dz
+    d2 += dz
+    return d2
+
+
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = pts.shape[0]
+    px, pz = pts.T.copy()
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
-    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    d2 = _sqdist(px, pz, *centers[0])
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
@@ -217,32 +237,52 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
             break
         probs = d2 / total
         centers[i] = pts[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, np.sum((pts - centers[i]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sqdist(px, pz, *centers[i]))
     return centers
 
 
 def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple:
-    """Lloyd iterations to an assignment fixpoint. Returns (centers, sse)."""
+    """Lloyd iterations to an assignment fixpoint. Returns (centers, sse).
+
+    While no cluster is empty the centroid update is a weighted bincount,
+    which adds each cluster's points in point order exactly as
+    pts[sel].mean(axis=0) does, so the centers are the same floats.
+
+    An iteration with an empty cluster runs the per-cluster loop instead.
+    Each empty cluster is reseeded at the point farthest from its nearest
+    center, and that point moves to it before the later clusters' means are
+    taken. d2 is not refreshed between reseeds, so every cluster that is
+    empty in one iteration is reseeded at the same farthest point. The
+    quirk is kept so the keypoints do not change.
+    """
     n, k = pts.shape[0], centers.shape[0]
+    px, pz = pts.T.copy()
+    pxc, pzc = px[:, None], pz[:, None]
+    cx, cz = centers.T.copy()
+    d2 = np.empty((n, k))
     assign = np.full(n, -1)
     for _ in range(max_iter):
-        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        _sqdist(pxc, pzc, cx, cz, out=d2)
         new_assign = np.argmin(d2, axis=1)
-        for j in range(k):
-            sel = new_assign == j
-            if sel.any():
-                centers[j] = pts[sel].mean(axis=0)
-            else:
-                # re-seed an empty cluster at the farthest point
-                far = np.argmax(np.min(d2, axis=1))
-                centers[j] = pts[far]
-                new_assign[far] = j
+        counts = np.bincount(new_assign, minlength=k)
+        if counts.all():
+            cx = np.bincount(new_assign, weights=px, minlength=k) / counts
+            cz = np.bincount(new_assign, weights=pz, minlength=k) / counts
+        else:
+            for j in range(k):
+                sel = new_assign == j
+                if sel.any():
+                    cx[j], cz[j] = pts[sel].mean(axis=0)
+                else:
+                    # re-seed an empty cluster at the farthest point
+                    far = np.argmax(np.min(d2, axis=1))
+                    cx[j], cz[j] = px[far], pz[far]
+                    new_assign[far] = j
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    sse = float(np.min(d2, axis=1).sum())
-    return centers, sse
+    sse = float(np.min(_sqdist(pxc, pzc, cx, cz, out=d2), axis=1).sum())
+    return np.column_stack((cx, cz)), sse
 
 
 def kmeans_prune(points: Sequence, k: int, seed: int,
@@ -268,7 +308,7 @@ def kmeans_prune(points: Sequence, k: int, seed: int,
         centers = _kmeans_pp_init(pts, k, rng)
         centers, sse = _lloyd(pts, centers, max_iter)
         if sse < best_sse - 1e-15 or best is None:
-            best, best_sse = centers.copy(), sse
+            best, best_sse = centers, sse
     ordered = best[np.argsort(best[:, 0], kind="stable")]
     return _dedupe(ordered)
 
@@ -279,7 +319,7 @@ def _dedupe(ordered: np.ndarray) -> ElevationKeypoints:
     for x, z in ordered:
         if out and x - out[-1][0] <= 1e-12:
             px, pz = out[-1]
-            out[-1] = (px, (pz + z) / 2.0)
+            out[-1] = (px, float((pz + z) / 2.0))
         else:
             out.append((float(x), float(z)))
     return ElevationKeypoints(keypoints=tuple(out))
@@ -289,7 +329,7 @@ def kmeans_sse(points: Sequence, keypoints: ElevationKeypoints) -> float:
     """Sum of squared distances of points to their nearest keypoint."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     cen = np.asarray(keypoints.keypoints, dtype=float).reshape(-1, 2)
-    d2 = np.sum((pts[:, None, :] - cen[None, :, :]) ** 2, axis=2)
+    d2 = _sqdist(pts[:, :1], pts[:, 1:], cen[:, 0], cen[:, 1])
     return float(np.min(d2, axis=1).sum())
 
 

@@ -322,21 +322,22 @@ def run_swing(cfg: TrialConfig) -> tuple:
     t = 0.0
     noise_seed = s_noise if human.noise_sigma > 0.0 else None
 
-    def hip_at(tt: float) -> HipPose:
+    def hip_at(tt: float, now: HipPose) -> tuple:
         """Hip pose whose rate is the exact average over the coming tick.
 
         The planner's velocity command is held for one tick, so the hip
         velocity the controller should synchronize with is the ground-truth
         displacement over that tick; feeding the instantaneous rate instead
         would leak the hip's intra-tick curvature into the knee command and
-        let the mirror lock drift.
+        let the mirror lock drift. `now` is the sampled pose at tt; the pose
+        at tt + dt is returned with the result and serves as the next tick's
+        `now`, since the loop's `t += dt` is the same float operation.
         """
-        now = human_model.hip_pose(human, tt, noise_seed)
         nxt = human_model.hip_pose(human, tt + dt, noise_seed)
         return HipPose(x_h=now.x_h, z_h=now.z_h, theta_h=now.theta_h,
-                       theta_h_dot=(nxt.theta_h - now.theta_h) / dt)
+                       theta_h_dot=(nxt.theta_h - now.theta_h) / dt), nxt
 
-    hip = hip_at(t)
+    hip, nxt = hip_at(t, human_model.hip_pose(human, t, noise_seed))
     joint = JointState(theta_k=TOE_OFF_THETA_K, theta_k_dot=0.0, theta_k_ddot=0.0)
     state = PhaseState()
     log = StepLog()
@@ -374,7 +375,7 @@ def run_swing(cfg: TrialConfig) -> tuple:
                            theta_k_ddot=a_actual)
 
         t += dt
-        hip = hip_at(t)
+        hip, nxt = hip_at(t, nxt)
         pts = forward_points(cfg.geometry, hip, joint.theta_k)
         peak_flex = max(peak_flex, joint.theta_k)
 

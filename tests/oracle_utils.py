@@ -1,13 +1,15 @@
 """Independent oracles shared by the planner and acceptance suites.
 
 These deliberately avoid the solver code paths they check: dense grid scans
-over the forward kinematics and exhaustive partition enumeration.
+over the forward kinematics, exhaustive partition enumeration, and a
+reference k-means kept in its original per-cluster-loop form.
 """
 import math
 
 import numpy as np
 
 from swingsim.leg_kinematics import DEG, LegGeometry
+from swingsim.perception import _dedupe
 
 GEOM = LegGeometry()
 LIMIT = 85.0 * DEG
@@ -65,3 +67,74 @@ def brute_force_kmeans_sse(points, kmax):
 
     rec(0, [], 0)
     return best
+
+
+# Reference k-means: the original loop implementation, kept verbatim so the
+# vectorized production path can be checked for equal keypoints.
+
+def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = pts.shape[0]
+    centers = np.empty((k, pts.shape[1]))
+    centers[0] = pts[rng.integers(n)]
+    d2 = np.sum((pts - centers[0]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            centers[i:] = pts[rng.integers(n, size=k - i)]
+            break
+        probs = d2 / total
+        centers[i] = pts[rng.choice(n, p=probs)]
+        d2 = np.minimum(d2, np.sum((pts - centers[i]) ** 2, axis=1))
+    return centers
+
+
+def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple:
+    """Lloyd iterations to an assignment fixpoint. Returns (centers, sse)."""
+    n, k = pts.shape[0], centers.shape[0]
+    assign = np.full(n, -1)
+    for _ in range(max_iter):
+        d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        new_assign = np.argmin(d2, axis=1)
+        for j in range(k):
+            sel = new_assign == j
+            if sel.any():
+                centers[j] = pts[sel].mean(axis=0)
+            else:
+                # re-seed an empty cluster at the farthest point
+                far = np.argmax(np.min(d2, axis=1))
+                centers[j] = pts[far]
+                new_assign[far] = j
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+    sse = float(np.min(d2, axis=1).sum())
+    return centers, sse
+
+
+def kmeans_prune(points, k: int, seed: int,
+                 restarts: int = 20, max_iter: int = 100):
+    """Prune a 2-D profile to k cluster centers sorted by x.
+
+    Lloyd's algorithm with k-means++ seeding; the best of `restarts` runs is
+    kept. Fewer than k points are returned as-is, sorted.
+    """
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if pts.shape[0] == 0:
+        raise ValueError("kmeans_prune needs a non-empty point set")
+    if k < 1:
+        raise ValueError("kmeans_prune needs k >= 1")
+    if pts.shape[0] <= k:
+        ordered = pts[np.argsort(pts[:, 0], kind="stable")]
+        return _dedupe(ordered)
+
+    rng = np.random.default_rng(seed)
+    best = None
+    best_sse = math.inf
+    for _ in range(max(1, restarts)):
+        centers = _kmeans_pp_init(pts, k, rng)
+        centers, sse = _lloyd(pts, centers, max_iter)
+        if sse < best_sse - 1e-15 or best is None:
+            best, best_sse = centers.copy(), sse
+    ordered = best[np.argsort(best[:, 0], kind="stable")]
+    return _dedupe(ordered)

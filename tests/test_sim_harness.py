@@ -151,6 +151,22 @@ def test_run_swing_deterministic():
     assert [r.theta_k for r in log1.rows] == [r.theta_k for r in log2.rows]
 
 
+def test_run_swing_samples_hip_once_per_tick(monkeypatch):
+    from swingsim import human_model
+    calls = []
+    real = human_model.hip_pose
+
+    def counting(params, t, seed=None):
+        calls.append(t)
+        return real(params, t, seed)
+
+    monkeypatch.setattr(human_model, "hip_pose", counting)
+    log, _ = run_swing(TrialConfig(intent=GaitIntent.LEVEL, seed=11))
+    # the poses at 0 and dt before the loop, then one look-ahead per tick
+    assert len(calls) == len(log.rows) + 2
+    assert calls == sorted(set(calls))
+
+
 def test_perception_fallback_when_no_returns():
     # camera with a tiny range sees nothing: level-ground target applies
     from swingsim.perception import CameraModel
