@@ -22,10 +22,9 @@ from dataclasses import replace
 
 from .leg_kinematics import DEG
 from .config import ConfigError, dump_scenario, load_scenario
-from .human_model import GaitIntent, preset
+from .human_model import GaitIntent
 from .sim_harness import (
     CampaignConfig,
-    Outcome,
     SUCCESSES,
     TrialConfig,
     capture_state,
@@ -236,22 +235,7 @@ def cmd_sweep(args, argv) -> int:
 
 
 def cmd_show_presets(args, argv) -> int:
-    out = {}
-    for intent in GaitIntent:
-        p = preset(intent)
-        out[intent.value] = {
-            "swing_duration_s": p.swing_duration,
-            "theta_h_start_deg": round(p.theta_h_start / DEG, 3),
-            "theta_h_end_deg": round(p.theta_h_end / DEG, 3),
-            "hip_height_base_m": p.hip_height_base,
-            "hip_lift_m": p.hip_lift_amplitude,
-            "forward_speed_mps": p.forward_speed,
-            "progression_stop_fraction": p.progression_stop_fraction,
-            "rise_fraction": p.rise_fraction,
-            "lowering_onset_fraction": p.lowering_onset_fraction,
-            "lowering_depth_m": p.lowering_depth,
-            "extension_decay_rps2": p.extension_decay,
-        }
+    out = {i.value: dump_scenario(TrialConfig(intent=i))["human"] for i in GaitIntent}
     print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 

@@ -65,12 +65,6 @@ class HipTrajectoryParams:
                 raise ValueError(f"{name} must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class HipSample:
-    pose: HipPose
-    valid_until: float  # s, horizon the profiles are tuned for (2x nominal)
-
-
 def preset(intent: GaitIntent) -> HipTrajectoryParams:
     """Tuned defaults per intent.
 
@@ -228,11 +222,6 @@ def hip_pose(params: HipTrajectoryParams, t: float, seed: Optional[int] = None) 
         theta_h=ang + n_ang,
         theta_h_dot=vel + n_vel,
     )
-
-
-def sample(params: HipTrajectoryParams, t: float, seed: Optional[int] = None) -> HipSample:
-    return HipSample(pose=hip_pose(params, t, seed),
-                     valid_until=2.0 * params.swing_duration)
 
 
 def aim_step_on_progression(params: HipTrajectoryParams, box_front_rel_hip: float,

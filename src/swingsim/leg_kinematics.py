@@ -92,15 +92,15 @@ def forward_points(geom: LegGeometry, hip: HipPose, theta_k: float) -> FootPoint
     return FootPoints(knee=(kx, kz), ankle=(ax, az), toe=(tx, tz), heel=(lx, lz), shank_angle=ts)
 
 
-def toe_height_at(geom: LegGeometry, hip: HipPose, theta_k: float) -> float:
-    """z of the toe; scalar accessor used by the region solvers."""
-    ts = hip.theta_h - theta_k
-    return (hip.z_h - geom.thigh_m * math.cos(hip.theta_h)
-            - geom.shank_m * math.cos(ts) + geom.toe_m * math.sin(ts))
+def toe_point(geom: LegGeometry, x_h: float, z_h: float, theta_h: float,
+              theta_k: float) -> tuple:
+    """(x, z) of the toe for a hip at (x_h, z_h) and thigh angle theta_h.
 
-
-def toe_forward_at(geom: LegGeometry, hip: HipPose, theta_k: float) -> float:
-    """x of the toe; scalar accessor used by the region solvers."""
-    ts = hip.theta_h - theta_k
-    return (hip.x_h + geom.thigh_m * math.sin(hip.theta_h)
-            + geom.shank_m * math.sin(ts) + geom.toe_m * math.cos(ts))
+    The same floats forward_points gives for the toe, without building the
+    rest of the chain; the region solvers evaluate it at hip angles other
+    than the current one.
+    """
+    ts = theta_h - theta_k
+    ss, cs = math.sin(ts), math.cos(ts)
+    return (x_h + geom.thigh_m * math.sin(theta_h) + geom.shank_m * ss + geom.toe_m * cs,
+            z_h - geom.thigh_m * math.cos(theta_h) - geom.shank_m * cs + geom.toe_m * ss)

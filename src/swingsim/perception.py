@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-DEG = math.pi / 180.0
+from .leg_kinematics import DEG
 
 # Fixed lateral fan of the synthetic camera (full angle, radians).
 LATERAL_FAN = 20.0 * DEG
@@ -50,13 +50,6 @@ class ObstacleScene:
         for a, b in zip(boxes, boxes[1:]):
             if b.front_x < a.back_x:
                 raise ValueError("scene boxes overlap in x")
-
-    def top_of(self, x: float) -> float:
-        """Surface height under world x (ground or box top)."""
-        for b in self.boxes:
-            if b.front_x <= x <= b.back_x:
-                return self.ground_height + b.height
-        return self.ground_height
 
 
 @dataclass(frozen=True)
@@ -100,7 +93,6 @@ class CameraPose:
 @dataclass(frozen=True)
 class PointCloud:
     points: np.ndarray            # (n, 3) world xyz; may be empty
-    capture_toe: tuple            # (x_t, z_t) at capture time
 
     @property
     def empty(self) -> bool:
@@ -136,7 +128,7 @@ def camera_pose_from_thigh(hip_x: float, hip_z: float, theta_h: float,
 
 
 def capture(scene: ObstacleScene, pose: CameraPose, model: CameraModel,
-            seed: int, capture_toe: tuple = (0.0, 0.0)) -> PointCloud:
+            seed: int) -> PointCloud:
     """Ray-cast one synthetic depth frame.
 
     One point per ray that hits the ground or a box face within max_range,
@@ -187,7 +179,7 @@ def capture(scene: ObstacleScene, pose: CameraPose, model: CameraModel,
     if model.depth_noise_sigma > 0.0:
         t = t + rng.normal(0.0, model.depth_noise_sigma, size=t.shape)
     pts = np.column_stack((pose.x + t * dx[hit], pose.y + t * dy[hit], pose.z + t * dz[hit]))
-    return PointCloud(points=pts, capture_toe=capture_toe)
+    return PointCloud(points=pts)
 
 
 def crop_and_project(cloud: PointCloud, corridor_width: float = 0.15,

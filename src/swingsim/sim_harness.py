@@ -167,9 +167,13 @@ class Contact:
 
 
 def capture_state(cfg: TrialConfig) -> tuple:
-    """Late-stance camera/toe state used for perception and box placement."""
+    """Late-stance camera/toe state used for perception and box placement.
+
+    The hip stands hip_height_base above the scene's ground, like the swing
+    hip of resolve_human.
+    """
     base = (cfg.human or human_model.preset(cfg.intent)).hip_height_base
-    hip = HipPose(x_h=0.0, z_h=base, theta_h=CAPTURE_THETA_H)
+    hip = HipPose(x_h=0.0, z_h=base + cfg.scene.ground_height, theta_h=CAPTURE_THETA_H)
     pts = forward_points(cfg.geometry, hip, CAPTURE_THETA_K)
     return hip, pts
 
@@ -184,7 +188,7 @@ def perceive(cfg: TrialConfig, seed_capture: int, seed_kmeans: int):
     hip, pts = capture_state(cfg)
     toe = pts.toe
     pose = camera_pose_from_thigh(hip.x_h, hip.z_h, hip.theta_h, cfg.camera)
-    cloud = capture(cfg.scene, pose, cfg.camera, seed_capture, capture_toe=toe)
+    cloud = capture(cfg.scene, pose, cfg.camera, seed_capture)
     flat = crop_and_project(cloud, corridor_width=cfg.corridor_width)
     if flat.shape[0]:
         keep = (flat[:, 0] >= toe[0] - BEHIND_TOE_TRIM) & \
@@ -298,8 +302,10 @@ def _classify(contact: Optional[Contact], cfg: TrialConfig) -> tuple:
 
 
 def resolve_human(cfg: TrialConfig) -> HipTrajectoryParams:
-    """Preset resolution plus the cooperative step-on aiming."""
+    """Preset resolution, the hip base raised onto the scene's ground, and
+    the cooperative step-on aiming."""
     params = cfg.human if cfg.human is not None else human_model.preset(cfg.intent)
+    params = replace(params, hip_height_base=params.hip_height_base + cfg.scene.ground_height)
     if (cfg.aim_landing and cfg.intent is GaitIntent.STEP_ON
             and len(cfg.scene.boxes) == 1):
         box = cfg.scene.boxes[0]

@@ -14,8 +14,9 @@ the slope magnitude, converges the knee onto theta_k = theta_h - theta_0 and
 then mirrors the hip rate so the shank keeps a constant forward lean until
 contact. Commands cross-fade from the measured knee velocity at phase entry.
 
-All solvers are numeric (bracketing + bisection) over the exact forward
-kinematics; dense-grid scans in the test suite act as independent oracles.
+Both region edges are sinusoids in a single joint angle, so the boundary
+and edge solvers are closed forms (asin) over the same forward kinematics;
+dense-grid scans in the test suite act as independent oracles.
 """
 from __future__ import annotations
 
@@ -27,10 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .leg_kinematics import DEG, LegGeometry, HipPose, JointState, forward_points
+from .leg_kinematics import DEG, LegGeometry, HipPose, JointState, forward_points, toe_point
 from .perception import ControlTarget
 
-BISECT_TOL = 1e-6          # rad, region boundary solves
 TANGENT_STEP = 0.25 * DEG  # rad, central difference half-step
 # Defensive cap on the phase-two commanded slope. The contour's fold and the
 # knee-limit wall make the finite-difference slope jump discontinuously; a
@@ -40,6 +40,7 @@ PHASE2_SLOPE_CLAMP = 3.0
 PEAK_GRID_STEP = 0.5 * DEG
 PEAK_GRID_LO = -45.0 * DEG
 PEAK_GRID_HI = 75.0 * DEG
+MX_THETA_H_CAP = 100.0 * DEG  # rad, thigh angle past which the M_x edge is unreachable
 MIN_DTHETA_H = 1e-3        # rad, floor for the M_x distance in slope denominators
 HIP_VEL_FLOOR = 0.1        # rad/s, floor for the phase-three running max
 
@@ -102,7 +103,6 @@ class PhaseState:
 @dataclass(frozen=True)
 class PlannerCommand:
     knee_vel_cmd: float      # rad/s, after blending
-    raw_planner_vel: float   # rad/s, before blending
     phase_after: PhaseState
     slope: float = 0.0       # active slope (k_1, k_2 or converge gain), for logging
     c_t: float = float("nan")
@@ -113,51 +113,32 @@ class PlannerCommand:
 # region boundary solvers
 
 
-def _toe_height_fn(geom: LegGeometry, hip: HipPose, theta_h: float):
-    """Fast closure: toe z as a function of theta_k at a fixed hip/thigh pose."""
-    z0 = hip.z_h - geom.thigh_m * math.cos(theta_h)
-    S, F = geom.shank_m, geom.toe_m
-    sin, cos = math.sin, math.cos
-
-    def toe_z(theta_k: float) -> float:
-        ts = theta_h - theta_k
-        return z0 - S * cos(ts) + F * sin(ts)
-
-    return toe_z
-
-
 def mz_boundary_knee(geom: LegGeometry, region: RegionSnapshot, theta_h_query: float,
                      knee_limit: float = 85.0 * DEG) -> Optional[float]:
     """Knee angle on the upward-exit boundary of M_z at one hip angle.
 
     Returns the smallest theta_k from which the toe stays at or above z_m all
-    the way up to the knee limit (0 when the whole column is already clear),
-    found by bisection on the monotone flexion branch. None when even full
-    flexion leaves the toe below z_m: the boundary is unreachable there and
-    callers fall back to the peak-based slope.
+    the way up to the knee limit (0 when the whole column is already clear).
+    None when even full flexion leaves the toe below z_m: the boundary is
+    unreachable there and callers fall back to the peak-based slope.
 
-    Toe height at fixed theta_h is not monotone in theta_k: it dips until the
-    shank trails by atan(toe/shank) and rises beyond. The bracket is anchored
-    at that dip, never assuming global monotonicity.
+    At fixed theta_h the toe height is z0 + R sin(theta_h - theta_k - psi)
+    with z0 = z_h - thigh cos(theta_h), R = hypot(shank, toe) and
+    psi = atan2(shank, toe): it dips until the shank trails by
+    atan(toe/shank) and rises beyond. Past the two endpoint tests the
+    boundary lies on that rising branch, at dip + pi/2 + asin((z_m - z0)/R).
     """
-    toe_z = _toe_height_fn(geom, region.hip, theta_h_query)
-    z_m = region.z_m
+    hip, z_m = region.hip, region.z_m
     dip = theta_h_query + math.atan2(geom.toe_m, geom.shank_m)
     lo = min(max(dip, 0.0), knee_limit)
-
-    if toe_z(lo) >= z_m:
+    if toe_point(geom, hip.x_h, hip.z_h, theta_h_query, lo)[1] >= z_m:
         return 0.0  # M_z empty in this column: already clear
-    if toe_z(knee_limit) < z_m:
+    if toe_point(geom, hip.x_h, hip.z_h, theta_h_query, knee_limit)[1] < z_m:
         return None  # unreachable at this hip angle
-
-    hi = knee_limit
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if toe_z(mid) < z_m:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    z0 = hip.z_h - geom.thigh_m * math.cos(theta_h_query)
+    q = (z_m - z0) / math.hypot(geom.shank_m, geom.toe_m)
+    # the endpoint tests put q in [-1, 1]; the clamp absorbs rounding
+    return dip + 0.5 * math.pi + math.asin(max(-1.0, min(1.0, q)))
 
 
 def _peak_scan(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float):
@@ -165,48 +146,25 @@ def _peak_scan(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float):
 
     Columns with an unreachable boundary count as knee_limit: the region
     spans the whole column there, so any climb tops out at the limit. The
-    grid stage is a vectorized bisection (the planner calls this every
-    phase-one tick through a cache).
+    planner calls this every phase-one tick through a cache.
     """
-    th = np.arange(PEAK_GRID_LO, PEAK_GRID_HI + PEAK_GRID_STEP / 2, PEAK_GRID_STEP)
-    T, S, F = geom.thigh_m, geom.shank_m, geom.toe_m
-    z0 = z_h - T * np.cos(th)
-
-    def toe_vec(tk):
-        ts = th - tk
-        return z0 - S * np.cos(ts) + F * np.sin(ts)
-
-    dip = np.clip(th + math.atan2(F, S), 0.0, knee_limit)
-    toe_dip = z0 - S * np.cos(th - dip) + F * np.sin(th - dip)
-    clear = toe_dip >= z_m
-    absent = toe_vec(knee_limit) < z_m
-
-    lo = dip.copy()
-    hi = np.full_like(th, knee_limit)
-    solve = ~clear & ~absent
-    for _ in range(26):  # 85 deg / 2^26 < 1e-6 rad
-        mid = 0.5 * (lo + hi)
-        below = (z0 - S * np.cos(th - mid) + F * np.sin(th - mid)) < z_m
-        lo = np.where(solve & below, mid, lo)
-        hi = np.where(solve & ~below, mid, hi)
-    root = 0.5 * (lo + hi)
-
-    value = np.where(clear, 0.0, np.where(absent, knee_limit, root))
-    if absent.all():
-        return None
-    best = int(np.argmax(value))
-    best_th, best_v = float(th[best]), float(value[best])
-    if best_v >= knee_limit - 1e-9:
-        return best_th, knee_limit
-
-    # golden-section refinement around the coarse maximum
-    hip0 = HipPose(x_h=0.0, z_h=z_h, theta_h=0.0)
-    region = RegionSnapshot(hip=hip0, z_m=z_m, x_c=0.0)
+    region = RegionSnapshot(hip=HipPose(x_h=0.0, z_h=z_h, theta_h=0.0), z_m=z_m, x_c=0.0)
 
     def value_at(t):
         b = mz_boundary_knee(geom, region, t, knee_limit)
         return knee_limit if b is None else b
 
+    th = np.arange(PEAK_GRID_LO, PEAK_GRID_HI + PEAK_GRID_STEP / 2, PEAK_GRID_STEP)
+    bounds = [mz_boundary_knee(geom, region, float(t), knee_limit) for t in th]
+    if all(b is None for b in bounds):
+        return None
+    value = [knee_limit if b is None else b for b in bounds]
+    best = int(np.argmax(value))
+    best_th, best_v = float(th[best]), value[best]
+    if best_v >= knee_limit - 1e-9:
+        return best_th, knee_limit
+
+    # golden-section refinement around the coarse maximum
     a, b = best_th - PEAK_GRID_STEP, best_th + PEAK_GRID_STEP
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -253,62 +211,32 @@ def mx_exit_distance(geom: LegGeometry, hip: HipPose, theta_k: float,
 
     The hip position is held at its current value: this is the horizontal
     distance to the edge of the current M_x in joint space. None when the
-    toe cannot reach x_c at this knee angle (region past the workspace).
+    toe cannot reach x_c at this knee angle before the thigh passes
+    MX_THETA_H_CAP (region past the workspace).
+
+    At fixed theta_k the toe x is x_h + hypot(A, B) sin(theta_h + atan2(B, A))
+    with A = thigh + shank cos(theta_k) + toe sin(theta_k) and
+    B = toe cos(theta_k) - shank sin(theta_k); the edge is the upward
+    crossing where that sine equals q = (x_c - x_h) / hypot(A, B).
     """
-    T, S, F = geom.thigh_m, geom.shank_m, geom.toe_m
-    x0, th0 = hip.x_h, hip.theta_h
-    sin, cos = math.sin, math.cos
-
-    def gap(dth: float) -> float:
-        th = th0 + dth
-        ts = th - theta_k
-        return x0 + T * sin(th) + S * sin(ts) + F * cos(ts) - x_c
-
-    if gap(0.0) >= 0.0:
+    if toe_point(geom, hip.x_h, hip.z_h, hip.theta_h, theta_k)[0] >= x_c:
         return 0.0
-    d_max = (100.0 * DEG) - th0
-    if d_max <= 0.0:
-        return None
-
-    # coarse scan for the first sign change, then bisect
-    step = 2.0 * DEG
-    lo = 0.0
-    hi = None
-    d = step
-    while d < d_max + step:
-        d_c = min(d, d_max)
-        if gap(d_c) >= 0.0:
-            hi = d_c
-            break
-        lo = d_c
-        d += step
-    if hi is None:
-        return None
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    T, S, F = geom.thigh_m, geom.shank_m, geom.toe_m
+    ck, sk = math.cos(theta_k), math.sin(theta_k)
+    A, B = T + S * ck + F * sk, F * ck - S * sk
+    q = (x_c - hip.x_h) / math.hypot(A, B)
+    if q > 1.0:
+        return None  # x_c lies beyond the toe's reach
+    phase = math.remainder(hip.theta_h + math.atan2(B, A), 2.0 * math.pi)
+    if phase > 0.5 * math.pi:
+        phase -= 2.0 * math.pi  # past the crest: the next rise follows the trough
+    # a toe short of x_c sits before the crossing; the floor absorbs rounding
+    d = max(math.asin(max(q, -1.0)) - phase, 0.0)
+    return d if hip.theta_h + d <= MX_THETA_H_CAP else None
 
 
 # ---------------------------------------------------------------------------
 # phase velocity laws
-
-
-def tangent_slope(geom: LegGeometry, region: RegionSnapshot, theta_h: float,
-                  knee_limit: float = 85.0 * DEG,
-                  step: float = TANGENT_STEP) -> Optional[float]:
-    """Contour slope d(boundary)/d(theta_h) by central finite difference.
-
-    None when the boundary is absent at either query point.
-    """
-    b_plus = mz_boundary_knee(geom, region, theta_h + step, knee_limit)
-    b_minus = mz_boundary_knee(geom, region, theta_h - step, knee_limit)
-    if b_plus is None or b_minus is None:
-        return None
-    return (b_plus - b_minus) / (2.0 * step)
 
 
 def phase1_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
@@ -477,19 +405,6 @@ def planner_step(geom: LegGeometry, hip: HipPose, joint: JointState,
     g1 = math.exp(-params.alpha_1 * state.ticks_in_phase)
     cmd = blend_command(raw, measured_knee_vel, state, params)
     state.ticks_in_phase += 1
-    return PlannerCommand(knee_vel_cmd=cmd, raw_planner_vel=raw, phase_after=state,
-                          slope=slope, c_t=c_t, gamma_1=g1)
+    return PlannerCommand(knee_vel_cmd=cmd, phase_after=state, slope=slope, c_t=c_t,
+                          gamma_1=g1)
 
-
-def min_jerk_ankle(t: float, start_angle: float, duration: float) -> float:
-    """Quintic minimum-jerk return of the ankle to perpendicular (angle 0).
-
-    Zero velocity and acceleration at both ends; clamps to 0 past duration.
-    """
-    if t <= 0.0:
-        return start_angle
-    if t >= duration:
-        return 0.0
-    s = t / duration
-    blend = s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
-    return start_angle * (1.0 - blend)

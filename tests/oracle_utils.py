@@ -15,6 +15,17 @@ GEOM = LegGeometry()
 LIMIT = 85.0 * DEG
 
 
+def toe_z_fn(z_h, theta_h, geom=GEOM):
+    """Toe height as a function of theta_k at a fixed hip height and angle."""
+    z0 = z_h - geom.thigh_m * math.cos(theta_h)
+
+    def f(tk):
+        ts = theta_h - tk
+        return z0 - geom.shank_m * math.cos(ts) + geom.toe_m * math.sin(ts)
+
+    return f
+
+
 def grid_boundary(z_h, z_m, theta_h, step=0.01 * DEG, interpolate=False,
                   geom=GEOM, limit=LIMIT):
     """Dense-scan oracle for the upward-exit boundary of M_z.

@@ -23,9 +23,9 @@ from swingsim.swing_planner import (
     PhaseState,
     PlannerParams,
     RegionSnapshot,
+    _tangent_with_freeze,
     blend_command,
     mz_boundary_knee,
-    tangent_slope,
 )
 from swingsim.sim_harness import (
     SUCCESSES,
@@ -189,10 +189,13 @@ def test_criterion_6b_tangent_slope_oracle():
         z_h = rng.uniform(0.82, 1.00)
         z_m = rng.uniform(0.02, 0.19)
         th = rng.uniform(-25 * DEG, 45 * DEG)
-        region = RegionSnapshot(hip=HipPose(x_h=0.0, z_h=z_h, theta_h=0.0),
+        # the planner's tangent path; a fresh state holds NaN when either
+        # boundary is absent
+        region = RegionSnapshot(hip=HipPose(x_h=0.0, z_h=z_h, theta_h=th),
                                 z_m=z_m, x_c=0.0)
-        k2 = tangent_slope(GEOM, region, th, LIMIT)
-        if k2 is None:
+        k2, _ = _tangent_with_freeze(GEOM, region, PhaseState(last_k2=math.nan),
+                                     PlannerParams(knee_limit=LIMIT))
+        if math.isnan(k2):
             continue
         g_plus = grid_boundary(z_h, z_m, th + 0.25 * DEG, interpolate=True)
         g_minus = grid_boundary(z_h, z_m, th - 0.25 * DEG, interpolate=True)

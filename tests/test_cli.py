@@ -119,6 +119,14 @@ def test_show_presets(capsys):
     assert data["step_over"]["swing_duration_s"] == 0.81
 
 
+def test_show_presets_prints_every_human_scenario_key(capsys):
+    assert main(["show-presets"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    for intent in GaitIntent:
+        written = dump_scenario(TrialConfig(intent=intent))["human"]
+        assert data[intent.value] == written
+
+
 def test_campaign_mini_profile(tmp_path, capsys):
     cfgp = write_json(tmp_path / "camp.json", {
         "seed": 5, "n_step_over": 4, "n_step_on": 2, "n_level": 1,

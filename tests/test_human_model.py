@@ -10,8 +10,8 @@ from swingsim.human_model import (
     aim_step_on_progression,
     hip_pose,
     preset,
-    sample,
 )
+from swingsim.sim_harness import TIMEOUT_FACTOR
 
 
 def test_preset_swing_durations_match_reported_averages():
@@ -103,10 +103,14 @@ def test_noise_smooth_and_seeded():
 
 
 def test_sample_horizon():
-    p = preset(GaitIntent.LEVEL)
-    s = sample(p, 0.1)
-    assert s.valid_until == pytest.approx(2 * p.swing_duration)
-    assert s.pose.theta_h == hip_pose(p, 0.1).theta_h
+    # hip samples stay valid poses (HipPose checks z_h > 0, |theta_h| < 90
+    # deg) with finite values out to the horizon the harness runs to
+    for intent in GaitIntent:
+        p = preset(intent)
+        for t in np.linspace(0.0, TIMEOUT_FACTOR * p.swing_duration, 200):
+            pose = hip_pose(p, t)
+            assert all(math.isfinite(v) for v in (pose.x_h, pose.z_h, pose.theta_h,
+                                                  pose.theta_h_dot))
 
 
 def test_aim_step_on_progression_targets_box():

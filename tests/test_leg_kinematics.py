@@ -8,8 +8,7 @@ from swingsim.leg_kinematics import (
     LegGeometry,
     HipPose,
     forward_points,
-    toe_forward_at,
-    toe_height_at,
+    toe_point,
 )
 
 GEOM = LegGeometry(thigh_m=0.44, shank_m=0.43, toe_m=0.15, heel_m=0.07)
@@ -51,8 +50,7 @@ def test_scalar_accessors_match_forward_points():
                       theta_h=rng.uniform(-1.0, 1.0))
         tk = rng.uniform(0.0, 1.48)
         pts = forward_points(GEOM, hip, tk)
-        assert toe_height_at(GEOM, hip, tk) == pts.toe[1]
-        assert toe_forward_at(GEOM, hip, tk) == pts.toe[0]
+        assert toe_point(GEOM, hip.x_h, hip.z_h, hip.theta_h, tk) == pts.toe
 
 
 def test_heel_ankle_toe_collinear():
@@ -84,13 +82,12 @@ def test_frame_translation_consistency():
 
 
 def test_toe_height_non_monotone_in_knee():
-    # flexion first dips the toe, then lifts it: the solvers bracket instead
-    # of assuming monotonicity
-    hip = HipPose(x_h=0.0, z_h=0.9, theta_h=0.0)
+    # flexion first dips the toe, then lifts it: the M_z solver anchors its
+    # endpoint tests at the dip instead of assuming monotonicity
     dip_knee = math.atan2(GEOM.toe_m, GEOM.shank_m)
-    z0 = toe_height_at(GEOM, hip, 0.0)
-    z_dip = toe_height_at(GEOM, hip, dip_knee)
-    z_hi = toe_height_at(GEOM, hip, 85 * DEG)
+    z0 = toe_point(GEOM, 0.0, 0.9, 0.0, 0.0)[1]
+    z_dip = toe_point(GEOM, 0.0, 0.9, 0.0, dip_knee)[1]
+    z_hi = toe_point(GEOM, 0.0, 0.9, 0.0, 85 * DEG)[1]
     assert z_dip < z0 < z_hi
 
 

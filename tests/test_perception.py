@@ -86,7 +86,7 @@ def test_crop_corridor():
     pts = np.array([[0.3, 0.10, 0.0], [0.4, 0.0, 0.05], [0.5, -0.05, 0.1]])
     cloud = capture.__wrapped__ if hasattr(capture, "__wrapped__") else None
     from swingsim.perception import PointCloud
-    pc = PointCloud(points=pts, capture_toe=(0.0, 0.0))
+    pc = PointCloud(points=pts)
     flat = crop_and_project(pc, corridor_width=0.15)
     # |y|=0.10 > 0.075 excluded; the others survive with (x, z) unchanged
     assert flat.shape == (2, 2)
@@ -96,7 +96,7 @@ def test_crop_corridor():
 
 def test_crop_empty_cloud():
     from swingsim.perception import PointCloud
-    pc = PointCloud(points=np.empty((0, 3)), capture_toe=(0.0, 0.0))
+    pc = PointCloud(points=np.empty((0, 3)))
     assert crop_and_project(pc).shape == (0, 2)
 
 

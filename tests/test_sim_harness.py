@@ -98,6 +98,22 @@ def test_step_on_lands_on_top_in_mirror():
     assert log.rows[-1].phase == Phase.THREE_MIRROR.value
 
 
+def test_raised_ground_swings_like_ground_at_zero():
+    # hip and capture pose stand on the scene's ground: at 5 cm the level
+    # swing succeeds, and an 8 cm step-over matches the one at 0 m
+    _, res = run_swing(TrialConfig(intent=GaitIntent.LEVEL, seed=1,
+                                   scene=ObstacleScene(ground_height=0.05)))
+    assert res.outcome is Outcome.SUCCESS_LEVEL
+    base = TrialConfig(intent=GaitIntent.STEP_OVER, seed=2)
+    box = Box(front_x=capture_state(base)[1].toe[0] + 0.4, height=0.08, depth=0.15,
+              width=0.40)
+    flat, raised = (run_swing(replace(base, scene=ObstacleScene(ground_height=g,
+                                                                 boxes=(box,))))[1]
+                    for g in (0.0, 0.05))
+    assert raised.outcome is flat.outcome is Outcome.SUCCESS_STEP_OVER
+    assert raised.peak_knee_flexion == pytest.approx(flat.peak_knee_flexion, abs=1e-9)
+
+
 def test_landing_always_in_mirror_phase():
     # the controller never commands landing; contact ends the swing while
     # the mirror lock is active

@@ -3,65 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from swingsim.leg_kinematics import DEG, LegGeometry, HipPose, JointState, forward_points
+from oracle_utils import GEOM, LIMIT, grid_boundary, toe_z_fn
+
+from swingsim.leg_kinematics import DEG, HipPose, JointState, forward_points, toe_point
 from swingsim.perception import ControlTarget
 from swingsim.swing_planner import (
     Phase,
     PhaseState,
     PlannerParams,
     RegionSnapshot,
+    _tangent_with_freeze,
     blend_command,
-    min_jerk_ankle,
     mx_exit_distance,
     mz_boundary_knee,
     mz_peak,
     phase1_velocity,
     phase2_velocity,
     planner_step,
-    tangent_slope,
 )
-
-GEOM = LegGeometry()
-LIMIT = 85.0 * DEG
-
-
-def toe_z_fn(z_h, theta_h):
-    z0 = z_h - GEOM.thigh_m * math.cos(theta_h)
-
-    def f(tk):
-        ts = theta_h - tk
-        return z0 - GEOM.shank_m * math.cos(ts) + GEOM.toe_m * math.sin(ts)
-
-    return f
-
-
-def grid_boundary(z_h, z_m, theta_h, step=0.01 * DEG, interpolate=False):
-    """Independent dense-scan oracle for the upward-exit boundary.
-
-    Scans theta_k downward from the limit for the first point where the toe
-    falls below z_m; the boundary is the preceding grid point (optionally
-    linearly interpolated for slope oracles).
-    """
-    f = toe_z_fn(z_h, theta_h)
-    tks = np.arange(0.0, LIMIT + step / 2, step)
-    ts = theta_h - tks
-    toe = (z_h - GEOM.thigh_m * math.cos(theta_h)
-           - GEOM.shank_m * np.cos(ts) + GEOM.toe_m * np.sin(ts))
-    above = toe >= z_m
-    if not above[-1]:
-        return None
-    # walk down from the top to the lowest index of the terminal "above" run
-    idx = len(tks) - 1
-    while idx > 0 and above[idx - 1]:
-        idx -= 1
-    if idx == 0:
-        return 0.0
-    if not interpolate:
-        return float(tks[idx])
-    lo, hi = tks[idx - 1], tks[idx]
-    flo, fhi = toe[idx - 1] - z_m, toe[idx] - z_m
-    return float(lo - flo * (hi - lo) / (fhi - flo))
-
 
 def region(z_h, z_m, theta_h=0.0, x_h=0.0, x_c=10.0):
     return RegionSnapshot(hip=HipPose(x_h=x_h, z_h=z_h, theta_h=theta_h), z_m=z_m, x_c=x_c)
@@ -91,7 +50,7 @@ def test_boundary_spec_point_matches_grid():
 
 
 def test_boundary_oracle_1000_random_states():
-    # acceptance 6(a): bisection within 0.1 deg of a 0.01 deg dense scan
+    # acceptance 6(a): closed form within 0.1 deg of a 0.01 deg dense scan
     rng = np.random.default_rng(2024)
     checked = 0
     worst = 0.0
@@ -122,7 +81,8 @@ def test_boundary_is_terminal_clear_threshold():
             continue
         f = toe_z_fn(z_h, th)
         for tk in np.linspace(b, LIMIT, 40):
-            # bisection tolerance (1e-6 rad) maps to < 1e-6 m of toe height
+            # the solver is exact to rounding; 1e-6 m leaves room for the
+            # oracle's own toe formula
             assert f(tk) >= z_m - 1e-6
 
 
@@ -131,10 +91,12 @@ def test_boundary_is_terminal_clear_threshold():
 
 
 def exhaustive_peak(z_h, z_m, step=0.1 * DEG):
+    # the contour top is flat in theta_h, so the oracle interpolates its
+    # crossings: a quantized boundary would tie across a wide plateau
     best = None
     th = -45 * DEG
     while th <= 75 * DEG:
-        b = mz_boundary_knee(GEOM, region(z_h, z_m), th, LIMIT)
+        b = grid_boundary(z_h, z_m, th, interpolate=True)
         v = LIMIT if b is None else b
         if b is not None and (best is None or v > best[1]):
             best = (th, v)
@@ -201,6 +163,41 @@ def test_mx_exit_unreachable():
     assert mx_exit_distance(GEOM, hip, 10 * DEG, 5.0) is None
 
 
+def test_mx_exit_finds_a_narrow_crossing_at_the_crest():
+    # x_c 1e-5 m short of the toe's farthest reach: the toe is past x_c for
+    # about half a degree of hip angle around the crest
+    tk = 10 * DEG
+    ths = np.arange(0.0, 100 * DEG, 1e-4)
+    ts = ths - tk
+    reach = float((GEOM.thigh_m * np.sin(ths) + GEOM.shank_m * np.sin(ts)
+                   + GEOM.toe_m * np.cos(ts)).max())
+    d = mx_exit_distance(GEOM, HipPose(x_h=0.0, z_h=1.0, theta_h=0.0), tk, reach - 1e-5)
+    assert d is not None
+    assert toe_point(GEOM, 0.0, 1.0, d, tk)[0] == pytest.approx(reach - 1e-5, abs=1e-9)
+
+
+def test_solvers_put_the_toe_exactly_on_the_region_edges():
+    # the toe sits on z_m at every returned M_z boundary and on x_c at every
+    # returned M_x advance, to rounding
+    rng = np.random.default_rng(8)
+    on_z = on_x = 0
+    for _ in range(2000):
+        z_h = rng.uniform(0.80, 1.00)
+        z_m = rng.uniform(0.01, 0.20)
+        th = rng.uniform(-30 * DEG, 50 * DEG)
+        b = mz_boundary_knee(GEOM, region(z_h, z_m), th, LIMIT)
+        if b:  # None and 0.0 (clear column) have no crossing
+            assert abs(toe_point(GEOM, 0.0, z_h, th, b)[1] - z_m) <= 1e-9
+            on_z += 1
+        tk = rng.uniform(0.0, LIMIT)
+        x_c = rng.uniform(0.0, 1.0)
+        d = mx_exit_distance(GEOM, HipPose(x_h=0.0, z_h=z_h, theta_h=th), tk, x_c)
+        if d:
+            assert abs(toe_point(GEOM, 0.0, z_h, th + d, tk)[0] - x_c) <= 1e-9
+            on_x += 1
+    assert on_z > 500 and on_x > 500
+
+
 # ---------------------------------------------------------------------------
 # phase laws
 
@@ -239,17 +236,18 @@ def test_phase1_lower_threshold_rule():
 
 
 def test_tangent_slope_matches_grid_secant_1000_states():
-    # acceptance 6(b): FD of the bisection boundary vs interpolated dense-grid
-    # secant over the same +/-0.25 deg step, within 0.01
+    # acceptance 6(b): the planner's FD tangent of the closed-form boundary vs
+    # the interpolated dense-grid secant over the same +/-0.25 deg step,
+    # within 0.01. A fresh state holds NaN when either boundary is absent.
     rng = np.random.default_rng(77)
     checked = 0
     while checked < 1000:
         z_h = rng.uniform(0.82, 1.0)
         z_m = rng.uniform(0.02, 0.19)
         th = rng.uniform(-25 * DEG, 45 * DEG)
-        r = region(z_h, z_m)
-        k2 = tangent_slope(GEOM, r, th, LIMIT)
-        if k2 is None:
+        k2, _ = _tangent_with_freeze(GEOM, region(z_h, z_m, theta_h=th),
+                                     PhaseState(last_k2=math.nan), PlannerParams())
+        if math.isnan(k2):
             continue
         g_plus = grid_boundary(z_h, z_m, th + 0.25 * DEG, interpolate=True)
         g_minus = grid_boundary(z_h, z_m, th - 0.25 * DEG, interpolate=True)
@@ -433,28 +431,3 @@ def test_planner_step_resets_blend_counter_on_transition():
     assert cmd.gamma_1 == pytest.approx(1.0)
     assert cmd.knee_vel_cmd == pytest.approx(1.5 + 12.0 * params.dt)
     assert state.theta_k_ddot_ini == 12.0
-
-
-# ---------------------------------------------------------------------------
-# ankle
-
-
-def test_min_jerk_ankle_boundaries_and_midpoint():
-    assert min_jerk_ankle(0.0, 0.3, 0.2) == pytest.approx(0.3)
-    assert min_jerk_ankle(0.2, 0.3, 0.2) == 0.0
-    assert min_jerk_ankle(0.5, 0.3, 0.2) == 0.0
-    assert min_jerk_ankle(0.1, 0.3, 0.2) == pytest.approx(0.15)
-
-
-def test_min_jerk_ankle_matches_quintic_blend():
-    for s in np.linspace(0, 1, 21):
-        blend = 10 * s**3 - 15 * s**4 + 6 * s**5
-        assert min_jerk_ankle(s * 0.25, 1.0, 0.25) == pytest.approx(1.0 - blend, abs=1e-12)
-
-
-def test_min_jerk_ankle_endpoint_velocities_zero():
-    dur, a0 = 0.25, 0.4
-    eps = 1e-6
-    v0 = (min_jerk_ankle(eps, a0, dur) - min_jerk_ankle(0.0, a0, dur)) / eps
-    v1 = (min_jerk_ankle(dur, a0, dur) - min_jerk_ankle(dur - eps, a0, dur)) / eps
-    assert abs(v0) < 1e-4 and abs(v1) < 1e-4
