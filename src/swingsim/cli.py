@@ -20,8 +20,9 @@ import sys
 import time
 from dataclasses import replace
 
+from . import config
 from .leg_kinematics import DEG
-from .config import ConfigError, dump_scenario, load_scenario
+from .config import ConfigError, dump_scenario, load_json, load_scenario, parse_campaign
 from .human_model import GaitIntent
 from .sim_harness import (
     CampaignConfig,
@@ -60,11 +61,7 @@ def _write_run_info(out: str, argv) -> None:
 
 
 def cmd_run(args, argv) -> int:
-    try:
-        cfg = load_scenario(args.scenario)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_scenario(args.scenario)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out = _out_dir(args)
@@ -86,49 +83,8 @@ def cmd_run(args, argv) -> int:
     return EXIT_OK
 
 
-def _campaign_from_file(path) -> CampaignConfig:
-    if path is None:
-        return CampaignConfig.reproduction_profile()
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-    known = {"profile", "seed", "n_step_over", "n_step_on", "n_level", "heights_m",
-             "step_on_height_m", "distance_range_m", "step_on_distance_range_m",
-             "box_depth_m", "box_width_m", "expect_all_success", "tau_s"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"campaign.{key}: unknown key")
-    cc = CampaignConfig.reproduction_profile()
-    base = cc.base
-    if data.get("tau_s"):
-        base = replace(base, tracking_lag_tau=float(data["tau_s"]))
-    return CampaignConfig(
-        seed=int(data.get("seed", cc.seed)),
-        n_step_over=int(data.get("n_step_over", cc.n_step_over)),
-        n_step_on=int(data.get("n_step_on", cc.n_step_on)),
-        n_level=int(data.get("n_level", cc.n_level)),
-        heights=tuple(data.get("heights_m", cc.heights)),
-        step_on_height=float(data.get("step_on_height_m", cc.step_on_height)),
-        distance_range=tuple(data.get("distance_range_m", cc.distance_range)),
-        step_on_distance_range=tuple(data.get("step_on_distance_range_m",
-                                              cc.step_on_distance_range)),
-        box_depth=float(data.get("box_depth_m", cc.box_depth)),
-        box_width=float(data.get("box_width_m", cc.box_width)),
-        base=base,
-        expect_all_success=bool(data.get("expect_all_success", cc.expect_all_success)),
-    )
-
-
 def cmd_campaign(args, argv) -> int:
-    try:
-        cc = _campaign_from_file(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cc = parse_campaign(load_json(args.config) if args.config is not None else {})
     if args.seed is not None:
         cc = replace(cc, seed=args.seed)
     out = _out_dir(args)
@@ -149,11 +105,7 @@ def cmd_campaign(args, argv) -> int:
 
 
 def cmd_perceive(args, argv) -> int:
-    try:
-        cfg = load_scenario(args.scenario)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg = load_scenario(args.scenario)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out = _out_dir(args)
@@ -188,35 +140,23 @@ SWEEPABLE = {"theta0_deg", "kmax", "alpha1", "alpha2"}
 
 def cmd_sweep(args, argv) -> int:
     if args.param not in SWEEPABLE:
-        print(f"config error: sweep.param must be one of {', '.join(sorted(SWEEPABLE))}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"sweep.param: must be one of {', '.join(sorted(SWEEPABLE))}")
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError:
-        print("config error: sweep.values must be a comma-separated number list",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("sweep.values: must be a comma-separated number list") from None
     if not values:
-        print("config error: sweep.values is empty", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("sweep.values: is empty")
+    if args.trials < 1:
+        raise ConfigError(f"sweep.trials: must be at least 1, got {args.trials}")
+    planners = [config.parse_scenario({"planner": {args.param: v}}).planner for v in values]
     out = _out_dir(args)
-    seed = args.seed if args.seed is not None else 2024
 
     rows = []
-    for value in values:
-        pp = CampaignConfig().base.planner
-        if args.param == "theta0_deg":
-            pp = replace(pp, theta_0=value * DEG)
-        elif args.param == "kmax":
-            pp = replace(pp, k_max=value)
-        elif args.param == "alpha1":
-            pp = replace(pp, alpha_1=value)
-        else:
-            pp = replace(pp, alpha_2=value)
-        cc = CampaignConfig(seed=seed, n_step_over=args.trials, n_step_on=0,
-                            n_level=0, base=TrialConfig(planner=pp),
-                            expect_all_success=False)
+    for value, planner in zip(values, planners):
+        cc = CampaignConfig(seed=CampaignConfig.seed if args.seed is None else args.seed,
+                            n_step_over=args.trials, n_step_on=0, n_level=0,
+                            base=TrialConfig(planner=planner), expect_all_success=False)
         res = run_campaign(cc, jobs=args.jobs)
         overall = res.summary["overall"]
         durs = [r.swing_duration for r in res.results]
@@ -278,7 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
-    return args.func(args, argv)
+    try:
+        if args.seed is not None:
+            config.check("--seed", config.SEED, args.seed)
+        return args.func(args, argv)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

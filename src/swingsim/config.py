@@ -1,281 +1,264 @@
-"""Scenario file schema: strict JSON with unit-suffixed keys.
+"""Scenario and campaign files: strict JSON with unit-suffixed keys.
 
-Sections: geometry, camera, planner, human, scene, trial. Unknown keys are
-rejected with a path-precise message; all physical values are SI with the
-unit in the key name (_m, _deg, _s, _mps, _rps2).
+A scenario has the sections geometry, camera, planner, human, scene and
+trial; a campaign file is one flat object. Each key is declared once, as a
+row of a table below: file key, dataclass attribute, kind, and inclusive
+valid range in file units (for a list, of each element). Parsing, dumping
+and validation read only these tables; a missing key keeps the dataclass
+default, or for human the intent's preset. An unknown key, a wrong type, or
+a non-finite or out-of-range value raises ConfigError naming the key path,
+e.g. `scene.boxes[0].height_m`; a `__post_init__` check that joins several
+fields names the section.
 """
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import replace
+from typing import NamedTuple
 
 from .leg_kinematics import DEG, LegGeometry
 from .perception import Box, CameraModel, ObstacleScene
 from .swing_planner import PlannerParams
-from .human_model import GaitIntent, HipTrajectoryParams, preset
-from .sim_harness import TrialConfig
+from .human_model import GaitIntent, preset
+from .sim_harness import CampaignConfig, TrialConfig
 
 
 class ConfigError(ValueError):
-    """Scenario file failed validation; message carries the key path."""
+    """A scenario or campaign file failed validation; the message carries the key path."""
 
 
-def _require_keys(section: dict, path: str, known: dict) -> None:
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown key (known: {', '.join(sorted(known))})")
+# kinds besides float, int, bool and GaitIntent
+DEGREES = "degrees"  # a float in degrees, held in radians
+FLOATS = "a non-empty list of numbers"
+PAIR = "a [low, high] pair"
+BOXES = "a list of boxes"
 
 
-def _get(section: dict, path: str, key: str, kind, default):
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"{path}.{key}: missing required key")
-        return default
-    val = section[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
-    if kind is int and isinstance(val, int) and not isinstance(val, bool):
-        return val
-    if kind is str and isinstance(val, str):
-        return val
-    if kind is bool and isinstance(val, bool):
-        return val
-    raise ConfigError(f"{path}.{key}: expected {kind.__name__}, got {type(val).__name__}")
+class Field(NamedTuple):
+    key: str
+    attr: str
+    kind: object
+    lo: float = -math.inf
+    hi: float = math.inf
+    required: bool = False
 
 
-_REQUIRED = object()
+GEOMETRY = (
+    Field("thigh_m", "thigh_m", float, 0.3, 0.6),
+    Field("shank_m", "shank_m", float, 0.3, 0.6),
+    Field("toe_m", "toe_m", float, 0.05, 0.3),
+    Field("heel_m", "heel_m", float, 0.02, 0.15),
+)
+CAMERA = (
+    Field("fov_deg", "fov", DEGREES, 10.0, 170.0),
+    Field("max_range_m", "max_range", float, 0.1, 10.0),
+    Field("rays_vertical", "rays_vertical", int, 2, 500),
+    Field("rays_lateral", "rays_lateral", int, 2, 21),
+    Field("mount_along_thigh_m", "mount_along_thigh", float, 0.0, 0.5),
+    Field("mount_perp_m", "mount_perp", float, -0.2, 0.2),
+    Field("mount_pitch_deg", "mount_pitch", DEGREES, -90.0, 90.0),
+    Field("noise_sigma_m", "depth_noise_sigma", float, 0.0, 0.05),
+)
+PLANNER = (
+    Field("delta_m", "delta", float, 0.001, 0.1),
+    Field("theta0_deg", "theta_0", DEGREES, 0.5, 30.0),
+    Field("kmax", "k_max", float, 0.5, 50.0),
+    Field("alpha1", "alpha_1", float, 0.001, 1.0),
+    Field("alpha2", "alpha_2", float, 0.001, 1.0),
+    Field("dt_s", "dt", float, 0.0005, 0.005),
+    Field("conv_tol_deg", "conv_tol", DEGREES, 0.05, 10.0),
+    Field("knee_limit_deg", "knee_limit", DEGREES, 30.0, 150.0),
+)
+INTENT = Field("intent", "intent", GaitIntent)
+HUMAN = (
+    Field("swing_duration_s", "swing_duration", float, 0.3, 1.5),
+    Field("theta_h_start_deg", "theta_h_start", DEGREES, -45.0, 10.0),
+    Field("theta_h_end_deg", "theta_h_end", DEGREES, 5.0, 75.0),
+    Field("hip_height_base_m", "hip_height_base", float, 0.6, 1.2),
+    Field("hip_lift_m", "hip_lift_amplitude", float, 0.0, 0.15),
+    Field("lift_peak_fraction", "lift_peak_fraction", float, 0.1, 1.0),
+    Field("forward_speed_mps", "forward_speed", float, 0.1, 2.5),
+    Field("progression_stop_fraction", "progression_stop_fraction", float, 0.01, 1.0),
+    Field("rise_fraction", "rise_fraction", float, 0.2, 1.0),
+    Field("lowering_onset_fraction", "lowering_onset_fraction", float, 0.2, 1.0),
+    Field("lowering_depth_m", "lowering_depth", float, 0.0, 0.2),
+    Field("extension_decay_rps2", "extension_decay", float, 0.5, 100.0),
+    Field("extension_rate_rps", "extension_rate", float, 0.0, 10.0),
+    # a sigma of 1 deg keeps the noisy hip angle inside HipPose's bound
+    # around the profile's +-80 deg reach (human_model.THETA_H_LIMIT)
+    Field("noise_sigma_deg", "noise_sigma", DEGREES, 0.0, 1.0),
+)
+HEIGHT = Field("height_m", "height", float, 0.005, 0.5, required=True)
+DEPTH = Field("depth_m", "depth", float, 0.01, 2.0)
+WIDTH = Field("width_m", "width", float, 0.01, 2.0)
+BOX = (Field("front_x_m", "front_x", float, -2.0, 5.0, required=True), HEIGHT, DEPTH, WIDTH)
+SCENE = (
+    Field("ground_height_m", "ground_height", float, -0.3, 0.5),
+    Field("boxes", "boxes", BOXES),
+)
+SEED = Field("seed", "seed", int, 0, 2**64 - 1)
+TAU = Field("tau_s", "tracking_lag_tau", float, 0.0, 0.5)
+TRIAL = (
+    SEED,
+    TAU,
+    Field("aim_landing", "aim_landing", bool),
+    Field("kmeans_k", "kmeans_k", int, 1, 100),
+    Field("kmeans_restarts", "kmeans_restarts", int, 1, 20),
+    Field("corridor_width_m", "corridor_width", float, 0.01, 1.0),
+    Field("z_weight", "z_weight", float, 0.1, 50.0),
+    Field("edge_threshold_m", "edge_threshold", float, 0.001, 0.2),
+)
+SECTIONS = {"geometry": GEOMETRY, "camera": CAMERA, "planner": PLANNER,
+            "human": (INTENT, *HUMAN), "scene": SCENE, "trial": TRIAL}
 
-_GEOMETRY_KEYS = {"thigh_m", "shank_m", "toe_m", "heel_m"}
-_CAMERA_KEYS = {"fov_deg", "max_range_m", "rays_vertical", "rays_lateral",
-                "mount_along_thigh_m", "mount_perp_m", "mount_pitch_deg",
-                "noise_sigma_m"}
-_PLANNER_KEYS = {"delta_m", "theta0_deg", "kmax", "alpha1", "alpha2", "dt_s",
-                 "conv_tol_deg", "knee_limit_deg"}
-_HUMAN_KEYS = {"intent", "swing_duration_s", "theta_h_start_deg", "theta_h_end_deg",
-               "hip_height_base_m", "hip_lift_m", "lift_peak_fraction", "forward_speed_mps",
-               "progression_stop_fraction", "rise_fraction",
-               "lowering_onset_fraction", "lowering_depth_m",
-               "extension_decay_rps2", "extension_rate_rps", "noise_sigma_deg"}
-_BOX_KEYS = {"front_x_m", "height_m", "depth_m", "width_m"}
-_SCENE_KEYS = {"ground_height_m", "boxes"}
-_TRIAL_KEYS = {"seed", "tau_s", "aim_landing", "kmeans_k", "kmeans_restarts",
-               "corridor_width_m", "z_weight", "edge_threshold_m"}
-_SECTIONS = {"geometry", "camera", "planner", "human", "scene", "trial"}
+# tau_s sets the lag of every trial (CampaignConfig.base)
+CAMPAIGN = (
+    SEED,
+    Field("n_step_over", "n_step_over", int, 0, 100_000),
+    Field("n_step_on", "n_step_on", int, 0, 100_000),
+    Field("n_level", "n_level", int, 0, 100_000),
+    Field("heights_m", "heights", FLOATS, HEIGHT.lo, HEIGHT.hi),
+    Field("step_on_height_m", "step_on_height", float, HEIGHT.lo, HEIGHT.hi),
+    Field("distance_range_m", "distance_range", PAIR, 0.0, 3.0),
+    Field("step_on_distance_range_m", "step_on_distance_range", PAIR, 0.0, 3.0),
+    Field("box_depth_m", "box_depth", float, DEPTH.lo, DEPTH.hi),
+    Field("box_width_m", "box_width", float, WIDTH.lo, WIDTH.hi),
+    Field("expect_all_success", "expect_all_success", bool),
+    TAU,
+)
 
 
-def parse_scenario(data: dict) -> TrialConfig:
+def _number(path: str, f: Field, v):
+    if isinstance(v, bool) or not isinstance(v, int if f.kind is int else (int, float)):
+        raise ConfigError(f"{path}: expected {'int' if f.kind is int else 'float'}, "
+                          f"got {type(v).__name__}")
+    if not f.lo <= v <= f.hi:  # NaN fails too
+        raise ConfigError(f"{path}: {v!r} is outside [{f.lo}, {f.hi}]")
+    return v if f.kind is int else float(v)
+
+
+def check(path: str, f: Field, v):
+    """File value `v` of row `f`, validated and converted to dataclass units."""
+    if f.kind is GaitIntent:
+        names = [i.value for i in GaitIntent]
+        if v not in names:
+            raise ConfigError(f"{path}: {v!r} is not one of {', '.join(names)}")
+        return GaitIntent(v)
+    if f.kind is bool:
+        if not isinstance(v, bool):
+            raise ConfigError(f"{path}: expected bool, got {type(v).__name__}")
+        return v
+    if f.kind is BOXES:
+        if not isinstance(v, list):
+            raise ConfigError(f"{path}: expected {BOXES}")
+        return tuple(_build(f"{path}[{i}]", Box, _fields(f"{path}[{i}]", BOX, b))
+                     for i, b in enumerate(v))
+    if f.kind in (FLOATS, PAIR):
+        if not isinstance(v, list) or not v:
+            raise ConfigError(f"{path}: expected {f.kind}")
+        vals = tuple(_number(f"{path}[{i}]", f, x) for i, x in enumerate(v))
+        if f.kind is PAIR and not (len(vals) == 2 and vals[0] <= vals[1]):
+            raise ConfigError(f"{path}: expected {PAIR}, got {v}")
+        return vals
+    x = _number(path, f, v)
+    return x * DEG if f.kind is DEGREES else x
+
+
+def _fields(path: str, table, raw) -> dict:
+    """{attribute: value} for the keys the object `raw` sets."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(raw).__name__}")
+    rows = {f.key: f for f in table}
+    for key in raw:
+        if key not in rows:
+            raise ConfigError(f"{path}.{key}: unknown key (known: {', '.join(sorted(rows))})")
+    for f in table:
+        if f.required and f.key not in raw:
+            raise ConfigError(f"{path}.{f.key}: missing required key")
+    return {rows[k].attr: check(f"{path}.{k}", rows[k], v) for k, v in raw.items()}
+
+
+def _build(path: str, default, fields: dict):
+    """`default` (an object, or a class) with `fields`; ValueError -> ConfigError(path)."""
+    try:
+        return default(**fields) if isinstance(default, type) else replace(default, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _degrees(rad: float) -> float:
+    """The shortest decimal d with d * DEG == rad, else rad / DEG."""
+    d = rad / DEG
+    for digits in range(16):
+        if round(d, digits) * DEG == rad:
+            return round(d, digits)
+    return d
+
+
+def _dump(table, obj) -> dict:
+    out = {}
+    for f in table:
+        v = getattr(obj, f.attr)
+        if f.kind is DEGREES:
+            v = _degrees(v)
+        elif f.kind is BOXES:
+            v = [_dump(BOX, b) for b in v]
+        out[f.key] = v
+    return out
+
+
+def parse_scenario(data) -> TrialConfig:
     """Validate a parsed scenario mapping and build the TrialConfig."""
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be an object")
     for key in data:
-        if key not in _SECTIONS:
-            raise ConfigError(f"scenario.{key}: unknown section (known: {', '.join(sorted(_SECTIONS))})")
-
-    g = data.get("geometry", {})
-    _require_keys(g, "geometry", {k: None for k in _GEOMETRY_KEYS})
-    try:
-        geometry = LegGeometry(
-            thigh_m=_get(g, "geometry", "thigh_m", float, 0.44),
-            shank_m=_get(g, "geometry", "shank_m", float, 0.43),
-            toe_m=_get(g, "geometry", "toe_m", float, 0.15),
-            heel_m=_get(g, "geometry", "heel_m", float, 0.07),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
-
-    c = data.get("camera", {})
-    _require_keys(c, "camera", {k: None for k in _CAMERA_KEYS})
-    defaults = CameraModel()
-    try:
-        camera = CameraModel(
-            fov=_get(c, "camera", "fov_deg", float, defaults.fov / DEG) * DEG,
-            max_range=_get(c, "camera", "max_range_m", float, defaults.max_range),
-            rays_vertical=_get(c, "camera", "rays_vertical", int, defaults.rays_vertical),
-            rays_lateral=_get(c, "camera", "rays_lateral", int, defaults.rays_lateral),
-            mount_along_thigh=_get(c, "camera", "mount_along_thigh_m", float,
-                                   defaults.mount_along_thigh),
-            mount_perp=_get(c, "camera", "mount_perp_m", float, defaults.mount_perp),
-            mount_pitch=_get(c, "camera", "mount_pitch_deg", float,
-                             defaults.mount_pitch / DEG) * DEG,
-            depth_noise_sigma=_get(c, "camera", "noise_sigma_m", float,
-                                   defaults.depth_noise_sigma),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"camera: {exc}") from exc
-
-    p = data.get("planner", {})
-    _require_keys(p, "planner", {k: None for k in _PLANNER_KEYS})
-    pd = PlannerParams()
-    try:
-        planner = PlannerParams(
-            delta=_get(p, "planner", "delta_m", float, pd.delta),
-            theta_0=_get(p, "planner", "theta0_deg", float, pd.theta_0 / DEG) * DEG,
-            k_max=_get(p, "planner", "kmax", float, pd.k_max),
-            alpha_1=_get(p, "planner", "alpha1", float, pd.alpha_1),
-            alpha_2=_get(p, "planner", "alpha2", float, pd.alpha_2),
-            dt=_get(p, "planner", "dt_s", float, pd.dt),
-            conv_tol=_get(p, "planner", "conv_tol_deg", float, pd.conv_tol / DEG) * DEG,
-            knee_limit=_get(p, "planner", "knee_limit_deg", float, pd.knee_limit / DEG) * DEG,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"planner: {exc}") from exc
-
-    h = data.get("human", {})
-    _require_keys(h, "human", {k: None for k in _HUMAN_KEYS})
-    intent_name = _get(h, "human", "intent", str, "level")
-    try:
-        intent = GaitIntent(intent_name)
-    except ValueError as exc:
-        names = ", ".join(i.value for i in GaitIntent)
-        raise ConfigError(f"human.intent: {intent_name!r} is not one of {names}") from exc
-    hp = preset(intent)
-    try:
-        human = HipTrajectoryParams(
-            swing_duration=_get(h, "human", "swing_duration_s", float, hp.swing_duration),
-            theta_h_start=_get(h, "human", "theta_h_start_deg", float,
-                               hp.theta_h_start / DEG) * DEG,
-            theta_h_end=_get(h, "human", "theta_h_end_deg", float,
-                             hp.theta_h_end / DEG) * DEG,
-            hip_height_base=_get(h, "human", "hip_height_base_m", float, hp.hip_height_base),
-            hip_lift_amplitude=_get(h, "human", "hip_lift_m", float, hp.hip_lift_amplitude),
-            lift_peak_fraction=_get(h, "human", "lift_peak_fraction", float,
-                                    hp.lift_peak_fraction),
-            forward_speed=_get(h, "human", "forward_speed_mps", float, hp.forward_speed),
-            progression_stop_fraction=_get(h, "human", "progression_stop_fraction", float,
-                                           hp.progression_stop_fraction),
-            rise_fraction=_get(h, "human", "rise_fraction", float, hp.rise_fraction),
-            lowering_onset_fraction=_get(h, "human", "lowering_onset_fraction", float,
-                                         hp.lowering_onset_fraction),
-            lowering_depth=_get(h, "human", "lowering_depth_m", float, hp.lowering_depth),
-            extension_decay=_get(h, "human", "extension_decay_rps2", float,
-                                 hp.extension_decay),
-            extension_rate=_get(h, "human", "extension_rate_rps", float,
-                                hp.extension_rate),
-            noise_sigma=_get(h, "human", "noise_sigma_deg", float,
-                             hp.noise_sigma / DEG) * DEG,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"human: {exc}") from exc
-
-    s = data.get("scene", {})
-    _require_keys(s, "scene", {k: None for k in _SCENE_KEYS})
-    boxes = []
-    raw_boxes = s.get("boxes", [])
-    if not isinstance(raw_boxes, list):
-        raise ConfigError("scene.boxes: expected a list")
-    for i, rb in enumerate(raw_boxes):
-        if not isinstance(rb, dict):
-            raise ConfigError(f"scene.boxes[{i}]: expected an object")
-        _require_keys(rb, f"scene.boxes[{i}]", {k: None for k in _BOX_KEYS})
-        try:
-            boxes.append(Box(
-                front_x=_get(rb, f"scene.boxes[{i}]", "front_x_m", float, _REQUIRED),
-                height=_get(rb, f"scene.boxes[{i}]", "height_m", float, _REQUIRED),
-                depth=_get(rb, f"scene.boxes[{i}]", "depth_m", float, 0.15),
-                width=_get(rb, f"scene.boxes[{i}]", "width_m", float, 0.40),
-            ))
-        except ValueError as exc:
-            raise ConfigError(f"scene.boxes[{i}]: {exc}") from exc
-    try:
-        scene = ObstacleScene(ground_height=_get(s, "scene", "ground_height_m", float, 0.0),
-                              boxes=tuple(boxes))
-    except ValueError as exc:
-        raise ConfigError(f"scene: {exc}") from exc
-
-    t = data.get("trial", {})
-    _require_keys(t, "trial", {k: None for k in _TRIAL_KEYS})
-    base = TrialConfig()
-    return TrialConfig(
-        scene=scene,
-        intent=intent,
-        geometry=geometry,
-        planner=planner,
-        human=human,
-        camera=camera,
-        seed=_get(t, "trial", "seed", int, 0),
-        tracking_lag_tau=_get(t, "trial", "tau_s", float, 0.0),
-        aim_landing=_get(t, "trial", "aim_landing", bool, True),
-        kmeans_k=_get(t, "trial", "kmeans_k", int, base.kmeans_k),
-        kmeans_restarts=_get(t, "trial", "kmeans_restarts", int, base.kmeans_restarts),
-        corridor_width=_get(t, "trial", "corridor_width_m", float, base.corridor_width),
-        z_weight=_get(t, "trial", "z_weight", float, base.z_weight),
-        edge_threshold=_get(t, "trial", "edge_threshold_m", float, base.edge_threshold),
-    )
-
-
-def load_scenario(path: str) -> TrialConfig:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return parse_scenario(data)
+        if key not in SECTIONS:
+            raise ConfigError(f"scenario.{key}: unknown section "
+                              f"(known: {', '.join(sorted(SECTIONS))})")
+    sec = {name: _fields(name, table, data.get(name, {})) for name, table in SECTIONS.items()}
+    base = TrialConfig(intent=sec["human"].pop(INTENT.attr, TrialConfig.intent))
+    return _build("trial", base, dict(
+        sec["trial"],
+        geometry=_build("geometry", base.geometry, sec["geometry"]),
+        camera=_build("camera", base.camera, sec["camera"]),
+        planner=_build("planner", base.planner, sec["planner"]),
+        human=_build("human", preset(base.intent), sec["human"]),
+        scene=_build("scene", base.scene, sec["scene"])))
 
 
 def dump_scenario(cfg: TrialConfig) -> dict:
     """Resolved configuration; parse(dump(cfg)) round-trips identically."""
-    human = cfg.human if cfg.human is not None else preset(cfg.intent)
     return {
-        "geometry": {
-            "thigh_m": cfg.geometry.thigh_m,
-            "shank_m": cfg.geometry.shank_m,
-            "toe_m": cfg.geometry.toe_m,
-            "heel_m": cfg.geometry.heel_m,
-        },
-        "camera": {
-            "fov_deg": cfg.camera.fov / DEG,
-            "max_range_m": cfg.camera.max_range,
-            "rays_vertical": cfg.camera.rays_vertical,
-            "rays_lateral": cfg.camera.rays_lateral,
-            "mount_along_thigh_m": cfg.camera.mount_along_thigh,
-            "mount_perp_m": cfg.camera.mount_perp,
-            "mount_pitch_deg": cfg.camera.mount_pitch / DEG,
-            "noise_sigma_m": cfg.camera.depth_noise_sigma,
-        },
-        "planner": {
-            "delta_m": cfg.planner.delta,
-            "theta0_deg": cfg.planner.theta_0 / DEG,
-            "kmax": cfg.planner.k_max,
-            "alpha1": cfg.planner.alpha_1,
-            "alpha2": cfg.planner.alpha_2,
-            "dt_s": cfg.planner.dt,
-            "conv_tol_deg": cfg.planner.conv_tol / DEG,
-            "knee_limit_deg": cfg.planner.knee_limit / DEG,
-        },
-        "human": {
-            "intent": cfg.intent.value,
-            "swing_duration_s": human.swing_duration,
-            "theta_h_start_deg": human.theta_h_start / DEG,
-            "theta_h_end_deg": human.theta_h_end / DEG,
-            "hip_height_base_m": human.hip_height_base,
-            "hip_lift_m": human.hip_lift_amplitude,
-            "lift_peak_fraction": human.lift_peak_fraction,
-            "forward_speed_mps": human.forward_speed,
-            "progression_stop_fraction": human.progression_stop_fraction,
-            "rise_fraction": human.rise_fraction,
-            "lowering_onset_fraction": human.lowering_onset_fraction,
-            "lowering_depth_m": human.lowering_depth,
-            "extension_decay_rps2": human.extension_decay,
-            "extension_rate_rps": human.extension_rate,
-            "noise_sigma_deg": human.noise_sigma / DEG,
-        },
-        "scene": {
-            "ground_height_m": cfg.scene.ground_height,
-            "boxes": [
-                {"front_x_m": b.front_x, "height_m": b.height,
-                 "depth_m": b.depth, "width_m": b.width}
-                for b in cfg.scene.boxes
-            ],
-        },
-        "trial": {
-            "seed": cfg.seed,
-            "tau_s": cfg.tracking_lag_tau,
-            "aim_landing": cfg.aim_landing,
-            "kmeans_k": cfg.kmeans_k,
-            "kmeans_restarts": cfg.kmeans_restarts,
-            "corridor_width_m": cfg.corridor_width,
-            "z_weight": cfg.z_weight,
-            "edge_threshold_m": cfg.edge_threshold,
-        },
+        "geometry": _dump(GEOMETRY, cfg.geometry),
+        "camera": _dump(CAMERA, cfg.camera),
+        "planner": _dump(PLANNER, cfg.planner),
+        "human": {INTENT.key: cfg.intent.value,
+                  **_dump(HUMAN, cfg.human or preset(cfg.intent))},
+        "scene": _dump(SCENE, cfg.scene),
+        "trial": _dump(TRIAL, cfg),
     }
+
+
+def parse_campaign(data) -> CampaignConfig:
+    """Validate a parsed campaign mapping; missing keys keep the reproduction profile."""
+    fields = _fields("campaign", CAMPAIGN, data)
+    cc = CampaignConfig.reproduction_profile()
+    if TAU.attr in fields:
+        fields["base"] = _build("campaign", cc.base, {TAU.attr: fields.pop(TAU.attr)})
+    return replace(cc, **fields)
+
+
+def load_json(path: str):
+    """Parsed JSON of a file; an unreadable file or bad JSON is a ConfigError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def load_scenario(path: str) -> TrialConfig:
+    return parse_scenario(load_json(path))

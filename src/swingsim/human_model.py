@@ -54,8 +54,9 @@ class HipTrajectoryParams:
     noise_sigma: float = 0.0               # rad, smooth theta_h noise
 
     def __post_init__(self):
-        if not self.swing_duration > 0.0:
-            raise ValueError("swing_duration must be positive")
+        for name in ("swing_duration", "extension_decay"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if not self.theta_h_end > self.theta_h_start:
             raise ValueError("theta_h_end must exceed theta_h_start")
         for name in ("progression_stop_fraction", "lowering_onset_fraction",
@@ -63,6 +64,12 @@ class HipTrajectoryParams:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
+        # a hip still rising at the lowering onset overshoots until extension_decay stops it
+        a0, v0 = _theta_h(self, self.lowering_onset_fraction * self.swing_duration)
+        peak = a0 + max(v0, 0.0) ** 2 / (2.0 * self.extension_decay)
+        if not peak <= THETA_H_LIMIT:
+            raise ValueError(f"hip flexion peaks at {peak / DEG:.1f} deg, "
+                             f"past {THETA_H_LIMIT / DEG:.0f} deg")
 
 
 def preset(intent: GaitIntent) -> HipTrajectoryParams:
@@ -76,11 +83,7 @@ def preset(intent: GaitIntent) -> HipTrajectoryParams:
         return HipTrajectoryParams(
             swing_duration=0.61,
             theta_h_end=36.0 * DEG,
-            hip_lift_amplitude=0.01,
-            rise_fraction=0.75,
-            lowering_onset_fraction=0.9,
             lowering_depth=0.10,
-            extension_decay=12.0,
         )
     if intent is GaitIntent.STEP_ON:
         return HipTrajectoryParams(
@@ -99,7 +102,6 @@ def preset(intent: GaitIntent) -> HipTrajectoryParams:
             theta_h_end=54.0 * DEG,
             hip_lift_amplitude=0.04,
             lift_peak_fraction=0.68,
-            progression_stop_fraction=1.0,
             rise_fraction=0.9,
             lowering_onset_fraction=0.80,
             lowering_depth=0.12,
@@ -130,7 +132,9 @@ def _noise(params: HipTrajectoryParams, t: float, seed: Optional[int]):
     return val, vel
 
 
-THETA_H_FLOOR = -80.0 * DEG
+# Reach of the hip profile: the reversal stops at -THETA_H_LIMIT and a peak past
+# +THETA_H_LIMIT is rejected, leaving room for the noise inside |theta_h| < 90 deg.
+THETA_H_LIMIT = 80.0 * DEG
 
 
 def _theta_h(params: HipTrajectoryParams, t: float) -> tuple:
@@ -161,7 +165,7 @@ def _theta_h(params: HipTrajectoryParams, t: float) -> tuple:
     a = params.extension_decay
     rate = params.extension_rate
     u = t - t_on
-    u_sat = (v0 + rate) / a if a > 0.0 else float("inf")
+    u_sat = (v0 + rate) / a
     if u <= u_sat:
         ang = a0 + v0 * u - 0.5 * a * u * u
         vel = v0 - a * u
@@ -169,8 +173,8 @@ def _theta_h(params: HipTrajectoryParams, t: float) -> tuple:
         ang = (a0 + v0 * u_sat - 0.5 * a * u_sat * u_sat
                - rate * (u - u_sat))
         vel = -rate
-    if ang < THETA_H_FLOOR:
-        return THETA_H_FLOOR, 0.0
+    if ang < -THETA_H_LIMIT:
+        return -THETA_H_LIMIT, 0.0
     return ang, vel
 
 

@@ -26,8 +26,8 @@ class Box:
 
     front_x: float   # m, world x of the near vertical face
     height: float    # m
-    depth: float     # m, extent along x
-    width: float     # m, extent along y
+    depth: float = 0.15   # m, extent along x
+    width: float = 0.40   # m, extent along y
 
     def __post_init__(self):
         for name in ("height", "depth", "width"):

@@ -86,6 +86,12 @@ class TrialConfig:
     z_weight: float = 6.0
     edge_threshold: float = 0.02
 
+    def __post_init__(self):
+        # the tick-wise lag update v += (dt / tau)(cmd - v) overshoots below one tick
+        if not (self.tracking_lag_tau == 0.0 or self.tracking_lag_tau >= self.planner.dt):
+            raise ValueError("tracking_lag_tau must be 0 (ideal tracking) or at least the "
+                             f"planner tick {self.planner.dt} s, got {self.tracking_lag_tau}")
+
 
 @dataclass
 class LogRow:
@@ -427,8 +433,8 @@ class CampaignConfig:
     step_on_height: float = 0.16
     distance_range: tuple = (0.15, 0.70)
     step_on_distance_range: tuple = (0.50, 0.70)   # steppable window; see notes
-    box_depth: float = 0.15
-    box_width: float = 0.40
+    box_depth: float = Box.depth
+    box_width: float = Box.width
     base: TrialConfig = TrialConfig()
     expect_all_success: bool = True
 

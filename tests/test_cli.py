@@ -113,7 +113,10 @@ def test_perceive_emits_profile_keypoints_target(box_scenario, tmp_path):
 
 def test_show_presets(capsys):
     assert main(["show-presets"]) == 0
-    data = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    assert data["level"]["theta_h_start_deg"] == -15.0
+    assert '"theta_h_start_deg": -15.0\n' in out
     assert data["level"]["swing_duration_s"] == 0.61
     assert data["step_on"]["swing_duration_s"] == 0.64
     assert data["step_over"]["swing_duration_s"] == 0.81
@@ -178,3 +181,39 @@ def test_strict_flag_propagates_failure(tmp_path):
     })
     assert main(["--out", str(tmp_path / "o1"), "run", scn]) == 0
     assert main(["--out", str(tmp_path / "o2"), "--strict", "run", scn]) == 1
+
+
+# Each input gave a traceback (exit 1) or ran without complaint before the
+# scenario and campaign tables validated every field.
+BAD_INPUTS = [
+    (["campaign", "FILE"], {"heights_m": "abc"}, "campaign.heights_m"),
+    (["campaign", "FILE"], {"n_step_over": -3}, "campaign.n_step_over"),
+    (["campaign", "FILE"], {"distance_range_m": [0.7, 0.15]}, "campaign.distance_range_m"),
+    (["campaign", "FILE"], {"expect_all_success": "false"}, "campaign.expect_all_success"),
+    (["campaign", "FILE"], {"n_level": 1.7}, "campaign.n_level"),
+    (["campaign", "FILE"], {"tau_s": "x"}, "campaign.tau_s"),
+    (["campaign", "FILE"], {"profile": "reproduction"}, "campaign.profile"),
+    (["run", "FILE"], {"trial": {"kmeans_k": 0}}, "trial.kmeans_k"),
+    (["run", "FILE"], {"trial": {"kmeans_restarts": -4}}, "trial.kmeans_restarts"),
+    (["run", "FILE"], {"trial": {"tau_s": -0.05}}, "trial.tau_s"),
+    (["run", "FILE"], {"scene": {"boxes": [{"front_x_m": float("nan"), "height_m": 0.1}]}},
+     "scene.boxes[0].front_x_m"),
+    (["run", "FILE"], {"geometry": {"thigh_m": 1e9}}, "geometry.thigh_m"),
+    (["run", "FILE"], {"human": {"noise_sigma_deg": -1}}, "human.noise_sigma_deg"),
+    (["run", "FILE"], {"camera": {"max_range_m": float("inf")}}, "camera.max_range_m"),
+    (["run", "FILE"], {"human": {"intent": "step_over", "theta_h_end_deg": 80,
+                                 "noise_sigma_deg": 10}}, "human.theta_h_end_deg"),
+    (["sweep", "--param", "kmax", "--values", "-1"], None, "planner.kmax"),
+    (["sweep", "--param", "kmax", "--values", "4", "--trials", "0"], None, "sweep.trials"),
+    (["--seed", "-1", "run", "FILE"], {}, "--seed"),
+]
+
+
+@pytest.mark.parametrize("argv,data,path", BAD_INPUTS, ids=[c[2] for c in BAD_INPUTS])
+def test_bad_input_exits_2_with_key_path(argv, data, path, tmp_path, capsys):
+    infile = write_json(tmp_path / "in.json", data)
+    argv = [infile if a == "FILE" else a for a in argv]
+    assert main(["--out", str(tmp_path / "o"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert path in err

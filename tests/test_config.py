@@ -1,0 +1,77 @@
+"""Property test over the scenario tables: any scenario either parses and
+simulates to a classified outcome with a finite duration and peak flexion,
+or raises ConfigError naming the offending key."""
+import math
+
+from hypothesis import given, settings, strategies as st
+
+from swingsim.config import BOX, BOXES, SECTIONS, ConfigError, parse_scenario
+from swingsim.human_model import GaitIntent
+from swingsim.sim_harness import Outcome, run_swing
+
+
+def valid(f):
+    if f.kind is bool:
+        return st.booleans()
+    if f.kind is GaitIntent:
+        return st.sampled_from([i.value for i in GaitIntent])
+    if f.kind is int:
+        return st.integers(f.lo, f.hi)
+    if f.kind is BOXES:
+        return st.lists(section(BOX), max_size=2)
+    return st.floats(f.lo, f.hi)
+
+
+def invalid(f):
+    wrong_type = st.sampled_from(["x", None, [], {}])
+    if f.kind is bool:
+        return wrong_type | st.sampled_from([0, 1, "false"])
+    if f.kind is GaitIntent:
+        return wrong_type | st.sampled_from(["LEVEL", "stairs", 1])
+    if f.kind is BOXES:
+        return st.sampled_from(["x", None, {}, 3])
+    if f.kind is int:
+        return wrong_type | st.integers(max_value=f.lo - 1) | st.integers(min_value=f.hi + 1) \
+            | st.sampled_from([float(f.lo), f.lo + 0.5, True])
+    return wrong_type | st.floats(max_value=f.lo, exclude_max=True) \
+        | st.floats(min_value=f.hi, exclude_min=True) | st.sampled_from([math.nan, True])
+
+
+def section(table):
+    required = {f.key: valid(f) for f in table if f.required}
+    optional = {f.key: valid(f) for f in table if not f.required}
+    return st.fixed_dictionaries(required, optional=optional)
+
+
+SCENARIOS = st.fixed_dictionaries({}, optional={name: section(table)
+                                                for name, table in SECTIONS.items()})
+
+
+@st.composite
+def scenarios(draw):
+    """A scenario drawn from the tables and, in about a quarter of the draws,
+    the path of one key whose value was replaced by an invalid one."""
+    data = draw(SCENARIOS)
+    if draw(st.integers(0, 3)) < 3:
+        return data, None
+    name = draw(st.sampled_from(sorted(SECTIONS)))
+    f = draw(st.sampled_from(SECTIONS[name]))
+    data.setdefault(name, {})[f.key] = draw(invalid(f))
+    return data, f"{name}.{f.key}:"
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(scenarios())
+def test_scenario_runs_to_a_finite_outcome_or_raises_config_error(case):
+    data, bad_path = case
+    try:
+        cfg = parse_scenario(data)
+    except ConfigError as exc:
+        assert bad_path is None or str(exc).startswith(bad_path)
+        return
+    assert bad_path is None
+    log, result = run_swing(cfg)
+    assert all(math.isfinite(row.theta_k) for row in log.rows)
+    assert isinstance(result.outcome, Outcome)
+    assert math.isfinite(result.swing_duration)
+    assert math.isfinite(result.peak_knee_flexion)
