@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -119,13 +120,20 @@ def _min_jerk_vel(s: float) -> float:
     return 30.0 * s * s * (1.0 - s) * (1.0 - s)
 
 
+@lru_cache(maxsize=64)
+def _noise_coefficients(sigma: float, seed: int) -> tuple:
+    """(a1, a2, p1, p2) of _noise's sinusoids, drawn once per (sigma, seed)."""
+    rng = np.random.default_rng(seed)
+    a1, a2 = rng.normal(0.0, sigma, 2)
+    p1, p2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+    return float(a1), float(a2), float(p1), float(p2)
+
+
 def _noise(params: HipTrajectoryParams, t: float, seed: Optional[int]):
     """Smooth low-frequency angle noise: two seeded sinusoids."""
     if params.noise_sigma <= 0.0 or seed is None:
         return 0.0, 0.0
-    rng = np.random.default_rng(seed)
-    a1, a2 = rng.normal(0.0, params.noise_sigma, 2)
-    p1, p2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+    a1, a2, p1, p2 = _noise_coefficients(params.noise_sigma, seed)
     w1, w2 = 2.0 * math.pi * 2.0, 2.0 * math.pi * 4.5  # Hz-scale wobble
     val = a1 * math.sin(w1 * t + p1) + a2 * math.sin(w2 * t + p2)
     vel = a1 * w1 * math.cos(w1 * t + p1) + a2 * w2 * math.cos(w2 * t + p2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,6 +51,11 @@ class ObstacleScene:
         for a, b in zip(boxes, boxes[1:]):
             if b.front_x < a.back_x:
                 raise ValueError("scene boxes overlap in x")
+
+    @cached_property
+    def spans(self) -> tuple:
+        """(front_x, back_x, top z) of each box, computed once per scene."""
+        return tuple((b.front_x, b.back_x, self.ground_height + b.height) for b in self.boxes)
 
 
 @dataclass(frozen=True)
@@ -216,20 +222,36 @@ def _sqdist(px, pz, cx, cz, out=None) -> np.ndarray:
     return d2
 
 
+def _choice_index(rng: np.random.Generator, d2: np.ndarray, total: float,
+                  cdf: np.ndarray) -> int:
+    """rng.choice(len(d2), p=d2 / total) without its per-call validation: the
+    same single rng.random() draw looked up in the same normalized cumulative
+    sum (built in the scratch buffer cdf), so the same index and stream state."""
+    if not math.isfinite(total):
+        raise ValueError(f"k-means++ weights must have a finite total, got {total}")
+    np.divide(d2, total, out=cdf)
+    cdf.cumsum(out=cdf)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007); d2, the squared
+    distance to the nearest chosen center, is updated in place."""
     n = pts.shape[0]
     px, pz = pts.T.copy()
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
     d2 = _sqdist(px, pz, *centers[0])
+    cdf, near = np.empty(n), np.empty(n)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             centers[i:] = pts[rng.integers(n, size=k - i)]
             break
-        probs = d2 / total
-        centers[i] = pts[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, _sqdist(px, pz, *centers[i]))
+        j = _choice_index(rng, d2, total, cdf)
+        centers[i] = pts[j]
+        np.minimum(d2, _sqdist(px, pz, px[j], pz[j], out=near), out=d2)
     return centers
 
 

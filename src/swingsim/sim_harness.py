@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -93,8 +93,9 @@ class TrialConfig:
                              f"planner tick {self.planner.dt} s, got {self.tracking_lag_tau}")
 
 
-@dataclass
-class LogRow:
+class LogRow(NamedTuple):
+    """One tick of the step log, in LOG_COLUMNS order; zip(*rows) gives columns."""
+
     t: float
     phase: str
     theta_h: float
@@ -121,22 +122,19 @@ LOG_COLUMNS = (
     "x_t_m", "z_t_m", "x_l_m", "z_l_m", "z_m_m", "x_c_m", "k_slope", "c_t",
     "gamma_1",
 )
+# "%.6f" % v is the text of f"{v:.6f}" for every float, nan and inf included
+ROW_FORMAT = "%.6f,%s," + ",".join(["%.6f"] * (len(LOG_COLUMNS) - 2)) + "\n"
 
 
 @dataclass
 class StepLog:
+    """One LogRow per tick of a swing."""
     rows: list = field(default_factory=list)
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write(",".join(LOG_COLUMNS) + "\n")
-            for r in self.rows:
-                vals = [f"{r.t:.6f}", r.phase]
-                vals += [f"{v:.6f}" for v in (
-                    r.theta_h, r.theta_h_dot, r.theta_k, r.theta_k_dot_cmd,
-                    r.theta_k_dot_actual, r.x_h, r.z_h, r.x_t, r.z_t, r.x_l,
-                    r.z_l, r.z_m, r.x_c, r.k_slope, r.c_t, r.gamma_1)]
-                fh.write(",".join(vals) + "\n")
+            fh.write(",".join(LOG_COLUMNS) + "\n"
+                     + "".join([ROW_FORMAT % row for row in self.rows]))
 
 
 @dataclass
@@ -203,7 +201,6 @@ def perceive(cfg: TrialConfig, seed_capture: int, seed_kmeans: int):
 
     delta = cfg.planner.delta
     if flat.shape[0] == 0:
-        est = None
         kps = None
         target = ControlTarget(z_m=toe[1] + delta, x_c=0.20)
     else:
@@ -254,26 +251,25 @@ def contact_check(pts: FootPoints, scene: ObstacleScene, in_mirror: bool,
     or scuffs (ground).
     """
     g = scene.ground_height
-    foot = (pts.heel, pts.toe)
-    shank = (pts.knee, pts.ankle)
+    heel, toe = pts.heel, pts.toe
+    segments = ((heel, toe), (pts.knee, pts.ankle))
 
-    for box in scene.boxes:
-        top = g + box.height
-        for seg in (foot, shank):
-            for face_x in (box.front_x, box.back_x):
-                z = _crosses_face(seg[0], seg[1], face_x, g, top - 1e-9)
+    for front_x, back_x, top in scene.spans:
+        for p0, p1 in segments:
+            for face_x in (front_x, back_x):
+                z = _crosses_face(p0, p1, face_x, g, top - 1e-9)
                 if z is not None:
                     return Contact("trip", None, face_x, z)
-        hit = _segment_lowest_over_span(foot[0], foot[1], box.front_x, box.back_x)
+        hit = _segment_lowest_over_span(heel, toe, front_x, back_x)
         if hit is not None and hit[0] <= top:
             z, x = hit
             if in_mirror and downward:
                 return Contact("landing", Surface.OBSTACLE_TOP, x, z)
             return Contact("trip", Surface.OBSTACLE_TOP, x, z)
 
-    low, low_x = (pts.heel[1], pts.heel[0]) if pts.heel[1] <= pts.toe[1] else (pts.toe[1], pts.toe[0])
+    low, low_x = (heel[1], heel[0]) if heel[1] <= toe[1] else (toe[1], toe[0])
     if low <= g:
-        covered = any(b.front_x <= low_x <= b.back_x for b in scene.boxes)
+        covered = any(front_x <= low_x <= back_x for front_x, back_x, _ in scene.spans)
         if not covered:
             if in_mirror and downward:
                 return Contact("landing", Surface.GROUND, low_x, low)
@@ -360,23 +356,21 @@ def run_swing(cfg: TrialConfig) -> tuple:
     contact: Optional[Contact] = None
     prev_low = None
 
-    pts = forward_points(cfg.geometry, hip, joint.theta_k)
+    geom, scene, tau = cfg.geometry, cfg.scene, cfg.tracking_lag_tau
+    spans, rows = scene.spans, log.rows
+    pts = forward_points(geom, hip, joint.theta_k)
+    heel, toe = pts.heel, pts.toe
     while t < horizon + dt / 2:
-        cmd = planner_step(cfg.geometry, hip, joint, joint.theta_k_dot, target,
-                           state, params)
-        log.rows.append(LogRow(
-            t=t, phase=state.phase.value, theta_h=hip.theta_h,
-            theta_h_dot=hip.theta_h_dot, theta_k=joint.theta_k,
-            theta_k_dot_cmd=cmd.knee_vel_cmd, theta_k_dot_actual=joint.theta_k_dot,
-            x_h=hip.x_h, z_h=hip.z_h, x_t=pts.toe[0], z_t=pts.toe[1],
-            x_l=pts.heel[0], z_l=pts.heel[1], z_m=target.z_m, x_c=target.x_c,
-            k_slope=cmd.slope, c_t=cmd.c_t, gamma_1=cmd.gamma_1,
-        ))
+        # pts is the foot at this tick's hip and knee, shared with the planner
+        cmd = planner_step(geom, hip, joint, pts, joint.theta_k_dot, target, state, params)
+        rows.append(LogRow(
+            t, state.phase.value, hip.theta_h, hip.theta_h_dot, joint.theta_k,
+            cmd.knee_vel_cmd, joint.theta_k_dot, hip.x_h, hip.z_h, toe[0], toe[1],
+            heel[0], heel[1], target.z_m, target.x_c, cmd.slope, cmd.c_t, cmd.gamma_1))
 
         # integrate the velocity command over [t, t + dt)
-        if cfg.tracking_lag_tau > 0.0:
-            v_new = joint.theta_k_dot + (dt / cfg.tracking_lag_tau) * \
-                (cmd.knee_vel_cmd - joint.theta_k_dot)
+        if tau > 0.0:
+            v_new = joint.theta_k_dot + (dt / tau) * (cmd.knee_vel_cmd - joint.theta_k_dot)
         else:
             v_new = cmd.knee_vel_cmd
         theta_k_new = joint.theta_k + v_new * dt
@@ -388,35 +382,27 @@ def run_swing(cfg: TrialConfig) -> tuple:
 
         t += dt
         hip, nxt = hip_at(t, nxt)
-        pts = forward_points(cfg.geometry, hip, joint.theta_k)
+        pts = forward_points(geom, hip, joint.theta_k)
+        heel, toe = pts.heel, pts.toe
         peak_flex = max(peak_flex, joint.theta_k)
 
-        for box in cfg.scene.boxes:
-            hit = _segment_lowest_over_span(pts.heel, pts.toe, box.front_x, box.back_x)
+        for front_x, back_x, top in spans:
+            hit = _segment_lowest_over_span(heel, toe, front_x, back_x)
             if hit is not None:
-                clear = hit[0] - (cfg.scene.ground_height + box.height)
+                clear = hit[0] - top
                 min_clear = clear if min_clear is None else min(min_clear, clear)
 
-        low_now = min(pts.heel[1], pts.toe[1])
+        low_now = min(heel[1], toe[1])
         downward = prev_low is not None and low_now < prev_low
         prev_low = low_now
-        contact = contact_check(pts, cfg.scene, state.phase is Phase.THREE_MIRROR,
-                                downward)
+        contact = contact_check(pts, scene, state.phase is Phase.THREE_MIRROR, downward)
         if contact is not None:
             break
 
     outcome, landing_x, surface = _classify(contact, cfg)
-    result = TrialResult(
-        outcome=outcome,
-        swing_duration=t,
-        peak_knee_flexion=peak_flex,
-        min_clearance=min_clear,
-        landing_x=landing_x,
-        landing_surface=surface,
-        target=target,
-        capture_toe=cap_toe,
-    )
-    return log, result
+    return log, TrialResult(
+        outcome=outcome, swing_duration=t, peak_knee_flexion=peak_flex, min_clearance=min_clear,
+        landing_x=landing_x, landing_surface=surface, target=target, capture_toe=cap_toe)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from typing import Optional
 
 import numpy as np
 
-from .leg_kinematics import DEG, LegGeometry, HipPose, JointState, forward_points, toe_point
+# forward_points is unused here, but perfbench/tracer.py patches this import site
+from .leg_kinematics import (DEG, FootPoints, HipPose, JointState, LegGeometry, forward_points,
+                             toe_point)
 from .perception import ControlTarget
 
 TANGENT_STEP = 0.25 * DEG  # rad, central difference half-step
@@ -371,21 +373,21 @@ def _enter_major_phase(state: PhaseState, phase: Phase, joint: JointState,
         state.hip_vel_running_max = max(hip.theta_h_dot, HIP_VEL_FLOOR)
 
 
-def planner_step(geom: LegGeometry, hip: HipPose, joint: JointState,
+def planner_step(geom: LegGeometry, hip: HipPose, joint: JointState, pts: FootPoints,
                  measured_knee_vel: float, region_target: ControlTarget,
                  state: PhaseState, params: PlannerParams) -> PlannerCommand:
     """One 1 kHz planner tick.
 
-    region_target.x_c must already be absolute world x. Transition predicates
-    run on ground-truth state first: the toe reaching z_m advances one->two;
-    the heel passing the hip advances any phase to three (possibly skipping
-    two). The blending counter resets only on these major transitions; the
-    sub-mode handovers inside phase three are continuous by construction, and
-    re-blending them would unlock the shank lean the mirror mode exists to
-    hold.
+    pts must be forward_points(geom, hip, joint.theta_k), which the caller
+    computes once per tick and shares. region_target.x_c must already
+    be absolute world x. Transition predicates run on ground-truth state
+    first: the toe reaching z_m advances one->two; the heel passing the hip
+    advances any phase to three (possibly skipping two). The blending counter
+    resets only on these major transitions; the sub-mode handovers inside
+    phase three are continuous by construction, and re-blending them would
+    unlock the shank lean the mirror mode exists to hold.
     """
     z_m, x_c = region_target.z_m, region_target.x_c
-    pts = forward_points(geom, hip, joint.theta_k)
 
     if MAJOR[state.phase] < 3 and pts.heel[0] > hip.x_h:
         _enter_major_phase(state, Phase.THREE_TANGENT, joint, hip)

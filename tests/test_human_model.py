@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,19 @@ def test_noise_smooth_and_seeded():
     assert a != c
     diffs = np.abs(np.diff(a))
     assert diffs.max() < 0.01  # smooth, not white
+
+
+def test_noise_is_two_sinusoids_drawn_from_the_seed():
+    p = HipTrajectoryParams(swing_duration=0.6, noise_sigma=1.0 * DEG)
+    quiet = replace(p, noise_sigma=0.0)
+    for seed in (5, 6, 5):
+        rng = np.random.default_rng(seed)
+        a1, a2 = rng.normal(0.0, p.noise_sigma, 2)
+        p1, p2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+        w1, w2 = 2.0 * math.pi * 2.0, 2.0 * math.pi * 4.5
+        for t in (0.0, 0.123, 0.6, 1.1):
+            noise = a1 * math.sin(w1 * t + p1) + a2 * math.sin(w2 * t + p2)
+            assert hip_pose(p, t, seed=seed).theta_h == hip_pose(quiet, t).theta_h + noise
 
 
 def test_sample_horizon():

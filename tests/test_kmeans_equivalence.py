@@ -4,6 +4,7 @@
 are compared with `==`, not approx: the production path must give the same
 floats for the same seed, so every campaign outcome stays as it was.
 """
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,42 @@ def test_kmeans_prune_empty_cluster_path_equals_reference():
     want = oracle_utils.kmeans_prune(pts, k=5, seed=3)
     assert got.keypoints == want.keypoints
     assert_plain_floats(got)
+
+
+def test_choice_index_is_generator_choice():
+    # same index and same stream state as rng.choice on the numpy installed;
+    # a numpy that changes choice's draw fails here
+    gen = np.random.default_rng(2007)
+    for trial in range(3000):
+        n = int(gen.integers(1, 600))
+        d2 = gen.random(n) * 10.0 ** gen.uniform(-8.0, 3.0, n)
+        if trial % 5 == 0:
+            d2[gen.random(n) < 0.7] = 0.0
+            d2[gen.integers(n)] = gen.random() + 1e-3
+        total = d2.sum()
+        seed = int(gen.integers(2**32))
+        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        pick = perception._choice_index(mine, d2, total, np.empty(n))
+        assert pick == ref.choice(n, p=d2 / total)
+        assert mine.random() == ref.random()
+
+
+@pytest.mark.parametrize("d2", [[1.0, math.nan, 2.0], [1e308, 1e308]])
+def test_choice_index_refuses_non_finite_total_like_choice(d2):
+    d2 = np.array(d2)
+    with np.errstate(over="ignore"):
+        total = d2.sum()
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).choice(len(d2), p=d2 / total)
+    with pytest.raises(ValueError):
+        perception._choice_index(np.random.default_rng(0), d2, total, np.empty(len(d2)))
+
+
+def test_kmeans_pp_init_raises_on_nan_distance():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [math.nan, 0.0], [2.0, 0.5]])
+    for seed in range(4):
+        with pytest.raises(ValueError):
+            perception._kmeans_pp_init(pts, 3, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.003])

@@ -1,15 +1,19 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from swingsim.leg_kinematics import HipPose, FootPoints, forward_points
 from swingsim.perception import Box, ObstacleScene
 from swingsim.human_model import GaitIntent
 from swingsim.swing_planner import Phase
 from swingsim.sim_harness import (
+    ROW_FORMAT,
     CampaignConfig,
     Contact,
+    LogRow,
     Outcome,
     Surface,
     TrialConfig,
@@ -181,6 +185,44 @@ def test_run_swing_samples_hip_once_per_tick(monkeypatch):
     # the poses at 0 and dt before the loop, then one look-ahead per tick
     assert len(calls) == len(log.rows) + 2
     assert calls == sorted(set(calls))
+
+
+def test_run_swing_evaluates_kinematics_once_per_tick(monkeypatch):
+    from swingsim import leg_kinematics, sim_harness, swing_planner
+    calls = []
+    real = leg_kinematics.forward_points
+
+    def counting(geom, hip, theta_k):
+        calls.append(theta_k)
+        return real(geom, hip, theta_k)
+
+    # both modules that import forward_points
+    for module in (sim_harness, swing_planner):
+        monkeypatch.setattr(module, "forward_points", counting)
+    base = TrialConfig(intent=GaitIntent.STEP_OVER, seed=11)
+    _, pts = capture_state(base)
+    scene = ObstacleScene(boxes=(Box(front_x=pts.toe[0] + 0.4, height=0.08),))
+    calls.clear()
+    log, _ = run_swing(replace(base, scene=scene))
+    # the capture pose, the toe-off pose, then the pose after each tick
+    assert len(calls) == len(log.rows) + 2
+
+
+finite_or_not = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300,
+                     5e-7, -5e-7, 4.9999995e-7, 0.0000005, 123456789.1234565]),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(finite_or_not, min_size=17, max_size=17),
+       st.sampled_from([p.value for p in Phase]))
+def test_row_format_is_the_fstring_text(values, phase):
+    row = LogRow(values[0], phase, *values[1:])
+    fstring = ",".join([f"{row.t:.6f}", row.phase] + [f"{v:.6f}" for v in row[2:]]) + "\n"
+    assert ROW_FORMAT % row == fstring
 
 
 def test_perception_fallback_when_no_returns():

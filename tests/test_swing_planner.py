@@ -403,7 +403,8 @@ def test_planner_step_one_to_two_on_toe_height():
     # toe already above z_m: first step flips to phase TWO
     hip = HipPose(x_h=0.0, z_h=0.9, theta_h=0.0, theta_h_dot=1.0)
     joint = JointState(theta_k=70 * DEG)
-    cmd = planner_step(GEOM, hip, joint, 0.0, standard_target(), state, params)
+    cmd = planner_step(GEOM, hip, joint, forward_points(GEOM, hip, joint.theta_k), 0.0,
+                       standard_target(), state, params)
     assert cmd.phase_after.phase is Phase.TWO
 
 
@@ -415,8 +416,8 @@ def test_planner_step_direct_one_to_three_predicate_precedence():
     joint = JointState(theta_k=5 * DEG)
     pts = forward_points(GEOM, hip, joint.theta_k)
     assert pts.heel[0] > hip.x_h
-    cmd = planner_step(GEOM, hip, joint, 0.0, ControlTarget(z_m=0.5, x_c=2.0),
-                       state, params)
+    cmd = planner_step(GEOM, hip, joint, forward_points(GEOM, hip, joint.theta_k), 0.0,
+                       ControlTarget(z_m=0.5, x_c=2.0), state, params)
     assert cmd.phase_after.phase in (Phase.THREE_TANGENT, Phase.THREE_CONVERGE,
                                      Phase.THREE_MIRROR)
 
@@ -426,7 +427,8 @@ def test_planner_step_resets_blend_counter_on_transition():
     state = PhaseState(ticks_in_phase=500)
     hip = HipPose(x_h=0.0, z_h=0.9, theta_h=0.0, theta_h_dot=1.0)
     joint = JointState(theta_k=70 * DEG, theta_k_dot=1.5, theta_k_ddot=12.0)
-    cmd = planner_step(GEOM, hip, joint, 1.5, standard_target(), state, params)
+    cmd = planner_step(GEOM, hip, joint, forward_points(GEOM, hip, joint.theta_k), 1.5,
+                       standard_target(), state, params)
     # n was reset to 0 by the ONE->TWO transition before blending
     assert cmd.gamma_1 == pytest.approx(1.0)
     assert cmd.knee_vel_cmd == pytest.approx(1.5 + 12.0 * params.dt)
