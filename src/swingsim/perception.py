@@ -265,9 +265,8 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple:
     An iteration with an empty cluster runs the per-cluster loop instead.
     Each empty cluster is reseeded at the point farthest from its nearest
     center, and that point moves to it before the later clusters' means are
-    taken. d2 is not refreshed between reseeds, so every cluster that is
-    empty in one iteration is reseeded at the same farthest point. The
-    quirk is kept so the keypoints do not change.
+    taken. The nearest distances then take in the reseeded center, so two
+    clusters empty in one iteration are reseeded at different points.
     """
     n, k = pts.shape[0], centers.shape[0]
     px, pz = pts.T.copy()
@@ -283,15 +282,17 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple:
             cx = np.bincount(new_assign, weights=px, minlength=k) / counts
             cz = np.bincount(new_assign, weights=pz, minlength=k) / counts
         else:
+            nearest = np.min(d2, axis=1)
             for j in range(k):
                 sel = new_assign == j
                 if sel.any():
                     cx[j], cz[j] = pts[sel].mean(axis=0)
                 else:
                     # re-seed an empty cluster at the farthest point
-                    far = np.argmax(np.min(d2, axis=1))
+                    far = np.argmax(nearest)
                     cx[j], cz[j] = px[far], pz[far]
                     new_assign[far] = j
+                    np.minimum(nearest, _sqdist(px, pz, cx[j], cz[j]), out=nearest)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

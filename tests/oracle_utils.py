@@ -106,15 +106,18 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple:
     for _ in range(max_iter):
         d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assign = np.argmin(d2, axis=1)
+        nearest = np.min(d2, axis=1)
         for j in range(k):
             sel = new_assign == j
             if sel.any():
                 centers[j] = pts[sel].mean(axis=0)
             else:
-                # re-seed an empty cluster at the farthest point
-                far = np.argmax(np.min(d2, axis=1))
+                # re-seed an empty cluster at the farthest point, then count
+                # it among the nearest centers for the next empty cluster
+                far = np.argmax(nearest)
                 centers[j] = pts[far]
                 new_assign[far] = j
+                nearest = np.minimum(nearest, np.sum((pts - centers[j]) ** 2, axis=1))
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign

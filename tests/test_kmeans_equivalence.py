@@ -98,6 +98,21 @@ def test_kmeans_pp_init_raises_on_nan_distance():
             perception._kmeans_pp_init(pts, 3, np.random.default_rng(seed))
 
 
+def test_lloyd_reseeds_two_empty_clusters_at_different_points():
+    # every point is nearest to center 0, so clusters 1 and 2 are empty in
+    # the first iteration: 1 goes to the farthest point (10, 0), and 2 to
+    # the farthest once (10, 0) holds a center, (5, 0)
+    pts = np.array([(0.0, 0.0), (0.1, 0.0), (5.0, 0.0), (10.0, 0.0)])
+    init = np.array([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
+    for lloyd in (perception._lloyd, oracle_utils._lloyd):
+        centers, _ = lloyd(pts, init.copy(), max_iter=1)
+        assert centers[1].tolist() == [10.0, 0.0]
+        assert centers[2].tolist() == [5.0, 0.0]
+        centers, sse = lloyd(pts, init.copy(), max_iter=100)
+        assert sse == pytest.approx(0.005)
+        assert sorted(centers.tolist()) == [[0.05, 0.0], [5.0, 0.0], [10.0, 0.0]]
+
+
 @pytest.mark.parametrize("noise", [0.0, 0.003])
 def test_perceive_keypoints_equal_reference_on_campaign_scenes(monkeypatch, noise):
     cc = CampaignConfig.reproduction_profile(2024)
