@@ -226,7 +226,7 @@ def _choice_index(rng: np.random.Generator, d2: np.ndarray, total: float,
                   cdf: np.ndarray) -> int:
     """rng.choice(len(d2), p=d2 / total) without its per-call validation: the
     same single rng.random() draw looked up in the same normalized cumulative
-    sum (built in the scratch buffer cdf), so the same index and stream state."""
+    sum (built in the buffer cdf), so the same index and the same stream state."""
     if not math.isfinite(total):
         raise ValueError(f"k-means++ weights must have a finite total, got {total}")
     np.divide(d2, total, out=cdf)
@@ -265,8 +265,8 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple:
     An iteration with an empty cluster runs the per-cluster loop instead.
     Each empty cluster is reseeded at the point farthest from its nearest
     center, and that point moves to it before the later clusters' means are
-    taken. The nearest distances then take in the reseeded center, so two
-    clusters empty in one iteration are reseeded at different points.
+    taken. The nearest distances then take in the reseeded center, so the
+    next empty cluster goes to the point farthest from it too.
     """
     n, k = pts.shape[0], centers.shape[0]
     px, pz = pts.T.copy()
