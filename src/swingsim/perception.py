@@ -203,86 +203,151 @@ def crop_and_project(cloud: PointCloud, corridor_width: float = 0.15,
     return flat[np.argsort(flat[:, 0], kind="stable")]
 
 
-def _sqdist(px, pz, cx, cz, out=None) -> np.ndarray:
+def _sqdist(px, pz, cx, cz, out=None, dz=None) -> np.ndarray:
     """Squared distances between points (px, pz) and centers (cx, cz).
 
-    Pass point columns as px[:, None] to get the (n, k) matrix, and a reused
-    `out` buffer to spare a fresh (n, k) allocation per call. Each term is
-    squared as d * d (the same float as d ** 2) and the two are added
-    directly: a sum over a length-2 axis is exactly a + b, so these are the
-    bits an (n, k, 2) difference array reduced over its last axis gives.
-    The expanded |p|^2 - 2 p.c + |c|^2 is avoided because it moves the last
-    bits, which can flip argmin ties.
+    Shapes broadcast: point columns tiled to (n, k) against (k,) centers
+    give _lloyd's matrix, (n,) points against (r, 1) centers the seeding's
+    rows. `out` and `dz` are optional reused buffers of the result's shape.
+    Each term is squared as d * d (the same float as d ** 2) and the two are
+    added directly: a sum over a length-2 axis is exactly a + b, so these
+    are the bits an (n, k, 2) difference array reduced over its last axis
+    gives. The expanded |p|^2 - 2 p.c + |c|^2 is avoided because it moves
+    the last bits, which can flip argmin ties.
     """
     d2 = np.subtract(px, cx, out=out)
     d2 *= d2
-    dz = pz - cz
+    dz = np.subtract(pz, cz, out=dz)
     dz *= dz
     d2 += dz
     return d2
 
 
-def _choice_index(rng: np.random.Generator, d2: np.ndarray, total: float,
-                  cdf: np.ndarray) -> int:
-    """rng.choice(len(d2), p=d2 / total) without its per-call validation: the
-    same single rng.random() draw looked up in the same normalized cumulative
-    sum (built in the buffer cdf), so the same index and the same stream state."""
-    if not math.isfinite(total):
+def _choice_rows(d2: np.ndarray, total: np.ndarray, u: np.ndarray,
+                 cdf: np.ndarray) -> np.ndarray:
+    """rng.choice(n, p=d2[r] / total[r]) for every row r, where u[r] is that
+    row's single rng.random() draw: the normalized cumulative sum Generator.choice
+    builds (here in the buffer cdf) and its side="right" lookup of u[r], so the
+    same index. A non-finite total raises ValueError, as choice does."""
+    if not np.isfinite(total).all():
         raise ValueError(f"k-means++ weights must have a finite total, got {total}")
-    np.divide(d2, total, out=cdf)
-    cdf.cumsum(out=cdf)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    np.divide(d2, total[:, None], out=cdf)
+    cdf.cumsum(axis=1, out=cdf)
+    cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007); d2, the squared
-    distance to the nearest chosen center, is updated in place."""
-    n = pts.shape[0]
+def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator,
+                    restarts: int) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) of every restart,
+    as (restarts, k, 2) centers. Each restart draws from rng what a
+    sequential loop of restarts would: integers(n), then one random() per
+    center, or, once its weights total 0, integers(n, size=k - i) for the
+    rest (see _seed_lockstep)."""
+    out = np.empty((restarts, k, pts.shape[1]))
+    done = 0
+    while done < restarts:
+        done += _seed_lockstep(pts, k, rng, out[done:])
+    return out
+
+
+def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
+                   out: np.ndarray) -> int:
+    """Seed the restarts of `out` side by side; returns how many are done.
+
+    Every restart's draws are taken up front in stream order, and each center
+    step advances all nearest-distance rows (d2, squared distance to the
+    nearest chosen center) as one array. A restart whose weights total 0 at
+    step i draws less than was taken for it, so the draws of every later
+    restart are wrong: from that step on the rows after it are dropped, its
+    own draws are replayed from its saved generator state, and the caller
+    seeds the rest again from where its stream ends.
+    """
+    n, rows = pts.shape[0], out.shape[0]
     px, pz = pts.T.copy()
-    centers = np.empty((k, pts.shape[1]))
-    centers[0] = pts[rng.integers(n)]
-    d2 = _sqdist(px, pz, *centers[0])
-    cdf, near = np.empty(n), np.empty(n)
+    states = []
+    first, u = np.empty(rows, dtype=np.intp), np.empty((rows, k - 1))
+    for r in range(rows):
+        states.append(rng.bit_generator.state)
+        first[r] = rng.integers(n)
+        u[r] = rng.random(k - 1)
+    picks = np.empty((rows, k), dtype=np.intp)
+    picks[:, 0] = first
+    d2 = _sqdist(px, pz, px[first, None], pz[first, None])
+    near, cdf = np.empty_like(d2), np.empty_like(d2)
+    stop = None  # (restart, step) where the first restart's weights total 0
     for i in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            centers[i:] = pts[rng.integers(n, size=k - i)]
-            break
-        j = _choice_index(rng, d2, total, cdf)
-        centers[i] = pts[j]
-        np.minimum(d2, _sqdist(px, pz, px[j], pz[j], out=near), out=d2)
-    return centers
+        total = d2[:rows].sum(axis=1)
+        zero = np.flatnonzero(total <= 0.0)
+        if zero.size:
+            rows = int(zero[0])
+            stop = (rows, i)
+            if not rows:
+                break
+            total = total[:rows]
+        j = _choice_rows(d2[:rows], total, u[:rows, i - 1], cdf[:rows])
+        picks[:rows, i] = j
+        # cdf is free again until the next step, so it serves as dz
+        new = _sqdist(px, pz, px[j, None], pz[j, None], out=near[:rows], dz=cdf[:rows])
+        np.minimum(d2[:rows], new, out=d2[:rows])
+    out[:rows] = pts[picks[:rows]]
+    if stop is None:
+        return rows
+    r, i = stop
+    rng.bit_generator.state = states[r]
+    rng.integers(n)
+    rng.random(i - 1)
+    out[r, :i] = pts[picks[r, :i]]
+    out[r, i:] = pts[rng.integers(n, size=k - i)]
+    return r + 1
 
 
-def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple:
+def _lloyd_work(pts: np.ndarray, k: int) -> tuple:
+    """What _lloyd reads for k centers, made once per kmeans_prune call and
+    shared by every restart: the point columns px and pz, the same columns
+    tiled to (n, k), and two (n, k) buffers."""
+    px, pz = pts.T.copy()
+    n = px.shape[0]
+    return (px, pz, np.tile(px[:, None], k), np.tile(pz[:, None], k),
+            np.empty((n, k)), np.empty((n, k)))
+
+
+def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> tuple:
     """Lloyd iterations to an assignment fixpoint. Returns (centers, sse).
 
-    While no cluster is empty the centroid update is a weighted bincount,
-    which adds each cluster's points in point order exactly as
-    pts[sel].mean(axis=0) does, so the centers are the same floats.
+    `work` is _lloyd_work(pts, k). While no cluster is empty the centroid
+    update is a weighted bincount, which adds each cluster's points in point
+    order exactly as pts[sel].mean(axis=0) does, so the centers are the same
+    floats.
 
     An iteration with an empty cluster runs the per-cluster loop instead.
     Each empty cluster is reseeded at the point farthest from its nearest
     center, and that point moves to it before the later clusters' means are
     taken. The nearest distances then take in the reseeded center, so the
     next empty cluster goes to the point farthest from it too.
+
+    When the last iteration leaves the centers as they were, its distance
+    matrix already holds the final ones and the SSE is read from it.
     """
-    n, k = pts.shape[0], centers.shape[0]
-    px, pz = pts.T.copy()
-    pxc, pzc = px[:, None], pz[:, None]
+    px, pz, tx, tz, d2, dz = work
+    n, k = px.shape[0], centers.shape[0]
+    every = np.arange(n)
     cx, cz = centers.T.copy()
-    d2 = np.empty((n, k))
     assign = np.full(n, -1)
+    sse = None
     for _ in range(max_iter):
-        _sqdist(pxc, pzc, cx, cz, out=d2)
-        new_assign = np.argmin(d2, axis=1)
-        counts = np.bincount(new_assign, minlength=k)
+        _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
+        nearest_c = d2.argmin(axis=1)
+        counts = np.bincount(nearest_c, minlength=k)
+        last = cx, cz
         if counts.all():
+            new_assign = nearest_c
             cx = np.bincount(new_assign, weights=px, minlength=k) / counts
             cz = np.bincount(new_assign, weights=pz, minlength=k) / counts
         else:
-            nearest = np.min(d2, axis=1)
+            new_assign = nearest_c.copy()
+            cx, cz = cx.copy(), cz.copy()
+            nearest = d2[every, nearest_c]
             for j in range(k):
                 sel = new_assign == j
                 if sel.any():
@@ -294,9 +359,13 @@ def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple:
                     new_assign[far] = j
                     np.minimum(nearest, _sqdist(px, pz, cx[j], cz[j]), out=nearest)
         if np.array_equal(new_assign, assign):
+            if np.array_equal(cx, last[0]) and np.array_equal(cz, last[1]):
+                sse = float(d2[every, nearest_c].sum())
             break
         assign = new_assign
-    sse = float(np.min(_sqdist(pxc, pzc, cx, cz, out=d2), axis=1).sum())
+    if sse is None:
+        _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
+        sse = float(d2[every, d2.argmin(axis=1)].sum())
     return np.column_stack((cx, cz)), sse
 
 
@@ -305,7 +374,10 @@ def kmeans_prune(points: Sequence, k: int, seed: int,
     """Prune a 2-D profile to k cluster centers sorted by x.
 
     Lloyd's algorithm with k-means++ seeding; the best of `restarts` runs is
-    kept. Fewer than k points are returned as-is, sorted.
+    kept. Fewer than k points are returned as-is, sorted. All restarts are
+    seeded together (_kmeans_pp_init), each from the draws a restart-by-restart
+    loop would give it, and their weighted picks replicate Generator.choice
+    (_choice_rows), so the keypoints are those of that loop for the same seed.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
@@ -317,11 +389,11 @@ def kmeans_prune(points: Sequence, k: int, seed: int,
         return _dedupe(ordered)
 
     rng = np.random.default_rng(seed)
+    work = _lloyd_work(pts, k)
     best = None
     best_sse = math.inf
-    for _ in range(max(1, restarts)):
-        centers = _kmeans_pp_init(pts, k, rng)
-        centers, sse = _lloyd(pts, centers, max_iter)
+    for centers in _kmeans_pp_init(pts, k, rng, max(1, restarts)):
+        centers, sse = _lloyd(pts, work, centers, max_iter)
         if sse < best_sse - 1e-15 or best is None:
             best, best_sse = centers, sse
     ordered = best[np.argsort(best[:, 0], kind="stable")]

@@ -1,11 +1,13 @@
 """The vectorized k-means returns the keypoints of the per-cluster reference.
 
-`oracle_utils.kmeans_prune` is the original loop implementation. Keypoints
+`oracle_utils.kmeans_prune` is the original loop implementation, seeding one
+restart after another; production seeds every restart in lockstep. Keypoints
 are compared with `==`, not approx: the production path must give the same
 floats for the same seed, so every campaign outcome stays as it was.
 """
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -35,20 +37,38 @@ coord = st.one_of(st.integers(0, 4).map(lambda i: i / 4.0),
 
 @st.composite
 def profiles(draw):
-    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
-    n = len(pts)
-    k = draw(st.one_of(st.integers(1, n + 1), st.integers(max(1, n - 2), n + 1)))
+    """Up to 60 points; k anywhere in [1, n + 1] or next to the number of
+    distinct points, so the seeding's all-zero-weights path is common."""
+    pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=60))
+    n, distinct = len(pts), len(set(pts))
+    k = draw(st.one_of(st.integers(1, n + 1),
+                       st.integers(max(1, distinct - 2), min(n, distinct + 2))))
     return pts, k
 
 
 @settings(max_examples=300, deadline=None)
-@given(profiles(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+@given(profiles(), st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_kmeans_prune_equals_reference(profile, seed, restarts):
     pts, k = profile
     got = kmeans_prune(pts, k, seed, restarts=restarts)
     want = oracle_utils.kmeans_prune(pts, k, seed, restarts=restarts)
     assert got.keypoints == want.keypoints
     assert_plain_floats(got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+def test_lockstep_seeding_equals_sequential_reference(profile, seed, restarts):
+    # every restart's centers, and the stream left behind, are those of the
+    # reference's restart-by-restart loop
+    pts, k = profile
+    pts = np.asarray(pts, dtype=float)
+    k = min(k, len(pts))
+    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = perception._kmeans_pp_init(pts, k, mine, restarts)
+    want = [oracle_utils._kmeans_pp_init(pts, k, ref) for _ in range(restarts)]
+    assert np.array_equal(got, np.array(want))
+    assert mine.bit_generator.state == ref.bit_generator.state
 
 
 def test_kmeans_prune_empty_cluster_path_equals_reference():
@@ -63,21 +83,34 @@ def test_kmeans_prune_empty_cluster_path_equals_reference():
 
 
 def test_choice_index_is_generator_choice():
-    # same index and same stream state as rng.choice on the numpy installed;
-    # a numpy that changes choice's draw fails here
+    # each row of the lockstep draw picks the index rng.choice picks from the
+    # same stream, and leaves it where choice does; a numpy that changes
+    # choice's draw fails here
     gen = np.random.default_rng(2007)
     for trial in range(3000):
-        n = int(gen.integers(1, 600))
-        d2 = gen.random(n) * 10.0 ** gen.uniform(-8.0, 3.0, n)
+        n, rows = int(gen.integers(1, 600)), int(gen.integers(1, 9))
+        d2 = gen.random((rows, n)) * 10.0 ** gen.uniform(-8.0, 3.0, (rows, n))
         if trial % 5 == 0:
-            d2[gen.random(n) < 0.7] = 0.0
-            d2[gen.integers(n)] = gen.random() + 1e-3
-        total = d2.sum()
-        seed = int(gen.integers(2**32))
-        mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        pick = perception._choice_index(mine, d2, total, np.empty(n))
-        assert pick == ref.choice(n, p=d2 / total)
-        assert mine.random() == ref.random()
+            d2[gen.random((rows, n)) < 0.7] = 0.0
+            d2[np.arange(rows), gen.integers(n, size=rows)] = gen.random(rows) + 1e-3
+        total = d2.sum(axis=1)
+        seeds = gen.integers(2**32, size=rows)
+        mine = [np.random.default_rng(s) for s in seeds]
+        u = np.array([rng.random() for rng in mine])
+        picks = perception._choice_rows(d2, total, u, np.empty((rows, n)))
+        for r, s in enumerate(seeds):
+            ref = np.random.default_rng(s)
+            assert picks[r] == ref.choice(n, p=d2[r] / total[r])
+            assert mine[r].random() == ref.random()
+
+
+def test_choice_rows_looks_up_a_tied_draw_to_the_right():
+    # a draw equal to a cdf step goes past it, as searchsorted(side="right")
+    # in Generator.choice does; a zero weight is never picked
+    d2 = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 2.0]])
+    cdf = np.empty(d2.shape)
+    picks = perception._choice_rows(d2, d2.sum(axis=1), np.array([0.5, 0.5]), cdf)
+    assert picks.tolist() == [2, 2]
 
 
 @pytest.mark.parametrize("d2", [[1.0, math.nan, 2.0], [1e308, 1e308]])
@@ -87,15 +120,19 @@ def test_choice_index_refuses_non_finite_total_like_choice(d2):
         total = d2.sum()
     with pytest.raises(ValueError):
         np.random.default_rng(0).choice(len(d2), p=d2 / total)
+    rows = np.array([[1.0, 2.0, 3.0][:len(d2)], d2])
+    with np.errstate(over="ignore"):
+        totals = rows.sum(axis=1)
     with pytest.raises(ValueError):
-        perception._choice_index(np.random.default_rng(0), d2, total, np.empty(len(d2)))
+        perception._choice_rows(rows, totals, np.full(2, 0.5), np.empty(rows.shape))
 
 
 def test_kmeans_pp_init_raises_on_nan_distance():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [math.nan, 0.0], [2.0, 0.5]])
     for seed in range(4):
-        with pytest.raises(ValueError):
-            perception._kmeans_pp_init(pts, 3, np.random.default_rng(seed))
+        for restarts in (1, 3):
+            with pytest.raises(ValueError):
+                perception._kmeans_pp_init(pts, 3, np.random.default_rng(seed), restarts)
 
 
 def test_lloyd_reseeds_two_empty_clusters_at_different_points():
@@ -104,11 +141,12 @@ def test_lloyd_reseeds_two_empty_clusters_at_different_points():
     # the farthest once (10, 0) holds a center, (5, 0)
     pts = np.array([(0.0, 0.0), (0.1, 0.0), (5.0, 0.0), (10.0, 0.0)])
     init = np.array([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
-    for lloyd in (perception._lloyd, oracle_utils._lloyd):
-        centers, _ = lloyd(pts, init.copy(), max_iter=1)
+    work = perception._lloyd_work(pts, 3)
+    for lloyd in (partial(perception._lloyd, pts, work), partial(oracle_utils._lloyd, pts)):
+        centers, _ = lloyd(init.copy(), max_iter=1)
         assert centers[1].tolist() == [10.0, 0.0]
         assert centers[2].tolist() == [5.0, 0.0]
-        centers, sse = lloyd(pts, init.copy(), max_iter=100)
+        centers, sse = lloyd(init.copy(), max_iter=100)
         assert sse == pytest.approx(0.005)
         assert sorted(centers.tolist()) == [[0.05, 0.0], [5.0, 0.0], [10.0, 0.0]]
 
