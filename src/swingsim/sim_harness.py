@@ -242,25 +242,33 @@ def _crosses_face(p0, p1, face_x, z_lo, z_hi):
     return None
 
 
-def contact_check(pts: FootPoints, scene: ObstacleScene, in_mirror: bool,
+def span_lows(pts: FootPoints, scene: ObstacleScene) -> list:
+    """Lowest (z, x) of the heel-toe segment over each box span of the scene,
+    None where it does not overlap; computed once per tick for contact_check
+    and the clearance scan."""
+    heel, toe = pts.heel, pts.toe
+    return [_segment_lowest_over_span(heel, toe, front_x, back_x)
+            for front_x, back_x, _ in scene.spans]
+
+
+def contact_check(pts: FootPoints, scene: ObstacleScene, lows: list, in_mirror: bool,
                   downward: bool) -> Optional[Contact]:
     """Classify foot/shank contact with the scene, if any.
 
-    Vertical box faces always trip. Surface touches land only in the mirror
-    sub-mode with downward foot velocity; otherwise they are trips (box top)
-    or scuffs (ground).
+    lows must be span_lows(pts, scene). Vertical box faces always trip.
+    Surface touches land only in the mirror sub-mode with downward foot
+    velocity; otherwise they are trips (box top) or scuffs (ground).
     """
     g = scene.ground_height
     heel, toe = pts.heel, pts.toe
     segments = ((heel, toe), (pts.knee, pts.ankle))
 
-    for front_x, back_x, top in scene.spans:
+    for (front_x, back_x, top), hit in zip(scene.spans, lows):
         for p0, p1 in segments:
             for face_x in (front_x, back_x):
                 z = _crosses_face(p0, p1, face_x, g, top - 1e-9)
                 if z is not None:
                     return Contact("trip", None, face_x, z)
-        hit = _segment_lowest_over_span(heel, toe, front_x, back_x)
         if hit is not None and hit[0] <= top:
             z, x = hit
             if in_mirror and downward:
@@ -386,8 +394,8 @@ def run_swing(cfg: TrialConfig) -> tuple:
         heel, toe = pts.heel, pts.toe
         peak_flex = max(peak_flex, joint.theta_k)
 
-        for front_x, back_x, top in spans:
-            hit = _segment_lowest_over_span(heel, toe, front_x, back_x)
+        lows = span_lows(pts, scene)
+        for hit, (_, _, top) in zip(lows, spans):
             if hit is not None:
                 clear = hit[0] - top
                 min_clear = clear if min_clear is None else min(min_clear, clear)
@@ -395,7 +403,7 @@ def run_swing(cfg: TrialConfig) -> tuple:
         low_now = min(heel[1], toe[1])
         downward = prev_low is not None and low_now < prev_low
         prev_low = low_now
-        contact = contact_check(pts, scene, state.phase is Phase.THREE_MIRROR, downward)
+        contact = contact_check(pts, scene, lows, state.phase is Phase.THREE_MIRROR, downward)
         if contact is not None:
             break
 

@@ -351,17 +351,18 @@ def phase3_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
 
 
 def blend_command(raw_vel: float, measured_knee_vel: float, state: PhaseState,
-                  params: PlannerParams) -> float:
+                  params: PlannerParams) -> tuple:
     """Exponential cross-fade from the measured velocity at phase entry.
 
     gamma_i = exp(-alpha_i * n); at n = 0 the command is the measured
-    velocity carried forward by the entry acceleration.
+    velocity carried forward by the entry acceleration. Returns (command,
+    gamma_1).
     """
     n = state.ticks_in_phase
     g1 = math.exp(-params.alpha_1 * n)
     g2 = math.exp(-params.alpha_2 * n)
     return (1.0 - g1) * raw_vel + g1 * (measured_knee_vel
-                                        + g2 * state.theta_k_ddot_ini * params.dt)
+                                        + g2 * state.theta_k_ddot_ini * params.dt), g1
 
 
 def _enter_major_phase(state: PhaseState, phase: Phase, joint: JointState,
@@ -404,8 +405,7 @@ def planner_step(geom: LegGeometry, hip: HipPose, joint: JointState, pts: FootPo
     else:
         raw, slope = phase1_velocity(geom, hip, joint, fresh, params)
 
-    g1 = math.exp(-params.alpha_1 * state.ticks_in_phase)
-    cmd = blend_command(raw, measured_knee_vel, state, params)
+    cmd, g1 = blend_command(raw, measured_knee_vel, state, params)
     state.ticks_in_phase += 1
     return PlannerCommand(knee_vel_cmd=cmd, phase_after=state, slope=slope, c_t=c_t,
                           gamma_1=g1)

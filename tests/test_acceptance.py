@@ -224,10 +224,11 @@ def test_criterion_6c_kmeans_exhaustive_optimum():
 def test_criterion_6d_blending_limits():
     params = PlannerParams()
     st0 = PhaseState(ticks_in_phase=0, theta_k_ddot_ini=25.0)
-    at0 = blend_command(3.0, 0.7, st0, params)
+    at0, g1 = blend_command(3.0, 0.7, st0, params)
+    assert g1 == 1.0
     assert at0 == 0.7 + 1.0 * 25.0 * params.dt  # gamma_1 = gamma_2 = 1 exactly
     stn = PhaseState(ticks_in_phase=300, theta_k_ddot_ini=25.0)
-    atn = blend_command(3.0, 0.7, stn, params)
+    atn, _ = blend_command(3.0, 0.7, stn, params)
     assert abs(atn - 3.0) <= 1e-5 * 3.0
     print("[criterion 6d] PASS: blend equals measured(+accel step) at n=0 and "
           "raw command in the decay limit")

@@ -23,6 +23,7 @@ from swingsim.sim_harness import (
     perceive,
     run_campaign,
     run_swing,
+    span_lows,
     summary_json,
     trial_config_for,
 )
@@ -38,33 +39,33 @@ BOX_SCENE = ObstacleScene(boxes=(Box(front_x=0.4, height=0.16, depth=0.2, width=
 
 def test_contact_penetrating_box_top_is_trip_outside_mirror():
     pts = foot_at(heel=(0.45, 0.10), toe=(0.62, 0.12))
-    c = contact_check(pts, BOX_SCENE, in_mirror=False, downward=True)
+    c = contact_check(pts, BOX_SCENE, span_lows(pts, BOX_SCENE), in_mirror=False, downward=True)
     assert c is not None and c.kind == "trip"
 
 
 def test_contact_box_top_landing_in_mirror():
     pts = foot_at(heel=(0.45, 0.159), toe=(0.58, 0.165))
-    c = contact_check(pts, BOX_SCENE, in_mirror=True, downward=True)
+    c = contact_check(pts, BOX_SCENE, span_lows(pts, BOX_SCENE), in_mirror=True, downward=True)
     assert c is not None and c.kind == "landing" and c.surface is Surface.OBSTACLE_TOP
 
 
 def test_contact_front_face_strike_is_trip_even_in_mirror():
     pts = foot_at(heel=(0.30, 0.10), toe=(0.45, 0.08))
-    c = contact_check(pts, BOX_SCENE, in_mirror=True, downward=True)
+    c = contact_check(pts, BOX_SCENE, span_lows(pts, BOX_SCENE), in_mirror=True, downward=True)
     assert c is not None and c.kind == "trip"
 
 
 def test_contact_ground_heel_strike():
     pts = foot_at(heel=(0.1, -0.001), toe=(0.3, 0.02))
-    c = contact_check(pts, BOX_SCENE, in_mirror=True, downward=True)
+    c = contact_check(pts, BOX_SCENE, span_lows(pts, BOX_SCENE), in_mirror=True, downward=True)
     assert c is not None and c.kind == "landing" and c.surface is Surface.GROUND
-    c2 = contact_check(pts, BOX_SCENE, in_mirror=False, downward=True)
+    c2 = contact_check(pts, BOX_SCENE, span_lows(pts, BOX_SCENE), in_mirror=False, downward=True)
     assert c2 is not None and c2.kind == "scuff"
 
 
 def test_contact_airborne_foot_none():
     pts = foot_at(heel=(0.1, 0.2), toe=(0.3, 0.25))
-    assert contact_check(pts, BOX_SCENE, in_mirror=True, downward=True) is None
+    assert contact_check(pts, BOX_SCENE, span_lows(pts, BOX_SCENE), in_mirror=True, downward=True) is None
 
 
 def test_level_swing_succeeds_with_toe_clearance():

@@ -369,21 +369,21 @@ def test_mirror_holds_shank_under_ideal_tracking():
 def test_blend_at_n_zero_is_measured_plus_accel_step():
     params = PlannerParams()
     state = PhaseState(ticks_in_phase=0, theta_k_ddot_ini=30.0)
-    cmd = blend_command(5.0, 0.5, state, params)
+    cmd, _ = blend_command(5.0, 0.5, state, params)
     assert cmd == pytest.approx(0.5 + 30.0 * params.dt)
 
 
 def test_blend_large_n_converges_to_raw():
     params = PlannerParams()
     state = PhaseState(ticks_in_phase=400, theta_k_ddot_ini=30.0)
-    cmd = blend_command(2.0, -5.0, state, params)
+    cmd, _ = blend_command(2.0, -5.0, state, params)
     assert cmd == pytest.approx(2.0, rel=1e-5)
 
 
 def test_blend_spec_arithmetic_n20():
     params = PlannerParams(alpha_1=0.05, alpha_2=0.05)
     state = PhaseState(ticks_in_phase=20, theta_k_ddot_ini=0.0)
-    cmd = blend_command(2.0, 0.5, state, params)
+    cmd, _ = blend_command(2.0, 0.5, state, params)
     g1 = math.exp(-1.0)
     assert cmd == pytest.approx((1 - g1) * 2.0 + g1 * 0.5)
     assert cmd == pytest.approx(1.4482, abs=1e-4)
