@@ -21,7 +21,7 @@ from .leg_kinematics import DEG, LegGeometry
 from .perception import Box, CameraModel, ObstacleScene
 from .swing_planner import PlannerParams
 from .human_model import GaitIntent, preset
-from .sim_harness import CampaignConfig, TrialConfig
+from .sim_harness import CampaignConfig, TrialConfig, toe_off_contact
 
 
 class ConfigError(ValueError):
@@ -209,7 +209,9 @@ def _dump(table, obj) -> dict:
 
 
 def parse_scenario(data) -> TrialConfig:
-    """Validate a parsed scenario mapping and build the TrialConfig."""
+    """Validate a parsed scenario mapping and build the TrialConfig. A
+    scenario whose toe-off foot already touches the scene is rejected: its
+    swing would end at the first tick."""
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be an object")
     for key in data:
@@ -218,13 +220,20 @@ def parse_scenario(data) -> TrialConfig:
                               f"(known: {', '.join(sorted(SECTIONS))})")
     sec = {name: _fields(name, table, data.get(name, {})) for name, table in SECTIONS.items()}
     base = TrialConfig(intent=sec["human"].pop(INTENT.attr, TrialConfig.intent))
-    return _build("trial", base, dict(
+    cfg = _build("trial", base, dict(
         sec["trial"],
         geometry=_build("geometry", base.geometry, sec["geometry"]),
         camera=_build("camera", base.camera, sec["camera"]),
         planner=_build("planner", base.planner, sec["planner"]),
         human=_build("human", preset(base.intent), sec["human"]),
         scene=_build("scene", base.scene, sec["scene"])))
+    contact = toe_off_contact(cfg)
+    if contact is not None:
+        raise ConfigError(
+            f"scenario: the toe-off foot already touches the scene ({contact.kind} at "
+            f"x = {contact.x:.4f} m, z = {contact.z:.4f} m); geometry, "
+            f"human.hip_height_base_m and scene must leave it clear")
+    return cfg
 
 
 def dump_scenario(cfg: TrialConfig) -> dict:

@@ -285,6 +285,15 @@ def contact_check(pts: FootPoints, scene: ObstacleScene, lows: list, in_mirror: 
     return None
 
 
+def toe_off_contact(cfg: TrialConfig) -> Optional[Contact]:
+    """Contact of the noise-free toe-off foot with the scene, if any: a leg,
+    hip base and scene that put the foot into the ground or a box before
+    the swing starts."""
+    hip = human_model.hip_pose(resolve_human(cfg), 0.0)
+    pts = forward_points(cfg.geometry, hip, TOE_OFF_THETA_K)
+    return contact_check(pts, cfg.scene, span_lows(pts, cfg.scene), False, False)
+
+
 def _classify(contact: Optional[Contact], cfg: TrialConfig) -> tuple:
     """Map a contact event to a trial outcome under the trial's intent."""
     if contact is None:

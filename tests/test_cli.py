@@ -183,6 +183,17 @@ def test_strict_flag_propagates_failure(tmp_path):
     assert main(["--out", str(tmp_path / "o2"), "--strict", "run", scn]) == 1
 
 
+def test_run_rejects_toe_off_foot_in_the_ground(tmp_path, capsys):
+    # with the default hip base a 0.46 m thigh puts the toe-off toe 1 cm
+    # below the ground; the swing used to end in a SCUFF at t = 1 ms
+    scn = write_json(tmp_path / "long.json", {"geometry": {"thigh_m": 0.46}})
+    assert main(["--out", str(tmp_path / "o"), "run", scn]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: scenario: the toe-off foot")
+    for name in ("geometry", "human.hip_height_base_m", "scene"):
+        assert name in err
+
+
 # Each input gave a traceback (exit 1) or ran without complaint before the
 # scenario and campaign tables validated every field.
 BAD_INPUTS = [

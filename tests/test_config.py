@@ -1,6 +1,7 @@
-"""Property test over the scenario tables: any scenario either parses and
+"""Property tests over the scenario tables: any scenario either parses and
 simulates to a classified outcome with a finite duration and peak flexion,
-or raises ConfigError naming the offending key."""
+or raises ConfigError naming the offending key; and no scenario that parses
+ends within two ticks."""
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -75,3 +76,16 @@ def test_scenario_runs_to_a_finite_outcome_or_raises_config_error(case):
     assert isinstance(result.outcome, Outcome)
     assert math.isfinite(result.swing_duration)
     assert math.isfinite(result.peak_knee_flexion)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(SCENARIOS)
+def test_accepted_scenario_does_not_end_within_two_ticks(data):
+    # a toe-off foot already in the ground or a box used to end the swing
+    # in a SCUFF or TRIP at t = 1 ms; parse_scenario now rejects it
+    try:
+        cfg = parse_scenario(data)
+    except ConfigError:
+        return
+    _, result = run_swing(cfg)
+    assert result.swing_duration > 2.5 * cfg.planner.dt, result.outcome
