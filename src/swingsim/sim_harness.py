@@ -243,12 +243,15 @@ def _crosses_face(p0, p1, face_x, z_lo, z_hi):
 
 
 def span_lows(pts: FootPoints, scene: ObstacleScene) -> list:
-    """Lowest (z, x) of the heel-toe segment over each box span of the scene,
-    None where it does not overlap; computed once per tick for contact_check
-    and the clearance scan."""
+    """(front_x, back_x, top, low) of each box span of the scene, where low is
+    the lowest (z, x) of the heel-toe segment over the span, None where it
+    does not overlap; computed once per tick for contact_check and the
+    clearance scan."""
     heel, toe = pts.heel, pts.toe
-    return [_segment_lowest_over_span(heel, toe, front_x, back_x)
-            for front_x, back_x, _ in scene.spans]
+    rows = []  # a loop, not a comprehension: cheaper per tick on Python 3.11
+    for front_x, back_x, top in scene.spans:
+        rows.append((front_x, back_x, top, _segment_lowest_over_span(heel, toe, front_x, back_x)))
+    return rows
 
 
 def contact_check(pts: FootPoints, scene: ObstacleScene, lows: list, in_mirror: bool,
@@ -263,7 +266,7 @@ def contact_check(pts: FootPoints, scene: ObstacleScene, lows: list, in_mirror: 
     heel, toe = pts.heel, pts.toe
     segments = ((heel, toe), (pts.knee, pts.ankle))
 
-    for (front_x, back_x, top), hit in zip(scene.spans, lows):
+    for front_x, back_x, top, hit in lows:
         for p0, p1 in segments:
             for face_x in (front_x, back_x):
                 z = _crosses_face(p0, p1, face_x, g, top - 1e-9)
@@ -374,7 +377,7 @@ def run_swing(cfg: TrialConfig) -> tuple:
     prev_low = None
 
     geom, scene, tau = cfg.geometry, cfg.scene, cfg.tracking_lag_tau
-    spans, rows = scene.spans, log.rows
+    rows = log.rows
     pts = forward_points(geom, hip, joint.theta_k)
     heel, toe = pts.heel, pts.toe
     while t < horizon + dt / 2:
@@ -404,7 +407,7 @@ def run_swing(cfg: TrialConfig) -> tuple:
         peak_flex = max(peak_flex, joint.theta_k)
 
         lows = span_lows(pts, scene)
-        for hit, (_, _, top) in zip(lows, spans):
+        for _, _, top, hit in lows:
             if hit is not None:
                 clear = hit[0] - top
                 min_clear = clear if min_clear is None else min(min_clear, clear)
