@@ -265,15 +265,12 @@ def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
     """
     n, rows = pts.shape[0], out.shape[0]
     px, pz = pts.T.copy()
-    states = []
-    first, u = np.empty(rows, dtype=np.intp), np.empty((rows, k - 1))
+    states, picks, u = [], np.empty((rows, k), dtype=np.intp), np.empty((rows, k - 1))
     for r in range(rows):
         states.append(rng.bit_generator.state)
-        first[r] = rng.integers(n)
+        picks[r, 0] = rng.integers(n)
         u[r] = rng.random(k - 1)
-    picks = np.empty((rows, k), dtype=np.intp)
-    picks[:, 0] = first
-    d2 = _sqdist(px, pz, px[first, None], pz[first, None])
+    d2 = _sqdist(px, pz, px[picks[:, :1]], pz[picks[:, :1]])
     near, cdf = np.empty_like(d2), np.empty_like(d2)
     stop = None  # (restart, step) where the first restart's weights total 0
     for i in range(1, k):
