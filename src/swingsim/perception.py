@@ -242,39 +242,55 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator,
     """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) of every restart,
     as (restarts, k, 2) centers. Each restart draws from rng what a
     sequential loop of restarts would: integers(n), then one random() per
-    center, or, once its weights total 0, integers(n, size=k - i) for the
-    rest (see _seed_lockstep)."""
+    center, or, once its weights total 0 at step i, integers(n, size=k - i)
+    for the rest (see _seed_lockstep)."""
     out = np.empty((restarts, k, pts.shape[1]))
-    done = 0
+    done, zero_at = 0, None
     while done < restarts:
-        done += _seed_lockstep(pts, k, rng, out[done:])
+        seeded, zero_at = _seed_lockstep(pts, k, rng, out[done:], zero_at)
+        done += seeded
     return out
 
 
 def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
-                   out: np.ndarray) -> int:
-    """Seed the restarts of `out` side by side; returns how many are done.
+                   out: np.ndarray, zero_at) -> tuple:
+    """Seed the restarts of `out` side by side. Returns how many are done and
+    the step at which the next restarts' weights are expected to total 0.
 
-    Every restart's draws are taken up front in stream order, and each center
+    Every restart's draws are taken up front in stream order, as if its
+    weights first total 0 at step zero_at (None: never), and each center
     step advances all nearest-distance rows (d2, squared distance to the
-    nearest chosen center) as one array. A restart whose weights total 0 at
-    step i draws less than was taken for it, so the draws of every later
-    restart are wrong: from that step on the rows after it are dropped, its
-    own draws are replayed from its saved generator state, and the caller
-    seeds the rest again from where its stream ends.
+    nearest chosen center) as one array. The first restart whose weights
+    reach 0 at another step drew other values than it was given, and so did
+    every restart after it, so the batch ends there. One that reaches 0
+    early is finished by replaying its draws from its saved generator state;
+    one that does not reach 0 at zero_at is left, with the rest, to the next
+    batch, which starts from its saved state. Restarts on the same points
+    usually reach 0 at the same step, so that step is the next guess.
     """
     n, rows = pts.shape[0], out.shape[0]
+    last = k if zero_at is None else zero_at  # center steps that draw random()
     px, pz = pts.T.copy()
-    states, picks, u = [], np.empty((rows, k), dtype=np.intp), np.empty((rows, k - 1))
+    states, picks, u = [], np.empty((rows, k), dtype=np.intp), np.empty((rows, last - 1))
     for r in range(rows):
         states.append(rng.bit_generator.state)
         picks[r, 0] = rng.integers(n)
-        u[r] = rng.random(k - 1)
+        u[r] = rng.random(last - 1)
+        if last < k:
+            picks[r, last:] = rng.integers(n, size=k - last)
     d2 = _sqdist(px, pz, px[picks[:, :1]], pz[picks[:, :1]])
     near, cdf = np.empty_like(d2), np.empty_like(d2)
-    stop = None  # (restart, step) where the first restart's weights total 0
-    for i in range(1, k):
+    stop = None  # (restart, step) where the first restart's weights total 0 early
+    for i in range(1, min(last + 1, k)):
         total = d2[:rows].sum(axis=1)
+        if i == last:
+            missed = np.flatnonzero(~(total <= 0.0))
+            if missed.size:
+                rows = int(missed[0])
+                rng.bit_generator.state = states[rows]
+                out[:rows] = pts[picks[:rows]]
+                return rows, None
+            break
         zero = np.flatnonzero(total <= 0.0)
         if zero.size:
             rows = int(zero[0])
@@ -289,14 +305,14 @@ def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
         np.minimum(d2[:rows], new, out=d2[:rows])
     out[:rows] = pts[picks[:rows]]
     if stop is None:
-        return rows
+        return rows, zero_at
     r, i = stop
     rng.bit_generator.state = states[r]
     rng.integers(n)
     rng.random(i - 1)
     out[r, :i] = pts[picks[r, :i]]
     out[r, i:] = pts[rng.integers(n, size=k - i)]
-    return r + 1
+    return r + 1, i
 
 
 def _lloyd_work(pts: np.ndarray, k: int) -> tuple:

@@ -71,6 +71,22 @@ def test_lockstep_seeding_equals_sequential_reference(profile, seed, restarts):
     assert mine.bit_generator.state == ref.bit_generator.state
 
 
+def test_lockstep_seeding_when_restarts_reach_zero_weight_at_different_steps():
+    # (0, 0)-(2e-162, 0) squares to the smallest subnormal, while the middle
+    # point squares to 0 against either end: a restart that starts on the
+    # middle point has zero weights at step 1, one that starts on an end at
+    # step 2, so a batch's guess of the zero step is both early and late
+    line = [(0.0, 0.0), (1e-162, 0.0), (2e-162, 0.0)]
+    for pts, k in ((line, 3), (line + [(1.0, x) for x, _ in line], 5)):
+        pts = np.array(pts)
+        for seed in range(30):
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = perception._kmeans_pp_init(pts, k, mine, 8)
+            want = [oracle_utils._kmeans_pp_init(pts, k, ref) for _ in range(8)]
+            assert np.array_equal(got, np.array(want)), seed
+            assert mine.bit_generator.state == ref.bit_generator.state
+
+
 def test_kmeans_prune_empty_cluster_path_equals_reference():
     # Three distinct locations and k = 5: k-means++ has to place centers on
     # duplicates, so at most three clusters are non-empty in the first Lloyd
