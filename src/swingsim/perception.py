@@ -253,7 +253,7 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator,
 
 
 def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
-                   out: np.ndarray, zero_at) -> tuple:
+                   out: np.ndarray, zero_at: Optional[int]) -> tuple:
     """Seed the restarts of `out` side by side. Returns how many are done and
     the step at which the next restarts' weights are expected to total 0.
 
@@ -352,7 +352,7 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
         _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
         nearest_c = d2.argmin(axis=1)
         counts = np.bincount(nearest_c, minlength=k)
-        last = cx, cz
+        before = cx, cz
         if counts.all():
             new_assign = nearest_c
             cx = np.bincount(new_assign, weights=px, minlength=k) / counts
@@ -372,7 +372,7 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
                     new_assign[far] = j
                     np.minimum(nearest, _sqdist(px, pz, cx[j], cz[j]), out=nearest)
         if np.array_equal(new_assign, assign):
-            if np.array_equal(cx, last[0]) and np.array_equal(cz, last[1]):
+            if np.array_equal(cx, before[0]) and np.array_equal(cz, before[1]):
                 sse = float(d2[every, nearest_c].sum())
             break
         assign = new_assign
