@@ -21,7 +21,7 @@ from .leg_kinematics import DEG, LegGeometry
 from .perception import Box, CameraModel, ObstacleScene
 from .swing_planner import PlannerParams
 from .human_model import GaitIntent, preset
-from .sim_harness import CampaignConfig, TrialConfig, toe_off_contact
+from .sim_harness import CampaignConfig, TrialConfig, TrialSpec, toe_off_contact, trial_config_for
 
 
 class ConfigError(ValueError):
@@ -112,6 +112,8 @@ TRIAL = (
 SECTIONS = {"geometry": GEOMETRY, "camera": CAMERA, "planner": PLANNER,
             "human": (INTENT, *HUMAN), "scene": SCENE, "trial": TRIAL}
 
+DISTANCES = Field("distance_range_m", "distance_range", PAIR, 0.0, 3.0)
+STEP_ON_DISTANCES = Field("step_on_distance_range_m", "step_on_distance_range", PAIR, 0.0, 3.0)
 # tau_s sets the lag of every trial (CampaignConfig.base)
 CAMPAIGN = (
     SEED,
@@ -120,8 +122,8 @@ CAMPAIGN = (
     Field("n_level", "n_level", int, 0, 100_000),
     Field("heights_m", "heights", FLOATS, HEIGHT.lo, HEIGHT.hi),
     Field("step_on_height_m", "step_on_height", float, HEIGHT.lo, HEIGHT.hi),
-    Field("distance_range_m", "distance_range", PAIR, 0.0, 3.0),
-    Field("step_on_distance_range_m", "step_on_distance_range", PAIR, 0.0, 3.0),
+    DISTANCES,
+    STEP_ON_DISTANCES,
     Field("box_depth_m", "box_depth", float, DEPTH.lo, DEPTH.hi),
     Field("box_width_m", "box_width", float, WIDTH.lo, WIDTH.hi),
     Field("expect_all_success", "expect_all_success", bool),
@@ -250,12 +252,24 @@ def dump_scenario(cfg: TrialConfig) -> dict:
 
 
 def parse_campaign(data) -> CampaignConfig:
-    """Validate a parsed campaign mapping; missing keys keep the reproduction profile."""
+    """Validate a parsed campaign mapping; missing keys keep the reproduction
+    profile. A distance range starting under the toe-off foot is rejected."""
     fields = _fields("campaign", CAMPAIGN, data)
     cc = CampaignConfig.reproduction_profile()
     if TAU.attr in fields:
         fields["base"] = _build("campaign", cc.base, {TAU.attr: fields.pop(TAU.attr)})
-    return replace(cc, **fields)
+    cc = replace(cc, **fields)
+    boxes = [(DISTANCES, GaitIntent.STEP_OVER, h) for h in cc.heights] if cc.n_step_over else []
+    if cc.n_step_on:
+        boxes.append((STEP_ON_DISTANCES, GaitIntent.STEP_ON, cc.step_on_height))
+    for f, intent, height in boxes:
+        low = getattr(cc, f.attr)[0]
+        contact = toe_off_contact(trial_config_for(cc, TrialSpec(0, intent, height, low, 0)))
+        if contact is not None:
+            raise ConfigError(f"campaign.{f.key}[0]: a {height:g} m box at {low:g} m touches "
+                              f"the toe-off foot ({contact.kind} at x = {contact.x:.4f} m, "
+                              f"z = {contact.z:.4f} m); start the range past the foot")
+    return cc
 
 
 def load_json(path: str):

@@ -22,6 +22,7 @@ from .perception import (
     Box,
     CameraModel,
     ControlTarget,
+    ObstacleEstimate,
     ObstacleScene,
     camera_pose_from_thigh,
     capture,
@@ -194,21 +195,16 @@ def perceive(cfg: TrialConfig, seed_capture: int, seed_kmeans: int):
     pose = camera_pose_from_thigh(hip.x_h, hip.z_h, hip.theta_h, cfg.camera)
     cloud = capture(cfg.scene, pose, cfg.camera, seed_capture)
     flat = crop_and_project(cloud, corridor_width=cfg.corridor_width)
-    if flat.shape[0]:
-        keep = (flat[:, 0] >= toe[0] - BEHIND_TOE_TRIM) & \
-               (flat[:, 0] <= toe[0] + PROFILE_AHEAD_CAP)
-        flat = flat[keep]
+    flat = flat[(flat[:, 0] >= toe[0] - BEHIND_TOE_TRIM)
+                & (flat[:, 0] <= toe[0] + PROFILE_AHEAD_CAP)]
 
-    delta = cfg.planner.delta
     if flat.shape[0] == 0:
-        kps = None
-        target = ControlTarget(z_m=toe[1] + delta, x_c=0.20)
+        kps, est = None, ObstacleEstimate(z_m_prime=toe[1])  # level ground at the toe
     else:
         kps = elevation_keypoints(flat, k=cfg.kmeans_k, seed=seed_kmeans,
                                   restarts=cfg.kmeans_restarts, z_weight=cfg.z_weight)
         est = extract_estimate(kps, toe, edge_threshold=cfg.edge_threshold)
-        target = control_modify(est, z_t=toe[1], delta=delta)
-    return target, kps, flat, toe
+    return control_modify(est, z_t=toe[1], delta=cfg.planner.delta), kps, flat, toe
 
 
 def _segment_lowest_over_span(p0, p1, x_lo, x_hi):

@@ -15,8 +15,9 @@ then mirrors the hip rate so the shank keeps a constant forward lean until
 contact. Commands cross-fade from the measured knee velocity at phase entry.
 
 Both region edges are sinusoids in a single joint angle, so the boundary
-and edge solvers are closed forms (asin) over the same forward kinematics;
-dense-grid scans in the test suite act as independent oracles.
+and edge solvers are closed forms (asin) over the same forward kinematics,
+and the M_z peak is the boundary's best value at five closed-form hip
+angles; dense-grid scans in the test suite act as independent oracles.
 """
 from __future__ import annotations
 
@@ -25,8 +26,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
-
-import numpy as np
 
 # forward_points is unused here, but perfbench/tracer.py patches this import site
 from .leg_kinematics import (DEG, FootPoints, HipPose, JointState, LegGeometry, forward_points,
@@ -39,9 +38,8 @@ TANGENT_STEP = 0.25 * DEG  # rad, central difference half-step
 # tight cap lags the descending boundary (safe side) instead of diving
 # through it. Kept separate from k_max, which also sets the convergence gain.
 PHASE2_SLOPE_CLAMP = 3.0
-PEAK_GRID_STEP = 0.5 * DEG
-PEAK_GRID_LO = -45.0 * DEG
-PEAK_GRID_HI = 75.0 * DEG
+PEAK_THETA_H_LO = -45.0 * DEG  # rad, hip range over which the M_z peak is taken
+PEAK_THETA_H_HI = 75.0 * DEG
 MX_THETA_H_CAP = 100.0 * DEG  # rad, thigh angle past which the M_x edge is unreachable
 MIN_DTHETA_H = 1e-3        # rad, floor for the M_x distance in slope denominators
 HIP_VEL_FLOOR = 0.1        # rad/s, floor for the phase-three running max
@@ -116,7 +114,7 @@ class PlannerCommand:
 
 
 def mz_boundary_knee(geom: LegGeometry, region: RegionSnapshot, theta_h_query: float,
-                     knee_limit: float = 85.0 * DEG) -> Optional[float]:
+                     knee_limit: float) -> Optional[float]:
     """Knee angle on the upward-exit boundary of M_z at one hip angle.
 
     Returns the smallest theta_k from which the toe stays at or above z_m all
@@ -143,61 +141,52 @@ def mz_boundary_knee(geom: LegGeometry, region: RegionSnapshot, theta_h_query: f
     return dip + 0.5 * math.pi + math.asin(max(-1.0, min(1.0, q)))
 
 
-def _peak_scan(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float):
-    """Grid + golden-section maximization of the boundary over theta_h.
+def _peak_closed_form(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float):
+    """(theta_h, theta_k) maximizing the boundary over PEAK_THETA_H_LO..HI.
 
-    Columns with an unreachable boundary count as knee_limit: the region
-    spans the whole column there, so any climb tops out at the limit. The
-    planner calls this every phase-one tick through a cache.
+    Unreachable columns count as knee_limit (any climb tops out there); they
+    are those where the toe at the knee limit, a sinusoid in theta_h, is
+    below z_m: some are iff its trough or a range end is, all are (None) iff
+    those and its crest are. Between them the boundary has one stationary
+    point, with the toe straight below the hip: cos(theta*) = (R^2 - T^2 -
+    c^2)/(2cT), c = z_m - z_h, T = thigh, R = hypot(shank, toe). The maximum
+    is the boundary solver's best value at these five angles.
     """
     region = RegionSnapshot(hip=HipPose(x_h=0.0, z_h=z_h, theta_h=0.0), z_m=z_m, x_c=0.0)
-
-    def value_at(t):
-        b = mz_boundary_knee(geom, region, t, knee_limit)
-        return knee_limit if b is None else b
-
-    th = np.arange(PEAK_GRID_LO, PEAK_GRID_HI + PEAK_GRID_STEP / 2, PEAK_GRID_STEP)
-    bounds = [mz_boundary_knee(geom, region, float(t), knee_limit) for t in th]
-    if all(b is None for b in bounds):
+    T, S, F = geom.thigh_m, geom.shank_m, geom.toe_m
+    # toe height at the knee limit: z_h + A cos(theta_h) + B sin(theta_h)
+    cl, sl = math.cos(knee_limit), math.sin(knee_limit)
+    crest = math.atan2(F * cl - S * sl, -T - S * cl - F * sl)
+    angles = [PEAK_THETA_H_LO, PEAK_THETA_H_HI, math.remainder(crest, 2.0 * math.pi),
+              math.remainder(crest + math.pi, 2.0 * math.pi)]
+    c = z_m - z_h
+    if c != 0.0:
+        cos_star = (S * S + F * F - T * T - c * c) / (2.0 * c * T)
+        if abs(cos_star) <= 1.0:
+            angles.append(math.acos(cos_star))
+    bounds = [(t, mz_boundary_knee(geom, region, t, knee_limit))
+              for t in angles if PEAK_THETA_H_LO <= t <= PEAK_THETA_H_HI]
+    if all(bd is None for _, bd in bounds):
         return None
-    value = [knee_limit if b is None else b for b in bounds]
-    best = int(np.argmax(value))
-    best_th, best_v = float(th[best]), value[best]
-    if best_v >= knee_limit - 1e-9:
-        return best_th, knee_limit
-
-    # golden-section refinement around the coarse maximum
-    a, b = best_th - PEAK_GRID_STEP, best_th + PEAK_GRID_STEP
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = value_at(c), value_at(d)
-    while b - a > 1e-5:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = value_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = value_at(d)
-    t_best = 0.5 * (a + b)
-    return t_best, value_at(t_best)
+    t, v = max(((t, knee_limit if bd is None else bd) for t, bd in bounds),
+               key=lambda tv: tv[1])
+    return t, v if v < knee_limit - 1e-9 else knee_limit
 
 
 @lru_cache(maxsize=8192)
 def _peak_cached(geom_key, z_h_key, z_m_key, limit_key):
     geom = LegGeometry(*geom_key)
-    return _peak_scan(geom, z_h_key, z_m_key, limit_key)
+    return _peak_closed_form(geom, z_h_key, z_m_key, limit_key)
 
 
-def mz_peak(geom: LegGeometry, region: RegionSnapshot,
-            knee_limit: float = 85.0 * DEG) -> tuple:
+def mz_peak(geom: LegGeometry, region: RegionSnapshot, knee_limit: float) -> tuple:
     """(theta_h, theta_k) at the peak of the M_z contour.
 
-    Falls back to (current theta_h, knee_limit) when the boundary is absent
-    everywhere. Hip height is quantized to 1 mm for caching; the peak moves
-    far less than the phase-one slope tolerance over that step.
+    Closed form (_peak_closed_form), saturated at knee_limit; only theta_k
+    feeds the planner. Falls back to (current theta_h, knee_limit) when the
+    boundary is absent everywhere. Hip height is quantized to 1 mm and z_m
+    to 1e-5 m for caching (a hit is ~6x cheaper than the closed form); the
+    peak moves far less than the phase-one slope tolerance over that step.
     """
     key = (geom.thigh_m, geom.shank_m, geom.toe_m, geom.heel_m)
     out = _peak_cached(key, round(region.hip.z_h, 3), round(region.z_m, 5),

@@ -2,17 +2,23 @@
 
 These deliberately avoid the solver code paths they check: dense grid scans
 over the forward kinematics, exhaustive partition enumeration, and a
-reference k-means kept in its original per-cluster-loop form.
+reference k-means kept in its original per-cluster-loop form. The old peak
+search is the exception: it reuses the boundary solver and checks only the
+closed-form maximization on top of it.
 """
 import math
 
 import numpy as np
 
-from swingsim.leg_kinematics import DEG, LegGeometry
+from swingsim.leg_kinematics import DEG, HipPose, LegGeometry
 from swingsim.perception import _dedupe
+from swingsim.swing_planner import RegionSnapshot, mz_boundary_knee
 
 GEOM = LegGeometry()
 LIMIT = 85.0 * DEG
+PEAK_GRID_STEP = 0.5 * DEG
+PEAK_GRID_LO = -45.0 * DEG
+PEAK_GRID_HI = 75.0 * DEG
 
 
 def toe_z_fn(z_h, theta_h, geom=GEOM):
@@ -51,6 +57,48 @@ def grid_boundary(z_h, z_m, theta_h, step=0.01 * DEG, interpolate=False,
     lo, hi = tks[idx - 1], tks[idx]
     flo, fhi = toe[idx - 1] - z_m, toe[idx] - z_m
     return float(lo - flo * (hi - lo) / (fhi - flo))
+
+
+def peak_scan(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float):
+    """Grid + golden-section maximization of the boundary over theta_h.
+
+    Columns with an unreachable boundary count as knee_limit: the region
+    spans the whole column there, so any climb tops out at the limit. The
+    planner's search before its closed form, kept as the reference.
+    """
+    region = RegionSnapshot(hip=HipPose(x_h=0.0, z_h=z_h, theta_h=0.0), z_m=z_m, x_c=0.0)
+
+    def value_at(t):
+        b = mz_boundary_knee(geom, region, t, knee_limit)
+        return knee_limit if b is None else b
+
+    th = np.arange(PEAK_GRID_LO, PEAK_GRID_HI + PEAK_GRID_STEP / 2, PEAK_GRID_STEP)
+    bounds = [mz_boundary_knee(geom, region, float(t), knee_limit) for t in th]
+    if all(b is None for b in bounds):
+        return None
+    value = [knee_limit if b is None else b for b in bounds]
+    best = int(np.argmax(value))
+    best_th, best_v = float(th[best]), value[best]
+    if best_v >= knee_limit - 1e-9:
+        return best_th, knee_limit
+
+    # golden-section refinement around the coarse maximum
+    a, b = best_th - PEAK_GRID_STEP, best_th + PEAK_GRID_STEP
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = value_at(c), value_at(d)
+    while b - a > 1e-5:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = value_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = value_at(d)
+    t_best = 0.5 * (a + b)
+    return t_best, value_at(t_best)
 
 
 def brute_force_kmeans_sse(points, kmax):

@@ -204,6 +204,12 @@ BAD_INPUTS = [
     (["campaign", "FILE"], {"n_level": 1.7}, "campaign.n_level"),
     (["campaign", "FILE"], {"tau_s": "x"}, "campaign.tau_s"),
     (["campaign", "FILE"], {"profile": "reproduction"}, "campaign.profile"),
+    # a box under the toe-off foot: every such trial ended in a TRIP at t = 1 ms
+    (["campaign", "FILE"], {"n_step_over": 4, "n_step_on": 0, "n_level": 0,
+                            "distance_range_m": [0.0, 0.0], "heights_m": [0.16]},
+     "campaign.distance_range_m[0]"),
+    (["campaign", "FILE"], {"step_on_distance_range_m": [0.063, 0.7]},
+     "campaign.step_on_distance_range_m[0]"),
     (["run", "FILE"], {"trial": {"kmeans_k": 0}}, "trial.kmeans_k"),
     (["run", "FILE"], {"trial": {"kmeans_restarts": -4}}, "trial.kmeans_restarts"),
     (["run", "FILE"], {"trial": {"tau_s": -0.05}}, "trial.tau_s"),

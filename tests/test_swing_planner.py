@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from oracle_utils import GEOM, LIMIT, grid_boundary, toe_z_fn
+from oracle_utils import GEOM, LIMIT, grid_boundary, peak_scan, toe_z_fn
 
-from swingsim.leg_kinematics import DEG, HipPose, JointState, forward_points, toe_point
+from swingsim.config import GEOMETRY, PLANNER
+from swingsim.leg_kinematics import DEG, HipPose, JointState, LegGeometry, forward_points, toe_point
 from swingsim.perception import ControlTarget
 from swingsim.swing_planner import (
+    PEAK_THETA_H_HI,
+    PEAK_THETA_H_LO,
     Phase,
     PhaseState,
     PlannerParams,
     RegionSnapshot,
+    _peak_closed_form,
     _tangent_with_freeze,
     blend_command,
     mx_exit_distance,
@@ -90,26 +94,99 @@ def test_boundary_is_terminal_clear_threshold():
 # peak
 
 
-def exhaustive_peak(z_h, z_m, step=0.1 * DEG):
+def exhaustive_peak(z_h, z_m, step=0.1 * DEG, geom=GEOM, limit=LIMIT):
     # the contour top is flat in theta_h, so the oracle interpolates its
     # crossings: a quantized boundary would tie across a wide plateau
     best = None
     th = -45 * DEG
     while th <= 75 * DEG:
-        b = grid_boundary(z_h, z_m, th, interpolate=True)
-        v = LIMIT if b is None else b
+        b = grid_boundary(z_h, z_m, th, interpolate=True, geom=geom, limit=limit)
+        v = limit if b is None else b
         if b is not None and (best is None or v > best[1]):
             best = (th, v)
         th += step
     return best
 
 
+LONG_THIGH = LegGeometry(thigh_m=0.50, shank_m=0.40, toe_m=0.20, heel_m=0.08)
+
+
 def test_mz_peak_matches_exhaustive_scan():
-    for z_h, z_m in ((0.90, 0.05), (0.92, 0.09), (0.88, 0.03)):
-        th_p, tk_p = mz_peak(GEOM, region(z_h, z_m), LIMIT)
-        oth, otk = exhaustive_peak(z_h, z_m)
+    # a 30 deg limit leaves an interior peak only in a 0.5 mm band of z_m
+    for geom, limit, z_h, z_m in (
+            (GEOM, LIMIT, 0.90, 0.05), (GEOM, LIMIT, 0.92, 0.09), (GEOM, LIMIT, 0.88, 0.03),
+            (LONG_THIGH, 30 * DEG, 0.90, -0.047), (LONG_THIGH, 150 * DEG, 0.85, 0.10)):
+        th_p, tk_p = mz_peak(geom, region(z_h, z_m), limit)
+        oth, otk = exhaustive_peak(z_h, z_m, geom=geom, limit=limit)
+        assert 0.0 < tk_p < limit
         assert abs(th_p - oth) <= 0.2 * DEG
         assert abs(tk_p - otk) <= 0.2 * DEG
+
+
+def test_peak_closed_form_equals_scan_on_default_domain():
+    # the grid + golden-section search the closed form replaced, at the
+    # planner's own leg and limit over the campaign's hip heights and targets
+    rng = np.random.default_rng(8)
+    kinds = {"none": 0, "clear": 0, "interior": 0, "saturated": 0}
+    for _ in range(3000):
+        z_h, z_m = rng.uniform(0.85, 0.95), rng.uniform(0.0, 0.35)
+        ref = peak_scan(GEOM, z_h, z_m, LIMIT)
+        got = _peak_closed_form(GEOM, z_h, z_m, LIMIT)
+        assert (got is None) == (ref is None)
+        if got is None:
+            kinds["none"] += 1
+            continue
+        assert abs(got[1] - ref[1]) <= 1e-9
+        kinds["clear" if got[1] == 0.0 else
+              "saturated" if got[1] == LIMIT else "interior"] += 1
+    assert min(kinds["clear"], kinds["interior"], kinds["saturated"]) >= 50
+
+
+def _end_value(geom, z_h, z_m, limit, theta_h):
+    b = mz_boundary_knee(geom, region(z_h, z_m), theta_h, limit)
+    return limit if b is None or b >= limit - 1e-9 else b
+
+
+def test_peak_closed_form_equals_scan_over_table_ranges():
+    # leg lengths over the scenario table, any knee limit it accepts, and
+    # hip heights and targets well past the campaign's
+    rng = np.random.default_rng(9)
+    limit_row = next(f for f in PLANNER if f.attr == "knee_limit")
+    kinds = {"none": 0, "saturated": 0, "left_range": 0}
+    for _ in range(2000):
+        geom = LegGeometry(**{f.attr: rng.uniform(f.lo, f.hi) for f in GEOMETRY})
+        limit = rng.uniform(limit_row.lo, limit_row.hi) * DEG
+        z_h, z_m = rng.uniform(0.6, 1.3), rng.uniform(-0.3, 0.6)
+        ref = peak_scan(geom, z_h, z_m, limit)
+        got = _peak_closed_form(geom, z_h, z_m, limit)
+        assert (got is None) == (ref is None)
+        if got is None:
+            kinds["none"] += 1
+            continue
+        kinds["saturated"] += got[1] == limit
+        if PEAK_THETA_H_LO <= ref[0] <= PEAK_THETA_H_HI:
+            assert abs(got[1] - ref[1]) <= 1e-9
+        else:
+            # the golden-section bracket around a grid end leaves the range
+            # and refines past it; the closed form stays at the end
+            kinds["left_range"] += 1
+            end = min(max(ref[0], PEAK_THETA_H_LO), PEAK_THETA_H_HI)
+            assert got[1] == _end_value(geom, z_h, z_m, limit, end)
+    assert kinds["none"] >= 50 and kinds["saturated"] >= 500
+    assert 1 <= kinds["left_range"] <= 10
+
+
+def test_peak_closed_form_finds_columns_reachable_only_near_the_crest():
+    # a thigh and a knee limit past the table's fold the toe above the hip,
+    # and the toe height at the limit crests inside the hip range: a z_m just
+    # under that crest leaves a reachable band there and none at the ends
+    geom, limit, z_h = LegGeometry(0.15, 0.45, 0.20, 0.05), 178 * DEG, 0.9
+    toe_z = [toe_point(geom, 0.0, z_h, t, limit)[1] for t in (-45 * DEG, -36.4 * DEG, 75 * DEG)]
+    z_m = toe_z[1] - 0.1 * (toe_z[1] - max(toe_z[0], toe_z[2]))
+    ref = peak_scan(geom, z_h, z_m, limit)
+    got = _peak_closed_form(geom, z_h, z_m, limit)
+    assert ref is not None and got is not None
+    assert got[1] == pytest.approx(ref[1], abs=1e-9)
 
 
 def test_mz_peak_small_for_ground_level_margin():
