@@ -22,7 +22,7 @@ from .perception import (
     ObstacleEstimate,
     ControlTarget,
 )
-from .swing_planner import PlannerParams, PhaseState, Phase, RegionSnapshot, PlannerCommand
+from .swing_planner import PlannerParams, PhaseState, Phase, PlannerCommand
 from .human_model import GaitIntent, HipTrajectoryParams, preset, hip_pose
 from .sim_harness import TrialConfig, TrialResult, Outcome, run_swing, run_campaign
 
@@ -30,7 +30,7 @@ __all__ = [
     "LegGeometry", "HipPose", "JointState", "FootPoints", "forward_points",
     "Box", "ObstacleScene", "CameraModel", "PointCloud", "ElevationKeypoints",
     "ObstacleEstimate", "ControlTarget",
-    "PlannerParams", "PhaseState", "Phase", "RegionSnapshot", "PlannerCommand",
+    "PlannerParams", "PhaseState", "Phase", "PlannerCommand",
     "GaitIntent", "HipTrajectoryParams", "preset", "hip_pose",
     "TrialConfig", "TrialResult", "Outcome", "run_swing", "run_campaign",
 ]

@@ -33,6 +33,7 @@ from .sim_harness import (
     run_campaign,
     run_swing,
     summary_json,
+    trial_seeds,
     write_trial_index_csv,
 )
 
@@ -110,9 +111,7 @@ def cmd_perceive(args, argv) -> int:
         cfg = replace(cfg, seed=args.seed)
     out = _out_dir(args)
 
-    import numpy as np
-    ss = np.random.SeedSequence(cfg.seed)
-    s_capture, s_kmeans, _ = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
+    s_capture, s_kmeans, _ = trial_seeds(cfg.seed)
     target, keypoints, profile, toe = perceive(cfg, s_capture, s_kmeans)
 
     with open(os.path.join(out, "profile.csv"), "w") as fh:

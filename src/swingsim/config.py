@@ -272,6 +272,12 @@ def parse_campaign(data) -> CampaignConfig:
     return cc
 
 
+def dump_campaign(cc: CampaignConfig) -> dict:
+    """Every campaign key, tau_s read from the base trial; parse_campaign
+    round-trips it."""
+    return _dump([f for f in CAMPAIGN if f is not TAU], cc) | _dump((TAU,), cc.base)
+
+
 def load_json(path: str):
     """Parsed JSON of a file; an unreadable file or bad JSON is a ConfigError."""
     try:

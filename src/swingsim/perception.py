@@ -425,14 +425,6 @@ def _dedupe(ordered: np.ndarray) -> ElevationKeypoints:
     return ElevationKeypoints(keypoints=tuple(out))
 
 
-def kmeans_sse(points: Sequence, keypoints: ElevationKeypoints) -> float:
-    """Sum of squared distances of points to their nearest keypoint."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    cen = np.asarray(keypoints.keypoints, dtype=float).reshape(-1, 2)
-    d2 = _sqdist(pts[:, :1], pts[:, 1:], cen[:, 0], cen[:, 1])
-    return float(np.min(d2, axis=1).sum())
-
-
 def elevation_keypoints(points: np.ndarray, k: int, seed: int,
                         restarts: int = 20, z_weight: float = 4.0) -> ElevationKeypoints:
     """Cluster a projected profile with elevation contrast emphasized.

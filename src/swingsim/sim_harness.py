@@ -332,10 +332,14 @@ def resolve_human(cfg: TrialConfig) -> HipTrajectoryParams:
     return params
 
 
+def trial_seeds(seed: int) -> tuple:
+    """(capture, kmeans, noise) seeds of one trial, spawned from its seed."""
+    return tuple(int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(3))
+
+
 def run_swing(cfg: TrialConfig) -> tuple:
     """Simulate one swing; returns (StepLog, TrialResult)."""
-    ss = np.random.SeedSequence(cfg.seed)
-    s_capture, s_kmeans, s_noise = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
+    s_capture, s_kmeans, s_noise = trial_seeds(cfg.seed)
 
     human = resolve_human(cfg)
     target_rel, _, _, cap_toe = perceive(cfg, s_capture, s_kmeans)
@@ -378,7 +382,7 @@ def run_swing(cfg: TrialConfig) -> tuple:
     heel, toe = pts.heel, pts.toe
     while t < horizon + dt / 2:
         # pts is the foot at this tick's hip and knee, shared with the planner
-        cmd = planner_step(geom, hip, joint, pts, joint.theta_k_dot, target, state, params)
+        cmd = planner_step(geom, hip, joint, pts, target, state, params)
         rows.append(LogRow(
             t, state.phase.value, hip.theta_h, hip.theta_h_dot, joint.theta_k,
             cmd.knee_vel_cmd, joint.theta_k_dot, hip.x_h, hip.z_h, toe[0], toe[1],
@@ -565,18 +569,12 @@ def summarize(cc: CampaignConfig, specs, results) -> dict:
             "min_clearance_m": _stats(clear),
         }
 
+    from .config import dump_campaign  # config imports this module
+
     n = len(results)
     n_ok = sum(1 for r in results if r.outcome in SUCCESSES)
     return {
-        "campaign": {
-            "seed": cc.seed,
-            "n_step_over": cc.n_step_over,
-            "n_step_on": cc.n_step_on,
-            "n_level": cc.n_level,
-            "heights_m": list(cc.heights),
-            "distance_range_m": list(cc.distance_range),
-            "step_on_distance_range_m": list(cc.step_on_distance_range),
-        },
+        "campaign": dump_campaign(cc),
         "conditions": cond_summaries,
         "overall": {"n": n, "n_success": n_ok,
                     "success_rate": round(n_ok / n, 6) if n else 0.0},

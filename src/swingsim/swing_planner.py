@@ -1,14 +1,16 @@
 """Three-phase joint-space swing planner for the prosthesis knee.
 
 Planning lives in the (theta_h, theta_k) plane. The capture-time obstacle
-target (z_m, x_c) induces two moving regions:
+target (z_m, x_c) is fixed for the whole swing; with the current hip it sets
+two moving regions:
 
     M_z: configurations with the toe below z_m   (forbidden once past x_c)
     M_x: configurations with the toe short of x_c
 
 Phase one climbs out of M_z before leaving M_x (slope rule with a lower
 threshold aimed at the region peak). Phase two follows the tangent of the
-M_z contour to hold toe height without chasing the shrinking region. Phase
+M_z contour to hold toe height without chasing the shrinking region; while
+that slope is negative, M_z stays at the hip height it was taken at. Phase
 three (heel past hip) extends the knee along the falling contour, saturates
 the slope magnitude, converges the knee onto theta_k = theta_h - theta_0 and
 then mirrors the hip rate so the shank keeps a constant forward lean until
@@ -53,8 +55,7 @@ class Phase(Enum):
     THREE_MIRROR = "THREE_MIRROR"
 
 
-MAJOR = {Phase.ONE: 1, Phase.TWO: 2, Phase.THREE_TANGENT: 3,
-         Phase.THREE_CONVERGE: 3, Phase.THREE_MIRROR: 3}
+BEFORE_THREE = frozenset((Phase.ONE, Phase.TWO))
 
 
 @dataclass(frozen=True)
@@ -75,19 +76,6 @@ class PlannerParams:
                 raise ValueError(f"PlannerParams.{name} must be positive")
 
 
-@dataclass(frozen=True)
-class RegionSnapshot:
-    """Hip pose plus (z_m, x_c) fixing M_x/M_z at one instant.
-
-    x_c is absolute world x here; the harness rebases the capture-time
-    distance once at swing start.
-    """
-
-    hip: HipPose
-    z_m: float
-    x_c: float
-
-
 @dataclass
 class PhaseState:
     phase: Phase = Phase.ONE
@@ -96,7 +84,7 @@ class PhaseState:
     hip_vel_running_max: float = HIP_VEL_FLOOR
     theta_k_star: float = 0.0               # rad, knee at slope saturation
     theta_h_star: float = 0.0               # rad, hip at slope saturation
-    frozen_region: Optional[RegionSnapshot] = None
+    frozen_z_h: Optional[float] = None      # m, hip height M_z is held at
     last_k2: float = 0.0                    # fallback when the boundary query fails
 
 
@@ -113,9 +101,12 @@ class PlannerCommand:
 # region boundary solvers
 
 
-def mz_boundary_knee(geom: LegGeometry, region: RegionSnapshot, theta_h_query: float,
+def mz_boundary_knee(geom: LegGeometry, z_h: float, z_m: float, theta_h: float,
                      knee_limit: float) -> Optional[float]:
     """Knee angle on the upward-exit boundary of M_z at one hip angle.
+
+    M_z is set by the hip height z_h and the target z_m; toe height does
+    not depend on the hip's x.
 
     Returns the smallest theta_k from which the toe stays at or above z_m all
     the way up to the knee limit (0 when the whole column is already clear).
@@ -128,14 +119,13 @@ def mz_boundary_knee(geom: LegGeometry, region: RegionSnapshot, theta_h_query: f
     atan(toe/shank) and rises beyond. Past the two endpoint tests the
     boundary lies on that rising branch, at dip + pi/2 + asin((z_m - z0)/R).
     """
-    hip, z_m = region.hip, region.z_m
-    dip = theta_h_query + math.atan2(geom.toe_m, geom.shank_m)
+    dip = theta_h + math.atan2(geom.toe_m, geom.shank_m)
     lo = min(max(dip, 0.0), knee_limit)
-    if toe_point(geom, hip.x_h, hip.z_h, theta_h_query, lo)[1] >= z_m:
+    if toe_point(geom, 0.0, z_h, theta_h, lo)[1] >= z_m:
         return 0.0  # M_z empty in this column: already clear
-    if toe_point(geom, hip.x_h, hip.z_h, theta_h_query, knee_limit)[1] < z_m:
+    if toe_point(geom, 0.0, z_h, theta_h, knee_limit)[1] < z_m:
         return None  # unreachable at this hip angle
-    z0 = hip.z_h - geom.thigh_m * math.cos(theta_h_query)
+    z0 = z_h - geom.thigh_m * math.cos(theta_h)
     q = (z_m - z0) / math.hypot(geom.shank_m, geom.toe_m)
     # the endpoint tests put q in [-1, 1]; the clamp absorbs rounding
     return dip + 0.5 * math.pi + math.asin(max(-1.0, min(1.0, q)))
@@ -152,7 +142,6 @@ def _peak_closed_form(geom: LegGeometry, z_h: float, z_m: float, knee_limit: flo
     c^2)/(2cT), c = z_m - z_h, T = thigh, R = hypot(shank, toe). The maximum
     is the boundary solver's best value at these five angles.
     """
-    region = RegionSnapshot(hip=HipPose(x_h=0.0, z_h=z_h, theta_h=0.0), z_m=z_m, x_c=0.0)
     T, S, F = geom.thigh_m, geom.shank_m, geom.toe_m
     # toe height at the knee limit: z_h + A cos(theta_h) + B sin(theta_h)
     cl, sl = math.cos(knee_limit), math.sin(knee_limit)
@@ -164,7 +153,7 @@ def _peak_closed_form(geom: LegGeometry, z_h: float, z_m: float, knee_limit: flo
         cos_star = (S * S + F * F - T * T - c * c) / (2.0 * c * T)
         if abs(cos_star) <= 1.0:
             angles.append(math.acos(cos_star))
-    bounds = [(t, mz_boundary_knee(geom, region, t, knee_limit))
+    bounds = [(t, mz_boundary_knee(geom, z_h, z_m, t, knee_limit))
               for t in angles if PEAK_THETA_H_LO <= t <= PEAK_THETA_H_HI]
     if all(bd is None for _, bd in bounds):
         return None
@@ -179,21 +168,18 @@ def _peak_cached(geom_key, z_h_key, z_m_key, limit_key):
     return _peak_closed_form(geom, z_h_key, z_m_key, limit_key)
 
 
-def mz_peak(geom: LegGeometry, region: RegionSnapshot, knee_limit: float) -> tuple:
-    """(theta_h, theta_k) at the peak of the M_z contour.
+def mz_peak(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float) -> float:
+    """Knee angle at the peak of the M_z contour.
 
-    Closed form (_peak_closed_form), saturated at knee_limit; only theta_k
-    feeds the planner. Falls back to (current theta_h, knee_limit) when the
-    boundary is absent everywhere. Hip height is quantized to 1 mm and z_m
-    to 1e-5 m for caching (a hit is ~6x cheaper than the closed form); the
-    peak moves far less than the phase-one slope tolerance over that step.
+    Closed form (_peak_closed_form), saturated at knee_limit; knee_limit
+    when the boundary is absent everywhere. Hip height is quantized to 1 mm
+    and z_m to 1e-5 m for caching (a hit is ~6x cheaper than the closed
+    form); the peak moves far less than the phase-one slope tolerance over
+    that step.
     """
     key = (geom.thigh_m, geom.shank_m, geom.toe_m, geom.heel_m)
-    out = _peak_cached(key, round(region.hip.z_h, 3), round(region.z_m, 5),
-                       round(knee_limit, 6))
-    if out is None:
-        return region.hip.theta_h, knee_limit
-    return out
+    out = _peak_cached(key, round(z_h, 3), round(z_m, 5), round(knee_limit, 6))
+    return knee_limit if out is None else out[1]
 
 
 def mx_exit_distance(geom: LegGeometry, hip: HipPose, theta_k: float,
@@ -231,7 +217,7 @@ def mx_exit_distance(geom: LegGeometry, hip: HipPose, theta_k: float,
 
 
 def phase1_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
-                    region: RegionSnapshot, params: PlannerParams) -> tuple:
+                    target: ControlTarget, params: PlannerParams) -> tuple:
     """Slope rule: climb out of M_z before leaving M_x.
 
     slope = max(dk/dh, k_min) with k_min aimed at the region peak; when the
@@ -239,13 +225,13 @@ def phase1_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
     unreachable M_x edge is stood in for by the distance to swing the thigh
     to vertical (conservative), floored to keep the slope finite.
     """
-    bound = mz_boundary_knee(geom, region, hip.theta_h, params.knee_limit)
-    dh = mx_exit_distance(geom, hip, joint.theta_k, region.x_c)
+    bound = mz_boundary_knee(geom, hip.z_h, target.z_m, hip.theta_h, params.knee_limit)
+    dh = mx_exit_distance(geom, hip, joint.theta_k, target.x_c)
     if dh is None:
         dh = max(-hip.theta_h, MIN_DTHETA_H)
     dh = max(dh, MIN_DTHETA_H)
 
-    _, peak_k = mz_peak(geom, region, params.knee_limit)
+    peak_k = mz_peak(geom, hip.z_h, target.z_m, params.knee_limit)
     k_min = (peak_k - joint.theta_k) / dh
     if bound is None:
         slope = k_min
@@ -254,66 +240,60 @@ def phase1_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
     return slope * hip.theta_h_dot, slope
 
 
-def _tangent_with_freeze(geom: LegGeometry, fresh: RegionSnapshot,
+def _tangent_with_freeze(geom: LegGeometry, hip: HipPose, z_m: float,
                          state: PhaseState, params: PlannerParams) -> tuple:
     """Phase-two/three tangent evaluation with the freeze rule.
 
-    A negative slope retains the previously active snapshot (the region must
-    not inflate once the hip starts lowering); a non-negative slope clears
-    the freeze so the next tick sees a fresh snapshot. An absent boundary
-    holds the last valid slope.
+    A negative slope holds M_z at the hip height it was taken at (the region
+    must not inflate once the hip starts lowering); a non-negative slope
+    clears the freeze so the next tick sees the current hip height. An
+    absent boundary holds the last valid slope.
 
     Also reports whether the region has vanished around the query angle
     (boundary identically zero on both sides): past the fold of the contour
     the tangent has already swung through vertical, which phase three treats
     as slope saturation.
     """
-    active = state.frozen_region if state.frozen_region is not None else fresh
-    b_plus = mz_boundary_knee(geom, active, fresh.hip.theta_h + TANGENT_STEP,
-                              params.knee_limit)
-    b_minus = mz_boundary_knee(geom, active, fresh.hip.theta_h - TANGENT_STEP,
-                               params.knee_limit)
+    z_h = hip.z_h if state.frozen_z_h is None else state.frozen_z_h
+    b_plus = mz_boundary_knee(geom, z_h, z_m, hip.theta_h + TANGENT_STEP, params.knee_limit)
+    b_minus = mz_boundary_knee(geom, z_h, z_m, hip.theta_h - TANGENT_STEP, params.knee_limit)
     if b_plus is None or b_minus is None:
         k2 = state.last_k2
     else:
         k2 = (b_plus - b_minus) / (2.0 * TANGENT_STEP)
     vanished = b_plus == 0.0 and b_minus == 0.0
-    if k2 < 0.0:
-        state.frozen_region = active
-    else:
-        state.frozen_region = None
+    state.frozen_z_h = z_h if k2 < 0.0 else None
     state.last_k2 = k2
     return k2, vanished
 
 
-def phase2_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
-                    region: RegionSnapshot, state: PhaseState,
-                    params: PlannerParams) -> tuple:
+def phase2_velocity(geom: LegGeometry, hip: HipPose, target: ControlTarget,
+                    state: PhaseState, params: PlannerParams) -> tuple:
     """Tangent following to hold toe height above z_m.
 
     The commanded slope is clamped: the contour folds vertical where the
     region collapses, and an unclamped finite difference across the fold
     would command an unbounded extension spike.
     """
-    k2, _ = _tangent_with_freeze(geom, region, state, params)
+    k2, _ = _tangent_with_freeze(geom, hip, target.z_m, state, params)
     slope = max(-PHASE2_SLOPE_CLAMP, min(PHASE2_SLOPE_CLAMP, k2))
-    return slope * hip.theta_h_dot, state, slope
+    return slope * hip.theta_h_dot, slope
 
 
 def phase3_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
-                    region: RegionSnapshot, state: PhaseState,
+                    target: ControlTarget, state: PhaseState,
                     params: PlannerParams) -> tuple:
     """Landing preparation: saturated tangent, convergence gain, mirror.
 
-    Returns (raw velocity, state, slope-for-log, C_t).
+    Returns (raw velocity, slope-for-log, C_t).
     """
     v_max = state.hip_vel_running_max
 
     if state.phase is Phase.THREE_TANGENT:
-        k2, vanished = _tangent_with_freeze(geom, region, state, params)
+        k2, vanished = _tangent_with_freeze(geom, hip, target.z_m, state, params)
         if abs(k2) < params.k_max and not vanished:
             # hip velocity replaced by its running max to keep the knee moving
-            return k2 * v_max, state, k2, float("nan")
+            return k2 * v_max, k2, float("nan")
         # slope saturated (or the region collapsed, i.e. the tangent already
         # passed vertical): memorize the configuration and convert
         state.theta_k_star = joint.theta_k
@@ -332,14 +312,14 @@ def phase3_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
             c_t = min(err / denom, 1.0)
             # knee extension is negative knee velocity under our sign
             # convention; k_max acts as a magnitude
-            return -c_t * params.k_max * v_max, state, -c_t * params.k_max, c_t
+            return -c_t * params.k_max * v_max, -c_t * params.k_max, c_t
 
     # THREE_MIRROR: knee mirrors the instantaneous hip rate (not the running
     # max); the shank holds its forward lean until contact
-    return hip.theta_h_dot, state, 1.0, 0.0
+    return hip.theta_h_dot, 1.0, 0.0
 
 
-def blend_command(raw_vel: float, measured_knee_vel: float, state: PhaseState,
+def blend_command(raw_vel: float, measured_vel: float, state: PhaseState,
                   params: PlannerParams) -> tuple:
     """Exponential cross-fade from the measured velocity at phase entry.
 
@@ -350,7 +330,7 @@ def blend_command(raw_vel: float, measured_knee_vel: float, state: PhaseState,
     n = state.ticks_in_phase
     g1 = math.exp(-params.alpha_1 * n)
     g2 = math.exp(-params.alpha_2 * n)
-    return (1.0 - g1) * raw_vel + g1 * (measured_knee_vel
+    return (1.0 - g1) * raw_vel + g1 * (measured_vel
                                         + g2 * state.theta_k_ddot_ini * params.dt), g1
 
 
@@ -364,37 +344,36 @@ def _enter_major_phase(state: PhaseState, phase: Phase, joint: JointState,
 
 
 def planner_step(geom: LegGeometry, hip: HipPose, joint: JointState, pts: FootPoints,
-                 measured_knee_vel: float, region_target: ControlTarget,
-                 state: PhaseState, params: PlannerParams) -> PlannerCommand:
+                 target: ControlTarget, state: PhaseState,
+                 params: PlannerParams) -> PlannerCommand:
     """One 1 kHz planner tick.
 
     pts must be forward_points(geom, hip, joint.theta_k), which the caller
-    computes once per tick and shares. region_target.x_c must already
-    be absolute world x. Transition predicates run on ground-truth state
+    computes once per tick and shares. target.x_c must already be absolute
+    world x; joint.theta_k_dot is the measured knee velocity the command
+    blends from. Between ticks the planner keeps only `state`. Transition
+    predicates run on ground-truth state
     first: the toe reaching z_m advances one->two; the heel passing the hip
     advances any phase to three (possibly skipping two). The blending counter
     resets only on these major transitions; the sub-mode handovers inside
     phase three are continuous by construction, and re-blending them would
     unlock the shank lean the mirror mode exists to hold.
     """
-    z_m, x_c = region_target.z_m, region_target.x_c
-
-    if MAJOR[state.phase] < 3 and pts.heel[0] > hip.x_h:
+    if state.phase in BEFORE_THREE and pts.heel[0] > hip.x_h:
         _enter_major_phase(state, Phase.THREE_TANGENT, joint, hip)
-    elif state.phase is Phase.ONE and pts.toe[1] >= z_m:
+    elif state.phase is Phase.ONE and pts.toe[1] >= target.z_m:
         _enter_major_phase(state, Phase.TWO, joint, hip)
 
-    fresh = RegionSnapshot(hip=hip, z_m=z_m, x_c=x_c)
     c_t = float("nan")
-    if MAJOR[state.phase] == 3:
-        state.hip_vel_running_max = max(state.hip_vel_running_max, hip.theta_h_dot)
-        raw, state, slope, c_t = phase3_velocity(geom, hip, joint, fresh, state, params)
+    if state.phase is Phase.ONE:
+        raw, slope = phase1_velocity(geom, hip, joint, target, params)
     elif state.phase is Phase.TWO:
-        raw, state, slope = phase2_velocity(geom, hip, joint, fresh, state, params)
+        raw, slope = phase2_velocity(geom, hip, target, state, params)
     else:
-        raw, slope = phase1_velocity(geom, hip, joint, fresh, params)
+        state.hip_vel_running_max = max(state.hip_vel_running_max, hip.theta_h_dot)
+        raw, slope, c_t = phase3_velocity(geom, hip, joint, target, state, params)
 
-    cmd, g1 = blend_command(raw, measured_knee_vel, state, params)
+    cmd, g1 = blend_command(raw, joint.theta_k_dot, state, params)
     state.ticks_in_phase += 1
     return PlannerCommand(knee_vel_cmd=cmd, phase_after=state, slope=slope, c_t=c_t,
                           gamma_1=g1)

@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from swingsim.leg_kinematics import DEG, HipPose, LegGeometry
+from swingsim.leg_kinematics import DEG, LegGeometry
 from swingsim.perception import _dedupe
-from swingsim.swing_planner import RegionSnapshot, mz_boundary_knee
+from swingsim.swing_planner import mz_boundary_knee
 
 GEOM = LegGeometry()
 LIMIT = 85.0 * DEG
@@ -66,14 +66,12 @@ def peak_scan(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float):
     spans the whole column there, so any climb tops out at the limit. The
     planner's search before its closed form, kept as the reference.
     """
-    region = RegionSnapshot(hip=HipPose(x_h=0.0, z_h=z_h, theta_h=0.0), z_m=z_m, x_c=0.0)
-
     def value_at(t):
-        b = mz_boundary_knee(geom, region, t, knee_limit)
+        b = mz_boundary_knee(geom, z_h, z_m, t, knee_limit)
         return knee_limit if b is None else b
 
     th = np.arange(PEAK_GRID_LO, PEAK_GRID_HI + PEAK_GRID_STEP / 2, PEAK_GRID_STEP)
-    bounds = [mz_boundary_knee(geom, region, float(t), knee_limit) for t in th]
+    bounds = [mz_boundary_knee(geom, z_h, z_m, float(t), knee_limit) for t in th]
     if all(b is None for b in bounds):
         return None
     value = [knee_limit if b is None else b for b in bounds]
@@ -99,6 +97,14 @@ def peak_scan(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float):
             fd = value_at(d)
     t_best = 0.5 * (a + b)
     return t_best, value_at(t_best)
+
+
+def kmeans_sse(points, keypoints):
+    """Sum of squared distances of points to their nearest keypoint."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    cen = np.asarray(keypoints.keypoints, dtype=float).reshape(-1, 2)
+    d2 = np.sum((pts[:, None, :] - cen[None, :, :]) ** 2, axis=2)
+    return float(np.min(d2, axis=1).sum())
 
 
 def brute_force_kmeans_sse(points, kmax):

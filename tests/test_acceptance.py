@@ -13,16 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracle_utils import GEOM, LIMIT, brute_force_kmeans_sse, grid_boundary
+from oracle_utils import GEOM, LIMIT, brute_force_kmeans_sse, grid_boundary, kmeans_sse
 
 from swingsim.leg_kinematics import DEG, HipPose
-from swingsim.perception import Box, ObstacleScene, kmeans_prune, kmeans_sse
+from swingsim.perception import Box, ObstacleScene, kmeans_prune
 from swingsim.human_model import GaitIntent
 from swingsim.swing_planner import (
     Phase,
     PhaseState,
     PlannerParams,
-    RegionSnapshot,
     _tangent_with_freeze,
     blend_command,
     mz_boundary_knee,
@@ -166,9 +165,7 @@ def test_criterion_6a_boundary_grid_oracle():
         z_h = rng.uniform(0.80, 1.00)
         z_m = rng.uniform(0.01, 0.20)
         th = rng.uniform(-30 * DEG, 50 * DEG)
-        region = RegionSnapshot(hip=HipPose(x_h=0.0, z_h=z_h, theta_h=0.0),
-                                z_m=z_m, x_c=0.0)
-        b = mz_boundary_knee(GEOM, region, th, LIMIT)
+        b = mz_boundary_knee(GEOM, z_h, z_m, th, LIMIT)
         o = grid_boundary(z_h, z_m, th)
         assert (b is None) == (o is None)
         if b is None:
@@ -191,9 +188,8 @@ def test_criterion_6b_tangent_slope_oracle():
         th = rng.uniform(-25 * DEG, 45 * DEG)
         # the planner's tangent path; a fresh state holds NaN when either
         # boundary is absent
-        region = RegionSnapshot(hip=HipPose(x_h=0.0, z_h=z_h, theta_h=th),
-                                z_m=z_m, x_c=0.0)
-        k2, _ = _tangent_with_freeze(GEOM, region, PhaseState(last_k2=math.nan),
+        k2, _ = _tangent_with_freeze(GEOM, HipPose(x_h=0.0, z_h=z_h, theta_h=th), z_m,
+                                     PhaseState(last_k2=math.nan),
                                      PlannerParams(knee_limit=LIMIT))
         if math.isnan(k2):
             continue

@@ -111,6 +111,24 @@ def test_perceive_emits_profile_keypoints_target(box_scenario, tmp_path):
     assert target["x_c_m"] == pytest.approx(0.4, abs=0.02)
 
 
+def test_perceive_and_run_report_the_same_target(tmp_path):
+    # both commands derive the capture and k-means seeds from --seed; depth
+    # noise makes the target depend on the capture seed
+    _, pts = capture_state(TrialConfig(intent=GaitIntent.STEP_OVER))
+    scenario = write_json(tmp_path / "noisy.json", {
+        "camera": {"noise_sigma_m": 0.003},
+        "human": {"intent": "step_over"},
+        "scene": {"boxes": [{"front_x_m": pts.toe[0] + 0.4, "height_m": 0.08}]},
+    })
+    p, r = tmp_path / "p", tmp_path / "r"
+    assert main(["--seed", "11", "--out", str(p), "perceive", scenario]) == 0
+    assert main(["--seed", "11", "--out", str(r), "run", scenario]) == 0
+    target = json.loads(open(p / "target.json").read())
+    result = json.loads(open(r / "result.json").read())
+    assert target["z_m_m"] == result["target_z_m_m"]
+    assert target["x_c_world_m"] == result["target_x_c_world_m"]
+
+
 def test_show_presets(capsys):
     assert main(["show-presets"]) == 0
     out = capsys.readouterr().out

@@ -21,6 +21,7 @@ from swingsim.sim_harness import (
     build_trial_specs,
     perceive,
     trial_config_for,
+    trial_seeds,
 )
 
 
@@ -175,8 +176,7 @@ def test_perceive_keypoints_equal_reference_on_campaign_scenes(monkeypatch, nois
         cfg = trial_config_for(cc, spec)
         cfg = replace(cfg, camera=replace(cfg.camera, depth_noise_sigma=noise))
         # the capture and k-means seeds run_swing derives from the trial seed
-        children = np.random.SeedSequence(cfg.seed).spawn(3)
-        seeds = tuple(int(c.generate_state(1)[0]) for c in children[:2])
+        seeds = trial_seeds(cfg.seed)[:2]
         target, kps, _, _ = perceive(cfg, *seeds)
         with monkeypatch.context() as m:
             m.setattr(perception, "kmeans_prune", oracle_utils.kmeans_prune)

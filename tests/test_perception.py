@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from oracle_utils import kmeans_sse
+
 from swingsim.perception import (
     Box,
     CameraModel,
@@ -16,7 +18,6 @@ from swingsim.perception import (
     elevation_keypoints,
     extract_estimate,
     kmeans_prune,
-    kmeans_sse,
 )
 
 DEG = math.pi / 180

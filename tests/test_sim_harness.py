@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swingsim.config import parse_campaign
 from swingsim.leg_kinematics import HipPose, FootPoints, forward_points
 from swingsim.perception import Box, ObstacleScene
 from swingsim.human_model import GaitIntent
@@ -24,6 +26,7 @@ from swingsim.sim_harness import (
     run_campaign,
     run_swing,
     span_lows,
+    summarize,
     summary_json,
     trial_config_for,
 )
@@ -281,6 +284,15 @@ def test_mini_campaign_summary_and_determinism():
     assert summary_json(r1.summary) == summary_json(r2.summary)
     assert r1.summary["overall"]["n"] == 10
     assert set(r1.summary["conditions"]) >= {"level", "step_on_h0.16"}
+
+
+@pytest.mark.parametrize("data", [
+    {}, {"tau_s": 0.02, "box_depth_m": 0.3, "expect_all_success": False}])
+def test_summary_campaign_block_parses_back_to_the_campaign(data):
+    # summary.json echoes every campaign key, so its block is a campaign file
+    cc = parse_campaign(data)
+    block = json.loads(summary_json(summarize(cc, [], [])))["campaign"]
+    assert parse_campaign(block) == cc
 
 
 def test_campaign_parallel_matches_serial():

@@ -14,7 +14,6 @@ from swingsim.swing_planner import (
     Phase,
     PhaseState,
     PlannerParams,
-    RegionSnapshot,
     _peak_closed_form,
     _tangent_with_freeze,
     blend_command,
@@ -26,8 +25,8 @@ from swingsim.swing_planner import (
     planner_step,
 )
 
-def region(z_h, z_m, theta_h=0.0, x_h=0.0, x_c=10.0):
-    return RegionSnapshot(hip=HipPose(x_h=x_h, z_h=z_h, theta_h=theta_h), z_m=z_m, x_c=x_c)
+def far_target(z_m):
+    return ControlTarget(z_m=z_m, x_c=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -36,18 +35,15 @@ def region(z_h, z_m, theta_h=0.0, x_h=0.0, x_c=10.0):
 
 def test_boundary_already_clear_returns_zero():
     # z_m far below even the toe's dip: the whole column is clear
-    r = region(z_h=1.0, z_m=0.10, theta_h=30 * DEG)
-    assert mz_boundary_knee(GEOM, r, 30 * DEG, LIMIT) == 0.0
+    assert mz_boundary_knee(GEOM, 1.0, 0.10, 30 * DEG, LIMIT) == 0.0
 
 
 def test_boundary_unreachable_returns_none():
-    r = region(z_h=0.9, z_m=0.5)
-    assert mz_boundary_knee(GEOM, r, 0.0, LIMIT) is None
+    assert mz_boundary_knee(GEOM, 0.9, 0.5, 0.0, LIMIT) is None
 
 
 def test_boundary_spec_point_matches_grid():
-    r = region(z_h=1.0, z_m=0.17, theta_h=20 * DEG)
-    b = mz_boundary_knee(GEOM, r, 20 * DEG, LIMIT)
+    b = mz_boundary_knee(GEOM, 1.0, 0.17, 20 * DEG, LIMIT)
     f = toe_z_fn(1.0, 20 * DEG)
     assert f(b) == pytest.approx(0.17, abs=1e-6)
     assert b == pytest.approx(grid_boundary(1.0, 0.17, 20 * DEG), abs=0.1 * DEG)
@@ -62,7 +58,7 @@ def test_boundary_oracle_1000_random_states():
         z_h = rng.uniform(0.80, 1.00)
         z_m = rng.uniform(0.01, 0.20)
         th = rng.uniform(-30 * DEG, 50 * DEG)
-        b = mz_boundary_knee(GEOM, region(z_h, z_m), th, LIMIT)
+        b = mz_boundary_knee(GEOM, z_h, z_m, th, LIMIT)
         o = grid_boundary(z_h, z_m, th)
         assert (b is None) == (o is None)
         if b is None:
@@ -80,7 +76,7 @@ def test_boundary_is_terminal_clear_threshold():
         z_h = rng.uniform(0.8, 1.0)
         z_m = rng.uniform(0.01, 0.2)
         th = rng.uniform(-30 * DEG, 50 * DEG)
-        b = mz_boundary_knee(GEOM, region(z_h, z_m), th, LIMIT)
+        b = mz_boundary_knee(GEOM, z_h, z_m, th, LIMIT)
         if b is None:
             continue
         f = toe_z_fn(z_h, th)
@@ -116,7 +112,8 @@ def test_mz_peak_matches_exhaustive_scan():
     for geom, limit, z_h, z_m in (
             (GEOM, LIMIT, 0.90, 0.05), (GEOM, LIMIT, 0.92, 0.09), (GEOM, LIMIT, 0.88, 0.03),
             (LONG_THIGH, 30 * DEG, 0.90, -0.047), (LONG_THIGH, 150 * DEG, 0.85, 0.10)):
-        th_p, tk_p = mz_peak(geom, region(z_h, z_m), limit)
+        th_p, _ = _peak_closed_form(geom, z_h, z_m, limit)
+        tk_p = mz_peak(geom, z_h, z_m, limit)
         oth, otk = exhaustive_peak(z_h, z_m, geom=geom, limit=limit)
         assert 0.0 < tk_p < limit
         assert abs(th_p - oth) <= 0.2 * DEG
@@ -143,7 +140,7 @@ def test_peak_closed_form_equals_scan_on_default_domain():
 
 
 def _end_value(geom, z_h, z_m, limit, theta_h):
-    b = mz_boundary_knee(geom, region(z_h, z_m), theta_h, limit)
+    b = mz_boundary_knee(geom, z_h, z_m, theta_h, limit)
     return limit if b is None or b >= limit - 1e-9 else b
 
 
@@ -192,18 +189,18 @@ def test_peak_closed_form_finds_columns_reachable_only_near_the_crest():
 def test_mz_peak_small_for_ground_level_margin():
     # hip high enough that the toe cannot reach below the delta-only target:
     # nothing to climb, the aim point degenerates to a straight knee
-    _, tk_p = mz_peak(GEOM, region(1.0, 0.02), LIMIT)
+    tk_p = mz_peak(GEOM, 1.0, 0.02, LIMIT)
     assert tk_p < 10 * DEG
 
 
 def test_mz_peak_conservative_fallback():
-    r = region(z_h=0.9, z_m=2.0, theta_h=12 * DEG)
-    assert mz_peak(GEOM, r, LIMIT) == (12 * DEG, LIMIT)
+    assert _peak_closed_form(GEOM, 0.9, 2.0, LIMIT) is None
+    assert mz_peak(GEOM, 0.9, 2.0, LIMIT) == LIMIT
 
 
 def test_mz_peak_clipped_at_knee_limit_when_wall_bound():
     # 16 cm target: the region tops out above the hardware limit
-    _, tk_p = mz_peak(GEOM, region(0.915, 0.17), LIMIT)
+    tk_p = mz_peak(GEOM, 0.915, 0.17, LIMIT)
     assert tk_p == pytest.approx(LIMIT)
 
 
@@ -262,7 +259,7 @@ def test_solvers_put_the_toe_exactly_on_the_region_edges():
         z_h = rng.uniform(0.80, 1.00)
         z_m = rng.uniform(0.01, 0.20)
         th = rng.uniform(-30 * DEG, 50 * DEG)
-        b = mz_boundary_knee(GEOM, region(z_h, z_m), th, LIMIT)
+        b = mz_boundary_knee(GEOM, z_h, z_m, th, LIMIT)
         if b:  # None and 0.0 (clear column) have no crossing
             assert abs(toe_point(GEOM, 0.0, z_h, th, b)[1] - z_m) <= 1e-9
             on_z += 1
@@ -284,12 +281,11 @@ def test_phase1_slope_arithmetic():
     params = PlannerParams()
     hip = HipPose(x_h=0.0, z_h=0.9, theta_h=-10 * DEG, theta_h_dot=1.0)
     joint = JointState(theta_k=10 * DEG)
-    r = region(0.9, 0.05, theta_h=-10 * DEG,
-               x_c=forward_points(GEOM, hip, 10 * DEG).toe[0] + 0.25)
-    vel, slope = phase1_velocity(GEOM, hip, joint, r, params)
-    bound = mz_boundary_knee(GEOM, r, hip.theta_h, params.knee_limit)
-    dh = mx_exit_distance(GEOM, hip, joint.theta_k, r.x_c)
-    _, peak_k = mz_peak(GEOM, r, params.knee_limit)
+    target = ControlTarget(z_m=0.05, x_c=forward_points(GEOM, hip, 10 * DEG).toe[0] + 0.25)
+    vel, slope = phase1_velocity(GEOM, hip, joint, target, params)
+    bound = mz_boundary_knee(GEOM, hip.z_h, target.z_m, hip.theta_h, params.knee_limit)
+    dh = mx_exit_distance(GEOM, hip, joint.theta_k, target.x_c)
+    peak_k = mz_peak(GEOM, hip.z_h, target.z_m, params.knee_limit)
     k1 = (bound - joint.theta_k) / dh
     kmin = (peak_k - joint.theta_k) / dh
     assert slope == pytest.approx(max(k1, kmin))
@@ -301,13 +297,12 @@ def test_phase1_lower_threshold_rule():
     # construct k_1 < k_min by starting with the knee just below the boundary
     params = PlannerParams()
     hip = HipPose(x_h=0.0, z_h=0.9, theta_h=0.0, theta_h_dot=2.0)
-    r = region(0.9, 0.05, theta_h=0.0,
-               x_c=forward_points(GEOM, hip, 0.0).toe[0] + 0.15)
-    bound = mz_boundary_knee(GEOM, r, 0.0, params.knee_limit)
+    target = ControlTarget(z_m=0.05, x_c=forward_points(GEOM, hip, 0.0).toe[0] + 0.15)
+    bound = mz_boundary_knee(GEOM, hip.z_h, target.z_m, 0.0, params.knee_limit)
     joint = JointState(theta_k=bound - 1 * DEG)
-    vel, slope = phase1_velocity(GEOM, hip, joint, r, params)
-    dh = mx_exit_distance(GEOM, hip, joint.theta_k, r.x_c)
-    _, peak_k = mz_peak(GEOM, r, params.knee_limit)
+    vel, slope = phase1_velocity(GEOM, hip, joint, target, params)
+    dh = mx_exit_distance(GEOM, hip, joint.theta_k, target.x_c)
+    peak_k = mz_peak(GEOM, hip.z_h, target.z_m, params.knee_limit)
     assert slope == pytest.approx((peak_k - joint.theta_k) / dh)
     assert vel == pytest.approx(slope * 2.0)
 
@@ -322,7 +317,7 @@ def test_tangent_slope_matches_grid_secant_1000_states():
         z_h = rng.uniform(0.82, 1.0)
         z_m = rng.uniform(0.02, 0.19)
         th = rng.uniform(-25 * DEG, 45 * DEG)
-        k2, _ = _tangent_with_freeze(GEOM, region(z_h, z_m, theta_h=th),
+        k2, _ = _tangent_with_freeze(GEOM, HipPose(x_h=0.0, z_h=z_h, theta_h=th), z_m,
                                      PhaseState(last_k2=math.nan), PlannerParams())
         if math.isnan(k2):
             continue
@@ -340,11 +335,10 @@ def test_phase2_zero_slope_commands_zero():
     # of hip velocity
     params = PlannerParams()
     z_h, z_m = 0.92, 0.09
-    th_p, _ = mz_peak(GEOM, region(z_h, z_m), params.knee_limit)
+    th_p, _ = _peak_closed_form(GEOM, z_h, z_m, params.knee_limit)
     hip = HipPose(x_h=0.0, z_h=z_h, theta_h=th_p, theta_h_dot=3.0)
     state = PhaseState(phase=Phase.TWO)
-    vel, state, slope = phase2_velocity(GEOM, hip, JointState(theta_k=1.0),
-                                        region(z_h, z_m, theta_h=th_p), state, params)
+    vel, slope = phase2_velocity(GEOM, hip, far_target(z_m), state, params)
     assert abs(slope) < 0.02
     assert vel == pytest.approx(slope * 3.0)
 
@@ -357,28 +351,24 @@ def test_phase2_freeze_rule_keeps_snapshot():
     th = 28 * DEG
     hip1 = HipPose(x_h=0.0, z_h=0.92, theta_h=th, theta_h_dot=1.0)
     state = PhaseState(phase=Phase.TWO)
-    r1 = region(0.92, z_m, theta_h=th)
-    _, state, s1 = phase2_velocity(GEOM, hip1, JointState(theta_k=1.2), r1, state, params)
+    _, s1 = phase2_velocity(GEOM, hip1, far_target(z_m), state, params)
     assert s1 < 0
-    frozen = state.frozen_region
-    assert frozen is r1
+    assert state.frozen_z_h == 0.92
     hip2 = HipPose(x_h=0.01, z_h=0.915, theta_h=th + 0.5 * DEG, theta_h_dot=1.0)
-    r2 = region(0.915, z_m, theta_h=th + 0.5 * DEG)
-    _, state, s2 = phase2_velocity(GEOM, hip2, JointState(theta_k=1.2), r2, state, params)
+    _, s2 = phase2_velocity(GEOM, hip2, far_target(z_m), state, params)
     assert s2 < 0
-    assert state.frozen_region is frozen  # unchanged while k2 < 0
+    assert state.frozen_z_h == 0.92  # unchanged while k2 < 0
 
 
 def test_phase2_unfreezes_on_nonnegative_slope():
     params = PlannerParams()
     state = PhaseState(phase=Phase.TWO)
     # rising flank: positive slope clears any previous freeze
-    state.frozen_region = region(0.92, 0.09, theta_h=0.0)
+    state.frozen_z_h = 0.92
     hip = HipPose(x_h=0.0, z_h=0.92, theta_h=0.0, theta_h_dot=1.0)
-    _, state, slope = phase2_velocity(GEOM, hip, JointState(theta_k=1.0),
-                                      region(0.92, 0.09, theta_h=0.0), state, params)
+    _, slope = phase2_velocity(GEOM, hip, far_target(0.09), state, params)
     assert slope > 0
-    assert state.frozen_region is None
+    assert state.frozen_z_h is None
 
 
 def test_phase3_converge_gain_is_one_at_saturation():
@@ -388,9 +378,7 @@ def test_phase3_converge_gain_is_one_at_saturation():
     joint = JointState(theta_k=60 * DEG)
     hip = HipPose(x_h=0.3, z_h=0.9, theta_h=30 * DEG, theta_h_dot=1.0)
     from swingsim.swing_planner import phase3_velocity
-    raw, state, slope, c_t = phase3_velocity(GEOM, hip, joint,
-                                             region(0.9, 0.05, theta_h=30 * DEG),
-                                             state, params)
+    raw, slope, c_t = phase3_velocity(GEOM, hip, joint, far_target(0.05), state, params)
     assert c_t == pytest.approx(1.0)
     assert raw == pytest.approx(-params.k_max * 2.0)
 
@@ -402,9 +390,7 @@ def test_phase3_converged_enters_mirror():
     hip = HipPose(x_h=0.3, z_h=0.9, theta_h=30 * DEG, theta_h_dot=0.8)
     joint = JointState(theta_k=hip.theta_h - params.theta_0)  # C^t = 0
     from swingsim.swing_planner import phase3_velocity
-    raw, state, slope, c_t = phase3_velocity(GEOM, hip, joint,
-                                             region(0.9, 0.05, theta_h=30 * DEG),
-                                             state, params)
+    raw, slope, c_t = phase3_velocity(GEOM, hip, joint, far_target(0.05), state, params)
     assert state.phase is Phase.THREE_MIRROR
     assert raw == pytest.approx(0.8)  # mirror law: instantaneous hip rate
 
@@ -418,9 +404,7 @@ def test_phase3_degenerate_denominator_skips_converge():
     hip = HipPose(x_h=0.5, z_h=0.9, theta_h=40 * DEG, theta_h_dot=1.0)
     joint = JointState(theta_k=10 * DEG)  # theta_k* - theta_h* + theta_0 < 0
     from swingsim.swing_planner import phase3_velocity
-    raw, state, slope, c_t = phase3_velocity(GEOM, hip, joint,
-                                             region(0.9, 0.5, theta_h=40 * DEG),
-                                             state, params)
+    raw, slope, c_t = phase3_velocity(GEOM, hip, joint, far_target(0.5), state, params)
     assert state.phase is Phase.THREE_MIRROR
 
 
@@ -480,7 +464,7 @@ def test_planner_step_one_to_two_on_toe_height():
     # toe already above z_m: first step flips to phase TWO
     hip = HipPose(x_h=0.0, z_h=0.9, theta_h=0.0, theta_h_dot=1.0)
     joint = JointState(theta_k=70 * DEG)
-    cmd = planner_step(GEOM, hip, joint, forward_points(GEOM, hip, joint.theta_k), 0.0,
+    cmd = planner_step(GEOM, hip, joint, forward_points(GEOM, hip, joint.theta_k),
                        standard_target(), state, params)
     assert cmd.phase_after.phase is Phase.TWO
 
@@ -493,7 +477,7 @@ def test_planner_step_direct_one_to_three_predicate_precedence():
     joint = JointState(theta_k=5 * DEG)
     pts = forward_points(GEOM, hip, joint.theta_k)
     assert pts.heel[0] > hip.x_h
-    cmd = planner_step(GEOM, hip, joint, forward_points(GEOM, hip, joint.theta_k), 0.0,
+    cmd = planner_step(GEOM, hip, joint, forward_points(GEOM, hip, joint.theta_k),
                        ControlTarget(z_m=0.5, x_c=2.0), state, params)
     assert cmd.phase_after.phase in (Phase.THREE_TANGENT, Phase.THREE_CONVERGE,
                                      Phase.THREE_MIRROR)
@@ -504,7 +488,7 @@ def test_planner_step_resets_blend_counter_on_transition():
     state = PhaseState(ticks_in_phase=500)
     hip = HipPose(x_h=0.0, z_h=0.9, theta_h=0.0, theta_h_dot=1.0)
     joint = JointState(theta_k=70 * DEG, theta_k_dot=1.5, theta_k_ddot=12.0)
-    cmd = planner_step(GEOM, hip, joint, forward_points(GEOM, hip, joint.theta_k), 1.5,
+    cmd = planner_step(GEOM, hip, joint, forward_points(GEOM, hip, joint.theta_k),
                        standard_target(), state, params)
     # n was reset to 0 by the ONE->TWO transition before blending
     assert cmd.gamma_1 == pytest.approx(1.0)
