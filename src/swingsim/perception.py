@@ -240,79 +240,67 @@ def _choice_rows(d2: np.ndarray, total: np.ndarray, u: np.ndarray,
 def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator,
                     restarts: int) -> np.ndarray:
     """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) of every restart,
-    as (restarts, k, 2) centers. Each restart draws from rng what a
-    sequential loop of restarts would: integers(n), then one random() per
-    center, or, once its weights total 0 at step i, integers(n, size=k - i)
-    for the rest (see _seed_lockstep)."""
-    out = np.empty((restarts, k, pts.shape[1]))
-    done, zero_at = 0, None
-    while done < restarts:
-        seeded, zero_at = _seed_lockstep(pts, k, rng, out[done:], zero_at)
-        done += seeded
+    as (restarts, k, 2) centers, from the draws a restart-by-restart loop
+    takes from rng. The restarts are seeded in lockstep (_seed_lockstep);
+    when some restart's weights total 0 before its last center, which takes
+    fewer distinct points than k, rng is rewound and each restart is seeded
+    by that loop (_seed_one) instead."""
+    state = rng.bit_generator.state
+    out = _seed_lockstep(pts, k, rng, restarts)
+    if out is None:
+        rng.bit_generator.state = state
+        out = np.array([_seed_one(pts, k, rng) for _ in range(restarts)])
     return out
 
 
 def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
-                   out: np.ndarray, zero_at: Optional[int]) -> tuple:
-    """Seed the restarts of `out` side by side. Returns how many are done and
-    the step at which the next restarts' weights are expected to total 0.
+                   restarts: int) -> Optional[np.ndarray]:
+    """Seed every restart side by side; None if some restart's weights total 0
+    before its last center.
 
-    Every restart's draws are taken up front in stream order, as if its
-    weights first total 0 at step zero_at (None: never), and each center
-    step advances all nearest-distance rows (d2, squared distance to the
-    nearest chosen center) as one array. The first restart whose weights
-    reach 0 at another step drew other values than it was given, and so did
-    every restart after it, so the batch ends there. One that reaches 0
-    early is finished by replaying its draws from its saved generator state;
-    one that does not reach 0 at zero_at is left, with the rest, to the next
-    batch, which starts from its saved state. Restarts on the same points
-    usually reach 0 at the same step, so that step is the next guess.
+    Each restart's draws, integers(n) and then one random() per later center,
+    are taken up front in stream order, and each center step advances all
+    nearest-distance rows (d2, squared distance to the nearest chosen center)
+    as one array. A restart whose weights total 0 would have drawn
+    integers(n, size=k - i) in place of its remaining random()s, so the draws
+    taken are not its own.
     """
-    n, rows = pts.shape[0], out.shape[0]
-    last = k if zero_at is None else zero_at  # center steps that draw random()
+    n = pts.shape[0]
     px, pz = pts.T.copy()
-    states, picks, u = [], np.empty((rows, k), dtype=np.intp), np.empty((rows, last - 1))
-    for r in range(rows):
-        states.append(rng.bit_generator.state)
+    picks, u = np.empty((restarts, k), dtype=np.intp), np.empty((restarts, k - 1))
+    for r in range(restarts):
         picks[r, 0] = rng.integers(n)
-        u[r] = rng.random(last - 1)
-        if last < k:
-            picks[r, last:] = rng.integers(n, size=k - last)
+        u[r] = rng.random(k - 1)
     d2 = _sqdist(px, pz, px[picks[:, :1]], pz[picks[:, :1]])
     near, cdf = np.empty_like(d2), np.empty_like(d2)
-    stop = None  # (restart, step) where the first restart's weights total 0 early
-    for i in range(1, min(last + 1, k)):
-        total = d2[:rows].sum(axis=1)
-        if i == last:
-            missed = np.flatnonzero(~(total <= 0.0))
-            if missed.size:
-                rows = int(missed[0])
-                rng.bit_generator.state = states[rows]
-                out[:rows] = pts[picks[:rows]]
-                return rows, None
-            break
-        zero = np.flatnonzero(total <= 0.0)
-        if zero.size:
-            rows = int(zero[0])
-            stop = (rows, i)
-            if not rows:
-                break
-            total = total[:rows]
-        j = _choice_rows(d2[:rows], total, u[:rows, i - 1], cdf[:rows])
-        picks[:rows, i] = j
+    for i in range(1, k):
+        total = d2.sum(axis=1)
+        if (total <= 0.0).any():
+            return None
+        j = _choice_rows(d2, total, u[:, i - 1], cdf)
+        picks[:, i] = j
         # cdf is free again until the next step, so it serves as dz
-        new = _sqdist(px, pz, px[j, None], pz[j, None], out=near[:rows], dz=cdf[:rows])
-        np.minimum(d2[:rows], new, out=d2[:rows])
-    out[:rows] = pts[picks[:rows]]
-    if stop is None:
-        return rows, zero_at
-    r, i = stop
-    rng.bit_generator.state = states[r]
-    rng.integers(n)
-    rng.random(i - 1)
-    out[r, :i] = pts[picks[r, :i]]
-    out[r, i:] = pts[rng.integers(n, size=k - i)]
-    return r + 1, i
+        np.minimum(d2, _sqdist(px, pz, px[j, None], pz[j, None], out=near, dz=cdf), out=d2)
+    return pts[picks]
+
+
+def _seed_one(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """One restart of the restart-by-restart loop: integers(n), then
+    rng.choice(n, p=d2 / total) per center until the weights total 0 at some
+    step i, and integers(n, size=k - i) for the rest."""
+    n = pts.shape[0]
+    px, pz = pts.T
+    picks = np.empty(k, dtype=np.intp)
+    picks[0] = rng.integers(n)
+    d2 = _sqdist(px, pz, px[picks[0]], pz[picks[0]])
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            picks[i:] = rng.integers(n, size=k - i)
+            break
+        picks[i] = rng.choice(n, p=d2 / total)
+        np.minimum(d2, _sqdist(px, pz, px[picks[i]], pz[picks[i]]), out=d2)
+    return pts[picks]
 
 
 def _lloyd_work(pts: np.ndarray, k: int) -> tuple:

@@ -76,7 +76,8 @@ def test_lockstep_seeding_when_restarts_reach_zero_weight_at_different_steps():
     # (0, 0)-(2e-162, 0) squares to the smallest subnormal, while the middle
     # point squares to 0 against either end: a restart that starts on the
     # middle point has zero weights at step 1, one that starts on an end at
-    # step 2, so a batch's guess of the zero step is both early and late
+    # step 2, so the restarts' own loops draw integers(n, size=k - i) at
+    # different steps
     line = [(0.0, 0.0), (1e-162, 0.0), (2e-162, 0.0)]
     for pts, k in ((line, 3), (line + [(1.0, x) for x, _ in line], 5)):
         pts = np.array(pts)
@@ -168,6 +169,10 @@ def test_lloyd_reseeds_two_empty_clusters_at_different_points():
         assert sorted(centers.tolist()) == [[0.05, 0.0], [5.0, 0.0], [10.0, 0.0]]
 
 
+def refuse_seed_one(*args):
+    raise AssertionError("seeded restart by restart")
+
+
 @pytest.mark.parametrize("noise", [0.0, 0.003])
 def test_perceive_keypoints_equal_reference_on_campaign_scenes(monkeypatch, noise):
     cc = CampaignConfig.reproduction_profile(2024)
@@ -177,7 +182,11 @@ def test_perceive_keypoints_equal_reference_on_campaign_scenes(monkeypatch, nois
         cfg = replace(cfg, camera=replace(cfg.camera, depth_noise_sigma=noise))
         # the capture and k-means seeds run_swing derives from the trial seed
         seeds = trial_seeds(cfg.seed)[:2]
-        target, kps, _, _ = perceive(cfg, *seeds)
+        with monkeypatch.context() as m:
+            # no campaign profile has fewer distinct points than k, so every
+            # capture seeds in lockstep
+            m.setattr(perception, "_seed_one", refuse_seed_one)
+            target, kps, _, _ = perceive(cfg, *seeds)
         with monkeypatch.context() as m:
             m.setattr(perception, "kmeans_prune", oracle_utils.kmeans_prune)
             ref_target, ref_kps, _, _ = perceive(cfg, *seeds)
