@@ -17,7 +17,6 @@ from .perception import (
     Box,
     ObstacleScene,
     CameraModel,
-    PointCloud,
     ElevationKeypoints,
     ObstacleEstimate,
     ControlTarget,
@@ -28,7 +27,7 @@ from .sim_harness import TrialConfig, TrialResult, Outcome, run_swing, run_campa
 
 __all__ = [
     "LegGeometry", "HipPose", "JointState", "FootPoints", "forward_points",
-    "Box", "ObstacleScene", "CameraModel", "PointCloud", "ElevationKeypoints",
+    "Box", "ObstacleScene", "CameraModel", "ElevationKeypoints",
     "ObstacleEstimate", "ControlTarget",
     "PlannerParams", "PhaseState", "Phase", "PlannerCommand",
     "GaitIntent", "HipTrajectoryParams", "preset", "hip_pose",

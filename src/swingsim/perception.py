@@ -91,18 +91,8 @@ class CameraPose:
     straight down, positive tilting forward."""
 
     x: float
-    y: float
     z: float
     axis_pitch: float
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    points: np.ndarray            # (n, 3) world xyz; may be empty
-
-    @property
-    def empty(self) -> bool:
-        return self.points.shape[0] == 0
 
 
 @dataclass(frozen=True)
@@ -130,16 +120,17 @@ def camera_pose_from_thigh(hip_x: float, hip_z: float, theta_h: float,
     # thigh-down direction (sh, -ch); anterior perpendicular (ch, sh)
     cx = hip_x + model.mount_along_thigh * sh + model.mount_perp * ch
     cz = hip_z - model.mount_along_thigh * ch + model.mount_perp * sh
-    return CameraPose(x=cx, y=0.0, z=cz, axis_pitch=theta_h + model.mount_pitch)
+    return CameraPose(x=cx, z=cz, axis_pitch=theta_h + model.mount_pitch)
 
 
 def capture(scene: ObstacleScene, pose: CameraPose, model: CameraModel,
-            seed: int) -> PointCloud:
-    """Ray-cast one synthetic depth frame.
+            seed: int) -> np.ndarray:
+    """Ray-cast one synthetic depth frame, as (n, 3) world xyz points.
 
     One point per ray that hits the ground or a box face within max_range,
     perturbed along the ray by Gaussian noise. An empty cloud (camera looking
-    skyward, nothing in range) is a valid "no returns" outcome.
+    skyward, nothing in range) is a valid "no returns" outcome. The camera
+    sits on the sagittal plane y = 0.
     """
     rng = np.random.default_rng(seed)
     zeta = pose.axis_pitch + np.linspace(-model.fov / 2, model.fov / 2, model.rays_vertical)
@@ -169,13 +160,13 @@ def capture(scene: ObstacleScene, pose: CameraPose, model: CameraModel,
             # top face
             t = (top_z - pose.z) / dz
             x = pose.x + t * dx
-            y = pose.y + t * dy
+            y = t * dy
             consider(t, np.isfinite(t) & (dz < 0.0)
                      & (x >= box.front_x) & (x <= box.back_x) & (np.abs(y) <= halfw))
             # front and back vertical faces
             for face_x, toward in ((box.front_x, 1.0), (box.back_x, -1.0)):
                 t = (face_x - pose.x) / dx
-                y = pose.y + t * dy
+                y = t * dy
                 z = pose.z + t * dz
                 consider(t, np.isfinite(t) & (toward * dx > 0.0)
                          & (z >= scene.ground_height) & (z <= top_z) & (np.abs(y) <= halfw))
@@ -184,22 +175,18 @@ def capture(scene: ObstacleScene, pose: CameraPose, model: CameraModel,
     t = best_t[hit]
     if model.depth_noise_sigma > 0.0:
         t = t + rng.normal(0.0, model.depth_noise_sigma, size=t.shape)
-    pts = np.column_stack((pose.x + t * dx[hit], pose.y + t * dy[hit], pose.z + t * dz[hit]))
-    return PointCloud(points=pts)
+    return np.column_stack((pose.x + t * dx[hit], t * dy[hit], pose.z + t * dz[hit]))
 
 
-def crop_and_project(cloud: PointCloud, corridor_width: float = 0.15,
-                     y_prosthesis: float = 0.0) -> np.ndarray:
-    """Keep points inside the sagittal corridor and drop y.
+def crop_and_project(cloud: np.ndarray, corridor_width: float) -> np.ndarray:
+    """Keep the (n, 3) cloud's points inside the sagittal corridor, centered
+    on the prosthesis at y = 0, and drop y.
 
     Returns an (n, 2) array of (x, z), sorted by x. Empty when nothing
     survives the crop; downstream treats that as level ground.
     """
-    if cloud.empty:
-        return np.empty((0, 2))
-    pts = cloud.points
-    keep = np.abs(pts[:, 1] - y_prosthesis) <= corridor_width / 2.0
-    flat = pts[keep][:, (0, 2)]
+    keep = np.abs(cloud[:, 1]) <= corridor_width / 2.0
+    flat = cloud[keep][:, (0, 2)]
     return flat[np.argsort(flat[:, 0], kind="stable")]
 
 
@@ -370,8 +357,8 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
     return np.column_stack((cx, cz)), sse
 
 
-def kmeans_prune(points: Sequence, k: int, seed: int,
-                 restarts: int = 20, max_iter: int = 100) -> ElevationKeypoints:
+def kmeans_prune(points: Sequence, k: int, seed: int, restarts: int,
+                 max_iter: int = 100) -> ElevationKeypoints:
     """Prune a 2-D profile to k cluster centers sorted by x.
 
     Lloyd's algorithm with k-means++ seeding; the best of `restarts` runs is
@@ -413,8 +400,8 @@ def _dedupe(ordered: np.ndarray) -> ElevationKeypoints:
     return ElevationKeypoints(keypoints=tuple(out))
 
 
-def elevation_keypoints(points: np.ndarray, k: int, seed: int,
-                        restarts: int = 20, z_weight: float = 4.0) -> ElevationKeypoints:
+def elevation_keypoints(points: np.ndarray, k: int, seed: int, restarts: int,
+                        z_weight: float) -> ElevationKeypoints:
     """Cluster a projected profile with elevation contrast emphasized.
 
     z is scaled by z_weight before clustering (and unscaled after) so that
@@ -429,7 +416,7 @@ def elevation_keypoints(points: np.ndarray, k: int, seed: int,
 
 
 def extract_estimate(keypoints: ElevationKeypoints, toe: tuple,
-                     edge_threshold: float = 0.02) -> ObstacleEstimate:
+                     edge_threshold: float) -> ObstacleEstimate:
     """Read (z_m', x_c_raw) off the pruned elevation map.
 
     z_m' is the maximum elevation ahead of the toe. x_c_raw is the horizontal
@@ -458,7 +445,7 @@ def extract_estimate(keypoints: ElevationKeypoints, toe: tuple,
     return ObstacleEstimate(z_m_prime=z_m_prime, x_c_raw=kps[best_i][0] - x_t)
 
 
-def control_modify(est: ObstacleEstimate, z_t: float, delta: float = 0.01,
+def control_modify(est: ObstacleEstimate, z_t: float, delta: float,
                    default_x_c: float = 0.20) -> ControlTarget:
     """Safety-margin and default-distance modifications.
 

@@ -45,11 +45,10 @@ CAPTURE_THETA_K = 28.0 * DEG
 TOE_OFF_THETA_K = 10.0 * DEG
 
 TIMEOUT_FACTOR = 2.0
-# Profile window handed to the pruning stage: keypoints behind the capture
-# toe carry no obstacle information, and past the nominal 1 m ground
-# look-ahead the profile is frustum-edge noise; trimming both keeps the
-# cluster budget on the stretch that matters.
-BEHIND_TOE_TRIM = 0.0
+# Profile window handed to the pruning stage, from the capture toe on:
+# keypoints behind the capture toe carry no obstacle information, and past
+# the nominal 1 m ground look-ahead the profile is frustum-edge noise;
+# trimming both keeps the cluster budget on the stretch that matters.
 PROFILE_AHEAD_CAP = 0.90  # m ahead of the capture toe
 
 
@@ -147,7 +146,6 @@ class TrialResult:
     landing_x: Optional[float]            # m, world x of the contact point
     landing_surface: Optional[Surface]
     target: ControlTarget                 # planner target, x_c absolute world x
-    capture_toe: tuple                    # (x, z) of the toe at capture
 
     def to_dict(self) -> dict:
         return {
@@ -195,7 +193,7 @@ def perceive(cfg: TrialConfig, seed_capture: int, seed_kmeans: int):
     pose = camera_pose_from_thigh(hip.x_h, hip.z_h, hip.theta_h, cfg.camera)
     cloud = capture(cfg.scene, pose, cfg.camera, seed_capture)
     flat = crop_and_project(cloud, corridor_width=cfg.corridor_width)
-    flat = flat[(flat[:, 0] >= toe[0] - BEHIND_TOE_TRIM)
+    flat = flat[(flat[:, 0] >= toe[0])
                 & (flat[:, 0] <= toe[0] + PROFILE_AHEAD_CAP)]
 
     if flat.shape[0] == 0:
@@ -422,7 +420,7 @@ def run_swing(cfg: TrialConfig) -> tuple:
     outcome, landing_x, surface = _classify(contact, cfg)
     return log, TrialResult(
         outcome=outcome, swing_duration=t, peak_knee_flexion=peak_flex, min_clearance=min_clear,
-        landing_x=landing_x, landing_surface=surface, target=target, capture_toe=cap_toe)
+        landing_x=landing_x, landing_surface=surface, target=target)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +443,8 @@ class CampaignConfig:
     expect_all_success: bool = True
 
     @staticmethod
-    def reproduction_profile(seed: int = 2024, base: Optional[TrialConfig] = None) -> "CampaignConfig":
-        return CampaignConfig(seed=seed, base=base or TrialConfig())
+    def reproduction_profile(seed: int = 2024) -> "CampaignConfig":
+        return CampaignConfig(seed=seed)
 
 
 @dataclass(frozen=True)
