@@ -362,10 +362,12 @@ def kmeans_prune(points: Sequence, k: int, seed: int, restarts: int,
     """Prune a 2-D profile to k cluster centers sorted by x.
 
     Lloyd's algorithm with k-means++ seeding; the best of `restarts` runs is
-    kept. Fewer than k points are returned as-is, sorted. All restarts are
-    seeded together (_kmeans_pp_init), each from the draws a restart-by-restart
-    loop would give it, and their weighted picks replicate Generator.choice
-    (_choice_rows), so the keypoints are those of that loop for the same seed.
+    kept. Fewer than k points are returned as-is, sorted. The restarts are
+    seeded in lockstep (_kmeans_pp_init), each from the draws a
+    restart-by-restart loop would give it, with weighted picks that replicate
+    Generator.choice (_choice_rows); a profile on which some restart's weights
+    total 0 early is seeded by that loop itself. Either way the keypoints are
+    those of the loop for the same seed.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
