@@ -175,10 +175,11 @@ def mz_peak(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float) -> flo
     when the boundary is absent everywhere. Hip height is quantized to 1 mm
     and z_m to 1e-5 m for caching (a hit is ~6x cheaper than the closed
     form); the peak moves far less than the phase-one slope tolerance over
-    that step.
+    that step. knee_limit, fixed per trial, is not rounded: the saturated
+    peak is the hardware limit itself.
     """
     key = (geom.thigh_m, geom.shank_m, geom.toe_m, geom.heel_m)
-    out = _peak_cached(key, round(z_h, 3), round(z_m, 5), round(knee_limit, 6))
+    out = _peak_cached(key, round(z_h, 3), round(z_m, 5), knee_limit)
     return knee_limit if out is None else out[1]
 
 

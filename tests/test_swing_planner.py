@@ -199,9 +199,10 @@ def test_mz_peak_conservative_fallback():
 
 
 def test_mz_peak_clipped_at_knee_limit_when_wall_bound():
-    # 16 cm target: the region tops out above the hardware limit
-    tk_p = mz_peak(GEOM, 0.915, 0.17, LIMIT)
-    assert tk_p == pytest.approx(LIMIT)
+    # 16 cm target: the region tops out above the hardware limit, and the
+    # peak is the planner's limit itself, not a rounding of it past 85 deg
+    limit = PlannerParams().knee_limit
+    assert mz_peak(LegGeometry(), 0.915, 0.17, limit) == limit
 
 
 # ---------------------------------------------------------------------------
