@@ -20,6 +20,12 @@ from .leg_kinematics import DEG
 # Fixed lateral fan of the synthetic camera (full angle, radians).
 LATERAL_FAN = 20.0 * DEG
 
+# Cap on kmeans_prune's Lloyd iterations per restart.
+LLOYD_MAX_ITER = 100
+
+# control_modify's x_c when the profile shows no front edge ahead of the toe.
+DEFAULT_X_C = 0.20
+
 
 @dataclass(frozen=True)
 class Box:
@@ -224,33 +230,19 @@ def _choice_rows(d2: np.ndarray, total: np.ndarray, u: np.ndarray,
     return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator,
-                    restarts: int) -> np.ndarray:
-    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) of every restart,
-    as (restarts, k, 2) centers, from the draws a restart-by-restart loop
-    takes from rng. The restarts are seeded in lockstep (_seed_lockstep);
-    when some restart's weights total 0 before its last center, which takes
-    fewer distinct points than k, rng is rewound and each restart is seeded
-    by that loop (_seed_one) instead."""
-    state = rng.bit_generator.state
-    out = _seed_lockstep(pts, k, rng, restarts)
-    if out is None:
-        rng.bit_generator.state = state
-        out = np.array([_seed_one(pts, k, rng) for _ in range(restarts)])
-    return out
-
-
 def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
                    restarts: int) -> Optional[np.ndarray]:
-    """Seed every restart side by side; None if some restart's weights total 0
-    before its last center.
+    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) of every restart,
+    as (restarts, k, 2) centers; None if some restart's weights total 0
+    before its last center, when every point lies at distance 0 from fewer
+    than k centers.
 
     Each restart's draws, integers(n) and then one random() per later center,
     are taken up front in stream order, and each center step advances all
     nearest-distance rows (d2, squared distance to the nearest chosen center)
-    as one array. A restart whose weights total 0 would have drawn
-    integers(n, size=k - i) in place of its remaining random()s, so the draws
-    taken are not its own.
+    as one array. The centers returned are those of a restart-by-restart
+    loop drawing one rng.choice(n, p=d2 / total) per center (_choice_rows),
+    and rng is left where that loop leaves it.
     """
     n = pts.shape[0]
     px, pz = pts.T.copy()
@@ -268,25 +260,6 @@ def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
         picks[:, i] = j
         # cdf is free again until the next step, so it serves as dz
         np.minimum(d2, _sqdist(px, pz, px[j, None], pz[j, None], out=near, dz=cdf), out=d2)
-    return pts[picks]
-
-
-def _seed_one(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """One restart of the restart-by-restart loop: integers(n), then
-    rng.choice(n, p=d2 / total) per center until the weights total 0 at some
-    step i, and integers(n, size=k - i) for the rest."""
-    n = pts.shape[0]
-    px, pz = pts.T
-    picks = np.empty(k, dtype=np.intp)
-    picks[0] = rng.integers(n)
-    d2 = _sqdist(px, pz, px[picks[0]], pz[picks[0]])
-    for i in range(1, k):
-        total = d2.sum()
-        if total <= 0.0:
-            picks[i:] = rng.integers(n, size=k - i)
-            break
-        picks[i] = rng.choice(n, p=d2 / total)
-        np.minimum(d2, _sqdist(px, pz, px[picks[i]], pz[picks[i]]), out=d2)
     return pts[picks]
 
 
@@ -314,18 +287,27 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
     taken. The nearest distances then take in the reseeded center, so the
     next empty cluster goes to the point farthest from it too.
 
-    When the last iteration leaves the centers as they were, its distance
-    matrix already holds the final ones and the SSE is read from it.
+    In exact arithmetic each iteration lowers the SSE until the fixpoint. On
+    points that differ only in their last bits, the mean of a cluster's
+    equal points can be off by an ulp, and the assignment can then cycle
+    through SSEs of ~1e-33 and never reach its fixpoint. So the loop also
+    stops, at the centers it holds, on an SSE that does not fall. When the
+    last iteration leaves the centers as they were, its distance matrix
+    already holds the final ones and the SSE is read from it.
     """
     px, pz, tx, tz, d2, dz = work
     n, k = px.shape[0], centers.shape[0]
-    every = np.arange(n)
+    rows = np.arange(n) * k  # d2.take(rows + c) reads d2[i, c[i]] for every i
     cx, cz = centers.T.copy()
     assign = np.full(n, -1)
-    sse = None
+    sse = math.inf
     for _ in range(max_iter):
         _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
         nearest_c = d2.argmin(axis=1)
+        nearest = d2.take(rows + nearest_c)
+        last_sse, sse = sse, float(nearest.sum())
+        if not sse < last_sse:
+            return np.column_stack((cx, cz)), sse
         counts = np.bincount(nearest_c, minlength=k)
         before = cx, cz
         if counts.all():
@@ -335,7 +317,6 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
         else:
             new_assign = nearest_c.copy()
             cx, cz = cx.copy(), cz.copy()
-            nearest = d2[every, nearest_c]
             for j in range(k):
                 sel = new_assign == j
                 if sel.any():
@@ -348,44 +329,39 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
                     np.minimum(nearest, _sqdist(px, pz, cx[j], cz[j]), out=nearest)
         if np.array_equal(new_assign, assign):
             if np.array_equal(cx, before[0]) and np.array_equal(cz, before[1]):
-                sse = float(d2[every, nearest_c].sum())
+                return np.column_stack((cx, cz)), sse
             break
         assign = new_assign
-    if sse is None:
-        _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
-        sse = float(d2[every, d2.argmin(axis=1)].sum())
-    return np.column_stack((cx, cz)), sse
+    _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
+    return np.column_stack((cx, cz)), float(d2.take(rows + d2.argmin(axis=1)).sum())
 
 
-def kmeans_prune(points: Sequence, k: int, seed: int, restarts: int,
-                 max_iter: int = 100) -> ElevationKeypoints:
+def kmeans_prune(points: Sequence, k: int, seed: int, restarts: int) -> ElevationKeypoints:
     """Prune a 2-D profile to k cluster centers sorted by x.
 
-    Lloyd's algorithm with k-means++ seeding; the best of `restarts` runs is
-    kept. Fewer than k points are returned as-is, sorted. The restarts are
-    seeded in lockstep (_kmeans_pp_init), each from the draws a
-    restart-by-restart loop would give it, with weighted picks that replicate
-    Generator.choice (_choice_rows); a profile on which some restart's weights
-    total 0 early is seeded by that loop itself. Either way the keypoints are
-    those of the loop for the same seed.
+    Lloyd's algorithm with k-means++ seeding (_seed_lockstep); the best of
+    `restarts` runs is kept. A profile with nothing to prune is returned
+    as-is, sorted: one of at most k points, or one on which some restart's
+    k-means++ weights total 0 before its last center, so that every point
+    already lies at distance 0 from fewer than k of them.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise ValueError("kmeans_prune needs a non-empty point set")
     if k < 1:
         raise ValueError("kmeans_prune needs k >= 1")
-    if pts.shape[0] <= k:
-        ordered = pts[np.argsort(pts[:, 0], kind="stable")]
-        return _dedupe(ordered)
-
-    rng = np.random.default_rng(seed)
-    work = _lloyd_work(pts, k)
-    best = None
-    best_sse = math.inf
-    for centers in _kmeans_pp_init(pts, k, rng, max(1, restarts)):
-        centers, sse = _lloyd(pts, work, centers, max_iter)
-        if sse < best_sse - 1e-15 or best is None:
-            best, best_sse = centers, sse
+    seeded = None
+    if pts.shape[0] > k:
+        seeded = _seed_lockstep(pts, k, np.random.default_rng(seed), max(1, restarts))
+    if seeded is None:
+        best = pts
+    else:
+        work = _lloyd_work(pts, k)
+        best, best_sse = None, math.inf
+        for centers in seeded:
+            centers, sse = _lloyd(pts, work, centers, LLOYD_MAX_ITER)
+            if sse < best_sse - 1e-15 or best is None:
+                best, best_sse = centers, sse
     ordered = best[np.argsort(best[:, 0], kind="stable")]
     return _dedupe(ordered)
 
@@ -447,17 +423,16 @@ def extract_estimate(keypoints: ElevationKeypoints, toe: tuple,
     return ObstacleEstimate(z_m_prime=z_m_prime, x_c_raw=kps[best_i][0] - x_t)
 
 
-def control_modify(est: ObstacleEstimate, z_t: float, delta: float,
-                   default_x_c: float = 0.20) -> ControlTarget:
+def control_modify(est: ObstacleEstimate, z_t: float, delta: float) -> ControlTarget:
     """Safety-margin and default-distance modifications.
 
     z_m = max(z_m', z_t) + delta guarantees lift-off even on level ground and
     on descending profiles; when the profile is level (z_m' <= z_t) or no
-    front edge was found, x_c falls back to the 20 cm default.
+    front edge was found, x_c falls back to the 20 cm DEFAULT_X_C.
     """
     z_m = max(est.z_m_prime, z_t) + delta
     if est.z_m_prime <= z_t or est.x_c_raw is None:
-        x_c = default_x_c
+        x_c = DEFAULT_X_C
     else:
         x_c = est.x_c_raw
     return ControlTarget(z_m=z_m, x_c=x_c)

@@ -135,9 +135,12 @@ def brute_force_kmeans_sse(points, kmax):
 
 
 # Reference k-means: the original loop implementation, kept verbatim so the
-# vectorized production path can be checked for equal keypoints.
+# vectorized production path can be checked for equal keypoints, except that
+# seeding stops where the weights total 0 before the last center and Lloyd
+# stops where the SSE does not fall.
 
-def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_centers(pts: np.ndarray, k: int, rng: np.random.Generator):
+    """k centers, or None once the weights total 0 before the last one."""
     n = pts.shape[0]
     centers = np.empty((k, pts.shape[1]))
     centers[0] = pts[rng.integers(n)]
@@ -145,8 +148,7 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
-            centers[i:] = pts[rng.integers(n, size=k - i)]
-            break
+            return None
         probs = d2 / total
         centers[i] = pts[rng.choice(n, p=probs)]
         d2 = np.minimum(d2, np.sum((pts - centers[i]) ** 2, axis=1))
@@ -154,13 +156,19 @@ def _kmeans_pp_init(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
 
 
 def _lloyd(pts: np.ndarray, centers: np.ndarray, max_iter: int) -> tuple:
-    """Lloyd iterations to an assignment fixpoint. Returns (centers, sse)."""
+    """Lloyd iterations to an assignment fixpoint, or to an SSE that does not
+    fall. Returns (centers, sse)."""
     n, k = pts.shape[0], centers.shape[0]
     assign = np.full(n, -1)
+    sse = math.inf
     for _ in range(max_iter):
         d2 = np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=2)
         new_assign = np.argmin(d2, axis=1)
         nearest = np.min(d2, axis=1)
+        # an SSE that does not fall is rounding: stop at these centers
+        last_sse, sse = sse, float(nearest.sum())
+        if not sse < last_sse:
+            break
         for j in range(k):
             sel = new_assign == j
             if sel.any():
@@ -185,7 +193,8 @@ def kmeans_prune(points, k: int, seed: int,
     """Prune a 2-D profile to k cluster centers sorted by x.
 
     Lloyd's algorithm with k-means++ seeding; the best of `restarts` runs is
-    kept. Fewer than k points are returned as-is, sorted.
+    kept. Fewer than k points are returned as-is, sorted, and so is a profile
+    on which some restart's seeding weights total 0 before its last center.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
@@ -200,7 +209,9 @@ def kmeans_prune(points, k: int, seed: int,
     best = None
     best_sse = math.inf
     for _ in range(max(1, restarts)):
-        centers = _kmeans_pp_init(pts, k, rng)
+        centers = _kmeans_pp_centers(pts, k, rng)
+        if centers is None:
+            return _dedupe(pts[np.argsort(pts[:, 0], kind="stable")])
         centers, sse = _lloyd(pts, centers, max_iter)
         if sse < best_sse - 1e-15 or best is None:
             best, best_sse = centers.copy(), sse

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_utils
-from swingsim import perception
+from swingsim import config, perception
+from swingsim.human_model import GaitIntent
 from swingsim.perception import kmeans_prune
 from swingsim.sim_harness import (
     CampaignConfig,
@@ -61,41 +62,59 @@ def test_kmeans_prune_equals_reference(profile, seed, restarts):
 @given(profiles(), st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_lockstep_seeding_equals_sequential_reference(profile, seed, restarts):
     # every restart's centers, and the stream left behind, are those of the
-    # reference's restart-by-restart loop
+    # reference's restart-by-restart loop; None exactly when some restart's
+    # weights total 0 before its last center
     pts, k = profile
     pts = np.asarray(pts, dtype=float)
     k = min(k, len(pts))
     mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = perception._kmeans_pp_init(pts, k, mine, restarts)
-    want = [oracle_utils._kmeans_pp_init(pts, k, ref) for _ in range(restarts)]
-    assert np.array_equal(got, np.array(want))
-    assert mine.bit_generator.state == ref.bit_generator.state
+    got = perception._seed_lockstep(pts, k, mine, restarts)
+    want = [oracle_utils._kmeans_pp_centers(pts, k, ref) for _ in range(restarts)]
+    assert (got is None) == any(w is None for w in want)
+    if got is not None:
+        assert np.array_equal(got, np.array(want))
+        assert mine.bit_generator.state == ref.bit_generator.state
 
 
 def test_lockstep_seeding_when_restarts_reach_zero_weight_at_different_steps():
     # (0, 0)-(2e-162, 0) squares to the smallest subnormal, while the middle
     # point squares to 0 against either end: a restart that starts on the
     # middle point has zero weights at step 1, one that starts on an end at
-    # step 2, so the restarts' own loops draw integers(n, size=k - i) at
-    # different steps
+    # step 2. Either way the points lie at distance 0 from fewer than k
+    # centers, so seeding gives up and kmeans_prune returns the profile sorted
+    # and deduplicated, as the reference does; the second profile has more
+    # points than k, so only that early return keeps it from Lloyd
     line = [(0.0, 0.0), (1e-162, 0.0), (2e-162, 0.0)]
     for pts, k in ((line, 3), (line + [(1.0, x) for x, _ in line], 5)):
         pts = np.array(pts)
+        as_is = perception._dedupe(pts[np.argsort(pts[:, 0], kind="stable")])
         for seed in range(30):
-            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = perception._kmeans_pp_init(pts, k, mine, 8)
-            want = [oracle_utils._kmeans_pp_init(pts, k, ref) for _ in range(8)]
-            assert np.array_equal(got, np.array(want)), seed
-            assert mine.bit_generator.state == ref.bit_generator.state
+            assert perception._seed_lockstep(pts, k, np.random.default_rng(seed), 8) is None
+            ref = np.random.default_rng(seed)
+            assert oracle_utils._kmeans_pp_centers(pts, k, ref) is None, seed
+            got = kmeans_prune(pts, k, seed, restarts=8)
+            assert got == as_is, seed
+            assert got == oracle_utils.kmeans_prune(pts, k, seed, restarts=8), seed
 
 
-def test_kmeans_prune_empty_cluster_path_equals_reference():
-    # Three distinct locations and k = 5: k-means++ has to place centers on
-    # duplicates, so at most three clusters are non-empty in the first Lloyd
-    # iteration of every restart and the sequential reseed runs.
-    pts = [(0.0, 0.0)] * 6 + [(1.0, 0.0)] * 6 + [(0.5, 0.2)]
-    got = kmeans_prune(pts, k=5, seed=3, restarts=20)
-    want = oracle_utils.kmeans_prune(pts, k=5, seed=3, restarts=20)
+def test_kmeans_prune_empty_cluster_path_equals_reference(monkeypatch):
+    # 14 distinct points on a line and k = 5, so seeding never runs out of
+    # weight; from seed 62 the second restart's Lloyd empties a cluster, and
+    # the reseed (the only _sqdist call against a single center) runs
+    xs = [1.15, 2.05, 0.1, 0.17, 1.4, 1.65, 1.24, 0.44, 0.54, 1.32, 0.24, 0.67, 2.36, 1.27]
+    pts = [(x, 0.0) for x in xs]
+    reseeds = []
+    sqdist = perception._sqdist
+
+    def spy(px, pz, cx, cz, out=None, dz=None):
+        if np.ndim(cx) == 0:
+            reseeds.append((cx, cz))
+        return sqdist(px, pz, cx, cz, out=out, dz=dz)
+
+    monkeypatch.setattr(perception, "_sqdist", spy)
+    got = kmeans_prune(pts, k=5, seed=62, restarts=8)
+    assert reseeds
+    want = oracle_utils.kmeans_prune(pts, k=5, seed=62, restarts=8)
     assert got.keypoints == want.keypoints
     assert_plain_floats(got)
 
@@ -145,12 +164,12 @@ def test_choice_index_refuses_non_finite_total_like_choice(d2):
         perception._choice_rows(rows, totals, np.full(2, 0.5), np.empty(rows.shape))
 
 
-def test_kmeans_pp_init_raises_on_nan_distance():
+def test_seed_lockstep_raises_on_nan_distance():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [math.nan, 0.0], [2.0, 0.5]])
     for seed in range(4):
         for restarts in (1, 3):
             with pytest.raises(ValueError):
-                perception._kmeans_pp_init(pts, 3, np.random.default_rng(seed), restarts)
+                perception._seed_lockstep(pts, 3, np.random.default_rng(seed), restarts)
 
 
 def test_lloyd_reseeds_two_empty_clusters_at_different_points():
@@ -169,8 +188,13 @@ def test_lloyd_reseeds_two_empty_clusters_at_different_points():
         assert sorted(centers.tolist()) == [[0.05, 0.0], [5.0, 0.0], [10.0, 0.0]]
 
 
-def refuse_seed_one(*args):
-    raise AssertionError("seeded restart by restart")
+seed_lockstep = perception._seed_lockstep
+
+
+def seed_lockstep_never_none(*args):
+    seeded = seed_lockstep(*args)
+    assert seeded is not None, "a capture with nothing to prune"
+    return seeded
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.003])
@@ -184,11 +208,58 @@ def test_perceive_keypoints_equal_reference_on_campaign_scenes(monkeypatch, nois
         seeds = trial_seeds(cfg.seed)[:2]
         with monkeypatch.context() as m:
             # no campaign profile has fewer distinct points than k, so every
-            # capture seeds in lockstep
-            m.setattr(perception, "_seed_one", refuse_seed_one)
+            # capture is seeded and pruned by Lloyd
+            m.setattr(perception, "_seed_lockstep", seed_lockstep_never_none)
             target, kps, _, _ = perceive(cfg, *seeds)
         with monkeypatch.context() as m:
             m.setattr(perception, "kmeans_prune", oracle_utils.kmeans_prune)
             ref_target, ref_kps, _, _ = perceive(cfg, *seeds)
         assert kps.keypoints == ref_kps.keypoints, spec
         assert target == ref_target, spec
+
+
+RAYS_VERTICAL = next(f for f in config.CAMERA if f.key == "rays_vertical")
+
+
+def test_perceive_cost_stays_bounded_over_rays_vertical(monkeypatch):
+    # Counted, not timed. Over the camera table's rays_vertical range (every
+    # value to 100, every 25th past it) on step-over scenes, no Lloyd run
+    # reaches LLOYD_MAX_ITER iterations and no capture makes more than 10x
+    # the _sqdist calls of the scene's default capture. At rays_vertical 30
+    # the profile has fewer distinct points than k, so Lloyd never runs; it
+    # used to cycle to max_iter there, ~16,000 calls in one capture.
+    calls = {"sqdist": 0, "matrix": 0, "lloyd": 0}
+    sqdist, lloyd = perception._sqdist, perception._lloyd
+
+    def counted_sqdist(px, pz, cx, cz, out=None, dz=None):
+        calls["sqdist"] += 1
+        calls["matrix"] += np.ndim(px) == 2  # one per Lloyd iteration
+        return sqdist(px, pz, cx, cz, out=out, dz=dz)
+
+    def counted_lloyd(*args):
+        calls["lloyd"] += 1
+        start = calls["matrix"]
+        out = lloyd(*args)
+        assert calls["matrix"] - start < perception.LLOYD_MAX_ITER
+        return out
+
+    monkeypatch.setattr(perception, "_sqdist", counted_sqdist)
+    monkeypatch.setattr(perception, "_lloyd", counted_lloyd)
+
+    def count(cfg, seeds):
+        calls.update(sqdist=0, matrix=0, lloyd=0)
+        perceive(cfg, *seeds)
+        return dict(calls)
+
+    rays = [*range(RAYS_VERTICAL.lo, 101), *range(125, RAYS_VERTICAL.hi + 1, 25)]
+    cc = CampaignConfig(seed=2024)
+    step_overs = [s for s in build_trial_specs(cc) if s.intent is GaitIntent.STEP_OVER]
+    for spec in step_overs[::50]:
+        cfg = trial_config_for(cc, spec)
+        seeds = trial_seeds(cfg.seed)[:2]
+        default = count(cfg, seeds)["sqdist"]
+        for rv in rays:
+            got = count(replace(cfg, camera=replace(cfg.camera, rays_vertical=rv)), seeds)
+            assert got["sqdist"] <= 10 * default, (spec, rv, got, default)
+            if rv == 30:
+                assert got["lloyd"] == 0, spec
