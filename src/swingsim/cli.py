@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_CONFIG = 2
 
+# more workers than cores only adds processes
+JOBS = config.Field("jobs", "jobs", int, 1, os.cpu_count() or 1)
+
 
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("SWINGSIM_OUT") or "swingsim_out"
@@ -220,6 +223,7 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             config.check("--seed", config.SEED, args.seed)
+        config.check("--jobs", JOBS, args.jobs)
         return args.func(args, argv)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

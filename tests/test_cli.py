@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from swingsim import cli
 from swingsim.cli import main
 from swingsim.config import dump_scenario, load_scenario, parse_scenario
 from swingsim.sim_harness import TrialConfig, capture_state
@@ -252,3 +254,20 @@ def test_bad_input_exits_2_with_key_path(argv, data, path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert path in err
+
+
+def refuse_campaign(*args, **kwargs):
+    raise AssertionError("a campaign ran")
+
+
+@pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1],
+                         ids=["zero", "negative", "cpu_count+1"])
+def test_jobs_outside_one_to_cpu_count_exits_2_before_any_campaign(jobs, tmp_path, capsys,
+                                                                    monkeypatch):
+    # 0 and -1 used to run serial, and cpu_count + 1 asked mp.Pool for that
+    # many processes
+    monkeypatch.setattr(cli, "run_campaign", refuse_campaign)
+    assert main(["--out", str(tmp_path / "o"), "--jobs", str(jobs), "campaign"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "--jobs" in err
