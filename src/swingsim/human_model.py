@@ -23,12 +23,18 @@ import numpy as np
 
 from .leg_kinematics import DEG, HipPose
 
-# Hip height with the trailing toe grounded in the late-stance capture pose;
-# see sim_harness.CAPTURE_* for the pose that pins this value.
+# Hip height above the ground at the start of every preset swing and in the
+# late-stance capture pose (sim_harness.CAPTURE_*), where it leaves the
+# capture toe about 0.023 m up.
 HIP_BASE_DEFAULT = 0.8875
 
 # duration of the smooth progression stop, seconds
 PROGRESSION_RAMP_S = 0.08
+
+# aim_step_on_progression's preset-level landing estimate: the hip angle at
+# landing, and the heel's x offset back from thigh * sin(that angle), in m
+AIM_LANDING_THETA_H = 47.0 * DEG
+AIM_HEEL_BACK = 0.032
 
 
 class GaitIntent(Enum):
@@ -237,8 +243,7 @@ def hip_pose(params: HipTrajectoryParams, t: float, seed: Optional[int] = None) 
 
 
 def aim_step_on_progression(params: HipTrajectoryParams, box_front_rel_hip: float,
-                            box_depth: float, landing_theta_h: float = 47.0 * DEG,
-                            heel_back: float = 0.032, thigh: float = 0.44) -> HipTrajectoryParams:
+                            box_depth: float, thigh: float) -> HipTrajectoryParams:
     """Cooperative aiming: pick the progression stop so the heel lands on the
     box top.
 
@@ -248,7 +253,7 @@ def aim_step_on_progression(params: HipTrajectoryParams, box_front_rel_hip: floa
     the box span with margin.
     """
     inset = min(0.06, 0.4 * box_depth)
-    heel_rel_hip = thigh * math.sin(landing_theta_h) - heel_back
+    heel_rel_hip = thigh * math.sin(AIM_LANDING_THETA_H) - AIM_HEEL_BACK
     progression = max(0.0, box_front_rel_hip + inset - heel_rel_hip)
     # the smooth stop adds speed * ramp/2 of travel past the stop time
     t_stop = max(0.0, progression / params.forward_speed - PROGRESSION_RAMP_S / 2.0)

@@ -36,9 +36,9 @@ class LegGeometry:
 class HipPose:
     """User hip state in the world frame."""
 
-    x_h: float = 0.0            # m, forward
-    z_h: float = 0.885          # m, height
-    theta_h: float = 0.0        # rad, thigh from vertical, + forward
+    x_h: float                  # m, forward
+    z_h: float                  # m, height
+    theta_h: float              # rad, thigh from vertical, + forward
     theta_h_dot: float = 0.0    # rad/s
 
     def __post_init__(self):

@@ -309,11 +309,10 @@ def _classify(contact: Optional[Contact], cfg: TrialConfig) -> tuple:
         if surface is not Surface.GROUND:
             out = Outcome.TRIP
         else:
-            beyond = all(contact.x > b.back_x or contact.x < b.front_x
-                         for b in cfg.scene.boxes)
+            # contact_check lands on the ground only outside every box span
             clear_of_crossed = all(contact.x > b.back_x for b in cfg.scene.boxes
                                    if b.front_x < contact.x)
-            out = Outcome.SUCCESS_STEP_OVER if (beyond and clear_of_crossed) else Outcome.SCUFF
+            out = Outcome.SUCCESS_STEP_OVER if clear_of_crossed else Outcome.SCUFF
     return out, contact.x, surface
 
 

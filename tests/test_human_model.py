@@ -129,8 +129,8 @@ def test_sample_horizon():
 
 def test_aim_step_on_progression_targets_box():
     p = preset(GaitIntent.STEP_ON)
-    near = aim_step_on_progression(p, box_front_rel_hip=0.28, box_depth=0.15)
-    far = aim_step_on_progression(p, box_front_rel_hip=0.48, box_depth=0.15)
+    near = aim_step_on_progression(p, box_front_rel_hip=0.28, box_depth=0.15, thigh=0.44)
+    far = aim_step_on_progression(p, box_front_rel_hip=0.48, box_depth=0.15, thigh=0.44)
     assert near.progression_stop_fraction < far.progression_stop_fraction
     # landing heel between front and back of the box for the far case
     thigh, heel_back = 0.44, 0.032

@@ -97,6 +97,6 @@ def test_geometry_validation():
     with pytest.raises(ValueError):
         LegGeometry(heel_m=-0.01)
     with pytest.raises(ValueError):
-        HipPose(z_h=-0.1)
+        HipPose(x_h=0.0, z_h=-0.1, theta_h=0.0)
     with pytest.raises(ValueError):
-        HipPose(theta_h=2.0)
+        HipPose(x_h=0.0, z_h=0.885, theta_h=2.0)
