@@ -6,6 +6,9 @@ progression follow closed-form C1 profiles. Landing is never scripted; the
 profiles keep evolving past the nominal swing duration and the harness ends
 the swing on foot contact. Interaction with the prosthesis emerges entirely
 through the phase predicates of the planner (relative heel/hip geometry).
+Since the hip never depends on the knee, the harness reads each swing's hip
+from a hip_track shared by every trial on the same trajectory, sampled once
+per tick time.
 
 The late-swing cues the controller relies on are expressed as parameters:
 forward progression that stops early (shortens the step), hip lowering plus
@@ -240,6 +243,58 @@ def hip_pose(params: HipTrajectoryParams, t: float, seed: Optional[int] = None) 
         theta_h=ang + n_ang,
         theta_h_dot=vel + n_vel,
     )
+
+
+# Trajectories hip_track keeps. A campaign runs each trajectory's trials back
+# to back (its 210 trials resolve to 32: one per intent preset and one per
+# aimed step-on box), and a shuffled mix finds its few shared presets among
+# the last 8. A track holds ~0.2 KB per tick, up to 0.35 MB at the 2x
+# horizon; keeping all 32 of a campaign added ~4 MB, a tenth of its peak RSS.
+HIP_TRACK_CACHE_SIZE = 8
+
+
+class HipTrack:
+    """The hip poses one trajectory presents to the controller, tick by tick.
+
+    track[i] is the pose at the i-th tick time t_i, where t_0 = 0.0 and
+    t_{i+1} = t_i + dt, the float operation the harness loop repeats. Its
+    rate is the exact average over the coming tick,
+    (theta_h(t_{i+1}) - theta_h(t_i)) / dt. The planner's velocity command
+    is held for one tick, so the hip velocity the controller should
+    synchronize with is the ground-truth displacement over that tick;
+    feeding the instantaneous rate instead would leak the hip's intra-tick
+    curvature into the knee command and let the mirror lock drift.
+
+    Poses are sampled on first read: track[i] samples hip_pose up to t_{i+1}
+    and no further, so a swing that ends at contact samples nothing past it.
+    Extending is not locked: trials that share a process must run one at a
+    time, as they do (run_campaign parallelizes over processes).
+    """
+
+    __slots__ = ("params", "seed", "dt", "_poses", "_t", "_raw")
+
+    def __init__(self, params: HipTrajectoryParams, seed: Optional[int], dt: float):
+        self.params, self.seed, self.dt = params, seed, dt
+        self._poses = []
+        self._t, self._raw = 0.0, hip_pose(params, 0.0, seed)   # sampled, not yet in _poses
+
+    def __getitem__(self, i: int) -> HipPose:
+        poses, dt = self._poses, self.dt
+        while len(poses) <= i:
+            now, t = self._raw, self._t + dt
+            nxt = hip_pose(self.params, t, self.seed)
+            poses.append(HipPose(x_h=now.x_h, z_h=now.z_h, theta_h=now.theta_h,
+                                 theta_h_dot=(nxt.theta_h - now.theta_h) / dt))
+            self._raw, self._t = nxt, t   # only once the pose is in: a raise leaves no gap
+        return poses[i]
+
+
+@lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)
+def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> HipTrack:
+    """The shared HipTrack of one trajectory. The hip is open loop: its poses
+    depend only on (params, seed, dt), never on the knee, so every trial on
+    the same trajectory reads the same poses."""
+    return HipTrack(params, seed, dt)
 
 
 def aim_step_on_progression(params: HipTrajectoryParams, box_front_rel_hip: float,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 DEG = math.pi / 180.0
 
@@ -57,9 +58,12 @@ class JointState:
     theta_k_ddot: float = 0.0   # rad/s^2
 
 
-@dataclass(frozen=True)
-class FootPoints:
-    """Forward-kinematics output; all points world-frame (x, z) in meters."""
+class FootPoints(NamedTuple):
+    """Forward-kinematics output; all points world-frame (x, z) in meters.
+
+    A NamedTuple, not a frozen dataclass: one is built per tick, and the
+    tuple is the cheaper immutable record to build and read.
+    """
 
     knee: tuple
     ankle: tuple
@@ -89,7 +93,7 @@ def forward_points(geom: LegGeometry, hip: HipPose, theta_k: float) -> FootPoint
     tz = az + geom.toe_m * ss
     lx = ax - geom.heel_m * cs
     lz = az - geom.heel_m * ss
-    return FootPoints(knee=(kx, kz), ankle=(ax, az), toe=(tx, tz), heel=(lx, lz), shank_angle=ts)
+    return FootPoints((kx, kz), (ax, az), (tx, tz), (lx, lz), ts)
 
 
 def toe_point(geom: LegGeometry, x_h: float, z_h: float, theta_h: float,

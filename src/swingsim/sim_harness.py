@@ -1,9 +1,10 @@
 """Closed-loop swing trials at 1 kHz and randomized trial campaigns.
 
 One trial is a single swing: a late-stance perception capture fixes the
-control target, the swing starts at toe-off, and each tick samples the
-human hip, runs the planner, integrates the commanded knee velocity
-(ideally or through a first-order lag), and checks for contact. Geometric
+control target, the swing starts at toe-off, and each tick reads the
+human hip from the trajectory's shared hip_track (the hip is open loop),
+runs the planner, integrates the commanded knee velocity (ideally or
+through a first-order lag), and checks for contact. Geometric
 contact stands in for the hardware's ground-reaction threshold: landing is
 only recognized in the mirror sub-mode with the foot moving down; any other
 surface intersection is a trip (obstacle) or scuff (ground).
@@ -346,23 +347,9 @@ def run_swing(cfg: TrialConfig) -> tuple:
     dt = params.dt
     t = 0.0
     noise_seed = s_noise if human.noise_sigma > 0.0 else None
-
-    def hip_at(tt: float, now: HipPose) -> tuple:
-        """Hip pose whose rate is the exact average over the coming tick.
-
-        The planner's velocity command is held for one tick, so the hip
-        velocity the controller should synchronize with is the ground-truth
-        displacement over that tick; feeding the instantaneous rate instead
-        would leak the hip's intra-tick curvature into the knee command and
-        let the mirror lock drift. `now` is the sampled pose at tt; the pose
-        at tt + dt is returned with the result and serves as the next tick's
-        `now`, since the loop's `t += dt` is the same float operation.
-        """
-        nxt = human_model.hip_pose(human, tt + dt, noise_seed)
-        return HipPose(x_h=now.x_h, z_h=now.z_h, theta_h=now.theta_h,
-                       theta_h_dot=(nxt.theta_h - now.theta_h) / dt), nxt
-
-    hip, nxt = hip_at(t, human_model.hip_pose(human, t, noise_seed))
+    track = human_model.hip_track(human, noise_seed, dt)
+    i = 0
+    hip = track[0]
     joint = JointState(theta_k=TOE_OFF_THETA_K, theta_k_dot=0.0, theta_k_ddot=0.0)
     state = PhaseState()
     log = StepLog()
@@ -385,20 +372,20 @@ def run_swing(cfg: TrialConfig) -> tuple:
             cmd.knee_vel_cmd, joint.theta_k_dot, hip.x_h, hip.z_h, toe[0], toe[1],
             heel[0], heel[1], target.z_m, target.x_c, cmd.slope, cmd.c_t, cmd.gamma_1))
 
-        # integrate the velocity command over [t, t + dt)
+        # integrate the velocity command over [t, t + dt), updating joint in place
+        theta_k, v_prev = joint.theta_k, joint.theta_k_dot
         if tau > 0.0:
-            v_new = joint.theta_k_dot + (dt / tau) * (cmd.knee_vel_cmd - joint.theta_k_dot)
+            v_new = v_prev + (dt / tau) * (cmd.knee_vel_cmd - v_prev)
         else:
             v_new = cmd.knee_vel_cmd
-        theta_k_new = joint.theta_k + v_new * dt
-        theta_k_new = min(max(theta_k_new, 0.0), params.knee_limit)
-        v_actual = (theta_k_new - joint.theta_k) / dt
-        a_actual = (v_actual - joint.theta_k_dot) / dt
-        joint = JointState(theta_k=theta_k_new, theta_k_dot=v_actual,
-                           theta_k_ddot=a_actual)
+        theta_k_new = min(max(theta_k + v_new * dt, 0.0), params.knee_limit)
+        v_actual = (theta_k_new - theta_k) / dt
+        joint.theta_k, joint.theta_k_dot = theta_k_new, v_actual
+        joint.theta_k_ddot = (v_actual - v_prev) / dt
 
         t += dt
-        hip, nxt = hip_at(t, nxt)
+        i += 1
+        hip = track[i]
         pts = forward_points(geom, hip, joint.theta_k)
         heel, toe = pts.heel, pts.toe
         peak_flex = max(peak_flex, joint.theta_k)

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # forward_points is unused here, but perfbench/tracer.py patches this import site
 from .leg_kinematics import (DEG, FootPoints, HipPose, JointState, LegGeometry, forward_points,
@@ -88,8 +88,9 @@ class PhaseState:
     last_k2: float = 0.0                    # fallback when the boundary query fails
 
 
-@dataclass(frozen=True)
-class PlannerCommand:
+class PlannerCommand(NamedTuple):
+    """One tick's output; a NamedTuple for the same reason as FootPoints."""
+
     knee_vel_cmd: float      # rad/s, after blending
     phase_after: PhaseState
     slope: float = 0.0       # active slope (k_1, k_2 or converge gain), for logging
@@ -376,6 +377,5 @@ def planner_step(geom: LegGeometry, hip: HipPose, joint: JointState, pts: FootPo
 
     cmd, g1 = blend_command(raw, joint.theta_k_dot, state, params)
     state.ticks_in_phase += 1
-    return PlannerCommand(knee_vel_cmd=cmd, phase_after=state, slope=slope, c_t=c_t,
-                          gamma_1=g1)
+    return PlannerCommand(cmd, state, slope, c_t, g1)
 

@@ -17,6 +17,7 @@ from oracle_utils import GEOM, LIMIT, brute_force_kmeans_sse, grid_boundary, kme
 
 from swingsim.leg_kinematics import DEG, HipPose
 from swingsim.perception import Box, ObstacleScene, kmeans_prune
+from swingsim import human_model
 from swingsim.human_model import GaitIntent
 from swingsim.swing_planner import (
     Phase,
@@ -33,9 +34,12 @@ from swingsim.sim_harness import (
     TrialConfig,
     capture_state,
     perceive,
+    resolve_human,
     run_campaign,
     run_swing,
     summary_json,
+    trial_config_for,
+    trial_seeds,
 )
 
 CAMPAIGN_SEED = 2024
@@ -44,9 +48,20 @@ CAMPAIGN_SEED = 2024
 @pytest.fixture(scope="session")
 def campaign():
     cc = CampaignConfig.reproduction_profile(seed=CAMPAIGN_SEED)
-    t0 = time.time()
-    result = run_campaign(cc, keep_logs=True)
-    result.runtime_s = time.time() - t0
+    calls = [0]
+    real = human_model.hip_pose
+
+    def counting(params, t, seed=None):
+        calls[0] += 1
+        return real(params, t, seed)
+
+    human_model.hip_track.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(human_model, "hip_pose", counting)
+        t0 = time.time()
+        result = run_campaign(cc, keep_logs=True)
+        result.runtime_s = time.time() - t0
+    result.hip_pose_calls = calls[0]
     return cc, result
 
 
@@ -69,6 +84,27 @@ def test_criterion_1_campaign_reproduction(campaign):
     assert res.runtime_s < 60.0
     print(f"\n[criterion 1] PASS: {n_ok}/{n} trials successful "
           f"({len(overs)} step-overs, {len(ons)} step-ons) in {res.runtime_s:.1f} s")
+
+
+def test_campaign_samples_each_hip_trajectory_once(campaign):
+    # The hip is open loop, so trials on one trajectory share its samples:
+    # each distinct (params, noise seed, dt) costs its longest swing's
+    # len(rows) + 2 hip_pose calls, where every trial used to pay its own.
+    cc, res = campaign
+    longest = {}
+    for spec, log in zip(res.specs, res.logs):
+        cfg = trial_config_for(cc, spec)
+        human = resolve_human(cfg)
+        noise_seed = trial_seeds(cfg.seed)[2] if human.noise_sigma > 0.0 else None
+        key = (human, noise_seed, cfg.planner.dt)
+        longest[key] = max(longest.get(key, 0), len(log.rows))
+    ticks = sum(len(log.rows) for log in res.logs)
+    # one step-over preset, one level preset, and one aim per step-on box
+    assert len(longest) == 32
+    assert res.hip_pose_calls == sum(n + 2 for n in longest.values())
+    print(f"\n[hip track] PASS: {res.hip_pose_calls} hip_pose calls over {len(longest)} "
+          f"trajectories, {res.hip_pose_calls / ticks:.3f} per tick "
+          f"({ticks + 2 * len(res.logs)} when each trial sampled its own)")
 
 
 def test_criterion_2_failure_mode_beyond_lookahead():

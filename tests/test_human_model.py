@@ -4,12 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swingsim.leg_kinematics import DEG
+from swingsim import human_model
+from swingsim.leg_kinematics import DEG, HipPose
 from swingsim.human_model import (
     GaitIntent,
     HipTrajectoryParams,
     aim_step_on_progression,
     hip_pose,
+    hip_track,
     preset,
 )
 from swingsim.sim_harness import TIMEOUT_FACTOR
@@ -149,3 +151,70 @@ def test_params_validation():
         HipTrajectoryParams(swing_duration=0.6, progression_stop_fraction=1.5)
     with pytest.raises(ValueError):
         HipTrajectoryParams(swing_duration=0.6, rise_fraction=0.0)
+
+
+def hip_at_reference(params, seed, dt):
+    """Every pose a swing to the timeout horizon reads, built as run_swing's
+    hip_at closure built them before hip_track: a direct hip_pose call per
+    tick time, the rate replaced by the average over the coming tick."""
+    horizon = TIMEOUT_FACTOR * params.swing_duration
+    t = 0.0
+    now = hip_pose(params, t, seed)
+    poses = []
+    while True:
+        nxt = hip_pose(params, t + dt, seed)
+        poses.append(HipPose(x_h=now.x_h, z_h=now.z_h, theta_h=now.theta_h,
+                             theta_h_dot=(nxt.theta_h - now.theta_h) / dt))
+        if not t < horizon + dt / 2:   # run_swing's loop condition
+            return poses
+        t += dt
+        now = nxt
+
+
+NOISY = replace(preset(GaitIntent.STEP_OVER), noise_sigma=1.0 * DEG)
+TRAJECTORIES = [(preset(i), None) for i in GaitIntent] + [(NOISY, 3), (NOISY, 4)]
+
+
+@pytest.mark.parametrize("dt", [0.0005, 0.001, 0.005])
+@pytest.mark.parametrize("params,seed", TRAJECTORIES,
+                         ids=[i.value for i in GaitIntent] + ["noisy-seed3", "noisy-seed4"])
+def test_hip_track_equals_direct_hip_pose_construction(params, seed, dt):
+    hip_track.cache_clear()
+    ref = hip_at_reference(params, seed, dt)
+    track = hip_track(params, seed, dt)
+    # read out of order: the last pose first extends the track to the horizon
+    assert track[len(ref) - 1] == ref[-1]
+    assert [track[i] for i in range(len(ref))] == ref
+    assert hip_track(params, seed, dt) is track
+
+
+def test_hip_tracks_of_different_noise_seeds_differ():
+    a, b = hip_track(NOISY, 3, 0.001), hip_track(NOISY, 4, 0.001)
+    assert a is not b
+    assert [a[i] for i in range(600)] != [b[i] for i in range(600)]
+    # and the noise is there at all
+    assert hip_track(preset(GaitIntent.STEP_OVER), None, 0.001)[300] != a[300]
+
+
+def test_hip_track_samples_lazily_and_recovers_from_an_invalid_pose(monkeypatch):
+    calls = []
+    real = human_model.hip_pose
+
+    def counting(params, t, seed=None):
+        calls.append(t)
+        if len(calls) == 6:
+            raise ValueError("refused")
+        return real(params, t, seed)
+
+    monkeypatch.setattr(human_model, "hip_pose", counting)
+    hip_track.cache_clear()
+    params = preset(GaitIntent.LEVEL)
+    track = hip_track(params, None, 0.001)
+    assert calls == [0.0]             # the pose at t_0, nothing ahead of it
+    track[3]
+    assert len(calls) == 5            # t_0 .. t_4: pose 3's rate needs t_4
+    with pytest.raises(ValueError, match="refused"):
+        track[4]
+    # the failed sample left nothing behind: the track resumes at t_5
+    assert track[4] == hip_at_reference(params, None, 0.001)[4]
+    assert len(calls) == 7

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from swingsim.config import parse_campaign
-from swingsim.leg_kinematics import HipPose, FootPoints, forward_points
+from swingsim.leg_kinematics import DEG, HipPose, FootPoints, forward_points
 from swingsim.perception import Box, ObstacleScene
 from swingsim.human_model import GaitIntent
 from swingsim.swing_planner import Phase
@@ -185,10 +185,43 @@ def test_run_swing_samples_hip_once_per_tick(monkeypatch):
         return real(params, t, seed)
 
     monkeypatch.setattr(human_model, "hip_pose", counting)
-    log, _ = run_swing(TrialConfig(intent=GaitIntent.LEVEL, seed=11))
+    human_model.hip_track.cache_clear()
+    cfg = TrialConfig(intent=GaitIntent.LEVEL, seed=11)
+    log, _ = run_swing(cfg)
     # the poses at 0 and dt before the loop, then one look-ahead per tick
     assert len(calls) == len(log.rows) + 2
     assert calls == sorted(set(calls))
+    # the hip is open loop: an identical trial reads the same track
+    calls.clear()
+    again, _ = run_swing(cfg)
+    assert calls == []
+    assert steplog_text(again) == steplog_text(log)
+
+
+def steplog_text(log):
+    # rows hold NaN (c_t before phase three), so compare them as written
+    return [ROW_FORMAT % row for row in log.rows]
+
+
+def test_run_swing_rows_equal_with_warm_and_cleared_hip_track():
+    from swingsim import human_model
+    # 1 deg of hip noise, so the track's key carries the trial's noise seed
+    human = replace(human_model.preset(GaitIntent.STEP_OVER), noise_sigma=1.0 * DEG)
+    base = TrialConfig(intent=GaitIntent.STEP_OVER, human=human, seed=11)
+    _, pts = capture_state(base)
+    # one trajectory, two swing lengths: a step-over, and a trip on a 0.16 m
+    # box at 0.9 m
+    long_, short = (replace(base, scene=ObstacleScene(boxes=(
+        Box(front_x=pts.toe[0] + d, height=h),))) for d, h in ((0.6, 0.08), (0.9, 0.16)))
+
+    cold = {}
+    for cfg in (long_, short):
+        human_model.hip_track.cache_clear()
+        cold[cfg] = steplog_text(run_swing(cfg)[0])
+    assert len(cold[short]) < len(cold[long_])
+    # the long swing extends the short one's track; the short one reads a prefix
+    for cfg in (long_, short):
+        assert steplog_text(run_swing(cfg)[0]) == cold[cfg]
 
 
 def test_run_swing_evaluates_kinematics_once_per_tick(monkeypatch):
