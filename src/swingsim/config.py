@@ -253,12 +253,16 @@ def dump_scenario(cfg: TrialConfig) -> dict:
 
 def parse_campaign(data) -> CampaignConfig:
     """Validate a parsed campaign mapping; missing keys keep the reproduction
-    profile. A distance range starting under the toe-off foot is rejected."""
+    profile. A campaign of no trials, and a distance range starting under the
+    toe-off foot, are rejected."""
     fields = _fields("campaign", CAMPAIGN, data)
     cc = CampaignConfig.reproduction_profile()
     if TAU.attr in fields:
         fields["base"] = _build("campaign", cc.base, {TAU.attr: fields.pop(TAU.attr)})
     cc = replace(cc, **fields)
+    if cc.n_step_over + cc.n_step_on + cc.n_level == 0:
+        raise ConfigError("campaign: n_step_over, n_step_on and n_level are all 0; "
+                          "a campaign needs at least one trial")
     boxes = [(DISTANCES, GaitIntent.STEP_OVER, h) for h in cc.heights] if cc.n_step_over else []
     if cc.n_step_on:
         boxes.append((STEP_ON_DISTANCES, GaitIntent.STEP_ON, cc.step_on_height))

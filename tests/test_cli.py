@@ -230,6 +230,9 @@ BAD_INPUTS = [
      "campaign.distance_range_m[0]"),
     (["campaign", "FILE"], {"step_on_distance_range_m": [0.063, 0.7]},
      "campaign.step_on_distance_range_m[0]"),
+    # ran no trial and passed expect_all_success with "0/0 successful (0.0%)"
+    (["campaign", "FILE"], {"n_step_over": 0, "n_step_on": 0, "n_level": 0},
+     "campaign: n_step_over, n_step_on and n_level are all 0"),
     (["run", "FILE"], {"trial": {"kmeans_k": 0}}, "trial.kmeans_k"),
     (["run", "FILE"], {"trial": {"kmeans_restarts": -4}}, "trial.kmeans_restarts"),
     (["run", "FILE"], {"trial": {"tau_s": -0.05}}, "trial.tau_s"),
