@@ -248,8 +248,8 @@ def hip_pose(params: HipTrajectoryParams, t: float, seed: Optional[int] = None) 
 # Trajectories hip_track keeps. A campaign runs each trajectory's trials back
 # to back (its 210 trials resolve to 32: one per intent preset and one per
 # aimed step-on box), and a shuffled mix finds its few shared presets among
-# the last 8. A track holds ~0.2 KB per tick, up to 0.35 MB at the 2x
-# horizon; keeping all 32 of a campaign added ~4 MB, a tenth of its peak RSS.
+# the last 8. A track holds ~0.17 KB per tick, up to 0.27 MB at the 2x
+# horizon; at ~0.2 KB, keeping all 32 of a campaign added ~4 MB (+10% RSS).
 HIP_TRACK_CACHE_SIZE = 8
 
 
@@ -289,12 +289,10 @@ class HipTrack:
         return poses[i]
 
 
-@lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)
-def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> HipTrack:
-    """The shared HipTrack of one trajectory. The hip is open loop: its poses
-    depend only on (params, seed, dt), never on the knee, so every trial on
-    the same trajectory reads the same poses."""
-    return HipTrack(params, seed, dt)
+# The shared HipTrack of one trajectory, hip_track(params, seed, dt). The hip
+# is open loop: its poses depend only on (params, seed, dt), never on the
+# knee, so every trial on the same trajectory reads the same poses.
+hip_track = lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)(HipTrack)
 
 
 def aim_step_on_progression(params: HipTrajectoryParams, box_front_rel_hip: float,

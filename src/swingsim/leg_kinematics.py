@@ -33,7 +33,7 @@ class LegGeometry:
                 raise ValueError(f"LegGeometry.{name} must be strictly positive, got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HipPose:
     """User hip state in the world frame."""
 
@@ -69,7 +69,6 @@ class FootPoints(NamedTuple):
     ankle: tuple
     toe: tuple
     heel: tuple
-    shank_angle: float  # rad, = theta_h - theta_k
 
 
 def forward_points(geom: LegGeometry, hip: HipPose, theta_k: float) -> FootPoints:
@@ -93,7 +92,7 @@ def forward_points(geom: LegGeometry, hip: HipPose, theta_k: float) -> FootPoint
     tz = az + geom.toe_m * ss
     lx = ax - geom.heel_m * cs
     lz = az - geom.heel_m * ss
-    return FootPoints((kx, kz), (ax, az), (tx, tz), (lx, lz), ts)
+    return FootPoints((kx, kz), (ax, az), (tx, tz), (lx, lz))
 
 
 def toe_point(geom: LegGeometry, x_h: float, z_h: float, theta_h: float,

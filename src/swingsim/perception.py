@@ -405,9 +405,6 @@ def extract_estimate(keypoints: ElevationKeypoints, toe: tuple,
     """
     x_t, z_t = toe
     kps = keypoints.keypoints
-    if not kps:
-        return ObstacleEstimate(z_m_prime=z_t, x_c_raw=None)
-
     ahead = [z for x, z in kps if x > x_t]
     z_m_prime = max(ahead) if ahead else z_t
 

@@ -173,11 +173,9 @@ class Contact:
 def capture_state(cfg: TrialConfig) -> tuple:
     """Late-stance camera/toe state used for perception and box placement.
 
-    The hip stands hip_height_base above the scene's ground, like the swing
-    hip of resolve_human.
+    The hip stands at resolve_human's base, raised onto the scene's ground.
     """
-    base = (cfg.human or human_model.preset(cfg.intent)).hip_height_base
-    hip = HipPose(x_h=0.0, z_h=base + cfg.scene.ground_height, theta_h=CAPTURE_THETA_H)
+    hip = HipPose(x_h=0.0, z_h=resolve_human(cfg).hip_height_base, theta_h=CAPTURE_THETA_H)
     pts = forward_points(cfg.geometry, hip, CAPTURE_THETA_K)
     return hip, pts
 
@@ -306,14 +304,8 @@ def _classify(contact: Optional[Contact], cfg: TrialConfig) -> tuple:
         out = Outcome.SUCCESS_LEVEL if surface is Surface.GROUND else Outcome.TRIP
     elif cfg.intent is GaitIntent.STEP_ON:
         out = Outcome.SUCCESS_STEP_ON if surface is Surface.OBSTACLE_TOP else Outcome.SCUFF
-    else:  # STEP_OVER: must come down on the ground past every box it crossed
-        if surface is not Surface.GROUND:
-            out = Outcome.TRIP
-        else:
-            # contact_check lands on the ground only outside every box span
-            clear_of_crossed = all(contact.x > b.back_x for b in cfg.scene.boxes
-                                   if b.front_x < contact.x)
-            out = Outcome.SUCCESS_STEP_OVER if clear_of_crossed else Outcome.SCUFF
+    else:  # STEP_OVER: contact_check lands on the ground only outside every box span
+        out = Outcome.SUCCESS_STEP_OVER if surface is Surface.GROUND else Outcome.TRIP
     return out, contact.x, surface
 
 
@@ -446,7 +438,6 @@ class TrialSpec:
 class CampaignResult:
     specs: list
     results: list
-    logs: Optional[list]
     summary: dict
 
 
@@ -488,27 +479,23 @@ def trial_config_for(cc: CampaignConfig, spec: TrialSpec) -> TrialConfig:
     return replace(base, scene=scene, intent=spec.intent, seed=spec.seed)
 
 
-def _run_one(args) -> tuple:
-    cc, spec, keep_log = args
-    log, result = run_swing(trial_config_for(cc, spec))
-    return (log if keep_log else None), result
+def _run_one(args) -> TrialResult:
+    cc, spec = args
+    return run_swing(trial_config_for(cc, spec))[1]
 
 
-def run_campaign(cc: CampaignConfig, jobs: int = 1, keep_logs: bool = False) -> CampaignResult:
+def run_campaign(cc: CampaignConfig, jobs: int = 1) -> CampaignResult:
     """Run every trial (optionally in parallel; each trial owns its RNG
     stream) and aggregate per-condition statistics."""
     specs = build_trial_specs(cc)
-    work = [(cc, s, keep_logs) for s in specs]
+    work = [(cc, s) for s in specs]
     if jobs > 1:
         import multiprocessing as mp
         with mp.Pool(jobs) as pool:
-            out = pool.map(_run_one, work)
+            results = pool.map(_run_one, work)
     else:
-        out = [_run_one(w) for w in work]
-    logs = [o[0] for o in out] if keep_logs else None
-    results = [o[1] for o in out]
-    summary = summarize(cc, specs, results)
-    return CampaignResult(specs=specs, results=results, logs=logs, summary=summary)
+        results = [_run_one(w) for w in work]
+    return CampaignResult(specs=specs, results=results, summary=summarize(cc, specs, results))
 
 
 def _condition_key(spec: TrialSpec) -> str:

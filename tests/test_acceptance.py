@@ -17,7 +17,7 @@ from oracle_utils import GEOM, LIMIT, brute_force_kmeans_sse, grid_boundary, kme
 
 from swingsim.leg_kinematics import DEG, HipPose
 from swingsim.perception import Box, ObstacleScene, kmeans_prune
-from swingsim import human_model
+from swingsim import human_model, sim_harness
 from swingsim.human_model import GaitIntent
 from swingsim.swing_planner import (
     Phase,
@@ -55,12 +55,22 @@ def campaign():
         calls[0] += 1
         return real(params, t, seed)
 
+    logs = []
+    swing = sim_harness.run_swing
+
+    def logging_swing(cfg):
+        log, result = swing(cfg)
+        logs.append(log)
+        return log, result
+
     human_model.hip_track.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(human_model, "hip_pose", counting)
+        mp.setattr(sim_harness, "run_swing", logging_swing)
         t0 = time.time()
-        result = run_campaign(cc, keep_logs=True)
+        result = run_campaign(cc)
         result.runtime_s = time.time() - t0
+    result.logs = logs   # one step log per trial, in spec order (serial campaign)
     result.hip_pose_calls = calls[0]
     return cc, result
 

@@ -6,7 +6,7 @@ import pytest
 from swingsim import cli
 from swingsim.cli import main
 from swingsim.config import dump_scenario, load_scenario, parse_scenario
-from swingsim.sim_harness import TrialConfig, capture_state
+from swingsim.sim_harness import CampaignConfig, TrialConfig, build_trial_specs, capture_state
 from swingsim.human_model import GaitIntent
 
 
@@ -164,6 +164,32 @@ def test_campaign_mini_profile(tmp_path, capsys):
     assert len(trials) == 8
 
 
+def test_seed_flag_sets_the_campaign_seed(tmp_path):
+    cfgp = write_json(tmp_path / "camp.json", {
+        "seed": 9, "n_step_over": 1, "n_step_on": 0, "n_level": 1,
+    })
+    out = tmp_path / "c"
+    assert main(["--out", str(out), "--seed", "5", "campaign", cfgp]) == 0
+    summary = json.loads(open(out / "summary.json").read())
+    assert summary["campaign"]["seed"] == 5
+    specs = build_trial_specs(CampaignConfig(seed=5, n_step_over=1, n_step_on=0, n_level=1))
+    seeds = [row.split(",")[4] for row in open(out / "trials.csv").read().splitlines()[1:]]
+    assert seeds == [str(s.seed) for s in specs]
+
+
+def test_campaign_with_a_failing_trial_exits_1(tmp_path, capsys):
+    # a step-over box beyond the ~1 m look-ahead trips, as in criterion 2
+    cfgp = write_json(tmp_path / "camp.json", {
+        "n_step_over": 1, "n_step_on": 0, "n_level": 1,
+        "heights_m": [0.16], "distance_range_m": [1.05, 1.05],
+    })
+    out = tmp_path / "c"
+    assert main(["--out", str(out), "campaign", cfgp]) == 1
+    assert "campaign: 1/2 successful" in capsys.readouterr().out
+    trials = open(out / "trials.csv").read().splitlines()
+    assert [row.split(",")[5] for row in trials[1:]] == ["TRIP", "SUCCESS_LEVEL"]
+
+
 def test_campaign_rejects_unknown_key(tmp_path, capsys):
     bad = write_json(tmp_path / "camp.json", {"n_trials": 3})
     assert main(["--out", str(tmp_path / "c"), "campaign", bad]) == 2
@@ -214,6 +240,10 @@ def test_run_rejects_toe_off_foot_in_the_ground(tmp_path, capsys):
         assert name in err
 
 
+class RawText(str):
+    """File text written as is, not as JSON."""
+
+
 # Each input gave a traceback (exit 1) or ran without complaint before the
 # scenario and campaign tables validated every field.
 BAD_INPUTS = [
@@ -246,12 +276,27 @@ BAD_INPUTS = [
     (["sweep", "--param", "kmax", "--values", "-1"], None, "planner.kmax"),
     (["sweep", "--param", "kmax", "--values", "4", "--trials", "0"], None, "sweep.trials"),
     (["--seed", "-1", "run", "FILE"], {}, "--seed"),
+    # rejections no other case reaches
+    (["run", "FILE"], RawText('{"scene": {'), "invalid JSON at line 1"),
+    (["run", "FILE"], [{"scene": {}}], "scenario: top level must be an object"),
+    (["run", "FILE"], {"scene": []}, "scene: expected an object, got list"),
+    (["run", "FILE"], {"scene": {"boxes": [{"front_x_m": 0.5}]}},
+     "scene.boxes[0].height_m: missing required key"),
+    (["run", "FILE"], {"human": {"intent": "jump"}}, "human.intent: 'jump' is not one of"),
+    (["sweep", "--param", "kmax", "--values", "a"], None,
+     "sweep.values: must be a comma-separated number list"),
+    (["sweep", "--param", "kmax", "--values", ","], None, "sweep.values: is empty"),
 ]
 
 
 @pytest.mark.parametrize("argv,data,path", BAD_INPUTS, ids=[c[2] for c in BAD_INPUTS])
 def test_bad_input_exits_2_with_key_path(argv, data, path, tmp_path, capsys):
-    infile = write_json(tmp_path / "in.json", data)
+    if isinstance(data, RawText):
+        infile = tmp_path / "in.json"
+        infile.write_text(data)
+        infile = str(infile)
+    else:
+        infile = write_json(tmp_path / "in.json", data)
     argv = [infile if a == "FILE" else a for a in argv]
     assert main(["--out", str(tmp_path / "o"), *argv]) == 2
     err = capsys.readouterr().err

@@ -38,9 +38,12 @@ def test_flexed_pose_against_hand_trigonometry():
 
 
 def test_shank_angle_equals_hip_angle_with_straight_knee():
+    # the knee->ankle direction, from vertical, is the shank angle theta_h - theta_k
     for theta0 in (-0.3, 0.0, 0.2, 0.5):
         hip = HipPose(x_h=0.1, z_h=0.9, theta_h=theta0)
-        assert forward_points(GEOM, hip, 0.0).shank_angle == pytest.approx(theta0)
+        pts = forward_points(GEOM, hip, 0.0)
+        (kx, kz), (ax, az) = pts.knee, pts.ankle
+        assert math.atan2(ax - kx, kz - az) == pytest.approx(theta0)
 
 
 def test_scalar_accessors_match_forward_points():

@@ -19,6 +19,7 @@ from swingsim.sim_harness import (
     Outcome,
     Surface,
     TrialConfig,
+    _classify,
     build_trial_specs,
     capture_state,
     contact_check,
@@ -33,17 +34,30 @@ from swingsim.sim_harness import (
 
 
 def foot_at(heel, toe, knee=(0.0, 0.8), ankle=(0.0, 0.4)):
-    return FootPoints(knee=knee, ankle=ankle, toe=toe, heel=heel,
-                      shank_angle=0.0)
+    return FootPoints(knee=knee, ankle=ankle, toe=toe, heel=heel)
 
 
 BOX_SCENE = ObstacleScene(boxes=(Box(front_x=0.4, height=0.16, depth=0.2, width=0.4),))
 
 
 def test_contact_penetrating_box_top_is_trip_outside_mirror():
-    pts = foot_at(heel=(0.45, 0.10), toe=(0.62, 0.12))
+    # the whole foot inside the span [0.4, 0.6] and below the 0.16 top, so
+    # no face is crossed: the trip comes from the box-top test
+    pts = foot_at(heel=(0.45, 0.10), toe=(0.55, 0.12))
     c = contact_check(pts, BOX_SCENE, span_lows(pts, BOX_SCENE), in_mirror=False, downward=True)
-    assert c is not None and c.kind == "trip"
+    assert c == Contact("trip", Surface.OBSTACLE_TOP, 0.45, 0.10)
+
+
+def test_step_over_landing_on_a_box_top_is_a_trip():
+    pts = foot_at(heel=(0.45, 0.159), toe=(0.58, 0.165))
+    c = contact_check(pts, BOX_SCENE, span_lows(pts, BOX_SCENE), in_mirror=True, downward=True)
+    assert c.kind == "landing" and c.surface is Surface.OBSTACLE_TOP
+    cfg = TrialConfig(intent=GaitIntent.STEP_OVER, scene=BOX_SCENE)
+    assert _classify(c, cfg) == (Outcome.TRIP, 0.45, Surface.OBSTACLE_TOP)
+    ground = foot_at(heel=(0.7, -0.001), toe=(0.9, 0.02))
+    c = contact_check(ground, BOX_SCENE, span_lows(ground, BOX_SCENE), in_mirror=True,
+                      downward=True)
+    assert _classify(c, cfg) == (Outcome.SUCCESS_STEP_OVER, 0.7, Surface.GROUND)
 
 
 def test_contact_box_top_landing_in_mirror():

@@ -9,6 +9,7 @@ from swingsim.config import GEOMETRY, PLANNER
 from swingsim.leg_kinematics import DEG, HipPose, JointState, LegGeometry, forward_points, toe_point
 from swingsim.perception import ControlTarget
 from swingsim.swing_planner import (
+    MIN_DTHETA_H,
     PEAK_THETA_H_HI,
     PEAK_THETA_H_LO,
     Phase,
@@ -238,6 +239,18 @@ def test_mx_exit_unreachable():
     assert mx_exit_distance(GEOM, hip, 10 * DEG, 5.0) is None
 
 
+def test_mx_exit_past_the_crest_is_unreachable():
+    # at 85 deg with a straight knee the toe is past the crest of its reach
+    # (theta_h + atan2(B, A) > 90 deg), so an x_c between the toe and the
+    # crest is only met again after a full turn, beyond MX_THETA_H_CAP
+    hip = HipPose(x_h=0.0, z_h=1.0, theta_h=85 * DEG)
+    toe_x = toe_point(GEOM, 0.0, 1.0, hip.theta_h, 0.0)[0]
+    crest = math.hypot(GEOM.thigh_m + GEOM.shank_m, GEOM.toe_m)
+    assert hip.theta_h + math.atan2(GEOM.toe_m, GEOM.thigh_m + GEOM.shank_m) > math.pi / 2
+    assert toe_x < crest - 1e-3
+    assert mx_exit_distance(GEOM, hip, 0.0, (toe_x + crest) / 2) is None
+
+
 def test_mx_exit_finds_a_narrow_crossing_at_the_crest():
     # x_c 1e-5 m short of the toe's farthest reach: the toe is past x_c for
     # about half a degree of hip angle around the crest
@@ -292,6 +305,24 @@ def test_phase1_slope_arithmetic():
     assert slope == pytest.approx(max(k1, kmin))
     assert vel == pytest.approx(slope * 1.0)
     assert kmin > k1  # far-ish obstacle: the lower threshold governs here
+
+
+@pytest.mark.parametrize("theta_h", [-20 * DEG, 5 * DEG])
+def test_phase1_unreachable_mx_edge_uses_the_thigh_to_vertical_distance(theta_h):
+    # x_c beyond the toe's reach: the M_x edge is stood in for by
+    # max(-theta_h, MIN_DTHETA_H), the floor governing once the thigh is forward
+    params = PlannerParams()
+    hip = HipPose(x_h=0.0, z_h=0.9, theta_h=theta_h, theta_h_dot=1.5)
+    joint = JointState(theta_k=10 * DEG)
+    target = ControlTarget(z_m=0.05, x_c=5.0)
+    assert mx_exit_distance(GEOM, hip, joint.theta_k, target.x_c) is None
+    vel, slope = phase1_velocity(GEOM, hip, joint, target, params)
+    dh = max(-theta_h, MIN_DTHETA_H)
+    bound = mz_boundary_knee(GEOM, hip.z_h, target.z_m, theta_h, params.knee_limit)
+    peak_k = mz_peak(GEOM, hip.z_h, target.z_m, params.knee_limit)
+    assert bound is not None
+    assert slope == max((bound - joint.theta_k) / dh, (peak_k - joint.theta_k) / dh)
+    assert vel == slope * 1.5
 
 
 def test_phase1_lower_threshold_rule():
