@@ -291,13 +291,9 @@ BAD_INPUTS = [
 
 @pytest.mark.parametrize("argv,data,path", BAD_INPUTS, ids=[c[2] for c in BAD_INPUTS])
 def test_bad_input_exits_2_with_key_path(argv, data, path, tmp_path, capsys):
-    if isinstance(data, RawText):
-        infile = tmp_path / "in.json"
-        infile.write_text(data)
-        infile = str(infile)
-    else:
-        infile = write_json(tmp_path / "in.json", data)
-    argv = [infile if a == "FILE" else a for a in argv]
+    infile = tmp_path / "in.json"
+    infile.write_text(data if isinstance(data, RawText) else json.dumps(data))
+    argv = [str(infile) if a == "FILE" else a for a in argv]
     assert main(["--out", str(tmp_path / "o"), *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
