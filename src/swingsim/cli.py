@@ -103,7 +103,7 @@ def cmd_campaign(args, argv) -> int:
     overall = res.summary["overall"]
     print(f"campaign: {overall['n_success']}/{overall['n']} successful "
           f"({overall['success_rate'] * 100:.1f}%) -> {os.path.join(out, 'summary.json')}")
-    if cc.expect_all_success and overall["n_success"] != overall["n"]:
+    if (cc.expect_all_success or args.strict) and overall["n_success"] != overall["n"]:
         return EXIT_FAILURE
     return EXIT_OK
 
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     ap.add_argument("--out", default=None, help="output directory (default $SWINGSIM_OUT or ./swingsim_out)")
     ap.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
-    ap.add_argument("--strict", action="store_true", help="exit 1 on trial failure")
+    ap.add_argument("--strict", action="store_true", help="exit 1 on trial failure (run, campaign)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="simulate one swing from a scenario file")

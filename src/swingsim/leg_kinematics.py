@@ -94,16 +94,3 @@ def forward_points(geom: LegGeometry, hip: HipPose, theta_k: float) -> FootPoint
     lz = az - geom.heel_m * ss
     return FootPoints((kx, kz), (ax, az), (tx, tz), (lx, lz))
 
-
-def toe_point(geom: LegGeometry, x_h: float, z_h: float, theta_h: float,
-              theta_k: float) -> tuple:
-    """(x, z) of the toe for a hip at (x_h, z_h) and thigh angle theta_h.
-
-    The same floats forward_points gives for the toe, without building the
-    rest of the chain; the region solvers evaluate it at hip angles other
-    than the current one.
-    """
-    ts = theta_h - theta_k
-    ss, cs = math.sin(ts), math.cos(ts)
-    return (x_h + geom.thigh_m * math.sin(theta_h) + geom.shank_m * ss + geom.toe_m * cs,
-            z_h - geom.thigh_m * math.cos(theta_h) - geom.shank_m * cs + geom.toe_m * ss)

@@ -304,8 +304,11 @@ def _classify(contact: Optional[Contact], cfg: TrialConfig) -> tuple:
         out = Outcome.SUCCESS_LEVEL if surface is Surface.GROUND else Outcome.TRIP
     elif cfg.intent is GaitIntent.STEP_ON:
         out = Outcome.SUCCESS_STEP_ON if surface is Surface.OBSTACLE_TOP else Outcome.SCUFF
-    else:  # STEP_OVER: contact_check lands on the ground only outside every box span
-        out = Outcome.SUCCESS_STEP_OVER if surface is Surface.GROUND else Outcome.TRIP
+    elif surface is not Surface.GROUND:  # STEP_OVER onto a box top
+        out = Outcome.TRIP
+    else:  # STEP_OVER clears its boxes only by landing past every one of them
+        clear = all(contact.x > back_x for _, back_x, _ in cfg.scene.spans)
+        out = Outcome.SUCCESS_STEP_OVER if clear else Outcome.SCUFF
     return out, contact.x, surface
 
 

@@ -30,8 +30,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 # forward_points is unused here, but perfbench/tracer.py patches this import site
-from .leg_kinematics import (DEG, FootPoints, HipPose, JointState, LegGeometry, forward_points,
-                             toe_point)
+from .leg_kinematics import DEG, FootPoints, HipPose, JointState, LegGeometry, forward_points
 from .perception import ControlTarget
 
 TANGENT_STEP = 0.25 * DEG  # rad, central difference half-step
@@ -114,20 +113,21 @@ def mz_boundary_knee(geom: LegGeometry, z_h: float, z_m: float, theta_h: float,
     None when even full flexion leaves the toe below z_m: the boundary is
     unreachable there and callers fall back to the peak-based slope.
 
-    At fixed theta_h the toe height is z0 + R sin(theta_h - theta_k - psi)
-    with z0 = z_h - thigh cos(theta_h), R = hypot(shank, toe) and
-    psi = atan2(shank, toe): it dips until the shank trails by
-    atan(toe/shank) and rises beyond. Past the two endpoint tests the
-    boundary lies on that rising branch, at dip + pi/2 + asin((z_m - z0)/R).
+    At fixed theta_h the toe height is z0 - R cos(dip - theta_k) with
+    z0 = z_h - thigh cos(theta_h), R = hypot(shank, toe) and
+    dip = theta_h + atan2(toe, shank): it dips until the knee reaches dip
+    and rises beyond. The endpoint tests read it at dip (clamped to the
+    knee range) and at the limit; past them the boundary lies on the rising
+    branch, at dip + pi/2 + asin((z_m - z0)/R).
     """
-    dip = theta_h + math.atan2(geom.toe_m, geom.shank_m)
-    lo = min(max(dip, 0.0), knee_limit)
-    if toe_point(geom, 0.0, z_h, theta_h, lo)[1] >= z_m:
-        return 0.0  # M_z empty in this column: already clear
-    if toe_point(geom, 0.0, z_h, theta_h, knee_limit)[1] < z_m:
-        return None  # unreachable at this hip angle
     z0 = z_h - geom.thigh_m * math.cos(theta_h)
-    q = (z_m - z0) / math.hypot(geom.shank_m, geom.toe_m)
+    R = math.hypot(geom.shank_m, geom.toe_m)
+    dip = theta_h + math.atan2(geom.toe_m, geom.shank_m)
+    if z0 - R * math.cos(dip - min(max(dip, 0.0), knee_limit)) >= z_m:
+        return 0.0  # M_z empty in this column: already clear
+    if z0 - R * math.cos(dip - knee_limit) < z_m:
+        return None  # unreachable at this hip angle
+    q = (z_m - z0) / R
     # the endpoint tests put q in [-1, 1]; the clamp absorbs rounding
     return dip + 0.5 * math.pi + math.asin(max(-1.0, min(1.0, q)))
 
@@ -163,10 +163,8 @@ def _peak_closed_form(geom: LegGeometry, z_h: float, z_m: float, knee_limit: flo
     return t, v if v < knee_limit - 1e-9 else knee_limit
 
 
-@lru_cache(maxsize=8192)
-def _peak_cached(geom_key, z_h_key, z_m_key, limit_key):
-    geom = LegGeometry(*geom_key)
-    return _peak_closed_form(geom, z_h_key, z_m_key, limit_key)
+# keyed on the frozen LegGeometry itself; perfbench/tracer.py reads its cache_info
+_peak_cached = lru_cache(maxsize=8192)(_peak_closed_form)
 
 
 def mz_peak(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float) -> float:
@@ -179,8 +177,7 @@ def mz_peak(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float) -> flo
     that step. knee_limit, fixed per trial, is not rounded: the saturated
     peak is the hardware limit itself.
     """
-    key = (geom.thigh_m, geom.shank_m, geom.toe_m, geom.heel_m)
-    out = _peak_cached(key, round(z_h, 3), round(z_m, 5), knee_limit)
+    out = _peak_cached(geom, round(z_h, 3), round(z_m, 5), knee_limit)
     return knee_limit if out is None else out[1]
 
 
@@ -196,17 +193,19 @@ def mx_exit_distance(geom: LegGeometry, hip: HipPose, theta_k: float,
     At fixed theta_k the toe x is x_h + hypot(A, B) sin(theta_h + atan2(B, A))
     with A = thigh + shank cos(theta_k) + toe sin(theta_k) and
     B = toe cos(theta_k) - shank sin(theta_k); the edge is the upward
-    crossing where that sine equals q = (x_c - x_h) / hypot(A, B).
+    crossing where that sine equals q = (x_c - x_h) / hypot(A, B). The
+    same sine at the current hip angle says whether the toe is already past.
     """
-    if toe_point(geom, hip.x_h, hip.z_h, hip.theta_h, theta_k)[0] >= x_c:
-        return 0.0
     T, S, F = geom.thigh_m, geom.shank_m, geom.toe_m
     ck, sk = math.cos(theta_k), math.sin(theta_k)
     A, B = T + S * ck + F * sk, F * ck - S * sk
-    q = (x_c - hip.x_h) / math.hypot(A, B)
+    R = math.hypot(A, B)
+    phase = math.remainder(hip.theta_h + math.atan2(B, A), 2.0 * math.pi)
+    if hip.x_h + R * math.sin(phase) >= x_c:
+        return 0.0
+    q = (x_c - hip.x_h) / R
     if q > 1.0:
         return None  # x_c lies beyond the toe's reach
-    phase = math.remainder(hip.theta_h + math.atan2(B, A), 2.0 * math.pi)
     if phase > 0.5 * math.pi:
         phase -= 2.0 * math.pi  # past the crest: the next rise follows the trough
     # a toe short of x_c sits before the crossing; the floor absorbs rounding
@@ -229,9 +228,7 @@ def phase1_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
     """
     bound = mz_boundary_knee(geom, hip.z_h, target.z_m, hip.theta_h, params.knee_limit)
     dh = mx_exit_distance(geom, hip, joint.theta_k, target.x_c)
-    if dh is None:
-        dh = max(-hip.theta_h, MIN_DTHETA_H)
-    dh = max(dh, MIN_DTHETA_H)
+    dh = max(-hip.theta_h if dh is None else dh, MIN_DTHETA_H)
 
     peak_k = mz_peak(geom, hip.z_h, target.z_m, params.knee_limit)
     k_min = (peak_k - joint.theta_k) / dh

@@ -32,6 +32,21 @@ def toe_z_fn(z_h, theta_h, geom=GEOM):
     return f
 
 
+def toe_xz(geom, x_h, z_h, theta_h, theta_k):
+    """Toe (x, z) from the hip, link by link, at any thigh angle.
+
+    No HipPose is built, so the solvers' hip advances past 90 deg (up to
+    MX_THETA_H_CAP) can be checked too.
+    """
+    shank = theta_h - theta_k  # from vertical, + forward
+    knee_x = x_h + geom.thigh_m * math.sin(theta_h)
+    knee_z = z_h - geom.thigh_m * math.cos(theta_h)
+    ankle_x = knee_x + geom.shank_m * math.sin(shank)
+    ankle_z = knee_z - geom.shank_m * math.cos(shank)
+    # the foot is perpendicular to the shank, toe forward
+    return ankle_x + geom.toe_m * math.cos(shank), ankle_z + geom.toe_m * math.sin(shank)
+
+
 def grid_boundary(z_h, z_m, theta_h, step=0.01 * DEG, interpolate=False,
                   geom=GEOM, limit=LIMIT):
     """Dense-scan oracle for the upward-exit boundary of M_z.

@@ -190,6 +190,16 @@ def test_campaign_with_a_failing_trial_exits_1(tmp_path, capsys):
     assert [row.split(",")[5] for row in trials[1:]] == ["TRIP", "SUCCESS_LEVEL"]
 
 
+def test_strict_flag_fails_a_campaign_that_expects_failures(tmp_path, capsys):
+    cfgp = write_json(tmp_path / "camp.json", {
+        "n_step_over": 1, "n_step_on": 0, "n_level": 0, "expect_all_success": False,
+        "heights_m": [0.16], "distance_range_m": [1.05, 1.05],
+    })
+    assert main(["--out", str(tmp_path / "c1"), "campaign", cfgp]) == 0
+    assert main(["--out", str(tmp_path / "c2"), "--strict", "campaign", cfgp]) == 1
+    assert "campaign: 0/1 successful" in capsys.readouterr().out
+
+
 def test_campaign_rejects_unknown_key(tmp_path, capsys):
     bad = write_json(tmp_path / "camp.json", {"n_trials": 3})
     assert main(["--out", str(tmp_path / "c"), "campaign", bad]) == 2

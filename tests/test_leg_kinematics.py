@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from oracle_utils import toe_xz
+
 from swingsim.leg_kinematics import (
     DEG,
     LegGeometry,
     HipPose,
     forward_points,
-    toe_point,
 )
 
 GEOM = LegGeometry(thigh_m=0.44, shank_m=0.43, toe_m=0.15, heel_m=0.07)
@@ -46,14 +47,15 @@ def test_shank_angle_equals_hip_angle_with_straight_knee():
         assert math.atan2(ax - kx, kz - az) == pytest.approx(theta0)
 
 
-def test_scalar_accessors_match_forward_points():
+def test_forward_points_toe_matches_the_chain_oracle():
     rng = np.random.default_rng(3)
     for _ in range(50):
         hip = HipPose(x_h=rng.uniform(-1, 1), z_h=rng.uniform(0.5, 1.2),
                       theta_h=rng.uniform(-1.0, 1.0))
         tk = rng.uniform(0.0, 1.48)
         pts = forward_points(GEOM, hip, tk)
-        assert toe_point(GEOM, hip.x_h, hip.z_h, hip.theta_h, tk) == pts.toe
+        assert pts.toe == pytest.approx(toe_xz(GEOM, hip.x_h, hip.z_h, hip.theta_h, tk),
+                                        abs=1e-15)
 
 
 def test_heel_ankle_toe_collinear():
@@ -88,9 +90,10 @@ def test_toe_height_non_monotone_in_knee():
     # flexion first dips the toe, then lifts it: the M_z solver anchors its
     # endpoint tests at the dip instead of assuming monotonicity
     dip_knee = math.atan2(GEOM.toe_m, GEOM.shank_m)
-    z0 = toe_point(GEOM, 0.0, 0.9, 0.0, 0.0)[1]
-    z_dip = toe_point(GEOM, 0.0, 0.9, 0.0, dip_knee)[1]
-    z_hi = toe_point(GEOM, 0.0, 0.9, 0.0, 85 * DEG)[1]
+    hip = HipPose(x_h=0.0, z_h=0.9, theta_h=0.0)
+    z0 = forward_points(GEOM, hip, 0.0).toe[1]
+    z_dip = forward_points(GEOM, hip, dip_knee).toe[1]
+    z_hi = forward_points(GEOM, hip, 85 * DEG).toe[1]
     assert z_dip < z0 < z_hi
 
 

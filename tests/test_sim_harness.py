@@ -60,6 +60,22 @@ def test_step_over_landing_on_a_box_top_is_a_trip():
     assert _classify(c, cfg) == (Outcome.SUCCESS_STEP_OVER, 0.7, Surface.GROUND)
 
 
+def test_step_over_landing_on_the_ground_short_of_its_box_is_a_scuff():
+    ground = foot_at(heel=(0.1, -0.001), toe=(0.3, 0.02))
+    c = contact_check(ground, BOX_SCENE, span_lows(ground, BOX_SCENE), in_mirror=True,
+                      downward=True)
+    cfg = TrialConfig(intent=GaitIntent.STEP_OVER, scene=BOX_SCENE)
+    assert _classify(c, cfg) == (Outcome.SCUFF, 0.1, Surface.GROUND)
+    # a box 1.6 m out, past the look-ahead: the swing comes down ~0.5 m short
+    base = TrialConfig(intent=GaitIntent.STEP_OVER, seed=3)
+    _, pts = capture_state(base)
+    scene = ObstacleScene(boxes=(Box(front_x=pts.toe[0] + 1.6, height=0.16,
+                                     depth=0.15, width=0.40),))
+    _, res = run_swing(replace(base, scene=scene))
+    assert res.outcome is Outcome.SCUFF and res.landing_surface is Surface.GROUND
+    assert res.landing_x < scene.boxes[0].front_x - 0.4
+
+
 def test_contact_box_top_landing_in_mirror():
     pts = foot_at(heel=(0.45, 0.159), toe=(0.58, 0.165))
     c = contact_check(pts, BOX_SCENE, span_lows(pts, BOX_SCENE), in_mirror=True, downward=True)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracle_utils import GEOM, LIMIT, grid_boundary, peak_scan, toe_z_fn
+from oracle_utils import GEOM, LIMIT, grid_boundary, peak_scan, toe_xz, toe_z_fn
 
 from swingsim.config import GEOMETRY, PLANNER
-from swingsim.leg_kinematics import DEG, HipPose, JointState, LegGeometry, forward_points, toe_point
+from swingsim.leg_kinematics import DEG, HipPose, JointState, LegGeometry, forward_points
 from swingsim.perception import ControlTarget
 from swingsim.swing_planner import (
     MIN_DTHETA_H,
@@ -179,7 +179,7 @@ def test_peak_closed_form_finds_columns_reachable_only_near_the_crest():
     # and the toe height at the limit crests inside the hip range: a z_m just
     # under that crest leaves a reachable band there and none at the ends
     geom, limit, z_h = LegGeometry(0.15, 0.45, 0.20, 0.05), 178 * DEG, 0.9
-    toe_z = [toe_point(geom, 0.0, z_h, t, limit)[1] for t in (-45 * DEG, -36.4 * DEG, 75 * DEG)]
+    toe_z = [toe_xz(geom, 0.0, z_h, t, limit)[1] for t in (-45 * DEG, -36.4 * DEG, 75 * DEG)]
     z_m = toe_z[1] - 0.1 * (toe_z[1] - max(toe_z[0], toe_z[2]))
     ref = peak_scan(geom, z_h, z_m, limit)
     got = _peak_closed_form(geom, z_h, z_m, limit)
@@ -244,7 +244,7 @@ def test_mx_exit_past_the_crest_is_unreachable():
     # (theta_h + atan2(B, A) > 90 deg), so an x_c between the toe and the
     # crest is only met again after a full turn, beyond MX_THETA_H_CAP
     hip = HipPose(x_h=0.0, z_h=1.0, theta_h=85 * DEG)
-    toe_x = toe_point(GEOM, 0.0, 1.0, hip.theta_h, 0.0)[0]
+    toe_x = toe_xz(GEOM, 0.0, 1.0, hip.theta_h, 0.0)[0]
     crest = math.hypot(GEOM.thigh_m + GEOM.shank_m, GEOM.toe_m)
     assert hip.theta_h + math.atan2(GEOM.toe_m, GEOM.thigh_m + GEOM.shank_m) > math.pi / 2
     assert toe_x < crest - 1e-3
@@ -261,29 +261,64 @@ def test_mx_exit_finds_a_narrow_crossing_at_the_crest():
                    + GEOM.toe_m * np.cos(ts)).max())
     d = mx_exit_distance(GEOM, HipPose(x_h=0.0, z_h=1.0, theta_h=0.0), tk, reach - 1e-5)
     assert d is not None
-    assert toe_point(GEOM, 0.0, 1.0, d, tk)[0] == pytest.approx(reach - 1e-5, abs=1e-9)
+    assert toe_xz(GEOM, 0.0, 1.0, d, tk)[0] == pytest.approx(reach - 1e-5, abs=1e-9)
 
 
 def test_solvers_put_the_toe_exactly_on_the_region_edges():
     # the toe sits on z_m at every returned M_z boundary and on x_c at every
-    # returned M_x advance, to rounding
+    # returned M_x advance, to rounding, over the leg and knee-limit table
     rng = np.random.default_rng(8)
+    limit_row = next(f for f in PLANNER if f.attr == "knee_limit")
     on_z = on_x = 0
-    for _ in range(2000):
+    for _ in range(3000):
+        geom = LegGeometry(**{f.attr: rng.uniform(f.lo, f.hi) for f in GEOMETRY})
+        limit = rng.uniform(limit_row.lo, limit_row.hi) * DEG
         z_h = rng.uniform(0.80, 1.00)
         z_m = rng.uniform(0.01, 0.20)
         th = rng.uniform(-30 * DEG, 50 * DEG)
-        b = mz_boundary_knee(GEOM, z_h, z_m, th, LIMIT)
+        b = mz_boundary_knee(geom, z_h, z_m, th, limit)
         if b:  # None and 0.0 (clear column) have no crossing
-            assert abs(toe_point(GEOM, 0.0, z_h, th, b)[1] - z_m) <= 1e-9
+            assert abs(toe_xz(geom, 0.0, z_h, th, b)[1] - z_m) <= 1e-9
             on_z += 1
-        tk = rng.uniform(0.0, LIMIT)
+        tk = rng.uniform(0.0, limit)
         x_c = rng.uniform(0.0, 1.0)
-        d = mx_exit_distance(GEOM, HipPose(x_h=0.0, z_h=z_h, theta_h=th), tk, x_c)
+        d = mx_exit_distance(geom, HipPose(x_h=0.0, z_h=z_h, theta_h=th), tk, x_c)
         if d:
-            assert abs(toe_point(GEOM, 0.0, z_h, th + d, tk)[0] - x_c) <= 1e-9
+            assert abs(toe_xz(geom, 0.0, z_h, th + d, tk)[0] - x_c) <= 1e-9
             on_x += 1
     assert on_z > 500 and on_x > 500
+
+
+TIE = 1e-12  # m; draws this close to an endpoint test's threshold are skipped
+
+
+def test_solver_endpoint_tests_agree_with_the_chain_oracle():
+    # mz_boundary_knee is 0 iff the toe at its dip (clamped to the knee
+    # range) is at or above z_m, and None iff the toe at the limit is below;
+    # mx_exit_distance is 0 iff the toe is at or past x_c
+    rng = np.random.default_rng(10)
+    limit_row = next(f for f in PLANNER if f.attr == "knee_limit")
+    kinds = {"clear": 0, "none": 0, "crossing": 0, "past": 0, "short": 0}
+    for _ in range(4000):
+        geom = LegGeometry(**{f.attr: rng.uniform(f.lo, f.hi) for f in GEOMETRY})
+        limit = rng.uniform(limit_row.lo, limit_row.hi) * DEG
+        z_h, z_m = rng.uniform(0.6, 1.3), rng.uniform(-0.3, 0.6)
+        th = rng.uniform(PEAK_THETA_H_LO, PEAK_THETA_H_HI)
+        dip = th + math.atan2(geom.toe_m, geom.shank_m)
+        z_lo = toe_xz(geom, 0.0, z_h, th, min(max(dip, 0.0), limit))[1]
+        z_top = toe_xz(geom, 0.0, z_h, th, limit)[1]
+        if abs(z_lo - z_m) > TIE and abs(z_top - z_m) > TIE:
+            b = mz_boundary_knee(geom, z_h, z_m, th, limit)
+            assert (b == 0.0) == (z_lo >= z_m)
+            assert (b is None) == (z_top < z_m)
+            kinds["clear" if b == 0.0 else "none" if b is None else "crossing"] += 1
+        x_h, tk, x_c = rng.uniform(-1.0, 1.0), rng.uniform(0.0, limit), rng.uniform(-1.0, 2.0)
+        toe_x = toe_xz(geom, x_h, z_h, th, tk)[0]
+        if abs(toe_x - x_c) > TIE:
+            d = mx_exit_distance(geom, HipPose(x_h=x_h, z_h=z_h, theta_h=th), tk, x_c)
+            assert (d == 0.0) == (toe_x >= x_c)
+            kinds["past" if d == 0.0 else "short"] += 1
+    assert min(kinds.values()) >= 300
 
 
 # ---------------------------------------------------------------------------
