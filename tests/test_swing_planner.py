@@ -26,6 +26,15 @@ from swingsim.swing_planner import (
     planner_step,
 )
 
+LIMIT_ROW = next(f for f in PLANNER if f.attr == "knee_limit")
+
+
+def table_leg(rng):
+    """A leg drawn over the scenario table, and a knee limit the table accepts."""
+    geom = LegGeometry(**{f.attr: rng.uniform(f.lo, f.hi) for f in GEOMETRY})
+    return geom, rng.uniform(LIMIT_ROW.lo, LIMIT_ROW.hi) * DEG
+
+
 def far_target(z_m):
     return ControlTarget(z_m=z_m, x_c=10.0)
 
@@ -149,11 +158,9 @@ def test_peak_closed_form_equals_scan_over_table_ranges():
     # leg lengths over the scenario table, any knee limit it accepts, and
     # hip heights and targets well past the campaign's
     rng = np.random.default_rng(9)
-    limit_row = next(f for f in PLANNER if f.attr == "knee_limit")
     kinds = {"none": 0, "saturated": 0, "left_range": 0}
     for _ in range(2000):
-        geom = LegGeometry(**{f.attr: rng.uniform(f.lo, f.hi) for f in GEOMETRY})
-        limit = rng.uniform(limit_row.lo, limit_row.hi) * DEG
+        geom, limit = table_leg(rng)
         z_h, z_m = rng.uniform(0.6, 1.3), rng.uniform(-0.3, 0.6)
         ref = peak_scan(geom, z_h, z_m, limit)
         got = _peak_closed_form(geom, z_h, z_m, limit)
@@ -268,11 +275,9 @@ def test_solvers_put_the_toe_exactly_on_the_region_edges():
     # the toe sits on z_m at every returned M_z boundary and on x_c at every
     # returned M_x advance, to rounding, over the leg and knee-limit table
     rng = np.random.default_rng(8)
-    limit_row = next(f for f in PLANNER if f.attr == "knee_limit")
     on_z = on_x = 0
     for _ in range(3000):
-        geom = LegGeometry(**{f.attr: rng.uniform(f.lo, f.hi) for f in GEOMETRY})
-        limit = rng.uniform(limit_row.lo, limit_row.hi) * DEG
+        geom, limit = table_leg(rng)
         z_h = rng.uniform(0.80, 1.00)
         z_m = rng.uniform(0.01, 0.20)
         th = rng.uniform(-30 * DEG, 50 * DEG)
@@ -289,32 +294,28 @@ def test_solvers_put_the_toe_exactly_on_the_region_edges():
     assert on_z > 500 and on_x > 500
 
 
-TIE = 1e-12  # m; draws this close to an endpoint test's threshold are skipped
-
-
 def test_solver_endpoint_tests_agree_with_the_chain_oracle():
     # mz_boundary_knee is 0 iff the toe at its dip (clamped to the knee
     # range) is at or above z_m, and None iff the toe at the limit is below;
     # mx_exit_distance is 0 iff the toe is at or past x_c
     rng = np.random.default_rng(10)
-    limit_row = next(f for f in PLANNER if f.attr == "knee_limit")
+    tie = 1e-12  # m; draws this close to a threshold are skipped
     kinds = {"clear": 0, "none": 0, "crossing": 0, "past": 0, "short": 0}
     for _ in range(4000):
-        geom = LegGeometry(**{f.attr: rng.uniform(f.lo, f.hi) for f in GEOMETRY})
-        limit = rng.uniform(limit_row.lo, limit_row.hi) * DEG
+        geom, limit = table_leg(rng)
         z_h, z_m = rng.uniform(0.6, 1.3), rng.uniform(-0.3, 0.6)
         th = rng.uniform(PEAK_THETA_H_LO, PEAK_THETA_H_HI)
         dip = th + math.atan2(geom.toe_m, geom.shank_m)
         z_lo = toe_xz(geom, 0.0, z_h, th, min(max(dip, 0.0), limit))[1]
         z_top = toe_xz(geom, 0.0, z_h, th, limit)[1]
-        if abs(z_lo - z_m) > TIE and abs(z_top - z_m) > TIE:
+        if abs(z_lo - z_m) > tie and abs(z_top - z_m) > tie:
             b = mz_boundary_knee(geom, z_h, z_m, th, limit)
             assert (b == 0.0) == (z_lo >= z_m)
             assert (b is None) == (z_top < z_m)
             kinds["clear" if b == 0.0 else "none" if b is None else "crossing"] += 1
         x_h, tk, x_c = rng.uniform(-1.0, 1.0), rng.uniform(0.0, limit), rng.uniform(-1.0, 2.0)
         toe_x = toe_xz(geom, x_h, z_h, th, tk)[0]
-        if abs(toe_x - x_c) > TIE:
+        if abs(toe_x - x_c) > tie:
             d = mx_exit_distance(geom, HipPose(x_h=x_h, z_h=z_h, theta_h=th), tk, x_c)
             assert (d == 0.0) == (toe_x >= x_c)
             kinds["past" if d == 0.0 else "short"] += 1
