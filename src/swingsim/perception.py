@@ -23,6 +23,11 @@ LATERAL_FAN = 20.0 * DEG
 # Cap on kmeans_prune's Lloyd iterations per restart.
 LLOYD_MAX_ITER = 100
 
+# _lloyd refreshes only the moved centers' distance columns, or the whole
+# matrix past this share of k. A refresh of j of 50 columns broke even with
+# the whole matrix at j ~ 19-21 (224 and 493 rows); a quarter keeps margin.
+FULL_REFRESH_SHARE = 0.25
+
 # control_modify's x_c when the profile shows no front edge ahead of the toe.
 DEFAULT_X_C = 0.20
 
@@ -265,21 +270,30 @@ def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
 
 def _lloyd_work(pts: np.ndarray, k: int) -> tuple:
     """What _lloyd reads for k centers, made once per kmeans_prune call and
-    shared by every restart: the point columns px and pz, the same columns
-    tiled to (n, k), and two (n, k) buffers."""
+    shared by every restart: the point columns px and pz, the index inv of
+    each point's row among the distinct points (None if no point repeats:
+    the rows are then the points), the rows tiled to (m, k), and two (m, k)
+    buffers. Mirrored lateral rays make m ~0.45 n on clean captures. Grouping
+    on a complex128 view costs ~0.04 ms, np.unique(axis=0) ~0.4 ms."""
     px, pz = pts.T.copy()
-    n = px.shape[0]
-    return (px, pz, np.tile(px[:, None], k), np.tile(pz[:, None], k),
-            np.empty((n, k)), np.empty((n, k)))
+    xz = np.ascontiguousarray(pts).view(np.complex128)[:, 0]
+    distinct, inv = np.unique(xz, return_inverse=True)
+    if distinct.size == xz.size:
+        distinct, inv = xz, None
+    tx, tz = np.tile(distinct.real[:, None], k), np.tile(distinct.imag[:, None], k)
+    return px, pz, inv, tx, tz, np.empty_like(tx), np.empty_like(tx)
 
 
 def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> tuple:
     """Lloyd iterations to an assignment fixpoint. Returns (centers, sse).
 
-    `work` is _lloyd_work(pts, k). While no cluster is empty the centroid
-    update is a weighted bincount, which adds each cluster's points in point
-    order exactly as pts[sel].mean(axis=0) does, so the centers are the same
-    floats.
+    `work` is _lloyd_work(pts, k). Equal points (±0 too) have equal distance
+    rows and an unmoved center an unchanged column, so the matrix has a row
+    per distinct point, read back through inv, and each update refreshes the
+    moved centers' columns only. Every sum and test sees the floats of a full
+    matrix, in point order. While no cluster is empty the centroid update is
+    a weighted bincount, which adds each cluster's points in point order
+    exactly as pts[sel].mean(axis=0) does, so the centers are the same floats.
 
     An iteration with an empty cluster runs the per-cluster loop instead.
     Each empty cluster is reseeded at the point farthest from its nearest
@@ -291,22 +305,22 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
     points that differ only in their last bits, the mean of a cluster's
     equal points can be off by an ulp, and the assignment can then cycle
     through SSEs of ~1e-33 and never reach its fixpoint. So the loop also
-    stops, at the centers it holds, on an SSE that does not fall. When the
-    last iteration leaves the centers as they were, its distance matrix
-    already holds the final ones and the SSE is read from it.
+    stops, at the centers it holds, on an SSE that does not fall.
     """
-    px, pz, tx, tz, d2, dz = work
-    n, k = px.shape[0], centers.shape[0]
-    rows = np.arange(n) * k  # d2.take(rows + c) reads d2[i, c[i]] for every i
+    px, pz, inv, tx, tz, d2, dz = work
+    m, k = tx.shape
+    rows = np.arange(m) * k  # d2.take(rows + c) reads d2[i, c[i]] for every i
     cx, cz = centers.T.copy()
-    assign = np.full(n, -1)
-    sse = math.inf
-    for _ in range(max_iter):
-        _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
+    assign = np.full(px.shape[0], -1)
+    sse, fixpoint = math.inf, False
+    _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
+    for i in range(max_iter + 1):
         nearest_c = d2.argmin(axis=1)
         nearest = d2.take(rows + nearest_c)
+        if inv is not None:
+            nearest_c, nearest = nearest_c[inv], nearest[inv]
         last_sse, sse = sse, float(nearest.sum())
-        if not sse < last_sse:
+        if fixpoint or i == max_iter or not sse < last_sse:
             return np.column_stack((cx, cz)), sse
         counts = np.bincount(nearest_c, minlength=k)
         before = cx, cz
@@ -327,13 +341,15 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
                     cx[j], cz[j] = px[far], pz[far]
                     new_assign[far] = j
                     np.minimum(nearest, _sqdist(px, pz, cx[j], cz[j]), out=nearest)
-        if np.array_equal(new_assign, assign):
-            if np.array_equal(cx, before[0]) and np.array_equal(cz, before[1]):
-                return np.column_stack((cx, cz)), sse
-            break
+        moved = np.flatnonzero((cx != before[0]) | (cz != before[1]))
+        fixpoint = np.array_equal(new_assign, assign)
+        if fixpoint and not moved.size:
+            return np.column_stack((cx, cz)), sse
+        if moved.size > FULL_REFRESH_SHARE * k:
+            _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
+        elif moved.size:
+            d2[:, moved] = _sqdist(tx[:, :moved.size], tz[:, :moved.size], cx[moved], cz[moved])
         assign = new_assign
-    _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
-    return np.column_stack((cx, cz)), float(d2.take(rows + d2.argmin(axis=1)).sum())
 
 
 def kmeans_prune(points: Sequence, k: int, seed: int, restarts: int) -> ElevationKeypoints:
@@ -367,7 +383,11 @@ def kmeans_prune(points: Sequence, k: int, seed: int, restarts: int) -> Elevatio
 
 
 def _dedupe(ordered: np.ndarray) -> ElevationKeypoints:
-    """Collapse (rare) duplicate x positions so x is strictly increasing."""
+    """Collapse duplicate x positions so x is strictly increasing.
+
+    Common on Lloyd's output: over 660 captures, 389 groups of 2-21 box-face
+    keypoints shared an x. Each merge averages z with the group's merged z so
+    far, so a group's z is an order-dependent pairwise average, not its mean."""
     out = []
     for x, z in ordered:
         if out and x - out[-1][0] <= 1e-12:

@@ -31,30 +31,48 @@ def assert_plain_floats(kp):
         assert all(type(v) is float for v in point), point
 
 
-# Coordinates on a coarse grid make duplicated points common; the free
-# floats cover the generic case.
-coord = st.one_of(st.integers(0, 4).map(lambda i: i / 4.0),
+# Coordinates on a coarse grid make duplicated points common, and -0.0
+# equals 0.0 while its sign can still show in a keypoint; the free floats
+# cover the generic case.
+coord = st.one_of(st.integers(0, 4).map(lambda i: i / 4.0), st.just(-0.0),
                   st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False))
+
+
+def draw_k(draw, pts):
+    """k anywhere in [1, n + 1] or next to the number of distinct points, so
+    the seeding's all-zero-weights path is common."""
+    n, distinct = len(pts), len(set(pts))
+    return draw(st.one_of(st.integers(1, n + 1),
+                          st.integers(max(1, distinct - 2), min(n, distinct + 2))))
 
 
 @st.composite
 def profiles(draw):
-    """Up to 60 points; k anywhere in [1, n + 1] or next to the number of
-    distinct points, so the seeding's all-zero-weights path is common."""
+    """Up to 60 points."""
     pts = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=60))
-    n, distinct = len(pts), len(set(pts))
-    k = draw(st.one_of(st.integers(1, n + 1),
-                       st.integers(max(1, distinct - 2), min(n, distinct + 2))))
-    return pts, k
+    return pts, draw_k(draw, pts)
 
 
-@settings(max_examples=300, deadline=None)
-@given(profiles(), st.integers(0, 2**32 - 1), st.integers(1, 8))
+@st.composite
+def repeated_profiles(draw):
+    """Up to 30 points, each repeated 1-3 times, in shuffled order: the shape
+    of a clean capture, whose mirrored lateral rays land on the same (x, z)."""
+    base = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    times = draw(st.lists(st.integers(1, 3), min_size=len(base), max_size=len(base)))
+    pts = draw(st.permutations([p for p, t in zip(base, times) for _ in range(t)]))
+    return pts, draw_k(draw, pts)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(profiles(), repeated_profiles()), st.integers(0, 2**32 - 1),
+       st.integers(1, 8))
 def test_kmeans_prune_equals_reference(profile, seed, restarts):
+    # repr as well as ==: a -0.0 for 0.0 or a numpy float for a float shows
     pts, k = profile
     got = kmeans_prune(pts, k, seed, restarts=restarts)
     want = oracle_utils.kmeans_prune(pts, k, seed, restarts=restarts)
     assert got.keypoints == want.keypoints
+    assert repr(got.keypoints) == repr(want.keypoints)
     assert_plain_floats(got)
 
 
@@ -263,3 +281,46 @@ def test_perceive_cost_stays_bounded_over_rays_vertical(monkeypatch):
             assert got["sqdist"] <= 10 * default, (spec, rv, got, default)
             if rv == 30:
                 assert got["lloyd"] == 0, spec
+
+
+def test_lloyd_fills_one_row_per_distinct_point_and_only_moved_columns(monkeypatch):
+    # Counted. On a clean campaign capture the mirrored lateral rays repeat
+    # more than half of the profile's points. Every distance refresh in
+    # _lloyd is one 2-D _sqdist call with a row per distinct point; after an
+    # iteration that moved at most FULL_REFRESH_SHARE of the centers it
+    # fills only the moved centers' columns, and otherwise all k of them.
+    cc = CampaignConfig(seed=2024)
+    cfg = trial_config_for(cc, build_trial_specs(cc)[0])
+    s_capture, s_kmeans = trial_seeds(cfg.seed)[:2]
+    pts = perceive(cfg, s_capture, s_kmeans)[2] * np.array([1.0, cfg.z_weight])
+    distinct, k = len(set(map(tuple, pts.tolist()))), cfg.kmeans_k
+    assert distinct < len(pts) / 2
+    rng = np.random.default_rng(s_kmeans)
+    init = perception._seed_lockstep(pts, k, rng, cfg.kmeans_restarts)[0]
+    work = perception._lloyd_work(pts, k)
+    # held[t]: the centers _lloyd holds after t iterations
+    held = [init] + [perception._lloyd(pts, work, init.copy(), t)[0] for t in range(1, 40)]
+
+    refreshes = []
+    sqdist = perception._sqdist
+
+    def spy(px, pz, cx, cz, out=None, dz=None):
+        d2 = sqdist(px, pz, cx, cz, out=out, dz=dz)
+        if d2.ndim == 2:
+            refreshes.append((d2.shape, np.column_stack((cx, cz))))
+        return d2
+
+    monkeypatch.setattr(perception, "_sqdist", spy)
+    perception._lloyd(pts, work, init.copy(), perception.LLOYD_MAX_ITER)
+    assert 3 < len(refreshes) < len(held)
+    assert refreshes[0][0] == (distinct, k) and np.array_equal(refreshes[0][1], init)
+    partial = 0
+    for t, ((rows, cols), centers) in enumerate(refreshes[1:], start=1):
+        assert rows == distinct
+        moved = np.flatnonzero((held[t] != held[t - 1]).any(axis=1))
+        if len(moved) > perception.FULL_REFRESH_SHARE * k:
+            assert cols == k and np.array_equal(centers, held[t]), t
+        else:
+            assert cols == len(moved) and np.array_equal(centers, held[t][moved]), t
+            partial += 0 < cols < k
+    assert partial
