@@ -27,6 +27,7 @@ from .human_model import GaitIntent
 from .sim_harness import (
     CampaignConfig,
     SUCCESSES,
+    StepLog,
     TrialConfig,
     capture_state,
     perceive,
@@ -73,7 +74,7 @@ def cmd_run(args, argv) -> int:
     if args.dump_config:
         _write_json(os.path.join(out, "scenario.json"), dump_scenario(cfg))
 
-    log, result = run_swing(cfg)
+    log, result = run_swing(cfg, StepLog())
     log.write_csv(os.path.join(out, "steplog.csv"))
     _write_json(os.path.join(out, "result.json"), result.to_dict())
     _write_run_info(out, argv)

@@ -223,18 +223,6 @@ def _segment_lowest_over_span(p0, p1, x_lo, x_hi):
     return (zl, lo) if zl <= zh else (zh, hi)
 
 
-def _crosses_face(p0, p1, face_x, z_lo, z_hi):
-    """z at which segment p0->p1 crosses the vertical line x = face_x, if the
-    crossing lies inside (z_lo, z_hi)."""
-    (x0, z0), (x1, z1) = p0, p1
-    if (x0 - face_x) * (x1 - face_x) > 0.0 or abs(x1 - x0) < 1e-12:
-        return None
-    z = z0 + (z1 - z0) * (face_x - x0) / (x1 - x0)
-    if z_lo < z < z_hi:
-        return z
-    return None
-
-
 def span_lows(pts: FootPoints, scene: ObstacleScene) -> list:
     """(front_x, back_x, top, low) of each box span of the scene, where low is
     the lowest (z, x) of the heel-toe segment over the span, None where it
@@ -257,13 +245,17 @@ def contact_check(pts: FootPoints, scene: ObstacleScene, lows: list, in_mirror: 
     """
     g = scene.ground_height
     heel, toe = pts.heel, pts.toe
-    segments = ((heel, toe), (pts.knee, pts.ankle))
+    segments = (heel + toe, pts.knee + pts.ankle)
 
     for front_x, back_x, top, hit in lows:
-        for p0, p1 in segments:
+        for x0, z0, x1, z1 in segments:
             for face_x in (front_x, back_x):
-                z = _crosses_face(p0, p1, face_x, g, top - 1e-9)
-                if z is not None:
+                # a segment crossing the face line strictly between the
+                # ground and the top trips
+                if (x0 - face_x) * (x1 - face_x) > 0.0 or abs(x1 - x0) < 1e-12:
+                    continue
+                z = z0 + (z1 - z0) * (face_x - x0) / (x1 - x0)
+                if g < z < top - 1e-9:
                     return Contact("trip", None, face_x, z)
         if hit is not None and hit[0] <= top:
             z, x = hit
@@ -330,8 +322,13 @@ def trial_seeds(seed: int) -> tuple:
     return tuple(int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(3))
 
 
-def run_swing(cfg: TrialConfig) -> tuple:
-    """Simulate one swing; returns (StepLog, TrialResult)."""
+def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
+    """Simulate one swing; returns (log, TrialResult).
+
+    Rows are written only on request: run_swing(cfg, StepLog()) appends one
+    LogRow per tick, and run_swing(cfg), as a campaign calls it, builds none
+    and returns (None, result). The log only observes; the result is the same.
+    """
     s_capture, s_kmeans, s_noise = trial_seeds(cfg.seed)
 
     human = resolve_human(cfg)
@@ -347,7 +344,6 @@ def run_swing(cfg: TrialConfig) -> tuple:
     hip = track[0]
     joint = JointState(theta_k=TOE_OFF_THETA_K, theta_k_dot=0.0, theta_k_ddot=0.0)
     state = PhaseState()
-    log = StepLog()
 
     horizon = TIMEOUT_FACTOR * human.swing_duration
     peak_flex = joint.theta_k
@@ -356,16 +352,17 @@ def run_swing(cfg: TrialConfig) -> tuple:
     prev_low = None
 
     geom, scene, tau = cfg.geometry, cfg.scene, cfg.tracking_lag_tau
-    rows = log.rows
+    rows = None if log is None else log.rows
     pts = forward_points(geom, hip, joint.theta_k)
     heel, toe = pts.heel, pts.toe
     while t < horizon + dt / 2:
         # pts is the foot at this tick's hip and knee, shared with the planner
         cmd = planner_step(geom, hip, joint, pts, target, state, params)
-        rows.append(LogRow(
-            t, state.phase.value, hip.theta_h, hip.theta_h_dot, joint.theta_k,
-            cmd.knee_vel_cmd, joint.theta_k_dot, hip.x_h, hip.z_h, toe[0], toe[1],
-            heel[0], heel[1], target.z_m, target.x_c, cmd.slope, cmd.c_t, cmd.gamma_1))
+        if rows is not None:
+            rows.append(LogRow(
+                t, state.phase.value, hip.theta_h, hip.theta_h_dot, joint.theta_k,
+                cmd.knee_vel_cmd, joint.theta_k_dot, hip.x_h, hip.z_h, toe[0], toe[1],
+                heel[0], heel[1], target.z_m, target.x_c, cmd.slope, cmd.c_t, cmd.gamma_1))
 
         # integrate the velocity command over [t, t + dt), updating joint in place
         theta_k, v_prev = joint.theta_k, joint.theta_k_dot

@@ -31,6 +31,7 @@ from swingsim.sim_harness import (
     SUCCESSES,
     CampaignConfig,
     Outcome,
+    StepLog,
     TrialConfig,
     capture_state,
     perceive,
@@ -59,7 +60,7 @@ def campaign():
     swing = sim_harness.run_swing
 
     def logging_swing(cfg):
-        log, result = swing(cfg)
+        log, result = swing(cfg, StepLog())
         logs.append(log)
         return log, result
 
@@ -127,7 +128,7 @@ def test_criterion_2_failure_mode_beyond_lookahead():
                                         depth=0.15, width=0.40),))
 
     far_cfg = replace(base, scene=box_at(1.05))
-    log_far, far = run_swing(far_cfg)
+    _, far = run_swing(far_cfg)
     near_cfg = replace(base, scene=box_at(0.55))
     _, near = run_swing(near_cfg)
 

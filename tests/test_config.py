@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from swingsim.config import BOX, BOXES, SECTIONS, ConfigError, parse_scenario
 from swingsim.human_model import GaitIntent
-from swingsim.sim_harness import Outcome, run_swing
+from swingsim.sim_harness import Outcome, StepLog, run_swing
 
 
 def valid(f):
@@ -71,7 +71,7 @@ def test_scenario_runs_to_a_finite_outcome_or_raises_config_error(case):
         assert bad_path is None or str(exc).startswith(bad_path)
         return
     assert bad_path is None
-    log, result = run_swing(cfg)
+    log, result = run_swing(cfg, StepLog())
     assert all(math.isfinite(row.theta_k) for row in log.rows)
     assert isinstance(result.outcome, Outcome)
     assert math.isfinite(result.swing_duration)

@@ -17,6 +17,7 @@ from swingsim.sim_harness import (
     Contact,
     LogRow,
     Outcome,
+    StepLog,
     Surface,
     TrialConfig,
     _classify,
@@ -103,7 +104,7 @@ def test_contact_airborne_foot_none():
 
 def test_level_swing_succeeds_with_toe_clearance():
     cfg = TrialConfig(intent=GaitIntent.LEVEL, seed=1)
-    log, res = run_swing(cfg)
+    log, res = run_swing(cfg, StepLog())
     assert res.outcome is Outcome.SUCCESS_LEVEL
     assert res.landing_surface is Surface.GROUND
     # mid-swing toe clearance at least the safety margin
@@ -118,7 +119,7 @@ def test_step_over_success_land_beyond_box():
     scene = ObstacleScene(boxes=(Box(front_x=pts.toe[0] + 0.4, height=0.16,
                                      depth=0.15, width=0.40),))
     cfg = replace(base, scene=scene)
-    log, res = run_swing(cfg)
+    log, res = run_swing(cfg, StepLog())
     assert res.outcome is Outcome.SUCCESS_STEP_OVER
     assert res.landing_x > scene.boxes[0].back_x
     assert res.min_clearance is not None and res.min_clearance > 0.0
@@ -129,7 +130,7 @@ def test_step_on_lands_on_top_in_mirror():
     _, pts = capture_state(base)
     scene = ObstacleScene(boxes=(Box(front_x=pts.toe[0] + 0.6, height=0.16,
                                      depth=0.15, width=0.40),))
-    log, res = run_swing(replace(base, scene=scene))
+    log, res = run_swing(replace(base, scene=scene), StepLog())
     assert res.outcome is Outcome.SUCCESS_STEP_ON
     assert res.landing_surface is Surface.OBSTACLE_TOP
     assert scene.boxes[0].front_x <= res.landing_x <= scene.boxes[0].back_x
@@ -161,14 +162,14 @@ def test_landing_always_in_mirror_phase():
             _, pts = capture_state(base)
             base = replace(base, scene=ObstacleScene(boxes=(
                 Box(front_x=pts.toe[0] + 0.35, height=0.08, depth=0.15, width=0.4),)))
-        log, res = run_swing(base)
+        log, res = run_swing(base, StepLog())
         assert res.outcome in (Outcome.SUCCESS_LEVEL, Outcome.SUCCESS_STEP_OVER)
         assert log.rows[-1].phase == Phase.THREE_MIRROR.value
 
 
 def test_steplog_rows_kinematically_consistent():
     cfg = TrialConfig(intent=GaitIntent.LEVEL, seed=6)
-    log, _ = run_swing(cfg)
+    log, _ = run_swing(cfg, StepLog())
     for r in log.rows[:: max(1, len(log.rows) // 100)]:
         hip = HipPose(x_h=r.x_h, z_h=r.z_h, theta_h=r.theta_h,
                       theta_h_dot=r.theta_h_dot)
@@ -179,7 +180,7 @@ def test_steplog_rows_kinematically_consistent():
 
 def test_steplog_tick_spacing():
     cfg = TrialConfig(intent=GaitIntent.LEVEL, seed=6)
-    log, res = run_swing(cfg)
+    log, res = run_swing(cfg, StepLog())
     ts = [r.t for r in log.rows]
     assert ts[0] == 0.0
     assert np.allclose(np.diff(ts), cfg.planner.dt)
@@ -191,15 +192,15 @@ def test_knee_respects_limits():
     _, pts = capture_state(base)
     scene = ObstacleScene(boxes=(Box(front_x=pts.toe[0] + 0.5, height=0.16,
                                      depth=0.15, width=0.4),))
-    log, _ = run_swing(replace(base, scene=scene))
+    log, _ = run_swing(replace(base, scene=scene), StepLog())
     for r in log.rows:
         assert -1e-12 <= r.theta_k <= base.planner.knee_limit + 1e-12
 
 
 def test_run_swing_deterministic():
     cfg = TrialConfig(intent=GaitIntent.LEVEL, seed=11)
-    log1, res1 = run_swing(cfg)
-    log2, res2 = run_swing(cfg)
+    log1, res1 = run_swing(cfg, StepLog())
+    log2, res2 = run_swing(cfg, StepLog())
     assert res1.swing_duration == res2.swing_duration
     assert res1.peak_knee_flexion == res2.peak_knee_flexion
     assert [r.theta_k for r in log1.rows] == [r.theta_k for r in log2.rows]
@@ -217,13 +218,13 @@ def test_run_swing_samples_hip_once_per_tick(monkeypatch):
     monkeypatch.setattr(human_model, "hip_pose", counting)
     human_model.hip_track.cache_clear()
     cfg = TrialConfig(intent=GaitIntent.LEVEL, seed=11)
-    log, _ = run_swing(cfg)
+    log, _ = run_swing(cfg, StepLog())
     # the poses at 0 and dt before the loop, then one look-ahead per tick
     assert len(calls) == len(log.rows) + 2
     assert calls == sorted(set(calls))
     # the hip is open loop: an identical trial reads the same track
     calls.clear()
-    again, _ = run_swing(cfg)
+    again, _ = run_swing(cfg, StepLog())
     assert calls == []
     assert steplog_text(again) == steplog_text(log)
 
@@ -247,11 +248,11 @@ def test_run_swing_rows_equal_with_warm_and_cleared_hip_track():
     cold = {}
     for cfg in (long_, short):
         human_model.hip_track.cache_clear()
-        cold[cfg] = steplog_text(run_swing(cfg)[0])
+        cold[cfg] = steplog_text(run_swing(cfg, StepLog())[0])
     assert len(cold[short]) < len(cold[long_])
     # the long swing extends the short one's track; the short one reads a prefix
     for cfg in (long_, short):
-        assert steplog_text(run_swing(cfg)[0]) == cold[cfg]
+        assert steplog_text(run_swing(cfg, StepLog())[0]) == cold[cfg]
 
 
 def test_run_swing_evaluates_kinematics_once_per_tick(monkeypatch):
@@ -270,9 +271,49 @@ def test_run_swing_evaluates_kinematics_once_per_tick(monkeypatch):
     _, pts = capture_state(base)
     scene = ObstacleScene(boxes=(Box(front_x=pts.toe[0] + 0.4, height=0.08),))
     calls.clear()
-    log, _ = run_swing(replace(base, scene=scene))
+    log, _ = run_swing(replace(base, scene=scene), StepLog())
     # the capture pose, the toe-off pose, then the pose after each tick
     assert len(calls) == len(log.rows) + 2
+
+
+def test_campaign_builds_no_step_log(monkeypatch):
+    from swingsim import sim_harness
+    built = [0]
+    real = sim_harness.LogRow
+
+    def counting(*fields):
+        built[0] += 1
+        return real(*fields)
+
+    monkeypatch.setattr(sim_harness, "LogRow", counting)
+    cc = CampaignConfig(seed=5, n_step_over=2, n_step_on=1, n_level=1,
+                        expect_all_success=False)
+    res = run_campaign(cc)
+    assert {s.intent for s in res.specs} == set(GaitIntent)
+    assert built[0] == 0
+    cfg = trial_config_for(cc, res.specs[0])
+    log, _ = run_swing(cfg)
+    assert log is None and built[0] == 0
+    # rows asked for are built through the same name
+    log, _ = run_swing(cfg, StepLog())
+    assert built[0] == len(log.rows) > 0
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.02])
+def test_step_log_only_observes(tau):
+    # one seed-2024 campaign trial per intent, with ideal and lagged tracking
+    cc = CampaignConfig(seed=2024)
+    first = {}
+    for spec in build_trial_specs(cc):
+        first.setdefault(spec.intent, spec)
+    assert set(first) == set(GaitIntent)
+    for spec in first.values():
+        cfg = replace(trial_config_for(cc, spec), tracking_lag_tau=tau)
+        none, bare = run_swing(cfg)
+        log, logged = run_swing(cfg, StepLog())
+        assert none is None
+        assert logged == bare, spec
+        assert len(log.rows) == round(bare.swing_duration / cfg.planner.dt)
 
 
 finite_or_not = st.one_of(
