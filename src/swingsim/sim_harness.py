@@ -239,8 +239,9 @@ def contact_check(pts: FootPoints, scene: ObstacleScene, lows: list, in_mirror: 
                   downward: bool) -> Optional[Contact]:
     """Classify foot/shank contact with the scene, if any.
 
-    lows must be span_lows(pts, scene). Vertical box faces always trip.
-    Surface touches land only in the mirror sub-mode with downward foot
+    lows must be span_lows(pts, scene). Vertical box faces always trip: the
+    heel-toe or knee-ankle segment crossing a face strictly between the
+    ground and the box top. Surface touches land only in the mirror sub-mode with downward foot
     velocity; otherwise they are trips (box top) or scuffs (ground).
     """
     g = scene.ground_height
@@ -250,8 +251,6 @@ def contact_check(pts: FootPoints, scene: ObstacleScene, lows: list, in_mirror: 
     for front_x, back_x, top, hit in lows:
         for x0, z0, x1, z1 in segments:
             for face_x in (front_x, back_x):
-                # a segment crossing the face line strictly between the
-                # ground and the top trips
                 if (x0 - face_x) * (x1 - face_x) > 0.0 or abs(x1 - x0) < 1e-12:
                     continue
                 z = z0 + (z1 - z0) * (face_x - x0) / (x1 - x0)
