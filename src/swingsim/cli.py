@@ -44,6 +44,7 @@ EXIT_CONFIG = 2
 
 # more workers than cores only adds processes
 JOBS = config.Field("jobs", "jobs", int, 1, os.cpu_count() or 1)
+TRIALS = next(f for f in config.CAMPAIGN if f.key == "n_step_over")._replace(key="trials", lo=1)
 
 
 def _out_dir(args) -> str:
@@ -150,8 +151,7 @@ def cmd_sweep(args, argv) -> int:
         raise ConfigError("sweep.values: must be a comma-separated number list") from None
     if not values:
         raise ConfigError("sweep.values: is empty")
-    if args.trials < 1:
-        raise ConfigError(f"sweep.trials: must be at least 1, got {args.trials}")
+    config.check("sweep.trials", TRIALS, args.trials)
     planners = [config.parse_scenario({"planner": {args.param: v}}).planner for v in values]
     out = _out_dir(args)
 

@@ -51,6 +51,13 @@ TIMEOUT_FACTOR = 2.0
 # the nominal 1 m ground look-ahead the profile is frustum-edge noise;
 # trimming both keeps the cluster budget on the stretch that matters.
 PROFILE_AHEAD_CAP = 0.90  # m ahead of the capture toe
+# perceive clusters no profile whose highest point lies more than this below
+# the capture toe: its keypoints, means of its points unscaled from z_weight
+# and merged by _dedupe, then lie below the toe too and give the level target.
+# In floats a mean of n points can land ~n ulps above their max (~2e-12 m for
+# 500 x 21 rays at |z| <= 1.5 m). With no margin, 135 of 3,000 adversarial
+# profiles got another target; at 1e-9 m, none did.
+LEVEL_PROFILE_MARGIN = 1e-9  # m
 
 
 class Outcome(Enum):
@@ -184,8 +191,9 @@ def perceive(cfg: TrialConfig, seed_capture: int, seed_kmeans: int):
     """Run the full perception pipeline for one trial.
 
     Returns (target with x_c as a distance, keypoints-or-None, profile,
-    capture toe). An empty capture or crop degrades to the level-ground
-    target rather than failing.
+    capture toe). A profile that is empty, or whose highest point lies more
+    than LEVEL_PROFILE_MARGIN below the toe, gives the level-ground target
+    (z_t + delta, DEFAULT_X_C) unclustered, with keypoints None.
     """
     hip, pts = capture_state(cfg)
     toe = pts.toe
@@ -195,7 +203,7 @@ def perceive(cfg: TrialConfig, seed_capture: int, seed_kmeans: int):
     flat = flat[(flat[:, 0] >= toe[0])
                 & (flat[:, 0] <= toe[0] + PROFILE_AHEAD_CAP)]
 
-    if flat.shape[0] == 0:
+    if flat.shape[0] == 0 or flat[:, 1].max() < toe[1] - LEVEL_PROFILE_MARGIN:
         kps, est = None, ObstacleEstimate(z_m_prime=toe[1])  # level ground at the toe
     else:
         kps = elevation_keypoints(flat, k=cfg.kmeans_k, seed=seed_kmeans,

@@ -113,6 +113,22 @@ def test_perceive_emits_profile_keypoints_target(box_scenario, tmp_path):
     assert target["x_c_m"] == pytest.approx(0.4, abs=0.02)
 
 
+def test_perceive_on_level_ground_lists_no_keypoints_and_the_level_target(level_scenario,
+                                                                          tmp_path):
+    # nothing ahead rises above the capture toe, so k-means is skipped
+    out = tmp_path / "p"
+    assert main(["--out", str(out), "perceive", level_scenario]) == 0
+    assert len(open(out / "profile.csv").read().splitlines()) > 100
+    kps = json.loads(open(out / "keypoints.json").read())
+    assert kps["keypoints"] == []
+    cfg = load_scenario(level_scenario)
+    x_t, z_t = capture_state(cfg)[1].toe
+    assert kps["capture_toe"] == {"x_m": round(x_t, 6), "z_m": round(z_t, 6)}
+    target = json.loads(open(out / "target.json").read())
+    assert target == {"z_m_m": round(z_t + cfg.planner.delta, 6), "x_c_m": 0.2,
+                      "x_c_world_m": round(x_t + 0.2, 6)}
+
+
 def test_perceive_and_run_report_the_same_target(tmp_path):
     # both commands derive the capture and k-means seeds from --seed; depth
     # noise makes the target depend on the capture seed
@@ -285,6 +301,9 @@ BAD_INPUTS = [
                                  "noise_sigma_deg": 10}}, "human.theta_h_end_deg"),
     (["sweep", "--param", "kmax", "--values", "-1"], None, "planner.kmax"),
     (["sweep", "--param", "kmax", "--values", "4", "--trials", "0"], None, "sweep.trials"),
+    # an OverflowError traceback from SeedSequence.spawn
+    (["sweep", "--param", "kmax", "--values", "4", "--trials", "100000000000000000000"], None,
+     "sweep.trials: 100000000000000000000 is outside [1, 100000]"),
     (["--seed", "-1", "run", "FILE"], {}, "--seed"),
     # rejections no other case reaches
     (["run", "FILE"], RawText('{"scene": {'), "invalid JSON at line 1"),

@@ -215,25 +215,40 @@ def seed_lockstep_never_none(*args):
     return seeded
 
 
+def production_and_reference(monkeypatch, fn, *args):
+    """fn(*args) with production k-means, whose every capture is seeded and
+    pruned by Lloyd, and with the reference kmeans_prune."""
+    with monkeypatch.context() as m:
+        # no campaign profile has fewer distinct points than k
+        m.setattr(perception, "_seed_lockstep", seed_lockstep_never_none)
+        got = fn(*args)
+    with monkeypatch.context() as m:
+        m.setattr(perception, "kmeans_prune", oracle_utils.kmeans_prune)
+        ref = fn(*args)
+    return got, ref
+
+
 @pytest.mark.parametrize("noise", [0.0, 0.003])
 def test_perceive_keypoints_equal_reference_on_campaign_scenes(monkeypatch, noise):
     cc = CampaignConfig.reproduction_profile(2024)
     specs = build_trial_specs(cc)[::30]
+    assert specs[-1].intent is GaitIntent.LEVEL
     for spec in specs:
         cfg = trial_config_for(cc, spec)
         cfg = replace(cfg, camera=replace(cfg.camera, depth_noise_sigma=noise))
         # the capture and k-means seeds run_swing derives from the trial seed
         seeds = trial_seeds(cfg.seed)[:2]
-        with monkeypatch.context() as m:
-            # no campaign profile has fewer distinct points than k, so every
-            # capture is seeded and pruned by Lloyd
-            m.setattr(perception, "_seed_lockstep", seed_lockstep_never_none)
-            target, kps, _, _ = perceive(cfg, *seeds)
-        with monkeypatch.context() as m:
-            m.setattr(perception, "kmeans_prune", oracle_utils.kmeans_prune)
-            ref_target, ref_kps, _, _ = perceive(cfg, *seeds)
-        assert kps.keypoints == ref_kps.keypoints, spec
+        (target, kps, profile, _), (ref_target, ref_kps, _, _) = production_and_reference(
+            monkeypatch, perceive, cfg, *seeds)
         assert target == ref_target, spec
+        if spec.intent is GaitIntent.LEVEL:
+            # no level profile rises above the capture toe, so neither side
+            # clusters it; cluster it directly to keep flat profiles checked
+            assert kps is None and ref_kps is None, spec
+            kps, ref_kps = production_and_reference(
+                monkeypatch, perception.elevation_keypoints, profile, cfg.kmeans_k, seeds[1],
+                cfg.kmeans_restarts, cfg.z_weight)
+        assert kps.keypoints == ref_kps.keypoints, spec
 
 
 RAYS_VERTICAL = next(f for f in config.CAMERA if f.key == "rays_vertical")

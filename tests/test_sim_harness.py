@@ -8,7 +8,16 @@ from hypothesis import given, settings, strategies as st
 
 from swingsim.config import parse_campaign
 from swingsim.leg_kinematics import DEG, HipPose, FootPoints, forward_points
-from swingsim.perception import Box, ObstacleScene
+from swingsim import sim_harness
+from swingsim.perception import (
+    Box,
+    DEFAULT_X_C,
+    ControlTarget,
+    ObstacleScene,
+    control_modify,
+    elevation_keypoints,
+    extract_estimate,
+)
 from swingsim.human_model import GaitIntent
 from swingsim.swing_planner import Phase
 from swingsim.sim_harness import (
@@ -31,6 +40,7 @@ from swingsim.sim_harness import (
     summarize,
     summary_json,
     trial_config_for,
+    trial_seeds,
 )
 
 
@@ -342,6 +352,64 @@ def test_perception_fallback_when_no_returns():
     assert kps is None
     assert target.x_c == pytest.approx(0.20)
     assert target.z_m == pytest.approx(toe[1] + cfg.planner.delta)
+
+
+def clustered_target(cfg, flat, toe, seed_kmeans):
+    """The target k-means gives the profile flat, which perceive does not cluster."""
+    kps = elevation_keypoints(flat, k=cfg.kmeans_k, seed=seed_kmeans,
+                              restarts=cfg.kmeans_restarts, z_weight=cfg.z_weight)
+    est = extract_estimate(kps, toe, edge_threshold=cfg.edge_threshold)
+    return control_modify(est, z_t=toe[1], delta=cfg.planner.delta)
+
+
+def test_perceive_skips_kmeans_on_a_level_campaign_scene_with_the_same_target():
+    cc = CampaignConfig(seed=2024)
+    spec = next(s for s in build_trial_specs(cc) if s.intent is GaitIntent.LEVEL)
+    cfg = trial_config_for(cc, spec)
+    seeds = trial_seeds(cfg.seed)[:2]
+    target, kps, flat, toe = perceive(cfg, *seeds)
+    assert kps is None
+    assert len(flat) > cfg.kmeans_k and flat[:, 1].max() < toe[1]
+    assert target == clustered_target(cfg, flat, toe, seeds[1])
+    assert target == ControlTarget(z_m=toe[1] + cfg.planner.delta, x_c=DEFAULT_X_C)
+
+
+LEVEL_TOE = capture_state(TrialConfig())[1].toe
+
+
+@st.composite
+def profiles_below_the_toe(draw):
+    """Points in perceive's window ahead of the default capture toe, each
+    lower than it by more than LEVEL_PROFILE_MARGIN, and a k. Up to 120
+    points lie one to four ulps under that bound, where a cluster mean most
+    often rounds up past it; up to 20 lie anywhere in the 0.3 m below it."""
+    x_t, z_t = LEVEL_TOE
+    bound = z_t - sim_harness.LEVEL_PROFILE_MARGIN
+    near = float(bound - draw(st.integers(1, 4)) * np.spacing(bound))
+    low = st.one_of(st.floats(bound - 0.3, bound, exclude_max=True),
+                    st.integers(1, 6).map(lambda i: bound - i * 0.05))
+    x = st.one_of(st.floats(x_t, x_t + sim_harness.PROFILE_AHEAD_CAP),
+                  st.integers(0, 9).map(lambda i: x_t + i * 0.1))
+    n = draw(st.integers(1, 120))
+    pts = [(xi, near) for xi in draw(st.lists(x, min_size=n, max_size=n))]
+    pts += draw(st.lists(st.tuples(x, low), max_size=20))
+    return pts, draw(st.one_of(st.integers(1, 12), st.integers(1, len(pts) + 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(profiles_below_the_toe(), st.integers(1, 8), st.floats(0.1, 50.0),
+       st.floats(0.001, 0.2), st.integers(0, 2**32 - 1))
+def test_clustering_a_profile_below_the_toe_gives_the_level_target(case, restarts, z_weight,
+                                                                   edge, seed):
+    profile, k = case
+    cfg = TrialConfig(kmeans_k=k, kmeans_restarts=restarts, z_weight=z_weight,
+                      edge_threshold=edge)
+    cloud = np.array([(x, 0.0, z) for x, z in profile])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(sim_harness, "capture", lambda *args: cloud)
+        target, kps, flat, toe = perceive(cfg, 0, seed)
+    assert kps is None and len(flat) == len(profile)
+    assert clustered_target(cfg, flat, toe, seed) == target
 
 
 def test_tracking_lag_robustness():
