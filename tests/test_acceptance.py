@@ -5,6 +5,7 @@ the lines stream; they also appear in captured output on failure.
 The randomized campaign (criterion 1) is executed once per session and
 shared with the statistics, ordering and trajectory-invariant criteria.
 """
+import hashlib
 import json
 import math
 import time
@@ -28,6 +29,7 @@ from swingsim.swing_planner import (
     mz_boundary_knee,
 )
 from swingsim.sim_harness import (
+    ROW_FORMAT,
     SUCCESSES,
     CampaignConfig,
     Outcome,
@@ -41,9 +43,17 @@ from swingsim.sim_harness import (
     summary_json,
     trial_config_for,
     trial_seeds,
+    write_trial_index_csv,
 )
 
 CAMPAIGN_SEED = 2024
+# sha256 of the seed-2024 campaign's summary.json (summary_json + "\n"), its
+# trials.csv, and its 210 step logs formatted with ROW_FORMAT and concatenated
+PINNED_DIGESTS = {
+    "summary.json": "39842f3583bac47f4deafbc7f00d87fd8100b682497d37dfddcce40eccdf7e9e",
+    "trials.csv": "d037d7d32072388f8ff09df66a4a35b7c5749539cce4cca9165c1038d14abd43",
+    "step logs": "841d107a7bae71c8248a91469640c8d706147693c519afa15d7be8e89ba6be4a",
+}
 
 
 @pytest.fixture(scope="session")
@@ -336,14 +346,22 @@ def test_criterion_6f_mirror_lock_invariant(campaign):
           f"({n_checked} trials)")
 
 
-def test_criterion_7_campaign_determinism(campaign):
+def test_criterion_7_campaign_determinism(campaign, tmp_path):
     cc, res = campaign
     repeat = run_campaign(CampaignConfig.reproduction_profile(seed=CAMPAIGN_SEED))
     a = summary_json(res.summary).encode()
     b = summary_json(repeat.summary).encode()
     assert a == b
+    # seed-2024 outputs pinned across commits, not only run against run
+    csv_path = tmp_path / "trials.csv"
+    write_trial_index_csv(csv_path, res.specs, res.results)
+    steplogs = "".join(ROW_FORMAT % row for log in res.logs for row in log.rows)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in (
+        ("summary.json", a + b"\n"), ("trials.csv", csv_path.read_bytes()),
+        ("step logs", steplogs.encode()))}
+    assert digests == PINNED_DIGESTS
     print(f"[criterion 7] PASS: repeated campaign summary byte-identical "
-          f"({len(a)} bytes)")
+          f"({len(a)} bytes); summary, trials.csv and step logs match their pinned digests")
 
 
 # ---------------------------------------------------------------------------
