@@ -14,6 +14,7 @@ outputs byte-identically; wall-clock metadata is isolated in run_info.json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -183,6 +184,7 @@ def cmd_show_presets(args, argv) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process; main may run many times in one
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="swingsim",
                                  description="Obstacle-aware prosthesis swing simulator")

@@ -32,7 +32,7 @@ from .perception import (
     elevation_keypoints,
     extract_estimate,
 )
-from .swing_planner import Phase, PhaseState, PlannerParams, planner_step
+from .swing_planner import THREE_MIRROR, PhaseState, PlannerParams, planner_step
 from . import human_model
 from .human_model import GaitIntent, HipTrajectoryParams
 
@@ -220,12 +220,13 @@ def _segment_lowest_over_span(p0, p1, x_lo, x_hi):
     (x0, z0), (x1, z1) = p0, p1
     if x1 < x0:
         x0, z0, x1, z1 = x1, z1, x0, z0
-    lo, hi = max(x0, x_lo), min(x1, x_hi)
+    # max(x0, x_lo) and min(x1, x_hi), spelled as the builtins' conditionals
+    lo = x_lo if x_lo > x0 else x0
+    hi = x_hi if x_hi < x1 else x1
     if lo > hi:
         return None
     if x1 - x0 < 1e-12:
-        z = min(z0, z1)
-        return z, x0
+        return (z1 if z1 < z0 else z0), x0
     zl = z0 + (z1 - z0) * (lo - x0) / (x1 - x0)
     zh = z0 + (z1 - z0) * (hi - x0) / (x1 - x0)
     return (zl, lo) if zl <= zh else (zh, hi)
@@ -236,7 +237,7 @@ def span_lows(pts: FootPoints, scene: ObstacleScene) -> list:
     the lowest (z, x) of the heel-toe segment over the span, None where it
     does not overlap; computed once per tick for contact_check and the
     clearance scan."""
-    heel, toe = pts.heel, pts.toe
+    _, _, toe, heel = pts
     rows = []  # a loop, not a comprehension: cheaper per tick on Python 3.11
     for front_x, back_x, top in scene.spans:
         rows.append((front_x, back_x, top, _segment_lowest_over_span(heel, toe, front_x, back_x)))
@@ -253,8 +254,8 @@ def contact_check(pts: FootPoints, scene: ObstacleScene, lows: list, in_mirror: 
     velocity; otherwise they are trips (box top) or scuffs (ground).
     """
     g = scene.ground_height
-    heel, toe = pts.heel, pts.toe
-    segments = (heel + toe, pts.knee + pts.ankle)
+    knee, ankle, toe, heel = pts
+    segments = (heel + toe, knee + ankle)
 
     for front_x, back_x, top, hit in lows:
         for x0, z0, x1, z1 in segments:
@@ -359,10 +360,13 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     prev_low = None
 
     geom, scene, tau = cfg.geometry, cfg.scene, cfg.tracking_lag_tau
+    knee_limit, end = params.knee_limit, horizon + dt / 2
     rows = None if log is None else log.rows
+    # min/max below are the conditionals that return the builtins' operand
+    # (see swing_planner)
     pts = forward_points(geom, hip, joint.theta_k)
-    heel, toe = pts.heel, pts.toe
-    while t < horizon + dt / 2:
+    _, _, toe, heel = pts
+    while t < end:
         # pts is the foot at this tick's hip and knee, shared with the planner
         cmd = planner_step(geom, hip, joint, pts, target, state, params)
         if rows is not None:
@@ -377,7 +381,9 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
             v_new = v_prev + (dt / tau) * (cmd.knee_vel_cmd - v_prev)
         else:
             v_new = cmd.knee_vel_cmd
-        theta_k_new = min(max(theta_k + v_new * dt, 0.0), params.knee_limit)
+        theta_k_new = theta_k + v_new * dt
+        theta_k_new = 0.0 if 0.0 > theta_k_new else theta_k_new
+        theta_k_new = knee_limit if knee_limit < theta_k_new else theta_k_new
         v_actual = (theta_k_new - theta_k) / dt
         joint.theta_k, joint.theta_k_dot = theta_k_new, v_actual
         joint.theta_k_ddot = (v_actual - v_prev) / dt
@@ -385,20 +391,21 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         t += dt
         i += 1
         hip = track[i]
-        pts = forward_points(geom, hip, joint.theta_k)
-        heel, toe = pts.heel, pts.toe
-        peak_flex = max(peak_flex, joint.theta_k)
+        pts = forward_points(geom, hip, theta_k_new)
+        _, _, toe, heel = pts
+        peak_flex = theta_k_new if theta_k_new > peak_flex else peak_flex
 
         lows = span_lows(pts, scene)
         for _, _, top, hit in lows:
             if hit is not None:
                 clear = hit[0] - top
-                min_clear = clear if min_clear is None else min(min_clear, clear)
+                if min_clear is None or clear < min_clear:
+                    min_clear = clear
 
-        low_now = min(heel[1], toe[1])
+        low_now = toe[1] if toe[1] < heel[1] else heel[1]
         downward = prev_low is not None and low_now < prev_low
         prev_low = low_now
-        contact = contact_check(pts, scene, lows, state.phase is Phase.THREE_MIRROR, downward)
+        contact = contact_check(pts, scene, lows, state.phase is THREE_MIRROR, downward)
         if contact is not None:
             break
 
@@ -506,9 +513,13 @@ def run_campaign(cc: CampaignConfig, jobs: int = 1) -> CampaignResult:
 
 
 def _condition_key(spec: TrialSpec) -> str:
+    """level, or intent_h<height>: two decimals where they give the height
+    exactly (h0.04), its repr otherwise (h0.041), so distinct heights never
+    share a condition."""
     if spec.intent is GaitIntent.LEVEL:
         return "level"
-    return f"{spec.intent.value}_h{spec.height:.2f}"
+    h = f"{spec.height:.2f}"
+    return f"{spec.intent.value}_h{h if float(h) == spec.height else repr(spec.height)}"
 
 
 def _stats(values) -> dict:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -106,3 +108,28 @@ def test_geometry_validation():
         HipPose(x_h=0.0, z_h=-0.1, theta_h=0.0)
     with pytest.raises(ValueError):
         HipPose(x_h=0.0, z_h=0.885, theta_h=2.0)
+
+
+def _fresh_derived(geom):
+    return (math.hypot(geom.shank_m, geom.toe_m), math.atan2(geom.toe_m, geom.shank_m),
+            hash((geom.thigh_m, geom.shank_m, geom.toe_m, geom.heel_m)))
+
+
+@pytest.mark.parametrize("geom", [
+    GEOM,
+    LegGeometry(thigh_m=0.5, shank_m=0.37, toe_m=0.19, heel_m=0.05),
+    dataclasses.replace(GEOM, shank_m=0.39, toe_m=0.12),
+    pickle.loads(pickle.dumps(dataclasses.replace(GEOM, toe_m=0.2))),
+], ids=["default", "built", "replaced", "pickled"])
+def test_per_geometry_values_equal_a_fresh_computation(geom):
+    # what LegGeometry derives once (the planner's knee-to-toe constants and
+    # the cache's hash) must track the fields through replace and pickle,
+    # the way pool workers receive a trial's geometry
+    assert (geom.knee_toe_m, geom.knee_toe_angle, hash(geom)) == _fresh_derived(geom)
+    twin = LegGeometry(geom.thigh_m, geom.shank_m, geom.toe_m, geom.heel_m)
+    assert twin == geom and hash(twin) == hash(geom)
+    assert pickle.loads(pickle.dumps(geom)) == geom
+    assert hash(pickle.loads(pickle.dumps(geom))) == hash(geom)
+    assert dataclasses.replace(geom) == geom and hash(dataclasses.replace(geom)) == hash(geom)
+    assert dataclasses.replace(geom, toe_m=geom.toe_m + 0.01).knee_toe_m \
+        == math.hypot(geom.shank_m, geom.toe_m + 0.01)

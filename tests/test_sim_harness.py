@@ -472,3 +472,21 @@ def test_campaign_parallel_matches_serial():
     serial = run_campaign(cc, jobs=1)
     parallel = run_campaign(cc, jobs=2)
     assert summary_json(serial.summary) == summary_json(parallel.summary)
+
+
+def test_distinct_heights_get_distinct_conditions():
+    # at two decimals both heights read 0.04 and once shared one condition
+    cc = CampaignConfig(seed=2024, n_step_over=6, n_step_on=0, n_level=0,
+                        heights=(0.041, 0.044), expect_all_success=False)
+    res = run_campaign(cc)
+    drawn = {}
+    for spec in res.specs:
+        drawn[spec.height] = drawn.get(spec.height, 0) + 1
+    assert set(drawn) == {0.041, 0.044}
+    conditions = res.summary["conditions"]
+    assert {key: c["n"] for key, c in conditions.items()} == {
+        f"step_over_h{h!r}": n for h, n in drawn.items()}
+    # heights that two decimals give exactly keep their keys
+    keys = {sim_harness._condition_key(s) for s in build_trial_specs(CampaignConfig())}
+    assert keys == {"level", "step_on_h0.16", "step_over_h0.04", "step_over_h0.08",
+                    "step_over_h0.16"}
