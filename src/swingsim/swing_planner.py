@@ -63,7 +63,8 @@ class Phase(Enum):
 # read on 3.11), and two-operand min/max are spelled as the conditional that
 # returns the same operand as the builtin, ties, NaN and -0.0 included:
 # max(a, b) is `b if b > a else a`, min(a, b) is `b if b < a else a`.
-ONE, TWO, THREE_TANGENT, THREE_CONVERGE, THREE_MIRROR = Phase
+ONE, TWO, THREE_TANGENT = Phase.ONE, Phase.TWO, Phase.THREE_TANGENT
+THREE_CONVERGE, THREE_MIRROR = Phase.THREE_CONVERGE, Phase.THREE_MIRROR
 NAN = math.nan
 _new_tuple = tuple.__new__  # builds PlannerCommand without its Python-level __new__
 
@@ -104,7 +105,7 @@ class PlannerCommand(NamedTuple):
     knee_vel_cmd: float      # rad/s, after blending
     phase_after: PhaseState
     slope: float = 0.0       # active slope (k_1, k_2 or converge gain), for logging
-    c_t: float = math.nan
+    c_t: float = NAN
     gamma_1: float = 0.0
 
 
@@ -188,8 +189,8 @@ def mz_peak(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float) -> flo
     when the boundary is absent everywhere. Hip height is quantized to 1 mm
     and z_m to 1e-5 m for caching (a hit, ~0.3 us on CPython 3.11, is ~20x
     cheaper than the closed form); the peak moves far less than the
-    phase-one slope tolerance over that step. knee_limit, fixed per trial, is not rounded: the saturated
-    peak is the hardware limit itself.
+    phase-one slope tolerance over that step. knee_limit, fixed per trial,
+    is not rounded: the saturated peak is the hardware limit itself.
     """
     out = _peak_cached(geom, round(z_h, 3), round(z_m, 5), knee_limit)
     return knee_limit if out is None else out[1]

@@ -344,3 +344,15 @@ def test_jobs_outside_one_to_cpu_count_exits_2_before_any_campaign(jobs, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "--jobs" in err
+
+
+def test_parser_is_built_once_and_carries_nothing_between_calls():
+    # main runs many times in one process (the benchmark's run-steplog ops);
+    # the parser is built on the first call only
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    first = parser.parse_args(["--strict", "--seed", "3", "--jobs", "2", "run", "a.json"])
+    second = parser.parse_args(["campaign"])
+    assert (first.strict, first.seed, first.jobs, first.scenario) == (True, 3, 2, "a.json")
+    assert (second.strict, second.seed, second.jobs, second.config) == (False, None, 1, None)
+    assert not hasattr(second, "scenario") and second.func is cli.cmd_campaign
