@@ -441,6 +441,28 @@ def test_campaign_specs_deterministic_and_sized():
                for s in ons)
 
 
+def test_trial_spec_draws_are_pinned_on_a_non_default_campaign():
+    # choice then uniform per step-over, uniform per step-on, no draw per
+    # level trial; per-trial seeds from the master SeedSequence's children
+    cc = CampaignConfig(seed=6, n_step_over=4, n_step_on=3, n_level=2, heights=(0.05, 0.12),
+                        step_on_height=0.10, distance_range=(0.2, 0.6),
+                        step_on_distance_range=(0.45, 0.65))
+    expected = [
+        ("STEP_OVER", 0.05, 0.27987906688551983, 4186225163),
+        ("STEP_OVER", 0.12, 0.5508531481463719, 103425314),
+        ("STEP_OVER", 0.12, 0.4922415206019045, 3709245926),
+        ("STEP_OVER", 0.05, 0.497932838610003, 3910125565),
+        ("STEP_ON", 0.1, 0.5567574700273916, 2252857153),
+        ("STEP_ON", 0.1, 0.4894633707373206, 3808686105),
+        ("STEP_ON", 0.1, 0.5243988130982755, 68179006),
+        ("LEVEL", None, None, 2018130635),
+        ("LEVEL", None, None, 1802169776),
+    ]
+    assert build_trial_specs(cc) == [
+        sim_harness.TrialSpec(i, GaitIntent[intent], h, d, seed)
+        for i, (intent, h, d, seed) in enumerate(expected)]
+
+
 def test_campaign_box_placement_relative_to_capture_toe():
     cc = CampaignConfig(seed=5, n_step_over=1, n_step_on=0, n_level=0)
     spec = build_trial_specs(cc)[0]
