@@ -34,7 +34,6 @@ from .sim_harness import (
     perceive,
     run_campaign,
     run_swing,
-    summary_json,
     trial_seeds,
     write_trial_index_csv,
 )
@@ -50,7 +49,10 @@ TRIALS = next(f for f in config.CAMPAIGN if f.key == "n_step_over")._replace(key
 
 def _out_dir(args) -> str:
     out = args.out or os.environ.get("SWINGSIM_OUT") or "swingsim_out"
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a regular file at the path, or on the way to it
+        raise ConfigError(f"--out: cannot make directory {out!r}: {exc.strerror}") from None
     return out
 
 
@@ -97,9 +99,7 @@ def cmd_campaign(args, argv) -> int:
     out = _out_dir(args)
 
     res = run_campaign(cc, jobs=args.jobs)
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        fh.write(summary_json(res.summary))
-        fh.write("\n")
+    _write_json(os.path.join(out, "summary.json"), res.summary)
     write_trial_index_csv(os.path.join(out, "trials.csv"), res.specs, res.results)
     _write_run_info(out, argv)
 

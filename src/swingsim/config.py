@@ -102,7 +102,6 @@ TAU = Field("tau_s", "tracking_lag_tau", float, 0.0, 0.5)
 TRIAL = (
     SEED,
     TAU,
-    Field("aim_landing", "aim_landing", bool),
     Field("kmeans_k", "kmeans_k", int, 1, 100),
     Field("kmeans_restarts", "kmeans_restarts", int, 1, 20),
     Field("corridor_width_m", "corridor_width", float, 0.01, 1.0),

@@ -12,9 +12,10 @@ surface intersection is a trip (obstacle) or scuff (ground).
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -87,7 +88,6 @@ class TrialConfig:
     camera: CameraModel = CameraModel()
     seed: int = 0
     tracking_lag_tau: float = 0.0   # s; 0 = ideal velocity tracking
-    aim_landing: bool = True        # cooperative step-on progression aiming
     kmeans_k: int = 50
     kmeans_restarts: int = 8
     corridor_width: float = 0.15
@@ -101,35 +101,14 @@ class TrialConfig:
                              f"planner tick {self.planner.dt} s, got {self.tracking_lag_tau}")
 
 
-class LogRow(NamedTuple):
-    """One tick of the step log, in LOG_COLUMNS order; zip(*rows) gives columns."""
-
-    t: float
-    phase: str
-    theta_h: float
-    theta_h_dot: float
-    theta_k: float
-    theta_k_dot_cmd: float
-    theta_k_dot_actual: float
-    x_h: float
-    z_h: float
-    x_t: float
-    z_t: float
-    x_l: float
-    z_l: float
-    z_m: float
-    x_c: float
-    k_slope: float
-    c_t: float
-    gamma_1: float
-
-
 LOG_COLUMNS = (
     "t_s", "phase", "theta_h_rad", "theta_h_dot_rads", "theta_k_rad",
     "theta_k_dot_cmd_rads", "theta_k_dot_actual_rads", "x_h_m", "z_h_m",
     "x_t_m", "z_t_m", "x_l_m", "z_l_m", "z_m_m", "x_c_m", "k_slope", "c_t",
     "gamma_1",
 )
+# one tick of the step log, named by its CSV columns; zip(*rows) gives columns
+LogRow = namedtuple("LogRow", LOG_COLUMNS)
 # "%.6f" % v is the text of f"{v:.6f}" for every float, nan and inf included
 ROW_FORMAT = "%.6f,%s," + ",".join(["%.6f"] * (len(LOG_COLUMNS) - 2)) + "\n"
 
@@ -317,8 +296,7 @@ def resolve_human(cfg: TrialConfig) -> HipTrajectoryParams:
     the cooperative step-on aiming."""
     params = cfg.human if cfg.human is not None else human_model.preset(cfg.intent)
     params = replace(params, hip_height_base=params.hip_height_base + cfg.scene.ground_height)
-    if (cfg.aim_landing and cfg.intent is GaitIntent.STEP_ON
-            and len(cfg.scene.boxes) == 1):
+    if cfg.intent is GaitIntent.STEP_ON and len(cfg.scene.boxes) == 1:
         box = cfg.scene.boxes[0]
         params = human_model.aim_step_on_progression(
             params, box.front_x, box.depth, thigh=cfg.geometry.thigh_m)
@@ -460,24 +438,13 @@ def build_trial_specs(cc: CampaignConfig) -> list:
     master = np.random.SeedSequence(cc.seed)
     children = master.spawn(1 + cc.n_step_over + cc.n_step_on + cc.n_level)
     rng = np.random.default_rng(children[0])
-    specs = []
-    idx = 0
-    for _ in range(cc.n_step_over):
-        h = float(rng.choice(cc.heights))
-        d = float(rng.uniform(*cc.distance_range))
-        specs.append(TrialSpec(idx, GaitIntent.STEP_OVER, h, d,
-                               int(children[1 + idx].generate_state(1)[0])))
-        idx += 1
-    for _ in range(cc.n_step_on):
-        d = float(rng.uniform(*cc.step_on_distance_range))
-        specs.append(TrialSpec(idx, GaitIntent.STEP_ON, cc.step_on_height, d,
-                               int(children[1 + idx].generate_state(1)[0])))
-        idx += 1
-    for _ in range(cc.n_level):
-        specs.append(TrialSpec(idx, GaitIntent.LEVEL, None, None,
-                               int(children[1 + idx].generate_state(1)[0])))
-        idx += 1
-    return specs
+    draws = [(GaitIntent.STEP_OVER, float(rng.choice(cc.heights)),
+              float(rng.uniform(*cc.distance_range))) for _ in range(cc.n_step_over)]
+    draws += [(GaitIntent.STEP_ON, cc.step_on_height,
+               float(rng.uniform(*cc.step_on_distance_range))) for _ in range(cc.n_step_on)]
+    draws += [(GaitIntent.LEVEL, None, None)] * cc.n_level
+    return [TrialSpec(idx, intent, h, d, int(children[1 + idx].generate_state(1)[0]))
+            for idx, (intent, h, d) in enumerate(draws)]
 
 
 def trial_config_for(cc: CampaignConfig, spec: TrialSpec) -> TrialConfig:

@@ -295,12 +295,12 @@ def _crossing_time(rows, value_of, threshold_of):
         v = value_of(row) - threshold_of(row)
         if v >= 0.0:
             if prev is None:
-                return row.t
+                return row.t_s
             t0, v0 = prev
             if v == v0:
-                return row.t
-            return t0 + (row.t - t0) * (0.0 - v0) / (v - v0)
-        prev = (row.t, v)
+                return row.t_s
+            return t0 + (row.t_s - t0) * (0.0 - v0) / (v - v0)
+        prev = (row.t_s, v)
     return None
 
 
@@ -310,8 +310,8 @@ def test_criterion_6e_exit_order_invariant(campaign):
     for spec, r, log in zip(res.specs, res.results, res.logs):
         if spec.intent is GaitIntent.LEVEL or r.outcome not in SUCCESSES:
             continue
-        t_mz = _crossing_time(log.rows, lambda q: q.z_t, lambda q: q.z_m)
-        t_mx = _crossing_time(log.rows, lambda q: q.x_t, lambda q: q.x_c)
+        t_mz = _crossing_time(log.rows, lambda q: q.z_t_m, lambda q: q.z_m_m)
+        t_mx = _crossing_time(log.rows, lambda q: q.x_t_m, lambda q: q.x_c_m)
         assert t_mz is not None, spec
         if t_mx is None:
             continue  # never left M_x: vacuously ordered
@@ -336,9 +336,9 @@ def test_criterion_6f_mirror_lock_invariant(campaign):
             if row.phase == Phase.THREE_MIRROR.value:
                 in_mirror = True
             if in_mirror:
-                dev = abs((row.theta_h - row.theta_k) - params.theta_0)
+                dev = abs((row.theta_h_rad - row.theta_k_rad) - params.theta_0)
                 worst = max(worst, dev)
-                assert dev <= tol, (spec, row.t, dev)
+                assert dev <= tol, (spec, row.t_s, dev)
         n_checked += in_mirror
     assert n_checked == len(res.results)
     print(f"[criterion 6f] PASS: shank lean held within "
@@ -374,8 +374,8 @@ def test_invariant_phase_two_clearance(campaign):
     for spec, r, log in zip(res.specs, res.results, res.logs):
         for row in log.rows:
             if row.phase == Phase.TWO.value:
-                worst = min(worst, row.z_t - row.z_m)
-                assert row.z_t >= row.z_m - 0.005, (spec, row.t)
+                worst = min(worst, row.z_t_m - row.z_m_m)
+                assert row.z_t_m >= row.z_m_m - 0.005, (spec, row.t_s)
     print(f"[invariant] phase-two clearance ok (worst z_t - z_m = {worst:.4f} m)")
 
 
@@ -390,7 +390,7 @@ def test_invariant_saturation_and_c_monotone(campaign):
                 assert abs(row.k_slope) <= params.k_max + 1e-9
                 # monotone decrease is claimed under ideal tracking; it holds
                 # once the phase-entry cross-fade has decayed
-                if last_c is not None and row.theta_h_dot > 0 and row.gamma_1 < 0.05:
+                if last_c is not None and row.theta_h_dot_rads > 0 and row.gamma_1 < 0.05:
                     assert row.c_t <= last_c + 1e-9
                 last_c = row.c_t
     print("[invariant] converge gain bounded by 1 and monotone under forward hip motion")
@@ -425,8 +425,8 @@ def test_invariant_blend_continuity_at_transitions(campaign):
     for spec, r, log in list(zip(res.specs, res.results, res.logs))[::10]:
         for prev, row in zip(log.rows, log.rows[1:]):
             if majors[row.phase] != majors[prev.phase]:
-                accel = (row.theta_k_dot_actual - prev.theta_k_dot_actual) / dt
-                gap = abs(row.theta_k_dot_cmd - row.theta_k_dot_actual)
-                assert gap <= abs(accel) * dt + 1e-9, (spec, row.t)
+                accel = (row.theta_k_dot_actual_rads - prev.theta_k_dot_actual_rads) / dt
+                gap = abs(row.theta_k_dot_cmd_rads - row.theta_k_dot_actual_rads)
+                assert gap <= abs(accel) * dt + 1e-9, (spec, row.t_s)
     print("[invariant] commanded velocity continuous at phase entries "
           "(within the entry-acceleration step)")

@@ -292,6 +292,8 @@ BAD_INPUTS = [
     (["run", "FILE"], {"trial": {"kmeans_k": 0}}, "trial.kmeans_k"),
     (["run", "FILE"], {"trial": {"kmeans_restarts": -4}}, "trial.kmeans_restarts"),
     (["run", "FILE"], {"trial": {"tau_s": -0.05}}, "trial.tau_s"),
+    # a removed option: single-box step-ons are always aimed
+    (["run", "FILE"], {"trial": {"aim_landing": True}}, "trial.aim_landing: unknown key"),
     (["run", "FILE"], {"scene": {"boxes": [{"front_x_m": float("nan"), "height_m": 0.1}]}},
      "scene.boxes[0].front_x_m"),
     (["run", "FILE"], {"geometry": {"thigh_m": 1e9}}, "geometry.thigh_m"),
@@ -305,6 +307,8 @@ BAD_INPUTS = [
     (["sweep", "--param", "kmax", "--values", "4", "--trials", "100000000000000000000"], None,
      "sweep.trials: 100000000000000000000 is outside [1, 100000]"),
     (["--seed", "-1", "run", "FILE"], {}, "--seed"),
+    # a FileExistsError traceback from os.makedirs: the last --out wins
+    (["--out", "FILE", "campaign"], {}, "--out: cannot make directory"),
     # rejections no other case reaches
     (["run", "FILE"], RawText('{"scene": {'), "invalid JSON at line 1"),
     (["run", "FILE"], [{"scene": {}}], "scenario: top level must be an object"),
@@ -331,6 +335,22 @@ def test_bad_input_exits_2_with_key_path(argv, data, path, tmp_path, capsys):
 
 def refuse_campaign(*args, **kwargs):
     raise AssertionError("a campaign ran")
+
+
+@pytest.mark.parametrize("argv,env", [
+    (["--out", "FILE", "campaign"], None),
+    (["--out", "FILE/sub", "sweep", "--param", "kmax", "--values", "4"], None),
+    (["campaign"], "FILE"),
+], ids=["out-is-a-file", "out-under-a-file", "env-out-is-a-file"])
+def test_out_that_names_a_file_exits_2_before_any_trial(argv, env, tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(cli, "run_campaign", refuse_campaign)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    if env is not None:
+        monkeypatch.setenv("SWINGSIM_OUT", env.replace("FILE", str(afile)))
+    assert main([a.replace("FILE", str(afile)) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("config error: --out: cannot make directory")
 
 
 @pytest.mark.parametrize("jobs", [0, -1, (os.cpu_count() or 1) + 1],

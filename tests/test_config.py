@@ -72,7 +72,7 @@ def test_scenario_runs_to_a_finite_outcome_or_raises_config_error(case):
         return
     assert bad_path is None
     log, result = run_swing(cfg, StepLog())
-    assert all(math.isfinite(row.theta_k) for row in log.rows)
+    assert all(math.isfinite(row.theta_k_rad) for row in log.rows)
     assert isinstance(result.outcome, Outcome)
     assert math.isfinite(result.swing_duration)
     assert math.isfinite(result.peak_knee_flexion)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from oracle_utils import kmeans_sse
+from oracle_utils import brute_force_kmeans_sse, kmeans_sse
 
 from swingsim.perception import (
     Box,
@@ -116,36 +116,13 @@ def test_kmeans_fewer_points_than_k():
     assert kp.keypoints == ((0.1, 0.0), (0.3, 0.1))
 
 
-def _brute_force_sse(points, kmax):
-    """Exhaustive minimum SSE over all partitions into at most kmax parts."""
-    pts = np.asarray(points)
-    n = len(pts)
-    best = math.inf
-    # enumerate assignments in restricted-growth form to avoid label permutations
-    def rec(i, labels, used):
-        nonlocal best
-        if i == n:
-            sse = 0.0
-            for j in range(used):
-                sel = pts[np.array(labels) == j]
-                sse += float(((sel - sel.mean(axis=0)) ** 2).sum())
-            best = min(best, sse)
-            return
-        for j in range(min(used + 1, kmax)):
-            labels.append(j)
-            rec(i + 1, labels, max(used, j + 1))
-            labels.pop()
-    rec(0, [], 0)
-    return best
-
-
 @pytest.mark.parametrize("n,k,seed", [(8, 2, 0), (10, 3, 1), (12, 3, 2)])
 def test_kmeans_matches_exhaustive_partition_optimum(n, k, seed):
     rng = np.random.default_rng(seed)
     pts = np.column_stack((rng.uniform(0, 1, n), rng.uniform(0, 0.2, n)))
     kp = kmeans_prune(pts, k=k, seed=seed, restarts=20)
     sse = kmeans_sse(pts, kp)
-    assert sse == pytest.approx(_brute_force_sse(pts, k), abs=1e-9)
+    assert sse == pytest.approx(brute_force_kmeans_sse(pts, k), abs=1e-9)
 
 
 def test_kmeans_keypoints_strictly_increasing_and_in_bbox():

@@ -119,7 +119,7 @@ def test_level_swing_succeeds_with_toe_clearance():
     assert res.landing_surface is Surface.GROUND
     # mid-swing toe clearance at least the safety margin
     n = len(log.rows)
-    mid = [r.z_t for r in log.rows[n // 4: 3 * n // 4]]
+    mid = [r.z_t_m for r in log.rows[n // 4: 3 * n // 4]]
     assert min(mid) >= cfg.planner.delta
 
 
@@ -181,17 +181,17 @@ def test_steplog_rows_kinematically_consistent():
     cfg = TrialConfig(intent=GaitIntent.LEVEL, seed=6)
     log, _ = run_swing(cfg, StepLog())
     for r in log.rows[:: max(1, len(log.rows) // 100)]:
-        hip = HipPose(x_h=r.x_h, z_h=r.z_h, theta_h=r.theta_h,
-                      theta_h_dot=r.theta_h_dot)
-        pts = forward_points(cfg.geometry, hip, r.theta_k)
-        assert pts.toe[0] == r.x_t and pts.toe[1] == r.z_t
-        assert pts.heel[0] == r.x_l and pts.heel[1] == r.z_l
+        hip = HipPose(x_h=r.x_h_m, z_h=r.z_h_m, theta_h=r.theta_h_rad,
+                      theta_h_dot=r.theta_h_dot_rads)
+        pts = forward_points(cfg.geometry, hip, r.theta_k_rad)
+        assert pts.toe[0] == r.x_t_m and pts.toe[1] == r.z_t_m
+        assert pts.heel[0] == r.x_l_m and pts.heel[1] == r.z_l_m
 
 
 def test_steplog_tick_spacing():
     cfg = TrialConfig(intent=GaitIntent.LEVEL, seed=6)
     log, res = run_swing(cfg, StepLog())
-    ts = [r.t for r in log.rows]
+    ts = [r.t_s for r in log.rows]
     assert ts[0] == 0.0
     assert np.allclose(np.diff(ts), cfg.planner.dt)
     assert len(log.rows) == pytest.approx(res.swing_duration / cfg.planner.dt, abs=2)
@@ -204,7 +204,7 @@ def test_knee_respects_limits():
                                      depth=0.15, width=0.4),))
     log, _ = run_swing(replace(base, scene=scene), StepLog())
     for r in log.rows:
-        assert -1e-12 <= r.theta_k <= base.planner.knee_limit + 1e-12
+        assert -1e-12 <= r.theta_k_rad <= base.planner.knee_limit + 1e-12
 
 
 def test_run_swing_deterministic():
@@ -213,7 +213,7 @@ def test_run_swing_deterministic():
     log2, res2 = run_swing(cfg, StepLog())
     assert res1.swing_duration == res2.swing_duration
     assert res1.peak_knee_flexion == res2.peak_knee_flexion
-    assert [r.theta_k for r in log1.rows] == [r.theta_k for r in log2.rows]
+    assert [r.theta_k_rad for r in log1.rows] == [r.theta_k_rad for r in log2.rows]
 
 
 def test_run_swing_samples_hip_once_per_tick(monkeypatch):
@@ -339,7 +339,7 @@ finite_or_not = st.one_of(
        st.sampled_from([p.value for p in Phase]))
 def test_row_format_is_the_fstring_text(values, phase):
     row = LogRow(values[0], phase, *values[1:])
-    fstring = ",".join([f"{row.t:.6f}", row.phase] + [f"{v:.6f}" for v in row[2:]]) + "\n"
+    fstring = ",".join([f"{row.t_s:.6f}", row.phase] + [f"{v:.6f}" for v in row[2:]]) + "\n"
     assert ROW_FORMAT % row == fstring
 
 
