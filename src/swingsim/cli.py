@@ -51,7 +51,7 @@ def _out_dir(args) -> str:
     out = args.out or os.environ.get("SWINGSIM_OUT") or "swingsim_out"
     try:
         os.makedirs(out, exist_ok=True)
-    except OSError as exc:  # a regular file at the path, or on the way to it
+    except OSError as exc:  # e.g. a regular file at the path, or on the way to it
         raise ConfigError(f"--out: cannot make directory {out!r}: {exc.strerror}") from None
     return out
 

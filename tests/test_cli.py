@@ -338,12 +338,13 @@ def refuse_campaign(*args, **kwargs):
 
 
 @pytest.mark.parametrize("argv,env", [
-    (["--out", "FILE", "campaign"], None),
     (["--out", "FILE/sub", "sweep", "--param", "kmax", "--values", "4"], None),
     (["campaign"], "FILE"),
-], ids=["out-is-a-file", "out-under-a-file", "env-out-is-a-file"])
+], ids=["out-under-a-file", "env-out-is-a-file"])
 def test_out_that_names_a_file_exits_2_before_any_trial(argv, env, tmp_path, capsys,
                                                         monkeypatch):
+    # a NotADirectoryError and a FileExistsError traceback from os.makedirs;
+    # BAD_INPUTS holds the case of --out naming the file itself
     monkeypatch.setattr(cli, "run_campaign", refuse_campaign)
     afile = tmp_path / "afile"
     afile.write_text("")
