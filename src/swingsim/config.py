@@ -282,13 +282,18 @@ def dump_campaign(cc: CampaignConfig) -> dict:
 
 
 def load_json(path: str):
-    """Parsed JSON of a file; an unreadable file or bad JSON is a ConfigError."""
+    """Parsed JSON of a file; an unreadable file, bad JSON or a repeated key is a ConfigError."""
+    def unique_keys(pairs) -> dict:
+        keys = [key for key, _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"duplicate key {max(keys, key=keys.count)!r}")
+        return dict(pairs)
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # also a repeated key, bad UTF-8, a 4,300-digit int
         raise ConfigError(f"{path}: {exc}") from exc
 
 

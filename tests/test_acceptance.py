@@ -29,6 +29,7 @@ from swingsim.swing_planner import (
     mz_boundary_knee,
 )
 from swingsim.sim_harness import (
+    LOG_COLUMNS,
     ROW_FORMAT,
     SUCCESSES,
     CampaignConfig,
@@ -355,13 +356,19 @@ def test_criterion_7_campaign_determinism(campaign, tmp_path):
     # seed-2024 outputs pinned across commits, not only run against run
     csv_path = tmp_path / "trials.csv"
     write_trial_index_csv(csv_path, res.specs, res.results)
-    steplogs = "".join(ROW_FORMAT % row for log in res.logs for row in log.rows)
+    steplogs = ["".join([ROW_FORMAT % row for row in log.rows]) for log in res.logs]
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in (
         ("summary.json", a + b"\n"), ("trials.csv", csv_path.read_bytes()),
-        ("step logs", steplogs.encode()))}
+        ("step logs", "".join(steplogs).encode()))}
     assert digests == PINNED_DIGESTS
+    # the files StepLog.write_csv writes hold the same text under the header
+    log_path = tmp_path / "steplog.csv"
+    for log, text in zip(res.logs, steplogs):
+        log.write_csv(log_path)
+        assert log_path.read_bytes() == (",".join(LOG_COLUMNS) + "\n" + text).encode()
     print(f"[criterion 7] PASS: repeated campaign summary byte-identical "
-          f"({len(a)} bytes); summary, trials.csv and step logs match their pinned digests")
+          f"({len(a)} bytes); summary, trials.csv and step logs match their pinned digests; "
+          f"write_csv wrote all {len(steplogs)} step logs as ROW_FORMAT text")
 
 
 # ---------------------------------------------------------------------------

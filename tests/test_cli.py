@@ -309,6 +309,12 @@ BAD_INPUTS = [
     (["--seed", "-1", "run", "FILE"], {}, "--seed"),
     # a FileExistsError traceback from os.makedirs: the last --out wins
     (["--out", "FILE", "campaign"], {}, "--out: cannot make directory"),
+    # the last of two equal keys won: a step-over ran, and the campaign used seed 6
+    (["run", "FILE"], RawText('{"human": {"intent": "level"}, "human": {"intent": "step_over"}}'),
+     "duplicate key 'human'"),
+    (["campaign", "FILE"], RawText('{"seed": 5, "seed": 6}'), "duplicate key 'seed'"),
+    # a ValueError traceback from int(): CPython 3.10.7+ parses no integer of 4,300+ digits
+    (["run", "FILE"], RawText('{"trial": {"seed": %s}}' % ("1" * 5000)), "Exceeds the limit"),
     # rejections no other case reaches
     (["run", "FILE"], RawText('{"scene": {'), "invalid JSON at line 1"),
     (["run", "FILE"], [{"scene": {}}], "scenario: top level must be an object"),

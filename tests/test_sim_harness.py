@@ -343,6 +343,36 @@ def test_row_format_is_the_fstring_text(values, phase):
     assert ROW_FORMAT % row == fstring
 
 
+# (k + 0.5) 1e-6 lies within an ulp or two of a rounding tie of "%.6f"
+near_tie = st.builds(lambda k: (k + 0.5) * 1e-6, st.integers(-999_999_998, 999_999_998))
+tame = st.one_of(
+    st.floats(-999.999999, 999.999999),
+    st.floats(-30.0, 30.0).map(np.float64),
+    near_tie,
+    st.builds(np.nextafter, near_tie, st.sampled_from([-math.inf, math.inf])),
+    st.sampled_from([0.0, -0.0, -1e-9, 1e-9, math.nan]),
+)
+# 999.9999995, a near-tie, rounds down to the largest |v| the numpy pass formats;
+# plain rint would round it up and hand its whole pass to ROW_FORMAT
+edge = st.one_of(tame, st.sampled_from([999.9999995, -999.9999995]))
+wild = st.one_of(edge, st.floats(), st.sampled_from([math.inf, -math.inf, 1e300]))
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([tame, edge, wild]).flatmap(lambda values: st.lists(
+    st.tuples(st.sampled_from([p.value for p in Phase]),
+              st.lists(values, min_size=17, max_size=17)), min_size=1, max_size=50)))
+def test_write_csv_writes_row_format_text(tmp_path_factory, draws):
+    # the vectorized writer against ROW_FORMAT: near-ties, -0.0 and -1e-9
+    # (both "-0.000000"), NaN, and rows it must hand to ROW_FORMAT; six
+    # copies make logs of up to 300 rows, past write_csv's 256-row passes
+    rows = [LogRow(values[0], phase, *values[1:]) for phase, values in draws] * 6
+    path = tmp_path_factory.getbasetemp() / "steplog.csv"
+    StepLog(rows).write_csv(path)
+    expected = ",".join(sim_harness.LOG_COLUMNS) + "\n" + "".join(ROW_FORMAT % r for r in rows)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_perception_fallback_when_no_returns():
     # camera with a tiny range sees nothing: level-ground target applies
     from swingsim.perception import CameraModel
