@@ -251,53 +251,52 @@ def _segment_lowest_over_span(p0, p1, x_lo, x_hi):
     return (zl, lo) if zl <= zh else (zh, hi)
 
 
-def span_lows(pts: FootPoints, scene: ObstacleScene) -> list:
-    """(front_x, back_x, top, low) of each box span of the scene, where low is
-    the lowest (z, x) of the heel-toe segment over the span, None where it
-    does not overlap; computed once per tick for contact_check and the
-    clearance scan."""
-    _, _, toe, heel = pts
-    rows = []  # a loop, not a comprehension: cheaper per tick on Python 3.11
-    for front_x, back_x, top in scene.spans:
-        rows.append((front_x, back_x, top, _segment_lowest_over_span(heel, toe, front_x, back_x)))
-    return rows
+def contact_check(pts: FootPoints, scene: ObstacleScene, in_mirror: bool,
+                  downward: bool) -> tuple:
+    """(contact, clearance) of the foot and shank against the scene: the
+    tick's one scene query.
 
-
-def contact_check(pts: FootPoints, scene: ObstacleScene, lows: list, in_mirror: bool,
-                  downward: bool) -> Optional[Contact]:
-    """Classify foot/shank contact with the scene, if any.
-
-    lows must be span_lows(pts, scene). Vertical box faces always trip: the
+    contact is the first hit, or None. Vertical box faces always trip: the
     heel-toe or knee-ankle segment crossing a face strictly between the
     ground and the box top. Surface touches land only in the mirror sub-mode with downward foot
     velocity; otherwise they are trips (box top) or scuffs (ground).
+    clearance is the least low - top over the boxes the heel-toe segment
+    overlaps, low being its lowest z over the span, or None where it
+    overlaps none; it counts every box, the one a contact is found on too.
     """
     g = scene.ground_height
     knee, ankle, toe, heel = pts
     segments = (heel + toe, knee + ankle)
-
-    for front_x, back_x, top, hit in lows:
+    contact = clear = None
+    for front_x, back_x, top in scene.spans:
+        hit = _segment_lowest_over_span(heel, toe, front_x, back_x)
+        if hit is not None:
+            gap = hit[0] - top
+            if clear is None or gap < clear:
+                clear = gap
+        if contact is not None:
+            continue
         for x0, z0, x1, z1 in segments:
             for face_x in (front_x, back_x):
                 if (x0 - face_x) * (x1 - face_x) > 0.0 or abs(x1 - x0) < 1e-12:
                     continue
                 z = z0 + (z1 - z0) * (face_x - x0) / (x1 - x0)
                 if g < z < top - 1e-9:
-                    return Contact("trip", None, face_x, z)
-        if hit is not None and hit[0] <= top:
+                    contact = Contact("trip", None, face_x, z)
+                    break
+            if contact is not None:
+                break
+        if contact is None and hit is not None and hit[0] <= top:
             z, x = hit
-            if in_mirror and downward:
-                return Contact("landing", Surface.OBSTACLE_TOP, x, z)
-            return Contact("trip", Surface.OBSTACLE_TOP, x, z)
-
-    low, low_x = (heel[1], heel[0]) if heel[1] <= toe[1] else (toe[1], toe[0])
-    if low <= g:
-        covered = any(front_x <= low_x <= back_x for front_x, back_x, _ in scene.spans)
-        if not covered:
-            if in_mirror and downward:
-                return Contact("landing", Surface.GROUND, low_x, low)
-            return Contact("scuff", Surface.GROUND, low_x, low)
-    return None
+            kind = "landing" if in_mirror and downward else "trip"
+            contact = Contact(kind, Surface.OBSTACLE_TOP, x, z)
+    if contact is None:  # the ground, where no box was touched
+        low, low_x = (heel[1], heel[0]) if heel[1] <= toe[1] else (toe[1], toe[0])
+        if low <= g and not any(front_x <= low_x <= back_x
+                                for front_x, back_x, _ in scene.spans):
+            kind = "landing" if in_mirror and downward else "scuff"
+            contact = Contact(kind, Surface.GROUND, low_x, low)
+    return contact, clear
 
 
 def toe_off_contact(cfg: TrialConfig) -> Optional[Contact]:
@@ -306,7 +305,7 @@ def toe_off_contact(cfg: TrialConfig) -> Optional[Contact]:
     the swing starts."""
     hip = human_model.hip_pose(resolve_human(cfg), 0.0)
     pts = forward_points(cfg.geometry, hip, TOE_OFF_THETA_K)
-    return contact_check(pts, cfg.scene, span_lows(pts, cfg.scene), False, False)
+    return contact_check(pts, cfg.scene, False, False)[0]
 
 
 def _classify(contact: Optional[Contact], cfg: TrialConfig) -> tuple:
@@ -413,17 +412,12 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         _, _, toe, heel = pts
         peak_flex = theta_k_new if theta_k_new > peak_flex else peak_flex
 
-        lows = span_lows(pts, scene)
-        for _, _, top, hit in lows:
-            if hit is not None:
-                clear = hit[0] - top
-                if min_clear is None or clear < min_clear:
-                    min_clear = clear
-
         low_now = toe[1] if toe[1] < heel[1] else heel[1]
         downward = prev_low is not None and low_now < prev_low
         prev_low = low_now
-        contact = contact_check(pts, scene, lows, state.phase is THREE_MIRROR, downward)
+        contact, clear = contact_check(pts, scene, state.phase is THREE_MIRROR, downward)
+        if clear is not None and (min_clear is None or clear < min_clear):
+            min_clear = clear
         if contact is not None:
             break
 

@@ -292,6 +292,8 @@ BAD_INPUTS = [
     (["run", "FILE"], {"trial": {"kmeans_k": 0}}, "trial.kmeans_k"),
     (["run", "FILE"], {"trial": {"kmeans_restarts": -4}}, "trial.kmeans_restarts"),
     (["run", "FILE"], {"trial": {"tau_s": -0.05}}, "trial.tau_s"),
+    # outcomes flip at this tick (1 kHz step-overs trip), and it was accepted
+    (["run", "FILE"], {"planner": {"dt_s": 0.00175}}, "planner.dt_s"),
     # a removed option: single-box step-ons are always aimed
     (["run", "FILE"], {"trial": {"aim_landing": True}}, "trial.aim_landing: unknown key"),
     (["run", "FILE"], {"scene": {"boxes": [{"front_x_m": float("nan"), "height_m": 0.1}]}},

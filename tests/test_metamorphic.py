@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swingsim.config import DEPTH, HEIGHT, WIDTH, ConfigError, parse_scenario
+from swingsim.config import DEPTH, HEIGHT, PLANNER, WIDTH, ConfigError, parse_scenario
 from swingsim.human_model import GaitIntent
 from swingsim.leg_kinematics import DEG
 from swingsim.perception import Box, CameraModel, ObstacleScene
@@ -75,6 +75,19 @@ def test_halving_the_tick_keeps_every_outcome():
         assert abs(fine.peak_knee_flexion - coarse.peak_knee_flexion) <= PEAK_TOL, key
         assert abs(fine.landing_x - coarse.landing_x) <= LANDING_TOL, key
         assert abs(fine.swing_duration - coarse.swing_duration) <= COARSE_DT + 1e-12, key
+
+
+def test_the_largest_accepted_tick_keeps_the_outcomes_that_flip_above_it():
+    # on the 0.25 ms grid from 0.5 to 5 ms, seed-2024 step-overs 103 and 146
+    # trip at 1.75, 2.5, 3.25, 3.5, 4.25 and 5 ms and step-over 41 from 3.75 ms;
+    # config's dt_s bound must stay below the first of these ticks
+    dt_max = next(f for f in PLANNER if f.attr == "dt").hi
+    cc = CampaignConfig(seed=2024)
+    specs = build_trial_specs(cc)
+    for index in (41, 103, 146):
+        cfg = trial_config_for(cc, specs[index])
+        _, coarse = run_swing(replace(cfg, planner=replace(cfg.planner, dt=dt_max)))
+        assert coarse.outcome is run_swing(cfg)[1].outcome, (index, dt_max)
 
 
 # one or two boxes 0-1 m ahead of the hip, where the default camera sees them
