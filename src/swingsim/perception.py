@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,6 +19,9 @@ from .leg_kinematics import DEG
 
 # Fixed lateral fan of the synthetic camera (full angle, radians).
 LATERAL_FAN = 20.0 * DEG
+
+# Ray fans _ray_fan keeps; the largest accepted (500 x 21 rays) holds 0.25 MB.
+RAY_FAN_CACHE = 8
 
 # Cap on kmeans_prune's Lloyd iterations per restart.
 LLOYD_MAX_ITER = 100
@@ -134,6 +137,17 @@ def camera_pose_from_thigh(hip_x: float, hip_z: float, theta_h: float,
     return CameraPose(x=cx, z=cz, axis_pitch=theta_h + model.mount_pitch)
 
 
+@lru_cache(maxsize=RAY_FAN_CACHE)
+def _ray_fan(axis_pitch: float, fov: float, rays_vertical: int, rays_lateral: int) -> np.ndarray:
+    """Read-only (3, n) rows dx, dy, dz of the ray directions, vertical-major."""
+    zeta = axis_pitch + np.linspace(-fov / 2, fov / 2, rays_vertical)
+    psi = np.linspace(-LATERAL_FAN / 2, LATERAL_FAN / 2, rays_lateral)
+    zz, pp = (a.ravel() for a in np.meshgrid(zeta, psi, indexing="ij"))
+    fan = np.stack((np.sin(zz) * np.cos(pp), np.sin(pp), -np.cos(zz) * np.cos(pp)))
+    fan.flags.writeable = False
+    return fan
+
+
 def capture(scene: ObstacleScene, pose: CameraPose, model: CameraModel,
             seed: int) -> np.ndarray:
     """Ray-cast one synthetic depth frame, as (n, 3) world xyz points.
@@ -141,51 +155,39 @@ def capture(scene: ObstacleScene, pose: CameraPose, model: CameraModel,
     One point per ray that hits the ground or a box face within max_range,
     perturbed along the ray by Gaussian noise. An empty cloud (camera looking
     skyward, nothing in range) is a valid "no returns" outcome. The camera
-    sits on the sagittal plane y = 0.
+    sits on the sagittal plane y = 0. Its ray fan comes read-only from
+    _ray_fan's cache; only a noisy camera builds a Generator.
     """
-    rng = np.random.default_rng(seed)
-    zeta = pose.axis_pitch + np.linspace(-model.fov / 2, model.fov / 2, model.rays_vertical)
-    psi = np.linspace(-LATERAL_FAN / 2, LATERAL_FAN / 2, model.rays_lateral)
-    zz, pp = np.meshgrid(zeta, psi, indexing="ij")
-    zz, pp = zz.ravel(), pp.ravel()
-
-    dx = np.sin(zz) * np.cos(pp)
-    dy = np.sin(pp)
-    dz = -np.cos(zz) * np.cos(pp)
-
-    best_t = np.full(zz.shape, np.inf)
+    dx, dy, dz = _ray_fan(pose.axis_pitch, model.fov, model.rays_vertical, model.rays_lateral)
+    best_t = np.full(dz.shape, np.inf)
 
     def consider(t, ok):
         valid = ok & (t > 1e-9) & (t <= model.max_range)
         np.copyto(best_t, t, where=valid & (t < best_t))
 
-    # ground plane
+    # t = inf or NaN fails t <= max_range (or t < best_t): no isfinite test
     with np.errstate(divide="ignore", invalid="ignore"):
-        tg = (scene.ground_height - pose.z) / dz
-    consider(tg, np.isfinite(tg) & (dz < 0.0))
-
-    for box in scene.boxes:
-        top_z = scene.ground_height + box.height
-        halfw = box.width / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        consider((scene.ground_height - pose.z) / dz, dz < 0.0)  # ground plane
+        for box in scene.boxes:
+            top_z = scene.ground_height + box.height
+            halfw = box.width / 2.0
             # top face
             t = (top_z - pose.z) / dz
             x = pose.x + t * dx
             y = t * dy
-            consider(t, np.isfinite(t) & (dz < 0.0)
-                     & (x >= box.front_x) & (x <= box.back_x) & (np.abs(y) <= halfw))
+            consider(t, (dz < 0.0) & (x >= box.front_x) & (x <= box.back_x) & (np.abs(y) <= halfw))
             # front and back vertical faces
             for face_x, toward in ((box.front_x, 1.0), (box.back_x, -1.0)):
                 t = (face_x - pose.x) / dx
                 y = t * dy
                 z = pose.z + t * dz
-                consider(t, np.isfinite(t) & (toward * dx > 0.0)
-                         & (z >= scene.ground_height) & (z <= top_z) & (np.abs(y) <= halfw))
+                consider(t, (toward * dx > 0.0) & (z >= scene.ground_height) & (z <= top_z)
+                         & (np.abs(y) <= halfw))
 
     hit = np.isfinite(best_t)
     t = best_t[hit]
     if model.depth_noise_sigma > 0.0:
-        t = t + rng.normal(0.0, model.depth_noise_sigma, size=t.shape)
+        t = t + np.random.default_rng(seed).normal(0.0, model.depth_noise_sigma, size=t.shape)
     return np.column_stack((pose.x + t * dx[hit], t * dy[hit], pose.z + t * dz[hit]))
 
 
@@ -222,17 +224,22 @@ def _sqdist(px, pz, cx, cz, out=None, dz=None) -> np.ndarray:
 
 
 def _choice_rows(d2: np.ndarray, total: np.ndarray, u: np.ndarray,
-                 cdf: np.ndarray) -> np.ndarray:
-    """rng.choice(n, p=d2[r] / total[r]) for every row r, where u[r] is that
-    row's single rng.random() draw: the normalized cumulative sum Generator.choice
-    builds (here in the buffer cdf) and its side="right" lookup of u[r], so the
-    same index. A non-finite total raises ValueError, as choice does."""
-    if not np.isfinite(total).all():
-        raise ValueError(f"k-means++ weights must have a finite total, got {total}")
+                 cdf: np.ndarray, below: np.ndarray) -> Optional[np.ndarray]:
+    """rng.choice(n, p=d2[r] / total[r]) for every row r of non-negative
+    weights and its rng.random() draw u[r]: Generator.choice's normalized
+    cumulative sum (in the buffer cdf), and its side="right" lookup of u[r]
+    as the first entry of the sorted cdf above it (in the bool buffer below).
+    None if a total is 0; a non-finite total raises ValueError, as choice
+    does. Both tests run only if some total is outside (0, inf)."""
+    if not 0.0 < np.minimum.reduce(total) <= np.maximum.reduce(total) < math.inf:
+        if (total <= 0.0).any():
+            return None
+        if not np.isfinite(total).all():
+            raise ValueError(f"k-means++ weights must have a finite total, got {total}")
     np.divide(d2, total[:, None], out=cdf)
-    cdf.cumsum(axis=1, out=cdf)
+    np.add.accumulate(cdf, axis=1, out=cdf)
     cdf /= cdf[:, -1:]
-    return np.count_nonzero(cdf <= u[:, None], axis=1)
+    return np.greater(cdf, u[:, None], out=below).argmax(axis=1)
 
 
 def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
@@ -249,23 +256,23 @@ def _seed_lockstep(pts: np.ndarray, k: int, rng: np.random.Generator,
     loop drawing one rng.choice(n, p=d2 / total) per center (_choice_rows),
     and rng is left where that loop leaves it.
     """
-    n = pts.shape[0]
     px, pz = pts.T.copy()
-    picks, u = np.empty((restarts, k), dtype=np.intp), np.empty((restarts, k - 1))
+    first, u = np.empty(restarts, dtype=np.intp), np.empty((restarts, k - 1))
     for r in range(restarts):
-        picks[r, 0] = rng.integers(n)
+        first[r] = rng.integers(len(pts))
         u[r] = rng.random(k - 1)
-    d2 = _sqdist(px, pz, px[picks[:, :1]], pz[picks[:, :1]])
-    near, cdf = np.empty_like(d2), np.empty_like(d2)
+    centers = np.empty((restarts, k, 2))
+    c = centers[:, 0] = pts[first]
+    d2 = _sqdist(px, pz, c[:, :1], c[:, 1:])
+    near, cdf, below = np.empty_like(d2), np.empty_like(d2), np.empty(d2.shape, dtype=bool)
     for i in range(1, k):
-        total = d2.sum(axis=1)
-        if (total <= 0.0).any():
+        j = _choice_rows(d2, np.add.reduce(d2, axis=1), u[:, i - 1], cdf, below)
+        if j is None:
             return None
-        j = _choice_rows(d2, total, u[:, i - 1], cdf)
-        picks[:, i] = j
+        c = centers[:, i] = pts[j]
         # cdf is free again until the next step, so it serves as dz
-        np.minimum(d2, _sqdist(px, pz, px[j, None], pz[j, None], out=near, dz=cdf), out=d2)
-    return pts[picks]
+        np.minimum(d2, _sqdist(px, pz, c[:, :1], c[:, 1:], out=near, dz=cdf), out=d2)
+    return centers
 
 
 def _lloyd_work(pts: np.ndarray, k: int) -> tuple:
@@ -319,7 +326,7 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
         nearest = d2.take(rows + nearest_c)
         if inv is not None:
             nearest_c, nearest = nearest_c[inv], nearest[inv]
-        last_sse, sse = sse, float(nearest.sum())
+        last_sse, sse = sse, float(np.add.reduce(nearest))
         if fixpoint or i == max_iter or not sse < last_sse:
             return np.column_stack((cx, cz)), sse
         counts = np.bincount(nearest_c, minlength=k)
@@ -341,8 +348,8 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
                     cx[j], cz[j] = px[far], pz[far]
                     new_assign[far] = j
                     np.minimum(nearest, _sqdist(px, pz, cx[j], cz[j]), out=nearest)
-        moved = np.flatnonzero((cx != before[0]) | (cz != before[1]))
-        fixpoint = np.array_equal(new_assign, assign)
+        moved = ((cx != before[0]) | (cz != before[1])).nonzero()[0]
+        fixpoint = (new_assign == assign).all()
         if fixpoint and not moved.size:
             return np.column_stack((cx, cz)), sse
         if moved.size > FULL_REFRESH_SHARE * k:
@@ -366,17 +373,14 @@ def kmeans_prune(points: Sequence, k: int, seed: int, restarts: int) -> Elevatio
         raise ValueError("kmeans_prune needs a non-empty point set")
     if k < 1:
         raise ValueError("kmeans_prune needs k >= 1")
-    seeded = None
-    if pts.shape[0] > k:
-        seeded = _seed_lockstep(pts, k, np.random.default_rng(seed), max(1, restarts))
-    if seeded is None:
-        best = pts
-    else:
-        work = _lloyd_work(pts, k)
-        best, best_sse = None, math.inf
+    seeded = (_seed_lockstep(pts, k, np.random.default_rng(seed), max(1, restarts))
+              if pts.shape[0] > k else None)
+    best = pts
+    if seeded is not None:
+        work, best_sse = _lloyd_work(pts, k), math.inf
         for centers in seeded:
             centers, sse = _lloyd(pts, work, centers, LLOYD_MAX_ITER)
-            if sse < best_sse - 1e-15 or best is None:
+            if sse < best_sse - 1e-15 or best is pts:
                 best, best_sse = centers, sse
     ordered = best[np.argsort(best[:, 0], kind="stable")]
     return _dedupe(ordered)
@@ -391,8 +395,7 @@ def _dedupe(ordered: np.ndarray) -> ElevationKeypoints:
     out = []
     for x, z in ordered:
         if out and x - out[-1][0] <= 1e-12:
-            px, pz = out[-1]
-            out[-1] = (px, float((pz + z) / 2.0))
+            out[-1] = (out[-1][0], float((out[-1][1] + z) / 2.0))
         else:
             out.append((float(x), float(z)))
     return ElevationKeypoints(keypoints=tuple(out))
@@ -406,11 +409,9 @@ def elevation_keypoints(points: np.ndarray, k: int, seed: int, restarts: int,
     ground, obstacle face and obstacle top separate cleanly; this sharpens
     the front-edge localization without touching kmeans_prune itself.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    scaled = pts * np.array([1.0, z_weight])
+    scaled = np.asarray(points, dtype=float).reshape(-1, 2) * np.array([1.0, z_weight])
     kp = kmeans_prune(scaled, k, seed, restarts=restarts)
-    undone = tuple((x, z / z_weight) for x, z in kp.keypoints)
-    return ElevationKeypoints(keypoints=undone)
+    return ElevationKeypoints(keypoints=tuple((x, z / z_weight) for x, z in kp.keypoints))
 
 
 def extract_estimate(keypoints: ElevationKeypoints, toe: tuple,
@@ -428,8 +429,7 @@ def extract_estimate(keypoints: ElevationKeypoints, toe: tuple,
     ahead = [z for x, z in kps if x > x_t]
     z_m_prime = max(ahead) if ahead else z_t
 
-    best_jump = -math.inf
-    best_i = None
+    best_jump, best_i = -math.inf, None
     for i in range(len(kps) - 1):
         jump = kps[i + 1][1] - kps[i][1]
         if jump >= best_jump:

@@ -11,7 +11,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle_utils
 from swingsim import config, perception
@@ -152,7 +152,8 @@ def test_choice_index_is_generator_choice():
         seeds = gen.integers(2**32, size=rows)
         mine = [np.random.default_rng(s) for s in seeds]
         u = np.array([rng.random() for rng in mine])
-        picks = perception._choice_rows(d2, total, u, np.empty((rows, n)))
+        picks = perception._choice_rows(d2, total, u, np.empty((rows, n)),
+                                        np.empty((rows, n), dtype=bool))
         for r, s in enumerate(seeds):
             ref = np.random.default_rng(s)
             assert picks[r] == ref.choice(n, p=d2[r] / total[r])
@@ -164,7 +165,8 @@ def test_choice_rows_looks_up_a_tied_draw_to_the_right():
     # in Generator.choice does; a zero weight is never picked
     d2 = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 2.0]])
     cdf = np.empty(d2.shape)
-    picks = perception._choice_rows(d2, d2.sum(axis=1), np.array([0.5, 0.5]), cdf)
+    picks = perception._choice_rows(d2, d2.sum(axis=1), np.array([0.5, 0.5]), cdf,
+                                    np.empty(d2.shape, dtype=bool))
     assert picks.tolist() == [2, 2]
 
 
@@ -179,7 +181,8 @@ def test_choice_index_refuses_non_finite_total_like_choice(d2):
     with np.errstate(over="ignore"):
         totals = rows.sum(axis=1)
     with pytest.raises(ValueError):
-        perception._choice_rows(rows, totals, np.full(2, 0.5), np.empty(rows.shape))
+        perception._choice_rows(rows, totals, np.full(2, 0.5), np.empty(rows.shape),
+                                np.empty(rows.shape, dtype=bool))
 
 
 def test_seed_lockstep_raises_on_nan_distance():
@@ -296,6 +299,64 @@ def test_perceive_cost_stays_bounded_over_rays_vertical(monkeypatch):
             assert got["sqdist"] <= 10 * default, (spec, rv, got, default)
             if rv == 30:
                 assert got["lloyd"] == 0, spec
+
+
+def table_values(table):
+    """Any in-range value, in file units, for any subset of a config table's
+    keys; a key left out keeps the scene's own value, so that most draws
+    still see the box."""
+    return st.fixed_dictionaries({}, optional={
+        f.key: st.integers(f.lo, f.hi) if f.kind is int else st.floats(f.lo, f.hi)
+        for f in table})
+
+
+COST_CAMPAIGN = CampaignConfig(seed=2024)
+COST_SCENES = [trial_config_for(COST_CAMPAIGN, s) for s in build_trial_specs(COST_CAMPAIGN)
+               if s.intent is not GaitIntent.LEVEL][::40]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(COST_SCENES), table_values(config.CAMERA),
+       table_values([f for f in config.TRIAL if f is not config.TAU]))
+@example(COST_SCENES[0],
+         {"fov_deg": 11.0, "max_range_m": 1.0, "rays_vertical": 311, "rays_lateral": 9,
+          "mount_along_thigh_m": 0.0, "mount_pitch_deg": 0.0, "noise_sigma_m": 0.03125},
+         {"seed": 0, "kmeans_k": 10, "corridor_width_m": 1.0}).xfail(
+    raises=AssertionError,
+    reason="2,438 noisy points, k = 10: the seventh restart converges past LLOYD_MAX_ITER")
+def test_kmeans_cost_stays_bounded_over_the_camera_and_trial_tables(base, camera, trial):
+    # Counted, not timed: array entries, not calls. Per capture, no Lloyd
+    # restart fills its distance matrix LLOYD_MAX_ITER times (so none reaches
+    # the cap), and the distance entries per profile point stay within
+    # restarts * k * (1 + the most fills of any restart). Seeding makes
+    # restarts * k per point; each fill at most k per point (one row per
+    # distinct point, a column per center). tau_s is left out: perception
+    # never reads it.
+    data = config.dump_scenario(base)
+    data["camera"].update(camera)
+    data["trial"].update(trial)
+    cfg = config.parse_scenario(data)
+    entries, fills = [0], []
+    sqdist, lloyd = perception._sqdist, perception._lloyd
+
+    def counted_sqdist(px, pz, cx, cz, out=None, dz=None):
+        d2 = sqdist(px, pz, cx, cz, out=out, dz=dz)
+        entries[0] += d2.size
+        if np.ndim(px) == 2:  # a Lloyd fill of the (distinct points, k) matrix
+            fills[-1] += 1
+        return d2
+
+    def counted_lloyd(*args):
+        fills.append(0)
+        return lloyd(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(perception, "_sqdist", counted_sqdist)
+        m.setattr(perception, "_lloyd", counted_lloyd)
+        profile = perceive(cfg, *trial_seeds(cfg.seed)[:2])[2]
+    assert all(f < perception.LLOYD_MAX_ITER for f in fills), fills
+    bound = cfg.kmeans_restarts * cfg.kmeans_k * (1 + max(fills, default=0))
+    assert entries[0] <= bound * len(profile), (entries[0], len(profile), fills)
 
 
 def test_lloyd_fills_one_row_per_distinct_point_and_only_moved_columns(monkeypatch):

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracle_utils import brute_force_kmeans_sse, kmeans_sse
 
+from swingsim import perception
 from swingsim.perception import (
     Box,
     CameraModel,
@@ -74,6 +76,55 @@ def test_capture_deterministic_and_noise_seeded():
     e = capture(scene, down_pose(), noisy, seed=43)
     assert np.array_equal(c, d)
     assert not np.array_equal(c, e)
+
+
+def test_clean_capture_builds_no_generator(monkeypatch):
+    # a noise-free camera never draws, so it must not pay for a Generator
+    def refuse(seed=None):
+        raise AssertionError("default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    scene = ObstacleScene(boxes=(Box(front_x=0.4, height=0.08),))
+    capture(scene, down_pose(), CameraModel(rays_vertical=16, rays_lateral=3), seed=1)
+    with pytest.raises(AssertionError, match="default_rng"):
+        capture(scene, down_pose(), CameraModel(rays_vertical=16, rays_lateral=3,
+                                                depth_noise_sigma=0.003), seed=1)
+
+
+def test_cached_ray_fan_is_read_only():
+    model = CameraModel()
+    for a in perception._ray_fan(0.3, model.fov, model.rays_vertical, model.rays_lateral):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.004])
+def test_capture_from_a_cold_fan_cache_equals_a_warm_one(noise):
+    scene = ObstacleScene(boxes=(Box(front_x=0.5, height=0.12, depth=0.3, width=1.0),))
+    model = CameraModel(rays_vertical=64, rays_lateral=5, depth_noise_sigma=noise)
+    capture(scene, down_pose(), model, seed=3)
+    warm = capture(scene, down_pose(), model, seed=3)
+    perception._ray_fan.cache_clear()
+    cold = capture(scene, down_pose(), model, seed=3)
+    assert cold.tobytes() == warm.tobytes()
+
+
+@pytest.mark.parametrize("change", [{"fov": 50 * DEG}, {"rays_vertical": 40}])
+def test_cameras_differing_in_fov_or_rays_vertical_never_share_a_fan(change):
+    # each capture must equal the one its own camera gives from a cold cache,
+    # whichever camera filled the cache first
+    scene = ObstacleScene(boxes=(Box(front_x=0.5, height=0.12),))
+    a = CameraModel(rays_vertical=32, rays_lateral=5, max_range=2.0)
+    b = replace(a, **change)
+    cold = {}
+    for model in (a, b):
+        perception._ray_fan.cache_clear()
+        cold[model] = capture(scene, down_pose(), model, seed=1).tobytes()
+    assert cold[a] != cold[b]
+    for first, second in ((a, b), (b, a)):
+        perception._ray_fan.cache_clear()
+        for model in (first, second, first):
+            assert capture(scene, down_pose(), model, seed=1).tobytes() == cold[model]
 
 
 def test_capture_skyward_gives_no_returns():
