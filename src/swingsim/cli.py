@@ -69,10 +69,14 @@ def _write_run_info(out: str, argv) -> None:
                 {"argv": list(argv), "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")})
 
 
-def cmd_run(args, argv) -> int:
+def _scenario(args) -> TrialConfig:
+    """The scenario file's trial, with --seed applied."""
     cfg = load_scenario(args.scenario)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+
+
+def cmd_run(args, argv) -> int:
+    cfg = _scenario(args)
     out = _out_dir(args)
 
     if args.dump_config:
@@ -112,9 +116,7 @@ def cmd_campaign(args, argv) -> int:
 
 
 def cmd_perceive(args, argv) -> int:
-    cfg = load_scenario(args.scenario)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+    cfg = _scenario(args)
     out = _out_dir(args)
 
     s_capture, s_kmeans, _ = trial_seeds(cfg.seed)
@@ -160,7 +162,7 @@ def cmd_sweep(args, argv) -> int:
     for value, planner in zip(values, planners):
         cc = CampaignConfig(seed=CampaignConfig.seed if args.seed is None else args.seed,
                             n_step_over=args.trials, n_step_on=0, n_level=0,
-                            base=TrialConfig(planner=planner), expect_all_success=False)
+                            base=TrialConfig(planner=planner))
         res = run_campaign(cc, jobs=args.jobs)
         overall = res.summary["overall"]
         durs = [r.swing_duration for r in res.results]

@@ -82,45 +82,6 @@ class HipTrajectoryParams:
                              f"past {THETA_H_LIMIT / DEG:.0f} deg")
 
 
-def preset(intent: GaitIntent) -> HipTrajectoryParams:
-    """Tuned defaults per intent.
-
-    Swing durations follow the measured averages (0.61 / 0.64 / 0.81 s);
-    angle endpoints, lift and lowering were tuned so the simulated peak knee
-    flexion and landing geometry land in the reported ranges.
-    """
-    if intent is GaitIntent.LEVEL:
-        return HipTrajectoryParams(
-            swing_duration=0.61,
-            theta_h_end=36.0 * DEG,
-            lowering_depth=0.10,
-        )
-    if intent is GaitIntent.STEP_ON:
-        return HipTrajectoryParams(
-            swing_duration=0.64,
-            theta_h_end=53.0 * DEG,
-            hip_lift_amplitude=0.04,
-            progression_stop_fraction=0.6,
-            rise_fraction=0.72,
-            lowering_onset_fraction=0.85,
-            lowering_depth=0.03,
-            extension_decay=6.0,
-        )
-    if intent is GaitIntent.STEP_OVER:
-        return HipTrajectoryParams(
-            swing_duration=0.81,
-            theta_h_end=54.0 * DEG,
-            hip_lift_amplitude=0.04,
-            lift_peak_fraction=0.68,
-            rise_fraction=0.9,
-            lowering_onset_fraction=0.80,
-            lowering_depth=0.12,
-            extension_decay=24.0,
-            extension_rate=1.2,
-        )
-    raise ValueError(f"unknown intent {intent!r}")
-
-
 def _min_jerk(s: float) -> float:
     return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
 
@@ -193,6 +154,29 @@ def _theta_h(params: HipTrajectoryParams, t: float) -> tuple:
     if ang < -THETA_H_LIMIT:
         return -THETA_H_LIMIT, 0.0
     return ang, vel
+
+
+# Tuned defaults per intent, built once. Swing durations follow the measured
+# averages (0.61 / 0.64 / 0.81 s); angle endpoints, lift and lowering were
+# tuned so the simulated peak knee flexion and landing geometry land in the
+# reported ranges. Here, below _theta_h: __post_init__ calls it.
+PRESETS = {
+    GaitIntent.LEVEL: HipTrajectoryParams(
+        swing_duration=0.61, theta_h_end=36.0 * DEG, lowering_depth=0.10),
+    GaitIntent.STEP_ON: HipTrajectoryParams(
+        swing_duration=0.64, theta_h_end=53.0 * DEG, hip_lift_amplitude=0.04,
+        progression_stop_fraction=0.6, rise_fraction=0.72, lowering_onset_fraction=0.85,
+        lowering_depth=0.03, extension_decay=6.0),
+    GaitIntent.STEP_OVER: HipTrajectoryParams(
+        swing_duration=0.81, theta_h_end=54.0 * DEG, hip_lift_amplitude=0.04,
+        lift_peak_fraction=0.68, rise_fraction=0.9, lowering_onset_fraction=0.80,
+        lowering_depth=0.12, extension_decay=24.0, extension_rate=1.2),
+}
+
+
+def preset(intent: GaitIntent) -> HipTrajectoryParams:
+    """The intent's tuned defaults, one frozen instance per intent (PRESETS)."""
+    return PRESETS[intent]
 
 
 def _z_h(params: HipTrajectoryParams, t: float) -> float:

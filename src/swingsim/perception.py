@@ -23,7 +23,8 @@ LATERAL_FAN = 20.0 * DEG
 # Ray fans _ray_fan keeps; the largest accepted (500 x 21 rays) holds 0.25 MB.
 RAY_FAN_CACHE = 8
 
-# Cap on kmeans_prune's Lloyd iterations per restart.
+# Cap on kmeans_prune's Lloyd center updates per restart: it bounds a
+# restart's cost and does not promise convergence (see kmeans_prune).
 LLOYD_MAX_ITER = 100
 
 # _lloyd refreshes only the moved centers' distance columns, or the whole
@@ -68,7 +69,8 @@ class ObstacleScene:
 
     @cached_property
     def spans(self) -> tuple:
-        """(front_x, back_x, top z) of each box, computed once per scene."""
+        """(front_x, back_x, top z) of each box, computed once per scene: the
+        one place a box top is raised onto the ground."""
         return tuple((b.front_x, b.back_x, self.ground_height + b.height) for b in self.boxes)
 
 
@@ -168,16 +170,15 @@ def capture(scene: ObstacleScene, pose: CameraPose, model: CameraModel,
     # t = inf or NaN fails t <= max_range (or t < best_t): no isfinite test
     with np.errstate(divide="ignore", invalid="ignore"):
         consider((scene.ground_height - pose.z) / dz, dz < 0.0)  # ground plane
-        for box in scene.boxes:
-            top_z = scene.ground_height + box.height
+        for box, (front_x, back_x, top_z) in zip(scene.boxes, scene.spans):
             halfw = box.width / 2.0
             # top face
             t = (top_z - pose.z) / dz
             x = pose.x + t * dx
             y = t * dy
-            consider(t, (dz < 0.0) & (x >= box.front_x) & (x <= box.back_x) & (np.abs(y) <= halfw))
+            consider(t, (dz < 0.0) & (x >= front_x) & (x <= back_x) & (np.abs(y) <= halfw))
             # front and back vertical faces
-            for face_x, toward in ((box.front_x, 1.0), (box.back_x, -1.0)):
+            for face_x, toward in ((front_x, 1.0), (back_x, -1.0)):
                 t = (face_x - pose.x) / dx
                 y = t * dy
                 z = pose.z + t * dz
@@ -367,6 +368,11 @@ def kmeans_prune(points: Sequence, k: int, seed: int, restarts: int) -> Elevatio
     as-is, sorted: one of at most k points, or one on which some restart's
     k-means++ weights total 0 before its last center, so that every point
     already lies at distance 0 from fewer than k of them.
+
+    Each restart makes at most LLOYD_MAX_ITER center updates. The cap bounds
+    a restart's cost and does not promise convergence: Lloyd has no general
+    iteration bound in the plane (Vattani, DCG 2011), and a restart stopped
+    at the cap competes with the SSE it holds there.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:

@@ -251,15 +251,15 @@ def _segment_lowest_over_span(p0, p1, x_lo, x_hi):
     return (zl, lo) if zl <= zh else (zh, hi)
 
 
-def contact_check(pts: FootPoints, scene: ObstacleScene, in_mirror: bool,
-                  downward: bool) -> tuple:
+def contact_check(pts: FootPoints, scene: ObstacleScene, landing: bool) -> tuple:
     """(contact, clearance) of the foot and shank against the scene: the
     tick's one scene query.
 
     contact is the first hit, or None. Vertical box faces always trip: the
     heel-toe or knee-ankle segment crossing a face strictly between the
-    ground and the box top. Surface touches land only in the mirror sub-mode with downward foot
-    velocity; otherwise they are trips (box top) or scuffs (ground).
+    ground and the box top. Surface touches land only where landing holds
+    (run_swing: the mirror sub-mode with the foot moving down); otherwise
+    they are trips (box top) or scuffs (ground).
     clearance is the least low - top over the boxes the heel-toe segment
     overlaps, low being its lowest z over the span, or None where it
     overlaps none; it counts every box, the one a contact is found on too.
@@ -288,13 +288,13 @@ def contact_check(pts: FootPoints, scene: ObstacleScene, in_mirror: bool,
                 break
         if contact is None and hit is not None and hit[0] <= top:
             z, x = hit
-            kind = "landing" if in_mirror and downward else "trip"
+            kind = "landing" if landing else "trip"
             contact = Contact(kind, Surface.OBSTACLE_TOP, x, z)
     if contact is None:  # the ground, where no box was touched
         low, low_x = (heel[1], heel[0]) if heel[1] <= toe[1] else (toe[1], toe[0])
         if low <= g and not any(front_x <= low_x <= back_x
                                 for front_x, back_x, _ in scene.spans):
-            kind = "landing" if in_mirror and downward else "scuff"
+            kind = "landing" if landing else "scuff"
             contact = Contact(kind, Surface.GROUND, low_x, low)
     return contact, clear
 
@@ -305,7 +305,7 @@ def toe_off_contact(cfg: TrialConfig) -> Optional[Contact]:
     the swing starts."""
     hip = human_model.hip_pose(resolve_human(cfg), 0.0)
     pts = forward_points(cfg.geometry, hip, TOE_OFF_THETA_K)
-    return contact_check(pts, cfg.scene, False, False)[0]
+    return contact_check(pts, cfg.scene, False)[0]
 
 
 def _classify(contact: Optional[Contact], cfg: TrialConfig) -> tuple:
@@ -413,9 +413,9 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         peak_flex = theta_k_new if theta_k_new > peak_flex else peak_flex
 
         low_now = toe[1] if toe[1] < heel[1] else heel[1]
-        downward = prev_low is not None and low_now < prev_low
+        landing = state.phase is THREE_MIRROR and prev_low is not None and low_now < prev_low
         prev_low = low_now
-        contact, clear = contact_check(pts, scene, state.phase is THREE_MIRROR, downward)
+        contact, clear = contact_check(pts, scene, landing)
         if clear is not None and (min_clear is None or clear < min_clear):
             min_clear = clear
         if contact is not None:
@@ -482,16 +482,14 @@ def build_trial_specs(cc: CampaignConfig) -> list:
 
 
 def trial_config_for(cc: CampaignConfig, spec: TrialSpec) -> TrialConfig:
-    base = cc.base
-    if spec.height is None:
-        scene = ObstacleScene(boxes=())
-    else:
-        _, cap_pts = capture_state(replace(base, intent=spec.intent))
-        front = cap_pts.toe[0] + spec.distance
-        scene = ObstacleScene(boxes=(
-            Box(front_x=front, height=spec.height, depth=cc.box_depth,
-                width=cc.box_width),))
-    return replace(base, scene=scene, intent=spec.intent, seed=spec.seed)
+    """The base trial with the spec's intent and seed, and its box, if any,
+    spec.distance ahead of the base's capture toe on the base's ground."""
+    boxes = ()
+    if spec.height is not None:  # the capture toe's x depends on neither intent nor hip height
+        front = capture_state(cc.base)[1].toe[0] + spec.distance
+        boxes = (Box(front_x=front, height=spec.height, depth=cc.box_depth, width=cc.box_width),)
+    return replace(cc.base, scene=replace(cc.base.scene, boxes=boxes), intent=spec.intent,
+                   seed=spec.seed)
 
 
 def _run_one(args) -> TrialResult:

@@ -55,6 +55,11 @@ PINNED_DIGESTS = {
     "trials.csv": "d037d7d32072388f8ff09df66a4a35b7c5749539cce4cca9165c1038d14abd43",
     "step logs": "841d107a7bae71c8248a91469640c8d706147693c519afa15d7be8e89ba6be4a",
 }
+# the same digests of the seed-7 campaign's summary.json and trials.csv
+PINNED_DIGESTS_SEED_7 = {
+    "summary.json": "4fd64b1d8816a9bb464b9659db9eff8e37eacb0d48e9d1e0698b9bd098542b0d",
+    "trials.csv": "80218900b6dc403b63a3e8dd25d401c179ba88db1991cd099fb7b690d9d38a8b",
+}
 
 
 @pytest.fixture(scope="session")
@@ -369,6 +374,17 @@ def test_criterion_7_campaign_determinism(campaign, tmp_path):
     print(f"[criterion 7] PASS: repeated campaign summary byte-identical "
           f"({len(a)} bytes); summary, trials.csv and step logs match their pinned digests; "
           f"write_csv wrote all {len(steplogs)} step logs as ROW_FORMAT text")
+
+
+def test_criterion_7_seed_7_digests(tmp_path):
+    res = run_campaign(CampaignConfig(seed=7))
+    csv_path = tmp_path / "trials.csv"
+    write_trial_index_csv(csv_path, res.specs, res.results)
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in (
+        ("summary.json", (summary_json(res.summary) + "\n").encode()),
+        ("trials.csv", csv_path.read_bytes()))}
+    assert digests == PINNED_DIGESTS_SEED_7
+    print("[criterion 7] PASS: seed-7 summary and trials.csv match their pinned digests")
 
 
 # ---------------------------------------------------------------------------

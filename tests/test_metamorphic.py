@@ -51,11 +51,16 @@ def flat_trials():
 @pytest.mark.parametrize("g", GROUND_SHIFTS)
 def test_ground_shift_keeps_every_outcome(flat_trials, g):
     # raising the ground raises the hip base, the box tops and the camera
-    # with it, so nothing the leg or the planner sees moves relative to it
+    # with it, so nothing the leg or the planner sees moves relative to it;
+    # a campaign on a base at g builds its trials on that ground
     assert len(flat_trials) == 12
+    cc = CampaignConfig(seed=2024, base=TrialConfig(scene=ObstacleScene(ground_height=g)))
+    specs = {spec.seed: spec for spec in build_trial_specs(cc)}
     for cfg, flat in flat_trials:
-        _, shifted = run_swing(replace(cfg, scene=replace(cfg.scene, ground_height=g)))
         key = (cfg.intent.value, cfg.seed, g)
+        shifted_cfg = trial_config_for(cc, specs[cfg.seed])
+        assert shifted_cfg.scene == replace(cfg.scene, ground_height=g), key
+        _, shifted = run_swing(shifted_cfg)
         assert shifted.outcome is flat.outcome, key
         assert abs(shifted.landing_x - flat.landing_x) <= SHIFT_TOL, key
         assert abs(shifted.peak_knee_flexion - flat.peak_knee_flexion) <= SHIFT_TOL, key

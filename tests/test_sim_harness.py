@@ -54,24 +54,24 @@ def test_contact_penetrating_box_top_is_trip_outside_mirror():
     # the whole foot inside the span [0.4, 0.6] and below the 0.16 top, so
     # no face is crossed: the trip comes from the box-top test
     pts = foot_at(heel=(0.45, 0.10), toe=(0.55, 0.12))
-    c = contact_check(pts, BOX_SCENE, in_mirror=False, downward=True)[0]
+    c = contact_check(pts, BOX_SCENE, landing=False)[0]
     assert c == Contact("trip", Surface.OBSTACLE_TOP, 0.45, 0.10)
 
 
 def test_step_over_landing_on_a_box_top_is_a_trip():
     pts = foot_at(heel=(0.45, 0.159), toe=(0.58, 0.165))
-    c = contact_check(pts, BOX_SCENE, in_mirror=True, downward=True)[0]
+    c = contact_check(pts, BOX_SCENE, landing=True)[0]
     assert c.kind == "landing" and c.surface is Surface.OBSTACLE_TOP
     cfg = TrialConfig(intent=GaitIntent.STEP_OVER, scene=BOX_SCENE)
     assert _classify(c, cfg) == (Outcome.TRIP, 0.45, Surface.OBSTACLE_TOP)
     ground = foot_at(heel=(0.7, -0.001), toe=(0.9, 0.02))
-    c = contact_check(ground, BOX_SCENE, in_mirror=True, downward=True)[0]
+    c = contact_check(ground, BOX_SCENE, landing=True)[0]
     assert _classify(c, cfg) == (Outcome.SUCCESS_STEP_OVER, 0.7, Surface.GROUND)
 
 
 def test_step_over_landing_on_the_ground_short_of_its_box_is_a_scuff():
     ground = foot_at(heel=(0.1, -0.001), toe=(0.3, 0.02))
-    c = contact_check(ground, BOX_SCENE, in_mirror=True, downward=True)[0]
+    c = contact_check(ground, BOX_SCENE, landing=True)[0]
     cfg = TrialConfig(intent=GaitIntent.STEP_OVER, scene=BOX_SCENE)
     assert _classify(c, cfg) == (Outcome.SCUFF, 0.1, Surface.GROUND)
     # a box 1.6 m out, past the look-ahead: the swing comes down ~0.5 m short
@@ -86,13 +86,13 @@ def test_step_over_landing_on_the_ground_short_of_its_box_is_a_scuff():
 
 def test_contact_box_top_landing_in_mirror():
     pts = foot_at(heel=(0.45, 0.159), toe=(0.58, 0.165))
-    c = contact_check(pts, BOX_SCENE, in_mirror=True, downward=True)[0]
+    c = contact_check(pts, BOX_SCENE, landing=True)[0]
     assert c is not None and c.kind == "landing" and c.surface is Surface.OBSTACLE_TOP
 
 
 def test_contact_front_face_strike_is_trip_even_in_mirror():
     pts = foot_at(heel=(0.30, 0.10), toe=(0.45, 0.08))
-    c = contact_check(pts, BOX_SCENE, in_mirror=True, downward=True)[0]
+    c = contact_check(pts, BOX_SCENE, landing=True)[0]
     assert c is not None and c.kind == "trip"
 
 
@@ -101,13 +101,13 @@ def test_contact_tick_counts_the_clearance_of_every_box():
     # under the 0.16 top, while the heel-toe segment lies over the span 4 cm
     # up: the trip is returned with that tick's low - top, not without it
     pts = foot_at(heel=(0.45, 0.20), toe=(0.70, 0.22), knee=(0.30, 0.05), ankle=(0.50, 0.25))
-    c, clear = contact_check(pts, BOX_SCENE, in_mirror=True, downward=True)
+    c, clear = contact_check(pts, BOX_SCENE, landing=True)
     assert c.kind == "trip" and c.surface is None and c.x == 0.4
     assert c.z == pytest.approx(0.15) and clear == pytest.approx(0.04)
     # a second box past the first: the pass goes on after the trip, and the
     # heel-toe low over [0.65, 0.75], 0.216 against a 0.19 top, is the least
     two = ObstacleScene(boxes=BOX_SCENE.boxes + (Box(front_x=0.65, height=0.19, depth=0.1),))
-    c2, clear2 = contact_check(pts, two, in_mirror=True, downward=True)
+    c2, clear2 = contact_check(pts, two, landing=True)
     assert c2 == c and clear2 == pytest.approx(0.026)
 
 
@@ -125,15 +125,15 @@ def test_a_tripping_swing_counts_the_clearance_of_its_contact_tick():
 
 def test_contact_ground_heel_strike():
     pts = foot_at(heel=(0.1, -0.001), toe=(0.3, 0.02))
-    c = contact_check(pts, BOX_SCENE, in_mirror=True, downward=True)[0]
+    c = contact_check(pts, BOX_SCENE, landing=True)[0]
     assert c is not None and c.kind == "landing" and c.surface is Surface.GROUND
-    c2 = contact_check(pts, BOX_SCENE, in_mirror=False, downward=True)[0]
+    c2 = contact_check(pts, BOX_SCENE, landing=False)[0]
     assert c2 is not None and c2.kind == "scuff"
 
 
 def test_contact_airborne_foot_none():
     pts = foot_at(heel=(0.1, 0.2), toe=(0.3, 0.25))
-    assert contact_check(pts, BOX_SCENE, in_mirror=True, downward=True)[0] is None
+    assert contact_check(pts, BOX_SCENE, landing=True)[0] is None
 
 
 def test_level_swing_succeeds_with_toe_clearance():
