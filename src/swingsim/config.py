@@ -233,10 +233,8 @@ def parse_scenario(data) -> TrialConfig:
         scene=_build("scene", base.scene, sec["scene"])))
     contact = toe_off_contact(cfg)
     if contact is not None:
-        raise ConfigError(
-            f"scenario: the toe-off foot already touches the scene ({contact.kind} at "
-            f"x = {contact.x:.4f} m, z = {contact.z:.4f} m); geometry, "
-            f"human.hip_height_base_m and scene must leave it clear")
+        raise ConfigError(f"scenario: the toe-off foot already touches the scene ({contact}); "
+                          f"geometry, human.hip_height_base_m and scene must leave it clear")
     return cfg
 
 
@@ -273,8 +271,7 @@ def parse_campaign(data) -> CampaignConfig:
         contact = toe_off_contact(trial_config_for(cc, TrialSpec(0, intent, height, low, 0)))
         if contact is not None:
             raise ConfigError(f"campaign.{f.key}[0]: a {height:g} m box at {low:g} m touches "
-                              f"the toe-off foot ({contact.kind} at x = {contact.x:.4f} m, "
-                              f"z = {contact.z:.4f} m); start the range past the foot")
+                              f"the toe-off foot ({contact}); start the range past the foot")
     return cc
 
 

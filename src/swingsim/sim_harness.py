@@ -5,9 +5,10 @@ control target, the swing starts at toe-off, and each tick reads the
 human hip from the trajectory's shared hip_track (the hip is open loop),
 runs the planner, integrates the commanded knee velocity (ideally or
 through a first-order lag), and checks for contact. Geometric
-contact stands in for the hardware's ground-reaction threshold: landing is
-only recognized in the mirror sub-mode with the foot moving down; any other
-surface intersection is a trip (obstacle) or scuff (ground).
+contact stands in for the hardware's ground-reaction threshold:
+contact_check finds the touch, and _classify alone rules on it. A touch
+lands only in the mirror sub-mode with the foot moving down; any other
+touch is a trip (obstacle) or scuff (ground).
 """
 from __future__ import annotations
 
@@ -190,10 +191,13 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class Contact:
-    kind: str              # "landing" | "trip" | "scuff"
-    surface: Optional[Surface]
+    surface: Optional[Surface]   # None: a vertical box face
     x: float
     z: float
+
+    def __str__(self) -> str:
+        where = "a box face" if self.surface is None else self.surface.value
+        return f"{where} at x = {self.x:.4f} m, z = {self.z:.4f} m"
 
 
 def capture_state(cfg: TrialConfig) -> tuple:
@@ -251,15 +255,15 @@ def _segment_lowest_over_span(p0, p1, x_lo, x_hi):
     return (zl, lo) if zl <= zh else (zh, hi)
 
 
-def contact_check(pts: FootPoints, scene: ObstacleScene, landing: bool) -> tuple:
+def contact_check(pts: FootPoints, scene: ObstacleScene) -> tuple:
     """(contact, clearance) of the foot and shank against the scene: the
     tick's one scene query.
 
-    contact is the first hit, or None. Vertical box faces always trip: the
-    heel-toe or knee-ankle segment crossing a face strictly between the
-    ground and the box top. Surface touches land only where landing holds
-    (run_swing: the mirror sub-mode with the foot moving down); otherwise
-    they are trips (box top) or scuffs (ground).
+    contact is the first touch, or None: a vertical box face (surface None),
+    the heel-toe or knee-ankle segment crossing it strictly between the
+    ground and the box top; then the box top, the heel-toe segment reaching
+    it over the box's span; then the ground outside every span. Whether a
+    touch is a landing, trip or scuff is _classify's ruling.
     clearance is the least low - top over the boxes the heel-toe segment
     overlaps, low being its lowest z over the span, or None where it
     overlaps none; it counts every box, the one a contact is found on too.
@@ -282,20 +286,17 @@ def contact_check(pts: FootPoints, scene: ObstacleScene, landing: bool) -> tuple
                     continue
                 z = z0 + (z1 - z0) * (face_x - x0) / (x1 - x0)
                 if g < z < top - 1e-9:
-                    contact = Contact("trip", None, face_x, z)
+                    contact = Contact(None, face_x, z)
                     break
             if contact is not None:
                 break
         if contact is None and hit is not None and hit[0] <= top:
-            z, x = hit
-            kind = "landing" if landing else "trip"
-            contact = Contact(kind, Surface.OBSTACLE_TOP, x, z)
+            contact = Contact(Surface.OBSTACLE_TOP, hit[1], hit[0])
     if contact is None:  # the ground, where no box was touched
         low, low_x = (heel[1], heel[0]) if heel[1] <= toe[1] else (toe[1], toe[0])
         if low <= g and not any(front_x <= low_x <= back_x
                                 for front_x, back_x, _ in scene.spans):
-            kind = "landing" if landing else "scuff"
-            contact = Contact(kind, Surface.GROUND, low_x, low)
+            contact = Contact(Surface.GROUND, low_x, low)
     return contact, clear
 
 
@@ -305,29 +306,25 @@ def toe_off_contact(cfg: TrialConfig) -> Optional[Contact]:
     the swing starts."""
     hip = human_model.hip_pose(resolve_human(cfg), 0.0)
     pts = forward_points(cfg.geometry, hip, TOE_OFF_THETA_K)
-    return contact_check(pts, cfg.scene, False)[0]
+    return contact_check(pts, cfg.scene)[0]
 
 
-def _classify(contact: Optional[Contact], cfg: TrialConfig) -> tuple:
-    """Map a contact event to a trial outcome under the trial's intent."""
+def _classify(contact: Optional[Contact], landing: bool, cfg: TrialConfig) -> tuple:
+    """(outcome, landing x, surface) of the swing's last touch under the
+    trial's intent, TIMEOUT without one. A landing on the intent's surface
+    succeeds, a step-over's only past every box; any other touch, a face's
+    too, trips on a box and scuffs on the ground."""
     if contact is None:
         return Outcome.TIMEOUT, None, None
-    if contact.kind == "trip":
-        return Outcome.TRIP, contact.x, contact.surface
-    if contact.kind == "scuff":
-        return Outcome.SCUFF, contact.x, contact.surface
-
-    surface = contact.surface
-    if cfg.intent is GaitIntent.LEVEL:
-        out = Outcome.SUCCESS_LEVEL if surface is Surface.GROUND else Outcome.TRIP
-    elif cfg.intent is GaitIntent.STEP_ON:
-        out = Outcome.SUCCESS_STEP_ON if surface is Surface.OBSTACLE_TOP else Outcome.SCUFF
-    elif surface is not Surface.GROUND:  # STEP_OVER onto a box top
-        out = Outcome.TRIP
-    else:  # STEP_OVER clears its boxes only by landing past every one of them
-        clear = all(contact.x > back_x for _, back_x, _ in cfg.scene.spans)
-        out = Outcome.SUCCESS_STEP_OVER if clear else Outcome.SCUFF
-    return out, contact.x, surface
+    surface, x, intent = contact.surface, contact.x, cfg.intent
+    if landing and surface is Surface.OBSTACLE_TOP and intent is GaitIntent.STEP_ON:
+        return Outcome.SUCCESS_STEP_ON, x, surface
+    if landing and surface is Surface.GROUND and intent is GaitIntent.LEVEL:
+        return Outcome.SUCCESS_LEVEL, x, surface
+    if (landing and surface is Surface.GROUND and intent is GaitIntent.STEP_OVER
+            and all(x > back_x for _, back_x, _ in cfg.scene.spans)):
+        return Outcome.SUCCESS_STEP_OVER, x, surface
+    return (Outcome.SCUFF if surface is Surface.GROUND else Outcome.TRIP), x, surface
 
 
 def resolve_human(cfg: TrialConfig) -> HipTrajectoryParams:
@@ -374,7 +371,6 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     peak_flex = joint.theta_k
     min_clear: Optional[float] = None
     contact: Optional[Contact] = None
-    prev_low = None
 
     geom, scene, tau = cfg.geometry, cfg.scene, cfg.tracking_lag_tau
     knee_limit, end = params.knee_limit, horizon + dt / 2
@@ -408,20 +404,20 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         t += dt
         i += 1
         hip = track[i]
-        pts = forward_points(geom, hip, theta_k_new)
+        prev, pts = pts, forward_points(geom, hip, theta_k_new)
         _, _, toe, heel = pts
         peak_flex = theta_k_new if theta_k_new > peak_flex else peak_flex
-
-        low_now = toe[1] if toe[1] < heel[1] else heel[1]
-        landing = state.phase is THREE_MIRROR and prev_low is not None and low_now < prev_low
-        prev_low = low_now
-        contact, clear = contact_check(pts, scene, landing)
+        contact, clear = contact_check(pts, scene)
         if clear is not None and (min_clear is None or clear < min_clear):
             min_clear = clear
         if contact is not None:
             break
 
-    outcome, landing_x, surface = _classify(contact, cfg)
+    # a touch lands in the mirror sub-mode with the foot's low point below
+    # the previous tick's; the first tick is never a landing
+    landing = (state.phase is THREE_MIRROR and i > 1
+               and min(toe[1], heel[1]) < min(prev.toe[1], prev.heel[1]))
+    outcome, landing_x, surface = _classify(contact, landing, cfg)
     return log, TrialResult(
         outcome=outcome, swing_duration=t, peak_knee_flexion=peak_flex, min_clearance=min_clear,
         landing_x=landing_x, landing_surface=surface, target=target)

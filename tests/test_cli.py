@@ -49,27 +49,6 @@ def test_run_level_scenario(level_scenario, tmp_path, capsys):
     assert result["outcome"] == "SUCCESS_LEVEL"
 
 
-def test_run_rejects_malformed_key(tmp_path, capsys):
-    bad = write_json(tmp_path / "bad.json", {"geometry": {"thigh": 0.44}})
-    rc = main(["--out", str(tmp_path / "o"), "run", bad])
-    assert rc == 2
-    assert "geometry.thigh" in capsys.readouterr().err
-
-
-def test_run_rejects_unknown_section(tmp_path, capsys):
-    bad = write_json(tmp_path / "bad2.json", {"legs": {}})
-    rc = main(["--out", str(tmp_path / "o"), "run", bad])
-    assert rc == 2
-
-
-def test_run_rejects_bad_value_with_path(tmp_path, capsys):
-    bad = write_json(tmp_path / "bad3.json",
-                     {"scene": {"boxes": [{"front_x_m": 0.3, "height_m": -0.1}]}})
-    rc = main(["--out", str(tmp_path / "o"), "run", bad])
-    assert rc == 2
-    assert "scene.boxes[0]" in capsys.readouterr().err
-
-
 def test_seed_override_changes_stream_not_schema(level_scenario, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--out", str(out1), "--seed", "123", "run", level_scenario]) == 0
@@ -216,11 +195,6 @@ def test_strict_flag_fails_a_campaign_that_expects_failures(tmp_path, capsys):
     assert "campaign: 0/1 successful" in capsys.readouterr().out
 
 
-def test_campaign_rejects_unknown_key(tmp_path, capsys):
-    bad = write_json(tmp_path / "camp.json", {"n_trials": 3})
-    assert main(["--out", str(tmp_path / "c"), "campaign", bad]) == 2
-
-
 def test_sweep_emits_table(tmp_path):
     out = tmp_path / "s"
     rc = main(["--out", str(out), "--seed", "11", "sweep", "--param", "theta0_deg",
@@ -229,11 +203,6 @@ def test_sweep_emits_table(tmp_path):
     rows = open(out / "sweep.csv").read().splitlines()
     assert rows[0] == "theta0_deg,success_rate,mean_duration_s,mean_peak_flexion_deg"
     assert len(rows) == 3
-
-
-def test_sweep_rejects_unknown_param(tmp_path):
-    assert main(["--out", str(tmp_path / "s"), "sweep", "--param", "nope",
-                 "--values", "1"]) == 2
 
 
 def test_env_var_out_dir(level_scenario, tmp_path, monkeypatch):
@@ -262,6 +231,7 @@ def test_run_rejects_toe_off_foot_in_the_ground(tmp_path, capsys):
     assert main(["--out", str(tmp_path / "o"), "run", scn]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: scenario: the toe-off foot")
+    assert "(GROUND at x = " in err
     for name in ("geometry", "human.hip_height_base_m", "scene"):
         assert name in err
 
@@ -280,6 +250,7 @@ BAD_INPUTS = [
     (["campaign", "FILE"], {"n_level": 1.7}, "campaign.n_level"),
     (["campaign", "FILE"], {"tau_s": "x"}, "campaign.tau_s"),
     (["campaign", "FILE"], {"profile": "reproduction"}, "campaign.profile"),
+    (["campaign", "FILE"], {"n_trials": 3}, "campaign.n_trials: unknown key"),
     # a box under the toe-off foot: every such trial ended in a TRIP at t = 1 ms
     (["campaign", "FILE"], {"n_step_over": 4, "n_step_on": 0, "n_level": 0,
                             "distance_range_m": [0.0, 0.0], "heights_m": [0.16]},
@@ -289,6 +260,10 @@ BAD_INPUTS = [
     # ran no trial and passed expect_all_success with "0/0 successful (0.0%)"
     (["campaign", "FILE"], {"n_step_over": 0, "n_step_on": 0, "n_level": 0},
      "campaign: n_step_over, n_step_on and n_level are all 0"),
+    (["run", "FILE"], {"geometry": {"thigh": 0.44}}, "geometry.thigh: unknown key"),
+    (["run", "FILE"], {"legs": {}}, "scenario.legs: unknown section"),
+    (["run", "FILE"], {"scene": {"boxes": [{"front_x_m": 0.3, "height_m": -0.1}]}},
+     "scene.boxes[0].height_m: -0.1 is outside"),
     (["run", "FILE"], {"trial": {"kmeans_k": 0}}, "trial.kmeans_k"),
     (["run", "FILE"], {"trial": {"kmeans_restarts": -4}}, "trial.kmeans_restarts"),
     (["run", "FILE"], {"trial": {"tau_s": -0.05}}, "trial.tau_s"),
@@ -303,6 +278,7 @@ BAD_INPUTS = [
     (["run", "FILE"], {"camera": {"max_range_m": float("inf")}}, "camera.max_range_m"),
     (["run", "FILE"], {"human": {"intent": "step_over", "theta_h_end_deg": 80,
                                  "noise_sigma_deg": 10}}, "human.theta_h_end_deg"),
+    (["sweep", "--param", "nope", "--values", "1"], None, "sweep.param: must be one of"),
     (["sweep", "--param", "kmax", "--values", "-1"], None, "planner.kmax"),
     (["sweep", "--param", "kmax", "--values", "4", "--trials", "0"], None, "sweep.trials"),
     # an OverflowError traceback from SeedSequence.spawn
