@@ -7,8 +7,8 @@ profiles keep evolving past the nominal swing duration and the harness ends
 the swing on foot contact. Interaction with the prosthesis emerges entirely
 through the phase predicates of the planner (relative heel/hip geometry).
 Since the hip never depends on the knee, the harness reads each swing's hip
-from a hip_track shared by every trial on the same trajectory, sampled once
-per tick time.
+from a hip_track shared by every trial on the same trajectory, built in one
+vectorized pass to the timeout horizon.
 
 The late-swing cues the controller relies on are expressed as parameters:
 forward progression that stops early (shortens the step), hip lowering plus
@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -69,25 +70,21 @@ class HipTrajectoryParams:
                 raise ValueError(f"{name} must be positive")
         if not self.theta_h_end > self.theta_h_start:
             raise ValueError("theta_h_end must exceed theta_h_start")
-        for name in ("progression_stop_fraction", "lowering_onset_fraction",
-                     "rise_fraction"):
+        for name in ("lift_peak_fraction", "progression_stop_fraction",
+                     "lowering_onset_fraction", "rise_fraction"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1]")
-        # a hip still rising at the lowering onset overshoots until extension_decay stops it
-        a0, v0 = _theta_h(self, self.lowering_onset_fraction * self.swing_duration)
-        peak = a0 + max(v0, 0.0) ** 2 / (2.0 * self.extension_decay)
+        peak = _flexion_peak(self)
         if not peak <= THETA_H_LIMIT:
             raise ValueError(f"hip flexion peaks at {peak / DEG:.1f} deg, "
                              f"past {THETA_H_LIMIT / DEG:.0f} deg")
 
 
-def _min_jerk(s: float) -> float:
-    return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
-
-
-def _min_jerk_vel(s: float) -> float:
-    return 30.0 * s * s * (1.0 - s) * (1.0 - s)
+def _each(f, x: np.ndarray, *args) -> np.ndarray:
+    """f(x_i, *args_i) for each element: libm's sin, cos and pow (Python's
+    x ** 2), whose floats numpy's own sin, cos and square do not always give."""
+    return np.fromiter(map(f, x.tolist(), *args), float, len(x))
 
 
 @lru_cache(maxsize=64)
@@ -99,15 +96,25 @@ def _noise_coefficients(sigma: float, seed: int) -> tuple:
     return float(a1), float(a2), float(p1), float(p2)
 
 
-def _noise(params: HipTrajectoryParams, t: float, seed: Optional[int]):
+def _noise(params: HipTrajectoryParams, t: np.ndarray, seed: Optional[int]):
     """Smooth low-frequency angle noise: two seeded sinusoids."""
     if params.noise_sigma <= 0.0 or seed is None:
         return 0.0, 0.0
     a1, a2, p1, p2 = _noise_coefficients(params.noise_sigma, seed)
     w1, w2 = 2.0 * math.pi * 2.0, 2.0 * math.pi * 4.5  # Hz-scale wobble
-    val = a1 * math.sin(w1 * t + p1) + a2 * math.sin(w2 * t + p2)
-    vel = a1 * w1 * math.cos(w1 * t + p1) + a2 * w2 * math.cos(w2 * t + p2)
+    ph1, ph2 = w1 * t + p1, w2 * t + p2
+    val = a1 * _each(math.sin, ph1) + a2 * _each(math.sin, ph2)
+    vel = a1 * w1 * _each(math.cos, ph1) + a2 * w2 * _each(math.cos, ph2)
     return val, vel
+
+
+@lru_cache(maxsize=64)
+def _flexion_peak(params: HipTrajectoryParams) -> float:
+    """Highest flexion of the noise-free hip: one still rising at the lowering
+    onset overshoots until extension_decay stops it. Cached, as each replace()
+    reruns __post_init__ and a one-sample _theta_h costs ~80 us in numpy."""
+    ang, vel = _theta_h(params, np.array([params.lowering_onset_fraction * params.swing_duration]))
+    return float(ang[0]) + max(float(vel[0]), 0.0) ** 2 / (2.0 * params.extension_decay)
 
 
 # Reach of the hip profile: the reversal stops at -THETA_H_LIMIT and a peak past
@@ -115,7 +122,7 @@ def _noise(params: HipTrajectoryParams, t: float, seed: Optional[int]):
 THETA_H_LIMIT = 80.0 * DEG
 
 
-def _theta_h(params: HipTrajectoryParams, t: float) -> tuple:
+def _theta_h(params: HipTrajectoryParams, t: np.ndarray) -> tuple:
     """Hip angle and rate.
 
     Min-jerk rise completed by rise_fraction of the swing, a hold at the end
@@ -131,29 +138,26 @@ def _theta_h(params: HipTrajectoryParams, t: float) -> tuple:
     t_on = params.lowering_onset_fraction * T
     span = params.theta_h_end - params.theta_h_start
 
-    def rise(tt):
-        s = min(max(tt / T_rise, 0.0), 1.0)
-        ang = params.theta_h_start + span * _min_jerk(s)
-        vel = span * _min_jerk_vel(s) / T_rise if 0.0 <= tt <= T_rise else 0.0
-        return ang, vel
+    def rise(tt):   # min jerk
+        s = np.clip(tt / T_rise, 0.0, 1.0)
+        ang = params.theta_h_start + span * (s * s * s * (10.0 - 15.0 * s + 6.0 * s * s))
+        vel = span * (30.0 * s * s * (1.0 - s) * (1.0 - s)) / T_rise
+        return ang, np.where((0.0 <= tt) & (tt <= T_rise), vel, 0.0)
 
-    if t <= t_on:
-        return rise(t)
-    a0, v0 = rise(t_on)
+    ang, vel = rise(t)
+    a0, v0 = (float(v[0]) for v in rise(np.array([t_on])))
     a = params.extension_decay
     rate = params.extension_rate
     u = t - t_on
     u_sat = (v0 + rate) / a
-    if u <= u_sat:
-        ang = a0 + v0 * u - 0.5 * a * u * u
-        vel = v0 - a * u
-    else:
-        ang = (a0 + v0 * u_sat - 0.5 * a * u_sat * u_sat
-               - rate * (u - u_sat))
-        vel = -rate
-    if ang < -THETA_H_LIMIT:
-        return -THETA_H_LIMIT, 0.0
-    return ang, vel
+    blend = u <= u_sat
+    late_ang = np.where(blend, a0 + v0 * u - 0.5 * a * u * u,
+                        a0 + v0 * u_sat - 0.5 * a * u_sat * u_sat - rate * (u - u_sat))
+    late_vel = np.where(blend, v0 - a * u, -rate)
+    stopped = late_ang < -THETA_H_LIMIT
+    late = t > t_on
+    return (np.where(late, np.where(stopped, -THETA_H_LIMIT, late_ang), ang),
+            np.where(late, np.where(stopped, 0.0, late_vel), vel))
 
 
 # Tuned defaults per intent, built once. Swing durations follow the measured
@@ -179,7 +183,7 @@ def preset(intent: GaitIntent) -> HipTrajectoryParams:
     return PRESETS[intent]
 
 
-def _z_h(params: HipTrajectoryParams, t: float) -> float:
+def _z_h(params: HipTrajectoryParams, t: np.ndarray) -> np.ndarray:
     """Hip height: sin^2 lift peaking at lift_peak_fraction of the swing
     (0.5 reproduces a sin^2 arch over the nominal duration; obstacle
     step-overs hold the hip up longer, as the study participants did), then
@@ -187,16 +191,14 @@ def _z_h(params: HipTrajectoryParams, t: float) -> float:
     T = params.swing_duration
     t_on = params.lowering_onset_fraction * T
     period = 2.0 * params.lift_peak_fraction * T
-    lift = params.hip_lift_amplitude * math.sin(math.pi * min(t, period) / period) ** 2
-    z = params.hip_height_base + lift
-    if t > t_on:
-        ramp_T = max(T - t_on, 1e-6)
-        frac = min(1.0, ((t - t_on) / ramp_T) ** 2)
-        z -= params.lowering_depth * frac
-    return z
+    sin = _each(math.sin, math.pi * np.minimum(t, period) / period)
+    z = params.hip_height_base + params.hip_lift_amplitude * _each(pow, sin, repeat(2))
+    ramp_T = max(T - t_on, 1e-6)
+    frac = np.minimum(1.0, _each(pow, (t - t_on) / ramp_T, repeat(2)))
+    return np.where(t > t_on, z - params.lowering_depth * frac, z)
 
 
-def _x_h(params: HipTrajectoryParams, t: float) -> float:
+def _x_h(params: HipTrajectoryParams, t: np.ndarray) -> np.ndarray:
     """Forward progression with a smooth cosine-ramp stop.
 
     A stop fraction of 1.0 means the hip advances for the whole horizon
@@ -208,75 +210,69 @@ def _x_h(params: HipTrajectoryParams, t: float) -> float:
         return v * t
     t_stop = params.progression_stop_fraction * params.swing_duration
     w = PROGRESSION_RAMP_S
-    if t <= t_stop:
-        return v * t
-    u = min(t - t_stop, w)
+    u = np.minimum(t - t_stop, w)
     # integral of v * (1 + cos(pi u / w)) / 2
-    x = v * t_stop + v * (u / 2.0 + (w / (2.0 * math.pi)) * math.sin(math.pi * u / w))
-    return x
+    x = v * t_stop + v * (u / 2.0 + (w / (2.0 * math.pi)) * _each(math.sin, math.pi * u / w))
+    return np.where(t <= t_stop, v * t, x)
 
 
-def hip_pose(params: HipTrajectoryParams, t: float, seed: Optional[int] = None) -> HipPose:
-    """Hip state at time t >= 0. Profiles are valid well past the nominal
-    duration (the harness runs to 2x nominal before declaring a timeout)."""
-    ang, vel = _theta_h(params, t)
-    n_ang, n_vel = _noise(params, t, seed)
-    return HipPose(
-        x_h=_x_h(params, t),
-        z_h=_z_h(params, t),
-        theta_h=ang + n_ang,
-        theta_h_dot=vel + n_vel,
-    )
+def hip_pose(params: HipTrajectoryParams, t: float | np.ndarray, seed: Optional[int] = None):
+    """Hip state at time t >= 0, valid well past the nominal duration (the
+    harness runs to TIMEOUT_FACTOR x nominal). A float t gives its HipPose;
+    an array of times gives the unchecked arrays (x_h, z_h, theta_h,
+    theta_h_dot), each element the float a lone sample of it gives."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    ang, vel = _theta_h(params, ts)
+    n_ang, n_vel = _noise(params, ts, seed)
+    x_h, z_h, theta_h, theta_h_dot = _x_h(params, ts), _z_h(params, ts), ang + n_ang, vel + n_vel
+    if np.ndim(t):
+        return x_h, z_h, theta_h, theta_h_dot
+    return HipPose(x_h=float(x_h[0]), z_h=float(z_h[0]), theta_h=float(theta_h[0]),
+                   theta_h_dot=float(theta_h_dot[0]))
 
+
+# A swing that meets nothing ends at TIMEOUT_FACTOR x the nominal duration.
+TIMEOUT_FACTOR = 2.0
 
 # Trajectories hip_track keeps. A campaign runs each trajectory's trials back
 # to back (its 210 trials resolve to 32: one per intent preset and one per
 # aimed step-on box), and a shuffled mix finds its few shared presets among
-# the last 8. A track holds ~0.17 KB per tick, up to 0.27 MB at the 2x
-# horizon; at ~0.2 KB, keeping all 32 of a campaign added ~4 MB (+10% RSS).
+# the last 8. A track holds one HipPose per tick to the horizon, ~0.17 KB
+# each: 1,622 poses and ~0.27 MB for the step-over preset at 1 kHz, so 8
+# tracks hold at most ~2.2 MB, where all 32 of a campaign would hold ~7 MB.
 HIP_TRACK_CACHE_SIZE = 8
 
 
-class HipTrack:
-    """The hip poses one trajectory presents to the controller, tick by tick.
+@lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)
+def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tuple:
+    """The tuple of hip poses one trajectory presents to the controller, shared
+    by every trial on it: the hip is open loop, so its poses depend only on
+    (params, seed, dt), never on the knee.
 
-    track[i] is the pose at the i-th tick time t_i, where t_0 = 0.0 and
-    t_{i+1} = t_i + dt, the float operation the harness loop repeats. Its
-    rate is the exact average over the coming tick,
-    (theta_h(t_{i+1}) - theta_h(t_i)) / dt. The planner's velocity command
-    is held for one tick, so the hip velocity the controller should
-    synchronize with is the ground-truth displacement over that tick;
-    feeding the instantaneous rate instead would leak the hip's intra-tick
-    curvature into the knee command and let the mirror lock drift.
+    track[i] is the pose at tick time t_i (t_0 = 0.0, t_{i+1} = t_i + dt, the
+    floats the harness loop sums), up to the first tick at or past the
+    timeout horizon, the last run_swing reads. Its rate is the average over
+    the coming tick, (theta_h(t_{i+1}) - theta_h(t_i)) / dt: the planner
+    holds its command for one tick, and the instantaneous rate would leak the
+    hip's intra-tick curvature into the knee command and drift the mirror.
 
-    Poses are sampled on first read: track[i] samples hip_pose up to t_{i+1}
-    and no further, so a swing that ends at contact samples nothing past it.
-    Extending is not locked: trials that share a process must run one at a
-    time, as they do (run_campaign parallelizes over processes).
+    One pass, eager to the horizon: np.add.accumulate sums the tick times,
+    one hip_pose call samples them all, and each HipPose checks its pose, so
+    an invalid one raises here and nothing is cached. Even for an aimed
+    step-on, whose swing reads about half of its own track, that costs less
+    than sampling tick by tick did. libm, element by element, keeps every
+    pose bit-equal to a lone sample's.
     """
-
-    __slots__ = ("params", "seed", "dt", "_poses", "_t", "_raw")
-
-    def __init__(self, params: HipTrajectoryParams, seed: Optional[int], dt: float):
-        self.params, self.seed, self.dt = params, seed, dt
-        self._poses = []
-        self._t, self._raw = 0.0, hip_pose(params, 0.0, seed)   # sampled, not yet in _poses
-
-    def __getitem__(self, i: int) -> HipPose:
-        poses, dt = self._poses, self.dt
-        while len(poses) <= i:
-            now, t = self._raw, self._t + dt
-            nxt = hip_pose(self.params, t, self.seed)
-            poses.append(HipPose(x_h=now.x_h, z_h=now.z_h, theta_h=now.theta_h,
-                                 theta_h_dot=(nxt.theta_h - now.theta_h) / dt))
-            self._raw, self._t = nxt, t   # only once the pose is in: a raise leaves no gap
-        return poses[i]
-
-
-# The shared HipTrack of one trajectory, hip_track(params, seed, dt). The hip
-# is open loop: its poses depend only on (params, seed, dt), never on the
-# knee, so every trial on the same trajectory reads the same poses.
-hip_track = lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)(HipTrack)
+    end = TIMEOUT_FACTOR * params.swing_duration + dt / 2   # run_swing's loop bound
+    steps = np.full(int(end / dt) + 4, dt)   # the sums stray from i * dt by far less than a tick
+    steps[0] = 0.0
+    t = np.add.accumulate(steps)
+    last = int(np.searchsorted(t, end))          # the first tick at or past the horizon
+    x_h, z_h, theta_h, _ = hip_pose(params, t[:last + 2], seed)
+    rate = (np.diff(theta_h) / dt).tolist()
+    x_h, z_h, theta_h = x_h.tolist(), z_h.tolist(), theta_h.tolist()
+    HipPose(x_h[-1], z_h[-1], theta_h[-1])       # t_{last+1}: only a rate reads it, checked too
+    return tuple(map(HipPose, x_h, z_h, theta_h, rate))
 
 
 def aim_step_on_progression(params: HipTrajectoryParams, box_front_rel_hip: float,

@@ -38,7 +38,7 @@ from .perception import (
 )
 from .swing_planner import THREE_MIRROR, PhaseState, PlannerParams, planner_step
 from . import human_model
-from .human_model import GaitIntent, HipTrajectoryParams
+from .human_model import TIMEOUT_FACTOR, GaitIntent, HipTrajectoryParams
 
 # Late-stance capture pose: thigh extended, knee flexed into pre-swing with
 # the heel off the ground, which leaves the capture toe a couple of
@@ -49,7 +49,6 @@ CAPTURE_THETA_K = 28.0 * DEG
 # Toe-off initial prosthesis configuration.
 TOE_OFF_THETA_K = 10.0 * DEG
 
-TIMEOUT_FACTOR = 2.0
 # Profile window handed to the pruning stage, from the capture toe on:
 # keypoints behind the capture toe carry no obstacle information, and past
 # the nominal 1 m ground look-ahead the profile is frustum-edge noise;
@@ -367,13 +366,12 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     joint = JointState(theta_k=TOE_OFF_THETA_K, theta_k_dot=0.0, theta_k_ddot=0.0)
     state = PhaseState()
 
-    horizon = TIMEOUT_FACTOR * human.swing_duration
     peak_flex = joint.theta_k
     min_clear: Optional[float] = None
     contact: Optional[Contact] = None
 
     geom, scene, tau = cfg.geometry, cfg.scene, cfg.tracking_lag_tau
-    knee_limit, end = params.knee_limit, horizon + dt / 2
+    knee_limit, end = params.knee_limit, TIMEOUT_FACTOR * human.swing_duration + dt / 2
     rows = None if log is None else log.rows
     # min/max below are the conditionals that return the builtins' operand
     # (see swing_planner)

@@ -1,16 +1,18 @@
 """Independent oracles shared by the planner and acceptance suites.
 
 These deliberately avoid the solver code paths they check: dense grid scans
-over the forward kinematics, exhaustive partition enumeration, and a
-reference k-means kept in its original per-cluster-loop form. The old peak
-search is the exception: it reuses the boundary solver and checks only the
-closed-form maximization on top of it.
+over the forward kinematics, exhaustive partition enumeration, a reference
+k-means kept in its original per-cluster-loop form, and the hip profiles in
+their original scalar, one-tick-at-a-time form. The old peak search is the
+exception: it reuses the boundary solver and checks only the closed-form
+maximization on top of it.
 """
 import math
 
 import numpy as np
 
-from swingsim.leg_kinematics import DEG, LegGeometry
+from swingsim.human_model import PROGRESSION_RAMP_S, THETA_H_LIMIT, TIMEOUT_FACTOR
+from swingsim.leg_kinematics import DEG, HipPose, LegGeometry
 from swingsim.perception import _dedupe
 from swingsim.swing_planner import mz_boundary_knee
 
@@ -62,9 +64,8 @@ def grid_boundary(z_h, z_m, theta_h, step=0.01 * DEG, interpolate=False,
     above = toe >= z_m
     if not above[-1]:
         return None
-    idx = len(tks) - 1
-    while idx > 0 and above[idx - 1]:
-        idx -= 1
+    below = np.flatnonzero(~above)
+    idx = int(below[-1]) + 1 if below.size else 0   # where the terminal run starts
     if idx == 0:
         return 0.0
     if not interpolate:
@@ -232,3 +233,124 @@ def kmeans_prune(points, k: int, seed: int,
             best, best_sse = centers.copy(), sse
     ordered = best[np.argsort(best[:, 0], kind="stable")]
     return _dedupe(ordered)
+
+
+# Reference hip profiles: the scalar per-tick form hip_track replaced, kept
+# verbatim so the one-pass track can be checked for equal poses.
+
+def _min_jerk(s: float) -> float:
+    return s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
+
+
+def _min_jerk_vel(s: float) -> float:
+    return 30.0 * s * s * (1.0 - s) * (1.0 - s)
+
+
+def _noise_coefficients(sigma: float, seed: int) -> tuple:
+    """(a1, a2, p1, p2) of _noise's sinusoids, drawn once per (sigma, seed)."""
+    rng = np.random.default_rng(seed)
+    a1, a2 = rng.normal(0.0, sigma, 2)
+    p1, p2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+    return float(a1), float(a2), float(p1), float(p2)
+
+
+def _noise(params, t: float, seed):
+    """Smooth low-frequency angle noise: two seeded sinusoids."""
+    if params.noise_sigma <= 0.0 or seed is None:
+        return 0.0, 0.0
+    a1, a2, p1, p2 = _noise_coefficients(params.noise_sigma, seed)
+    w1, w2 = 2.0 * math.pi * 2.0, 2.0 * math.pi * 4.5  # Hz-scale wobble
+    val = a1 * math.sin(w1 * t + p1) + a2 * math.sin(w2 * t + p2)
+    vel = a1 * w1 * math.cos(w1 * t + p1) + a2 * w2 * math.cos(w2 * t + p2)
+    return val, vel
+
+
+def _theta_h(params, t: float) -> tuple:
+    """Hip angle and rate."""
+    T = params.swing_duration
+    T_rise = params.rise_fraction * T
+    t_on = params.lowering_onset_fraction * T
+    span = params.theta_h_end - params.theta_h_start
+
+    def rise(tt):
+        s = min(max(tt / T_rise, 0.0), 1.0)
+        ang = params.theta_h_start + span * _min_jerk(s)
+        vel = span * _min_jerk_vel(s) / T_rise if 0.0 <= tt <= T_rise else 0.0
+        return ang, vel
+
+    if t <= t_on:
+        return rise(t)
+    a0, v0 = rise(t_on)
+    a = params.extension_decay
+    rate = params.extension_rate
+    u = t - t_on
+    u_sat = (v0 + rate) / a
+    if u <= u_sat:
+        ang = a0 + v0 * u - 0.5 * a * u * u
+        vel = v0 - a * u
+    else:
+        ang = (a0 + v0 * u_sat - 0.5 * a * u_sat * u_sat
+               - rate * (u - u_sat))
+        vel = -rate
+    if ang < -THETA_H_LIMIT:
+        return -THETA_H_LIMIT, 0.0
+    return ang, vel
+
+
+def _z_h(params, t: float) -> float:
+    """Hip height: sin^2 lift, then a saturating quadratic lowering ramp."""
+    T = params.swing_duration
+    t_on = params.lowering_onset_fraction * T
+    period = 2.0 * params.lift_peak_fraction * T
+    lift = params.hip_lift_amplitude * math.sin(math.pi * min(t, period) / period) ** 2
+    z = params.hip_height_base + lift
+    if t > t_on:
+        ramp_T = max(T - t_on, 1e-6)
+        frac = min(1.0, ((t - t_on) / ramp_T) ** 2)
+        z -= params.lowering_depth * frac
+    return z
+
+
+def _x_h(params, t: float) -> float:
+    """Forward progression with a smooth cosine-ramp stop."""
+    v = params.forward_speed
+    if params.progression_stop_fraction >= 1.0:
+        return v * t
+    t_stop = params.progression_stop_fraction * params.swing_duration
+    w = PROGRESSION_RAMP_S
+    if t <= t_stop:
+        return v * t
+    u = min(t - t_stop, w)
+    # integral of v * (1 + cos(pi u / w)) / 2
+    x = v * t_stop + v * (u / 2.0 + (w / (2.0 * math.pi)) * math.sin(math.pi * u / w))
+    return x
+
+
+def hip_pose_reference(params, t: float, seed=None) -> HipPose:
+    """Hip state at time t, one scalar sample."""
+    ang, vel = _theta_h(params, t)
+    n_ang, n_vel = _noise(params, t, seed)
+    return HipPose(
+        x_h=_x_h(params, t),
+        z_h=_z_h(params, t),
+        theta_h=ang + n_ang,
+        theta_h_dot=vel + n_vel,
+    )
+
+
+def hip_at_reference(params, seed, dt):
+    """Every pose a swing to the timeout horizon reads, built one tick at a
+    time: a scalar sample per tick time, the rate replaced by the average
+    over the coming tick."""
+    horizon = TIMEOUT_FACTOR * params.swing_duration
+    t = 0.0
+    now = hip_pose_reference(params, t, seed)
+    poses = []
+    while True:
+        nxt = hip_pose_reference(params, t + dt, seed)
+        poses.append(HipPose(x_h=now.x_h, z_h=now.z_h, theta_h=now.theta_h,
+                             theta_h_dot=(nxt.theta_h - now.theta_h) / dt))
+        if not t < horizon + dt / 2:   # run_swing's loop condition
+            return poses
+        t += dt
+        now = nxt

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from swingsim import human_model
-from swingsim.leg_kinematics import DEG, HipPose
+from swingsim.leg_kinematics import DEG
 from swingsim.human_model import (
     GaitIntent,
     HipTrajectoryParams,
@@ -14,7 +14,21 @@ from swingsim.human_model import (
     hip_track,
     preset,
 )
-from swingsim.sim_harness import TIMEOUT_FACTOR
+from swingsim.config import parse_scenario
+from swingsim.sim_harness import (
+    TIMEOUT_FACTOR,
+    CampaignConfig,
+    Outcome,
+    StepLog,
+    TrialConfig,
+    build_trial_specs,
+    resolve_human,
+    run_swing,
+    trial_config_for,
+    trial_seeds,
+)
+
+from oracle_utils import hip_at_reference
 
 
 def test_preset_swing_durations_match_reported_averages():
@@ -153,68 +167,111 @@ def test_params_validation():
         HipTrajectoryParams(swing_duration=0.6, rise_fraction=0.0)
 
 
-def hip_at_reference(params, seed, dt):
-    """Every pose a swing to the timeout horizon reads, built as run_swing's
-    hip_at closure built them before hip_track: a direct hip_pose call per
-    tick time, the rate replaced by the average over the coming tick."""
-    horizon = TIMEOUT_FACTOR * params.swing_duration
-    t = 0.0
-    now = hip_pose(params, t, seed)
-    poses = []
-    while True:
-        nxt = hip_pose(params, t + dt, seed)
-        poses.append(HipPose(x_h=now.x_h, z_h=now.z_h, theta_h=now.theta_h,
-                             theta_h_dot=(nxt.theta_h - now.theta_h) / dt))
-        if not t < horizon + dt / 2:   # run_swing's loop condition
-            return poses
-        t += dt
-        now = nxt
+@pytest.mark.parametrize("fraction", [0.0, -0.2, 1.5, math.nan])
+def test_params_reject_a_lift_peak_fraction_outside_0_1(fraction):
+    # 0 made every hip sample divide by a zero lift period
+    with pytest.raises(ValueError, match="lift_peak_fraction must lie in"):
+        HipTrajectoryParams(swing_duration=0.6, lift_peak_fraction=fraction)
 
 
 NOISY = replace(preset(GaitIntent.STEP_OVER), noise_sigma=1.0 * DEG)
 TRAJECTORIES = [(preset(i), None) for i in GaitIntent] + [(NOISY, 3), (NOISY, 4)]
 
 
-@pytest.mark.parametrize("dt", [0.0005, 0.001, 0.005])
+@pytest.mark.parametrize("dt", [0.0005, 0.001, 0.0015, 0.005])
 @pytest.mark.parametrize("params,seed", TRAJECTORIES,
                          ids=[i.value for i in GaitIntent] + ["noisy-seed3", "noisy-seed4"])
 def test_hip_track_equals_direct_hip_pose_construction(params, seed, dt):
     hip_track.cache_clear()
-    ref = hip_at_reference(params, seed, dt)
     track = hip_track(params, seed, dt)
-    # read out of order: the last pose first extends the track to the horizon
-    assert track[len(ref) - 1] == ref[-1]
-    assert [track[i] for i in range(len(ref))] == ref
+    assert track == tuple(hip_at_reference(params, seed, dt))
     assert hip_track(params, seed, dt) is track
+
+
+def _campaign_trajectories(seed):
+    cc = CampaignConfig(seed=seed)
+    out = set()
+    for spec in build_trial_specs(cc):
+        human = resolve_human(trial_config_for(cc, spec))
+        out.add((human, trial_seeds(spec.seed)[2] if human.noise_sigma > 0.0 else None))
+    return out
+
+
+def test_hip_track_equals_the_per_tick_reference_on_every_campaign_trajectory():
+    # every aimed step-on has its own trajectory; the presets are shared
+    trajectories = _campaign_trajectories(2024) | _campaign_trajectories(7)
+    assert len(trajectories) == 62
+    for dt in (0.0005, 0.001, 0.0015):
+        for params, seed in trajectories:
+            assert hip_track(params, seed, dt) == tuple(hip_at_reference(params, seed, dt))
 
 
 def test_hip_tracks_of_different_noise_seeds_differ():
     a, b = hip_track(NOISY, 3, 0.001), hip_track(NOISY, 4, 0.001)
     assert a is not b
-    assert [a[i] for i in range(600)] != [b[i] for i in range(600)]
+    assert a[:600] != b[:600]
     # and the noise is there at all
     assert hip_track(preset(GaitIntent.STEP_OVER), None, 0.001)[300] != a[300]
 
 
-def test_hip_track_samples_lazily_and_recovers_from_an_invalid_pose(monkeypatch):
-    calls = []
+@pytest.mark.parametrize("where,field", [(0, "z_h"), (600, "theta_h"), (-2, "z_h"), (-1, "theta_h")],
+                         ids=["first", "middle", "horizon", "last-rate-sample"])
+def test_hip_track_checks_every_pose_when_built_and_caches_no_failure(monkeypatch, where, field):
     real = human_model.hip_pose
+    calls = []
 
-    def counting(params, t, seed=None):
-        calls.append(t)
-        if len(calls) == 6:
-            raise ValueError("refused")
-        return real(params, t, seed)
+    def faulty(params, t, seed=None):
+        calls.append(len(t))
+        x_h, z_h, theta_h, rate = (v.copy() for v in real(params, t, seed))
+        (z_h if field == "z_h" else theta_h)[where] = 0.0 if field == "z_h" else math.pi / 2
+        return x_h, z_h, theta_h, rate
 
-    monkeypatch.setattr(human_model, "hip_pose", counting)
+    monkeypatch.setattr(human_model, "hip_pose", faulty)
     hip_track.cache_clear()
     params = preset(GaitIntent.LEVEL)
-    track = hip_track(params, None, 0.001)
-    assert calls == [0.0]             # the pose at t_0, nothing ahead of it
-    track[3]
-    assert len(calls) == 5            # t_0 .. t_4: pose 3's rate needs t_4
-    with pytest.raises(ValueError, match="refused"):
-        track[4]
-    # the failed sample left nothing behind: the track resumes at t_5
-    assert track[4] == hip_at_reference(params, None, 0.001)[4]
-    assert len(calls) == 7
+    with pytest.raises(ValueError, match=f"HipPose.{field} must"):
+        hip_track(params, None, 0.001)
+    # one call, to one tick past the horizon: the last pose's rate reads it
+    ref = hip_at_reference(params, None, 0.001)
+    assert calls == [len(ref) + 1]
+    assert hip_track.cache_info().currsize == 0
+    monkeypatch.setattr(human_model, "hip_pose", real)
+    assert hip_track(params, None, 0.001) == tuple(ref)
+
+
+@pytest.mark.parametrize("dt", [0.0005, 0.001, 0.0015])
+def test_a_timed_out_swing_reads_the_last_pose_of_its_track(monkeypatch, dt):
+    # a 1.2 m hip keeps the foot off the ground: the swing runs to the horizon
+    human = replace(preset(GaitIntent.LEVEL), hip_height_base=1.2)
+    cfg = TrialConfig(intent=GaitIntent.LEVEL, human=human,
+                      planner=replace(TrialConfig().planner, dt=dt), seed=3)
+    hip_track.cache_clear()
+    log, result = run_swing(cfg, StepLog())
+    assert result.outcome is Outcome.TIMEOUT
+    # tick i reads pose i + 1, so the last tick read the track's last pose
+    assert len(log.rows) + 1 == len(hip_track(human, None, dt))
+    # and the per-tick reference track gives the same swing
+    monkeypatch.setattr(human_model, "hip_track",
+                        lambda p, s, d: tuple(hip_at_reference(p, s, d)))
+    assert run_swing(cfg)[1] == result
+
+
+def test_the_scenario_table_extremes_build_their_hip_tracks():
+    # lowest hip base on the lowest ground, deepest lowering, highest lift,
+    # most hip noise: eager checking to the horizon must refuse no trajectory
+    # a file can give. Here a hip height's last bits show: numpy's square in
+    # place of libm's pow moves some poses.
+    for intent in GaitIntent:
+        cfg = parse_scenario({
+            "human": {"intent": intent.value, "hip_height_base_m": 0.6, "hip_lift_m": 0.15,
+                      "lowering_depth_m": 0.2, "noise_sigma_deg": 1.0},
+            "scene": {"ground_height_m": -0.3},
+            "geometry": {"thigh_m": 0.3, "shank_m": 0.3, "toe_m": 0.05, "heel_m": 0.02}})
+        human = resolve_human(cfg)
+        for seed in range(20):
+            track = hip_track(human, trial_seeds(seed)[2], cfg.planner.dt)
+            assert min(p.z_h for p in track) > 0.0
+        for dt in (0.0005, 0.001, 0.0015):
+            noise_seed = trial_seeds(0)[2]
+            assert hip_track(human, noise_seed, dt) == tuple(hip_at_reference(human, noise_seed, dt))
+        run_swing(cfg)
