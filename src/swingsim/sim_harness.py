@@ -266,12 +266,22 @@ def contact_check(pts: FootPoints, scene: ObstacleScene) -> tuple:
     clearance is the least low - top over the boxes the heel-toe segment
     overlaps, low being its lowest z over the span, or None where it
     overlaps none; it counts every box, the one a contact is found on too.
+    Heel and toe strictly above the ground, all four points strictly short of
+    the first box or past the last (~3 ticks in 4): (None, None) unscanned, as
+    sorted disjoint boxes put every face and span out of the scan's reach
+    (bar its sign test's underflow at a face within ~1e-295 m of x = 0).
     """
-    g = scene.ground_height
+    g, spans = scene.ground_height, scene.spans
     knee, ankle, toe, heel = pts
+    if heel[1] > g and toe[1] > g:
+        front, back = (spans[0][0], spans[-1][1]) if spans else (np.inf, np.inf)
+        kx, ax, tx, hx = knee[0], ankle[0], toe[0], heel[0]
+        if (kx < front and ax < front and tx < front and hx < front
+                or kx > back and ax > back and tx > back and hx > back):
+            return None, None
     segments = (heel + toe, knee + ankle)
     contact = clear = None
-    for front_x, back_x, top in scene.spans:
+    for front_x, back_x, top in spans:
         hit = _segment_lowest_over_span(heel, toe, front_x, back_x)
         if hit is not None:
             gap = hit[0] - top
@@ -294,7 +304,7 @@ def contact_check(pts: FootPoints, scene: ObstacleScene) -> tuple:
     if contact is None:  # the ground, where no box was touched
         low, low_x = (heel[1], heel[0]) if heel[1] <= toe[1] else (toe[1], toe[0])
         if low <= g and not any(front_x <= low_x <= back_x
-                                for front_x, back_x, _ in scene.spans):
+                                for front_x, back_x, _ in spans):
             contact = Contact(Surface.GROUND, low_x, low)
     return contact, clear
 
@@ -499,7 +509,7 @@ def run_campaign(cc: CampaignConfig, jobs: int = 1) -> CampaignResult:
     if jobs > 1:
         import multiprocessing as mp
         with mp.Pool(jobs) as pool:
-            results = pool.map(_run_one, work)
+            results = pool.map(_run_one, work, chunksize=4)  # 8 default chunks idled a worker
     else:
         results = [_run_one(w) for w in work]
     return CampaignResult(specs=specs, results=results, summary=summarize(cc, specs, results))

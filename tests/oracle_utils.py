@@ -2,10 +2,11 @@
 
 These deliberately avoid the solver code paths they check: dense grid scans
 over the forward kinematics, exhaustive partition enumeration, a reference
-k-means kept in its original per-cluster-loop form, and the hip profiles in
-their original scalar, one-tick-at-a-time form. The old peak search is the
-exception: it reuses the boundary solver and checks only the closed-form
-maximization on top of it.
+k-means kept in its original per-cluster-loop form, the hip profiles in
+their original scalar, one-tick-at-a-time form, and the contact test's full
+scan with no early return. The old peak search is the exception: it reuses
+the boundary solver and checks only the closed-form maximization on top of
+it.
 """
 import math
 
@@ -14,6 +15,7 @@ import numpy as np
 from swingsim.human_model import PROGRESSION_RAMP_S, THETA_H_LIMIT, TIMEOUT_FACTOR
 from swingsim.leg_kinematics import DEG, HipPose, LegGeometry
 from swingsim.perception import _dedupe
+from swingsim.sim_harness import Contact, Surface, _segment_lowest_over_span
 from swingsim.swing_planner import mz_boundary_knee
 
 GEOM = LegGeometry()
@@ -354,3 +356,40 @@ def hip_at_reference(params, seed, dt):
             return poses
         t += dt
         now = nxt
+
+
+# Reference contact test: contact_check as it was before its early return,
+# kept verbatim, every box scanned on every call.
+
+def contact_check_reference(pts, scene) -> tuple:
+    """(contact, clearance) of the foot and shank against the scene."""
+    g = scene.ground_height
+    knee, ankle, toe, heel = pts
+    segments = (heel + toe, knee + ankle)
+    contact = clear = None
+    for front_x, back_x, top in scene.spans:
+        hit = _segment_lowest_over_span(heel, toe, front_x, back_x)
+        if hit is not None:
+            gap = hit[0] - top
+            if clear is None or gap < clear:
+                clear = gap
+        if contact is not None:
+            continue
+        for x0, z0, x1, z1 in segments:
+            for face_x in (front_x, back_x):
+                if (x0 - face_x) * (x1 - face_x) > 0.0 or abs(x1 - x0) < 1e-12:
+                    continue
+                z = z0 + (z1 - z0) * (face_x - x0) / (x1 - x0)
+                if g < z < top - 1e-9:
+                    contact = Contact(None, face_x, z)
+                    break
+            if contact is not None:
+                break
+        if contact is None and hit is not None and hit[0] <= top:
+            contact = Contact(Surface.OBSTACLE_TOP, hit[1], hit[0])
+    if contact is None:  # the ground, where no box was touched
+        low, low_x = (heel[1], heel[0]) if heel[1] <= toe[1] else (toe[1], toe[0])
+        if low <= g and not any(front_x <= low_x <= back_x
+                                for front_x, back_x, _ in scene.spans):
+            contact = Contact(Surface.GROUND, low_x, low)
+    return contact, clear

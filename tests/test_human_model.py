@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -204,6 +205,28 @@ def test_hip_track_equals_the_per_tick_reference_on_every_campaign_trajectory():
     for dt in (0.0005, 0.001, 0.0015):
         for params, seed in trajectories:
             assert hip_track(params, seed, dt) == tuple(hip_at_reference(params, seed, dt))
+
+
+def test_hip_oracle_catches_a_one_ulp_sin_or_cos_in_the_profiles(monkeypatch):
+    # numpy's own SIMD sin/cos can differ from libm's by an ulp; on hosts
+    # where numpy hands them to libm, a swap could go unseen. Moving
+    # human_model's libm sin and cos by one ulp must move an aimed seed-2024
+    # step-on's track (the lift's and the progression stop's sin) off the
+    # per-tick reference, which keeps the real math module.
+    cc = CampaignConfig(seed=2024)
+    spec = next(s for s in build_trial_specs(cc) if s.intent is GaitIntent.STEP_ON)
+    params = resolve_human(trial_config_for(cc, spec))
+    shim = SimpleNamespace(**vars(math))
+    shim.sin = lambda x: math.nextafter(math.sin(x), math.inf)
+    shim.cos = lambda x: math.nextafter(math.cos(x), math.inf)
+    monkeypatch.setattr(human_model, "math", shim)
+    hip_track.cache_clear()
+    try:
+        track, reference = hip_track(params, None, 0.001), hip_at_reference(params, None, 0.001)
+    finally:
+        hip_track.cache_clear()
+    assert any(a.z_h != b.z_h for a, b in zip(track, reference))
+    assert any(a.x_h != b.x_h for a, b in zip(track, reference))
 
 
 def test_hip_tracks_of_different_noise_seeds_differ():

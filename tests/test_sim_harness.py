@@ -4,7 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+
+from oracle_utils import contact_check_reference
 
 from swingsim.config import parse_campaign, parse_scenario
 from swingsim.leg_kinematics import DEG, HipPose, FootPoints, forward_points
@@ -131,6 +133,100 @@ def test_contact_ground_heel_strike():
 def test_contact_airborne_foot_none():
     pts = foot_at(heel=(0.1, 0.2), toe=(0.3, 0.25))
     assert contact_check(pts, BOX_SCENE)[0] is None
+
+
+# two boxes on ground raised 5 cm: spans [0.4, 0.6] (top 0.15) and [0.8, 0.9] (top 0.2)
+TWO_BOX_SCENE = ObstacleScene(ground_height=0.05, boxes=(
+    Box(front_x=0.4, height=0.1, depth=0.2), Box(front_x=0.8, height=0.15, depth=0.1)))
+FRONT, BACK = TWO_BOX_SCENE.spans[0][0], TWO_BOX_SCENE.spans[-1][1]
+SHORT = dict(knee=(0.0, 0.8), ankle=(0.1, 0.4))
+PAST = dict(knee=(1.1, 0.8), ankle=(1.0, 0.4))
+EARLY_RETURN_CASES = {
+    "toe-on-the-front-face": (TWO_BOX_SCENE, foot_at((0.25, 0.12), (FRONT, 0.1), **SHORT)),
+    "toe-an-ulp-short-of-the-front-face": (
+        TWO_BOX_SCENE, foot_at((0.25, 0.12), (math.nextafter(FRONT, -1.0), 0.1), **SHORT)),
+    "ankle-on-the-front-face": (TWO_BOX_SCENE, foot_at((0.25, 0.12), (0.3, 0.1),
+                                                      knee=(0.1, 0.8), ankle=(FRONT, 0.1))),
+    "heel-on-the-back-face": (TWO_BOX_SCENE, foot_at((BACK, 0.15), (1.1, 0.2), **PAST)),
+    "knee-an-ulp-past-the-back-face": (TWO_BOX_SCENE, foot_at(
+        (0.95, 0.15), (1.1, 0.2), knee=(math.nextafter(BACK, 2.0), 0.8), ankle=(1.0, 0.4))),
+    "straddling-the-front-face-over-the-top": (
+        TWO_BOX_SCENE, foot_at((0.38, 0.31), (0.55, 0.3), knee=(0.3, 0.8), ankle=(0.45, 0.4))),
+    "straddling-the-front-face-under-the-top": (
+        TWO_BOX_SCENE, foot_at((0.35, 0.1), (0.5, 0.12), knee=(0.3, 0.8), ankle=(0.42, 0.4))),
+    "before-the-boxes": (TWO_BOX_SCENE, foot_at((0.05, 0.12), (0.25, 0.1), **SHORT)),
+    "between-the-boxes": (TWO_BOX_SCENE, foot_at((0.68, 0.12), (0.75, 0.1),
+                                                 knee=(0.65, 0.8), ankle=(0.7, 0.4))),
+    "past-the-boxes": (TWO_BOX_SCENE, foot_at((0.95, 0.12), (1.1, 0.1), **PAST)),
+    "heel-at-ground-height-before-the-boxes": (
+        TWO_BOX_SCENE, foot_at((0.05, 0.05), (0.25, 0.1), **SHORT)),
+    "toe-at-ground-height-past-the-boxes": (
+        TWO_BOX_SCENE, foot_at((0.95, 0.12), (1.1, 0.05), **PAST)),
+    "toe-an-ulp-above-the-ground-past-the-boxes": (
+        TWO_BOX_SCENE, foot_at((0.95, 0.12), (1.1, math.nextafter(0.05, 1.0)), **PAST)),
+    "toe-at-ground-height-without-boxes": (
+        ObstacleScene(ground_height=0.05), foot_at((0.05, 0.12), (0.25, 0.05), **SHORT)),
+    "above-the-ground-without-boxes": (
+        ObstacleScene(ground_height=0.05), foot_at((0.05, 0.12), (0.25, 0.1), **SHORT)),
+}
+
+
+@pytest.mark.parametrize("scene,pts", EARLY_RETURN_CASES.values(), ids=EARLY_RETURN_CASES)
+def test_contact_check_equals_the_full_scan_at_faces_and_ground(scene, pts):
+    assert contact_check(pts, scene) == contact_check_reference(pts, scene)
+
+
+def _ulps(x, k):
+    """x moved k ulps (either way)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _near(values):
+    """One of the values, or one moved by up to two ulps."""
+    return st.builds(_ulps, st.sampled_from(values), st.integers(-2, 2))
+
+
+@st.composite
+def legs_in_scenes(draw):
+    """A 0-3 box scene on shifted ground and a leg whose points lie free, on a
+    face or the ground, or an ulp or two off them, sometimes clustered so the
+    whole leg sits before, between or past the boxes."""
+    g = draw(st.floats(-0.3, 0.3))
+    boxes, front = [], draw(st.floats(-0.5, 1.0))
+    for _ in range(draw(st.integers(0, 3))):
+        boxes.append(Box(front_x=front, height=draw(st.floats(0.005, 0.3)),
+                         depth=draw(st.floats(0.01, 0.4))))
+        front = boxes[-1].back_x + draw(st.just(0.0) | st.floats(0.0, 0.3))
+    scene = ObstacleScene(ground_height=g, boxes=tuple(boxes))
+    faces = [x for front_x, back_x, _ in scene.spans for x in (front_x, back_x)]
+    # faces stay off x = 0, where the full scan's sign test can underflow
+    # (test_contact_check_skips_the_full_scans_underflow_at_a_face_at_x_0)
+    assume(all(abs(x) > 1e-6 for x in faces))
+    center = draw(st.floats(-1.0, 2.0) | _near(faces) if faces else st.floats(-1.0, 2.0))
+    spread = draw(st.sampled_from([0.0, 0.02, 0.3]))
+    xs = st.floats(center - spread, center + spread)
+    xs = xs | _near(faces) if faces else xs
+    zs = st.floats(g - 0.1, g + 0.6) | _near([g] + [top for *_, top in scene.spans])
+    return scene, FootPoints(*[(draw(xs), draw(zs)) for _ in range(4)])
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(legs_in_scenes())
+def test_contact_check_equals_the_full_scan_on_drawn_legs(case):
+    scene, pts = case
+    assert contact_check(pts, scene) == contact_check_reference(pts, scene)
+
+
+def test_contact_check_skips_the_full_scans_underflow_at_a_face_at_x_0():
+    # the toe lies 5e-324 m short of a face at x = 0: the full scan's sign
+    # test (-0.1)(-5e-324) underflows to 0 and it reads a face touch there;
+    # the leg is wholly short of the box, and the early return reads none
+    scene = ObstacleScene(boxes=(Box(front_x=0.0, height=0.1, depth=0.2),))
+    pts = foot_at((-0.1, 0.06), (-5e-324, 0.05), knee=(-0.2, 0.8), ankle=(-0.15, 0.4))
+    assert contact_check_reference(pts, scene) == (Contact(None, 0.0, 0.05), None)
+    assert contact_check(pts, scene) == (None, None)
 
 
 def test_classify_rules_on_every_touch_by_intent_and_landing():

@@ -332,7 +332,7 @@ def test_phase1_slope_arithmetic():
     hip = HipPose(x_h=0.0, z_h=0.9, theta_h=-10 * DEG, theta_h_dot=1.0)
     joint = JointState(theta_k=10 * DEG)
     target = ControlTarget(z_m=0.05, x_c=forward_points(GEOM, hip, 10 * DEG).toe[0] + 0.25)
-    vel, slope = phase1_velocity(GEOM, hip, joint, target, params)
+    vel, slope = phase1_velocity(GEOM, hip, joint, target, PhaseState(), params)
     bound = mz_boundary_knee(GEOM, hip.z_h, target.z_m, hip.theta_h, params.knee_limit)
     dh = mx_exit_distance(GEOM, hip, joint.theta_k, target.x_c)
     peak_k = mz_peak(GEOM, hip.z_h, target.z_m, params.knee_limit)
@@ -352,7 +352,7 @@ def test_phase1_unreachable_mx_edge_uses_the_thigh_to_vertical_distance(theta_h)
     joint = JointState(theta_k=10 * DEG)
     target = ControlTarget(z_m=0.05, x_c=5.0)
     assert mx_exit_distance(GEOM, hip, joint.theta_k, target.x_c) is None
-    vel, slope = phase1_velocity(GEOM, hip, joint, target, params)
+    vel, slope = phase1_velocity(GEOM, hip, joint, target, PhaseState(), params)
     dh = max(-theta_h, MIN_DTHETA_H)
     bound = mz_boundary_knee(GEOM, hip.z_h, target.z_m, theta_h, params.knee_limit)
     peak_k = mz_peak(GEOM, hip.z_h, target.z_m, params.knee_limit)
@@ -368,11 +368,30 @@ def test_phase1_lower_threshold_rule():
     target = ControlTarget(z_m=0.05, x_c=forward_points(GEOM, hip, 0.0).toe[0] + 0.15)
     bound = mz_boundary_knee(GEOM, hip.z_h, target.z_m, 0.0, params.knee_limit)
     joint = JointState(theta_k=bound - 1 * DEG)
-    vel, slope = phase1_velocity(GEOM, hip, joint, target, params)
+    vel, slope = phase1_velocity(GEOM, hip, joint, target, PhaseState(), params)
     dh = mx_exit_distance(GEOM, hip, joint.theta_k, target.x_c)
     peak_k = mz_peak(GEOM, hip.z_h, target.z_m, params.knee_limit)
     assert slope == pytest.approx((peak_k - joint.theta_k) / dh)
     assert vel == pytest.approx(slope * 2.0)
+
+
+def test_phase1_peak_memo_never_serves_another_target_geometry_or_knee_limit():
+    # one PhaseState reused across targets, legs and knee limits, at hip
+    # heights in one 1 mm bucket, gives the commands of fresh states
+    short = LegGeometry(thigh_m=0.40, shank_m=0.40)
+    cases = [(GEOM, 0.05, LIMIT), (GEOM, 0.17, LIMIT), (short, 0.17, LIMIT),
+             (short, 0.17, 70 * DEG), (GEOM, 0.05, LIMIT)]
+    state, seen = PhaseState(), set()
+    for geom, z_m, limit in cases:
+        params = PlannerParams(knee_limit=limit)
+        for z_h in (0.9001, 0.9, 0.8996):
+            hip = HipPose(x_h=0.0, z_h=z_h, theta_h=-10 * DEG, theta_h_dot=1.0)
+            joint, target = JointState(theta_k=0.0), far_target(z_m)
+            fresh = phase1_velocity(geom, hip, joint, target, PhaseState(), params)
+            assert phase1_velocity(geom, hip, joint, target, state, params) == fresh
+            seen.add(fresh)
+    assert state == PhaseState() and repr(state) == repr(PhaseState())
+    assert len(seen) == 4  # the peak moves with each of z_m, the leg and the limit
 
 
 def test_tangent_slope_matches_grid_secant_1000_states():
