@@ -11,9 +11,13 @@ the ankle; it carries no thickness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, fields
+from itertools import repeat
 from math import cos, sin
 from typing import NamedTuple
+
+import numpy as np
 
 DEG = math.pi / 180.0
 _new_tuple = tuple.__new__  # a NamedTuple built without its Python-level __new__
@@ -61,6 +65,31 @@ class HipPose:
             raise ValueError(f"HipPose.z_h must be positive, got {self.z_h}")
         if not abs(self.theta_h) < math.pi / 2:
             raise ValueError(f"HipPose.theta_h must satisfy |theta_h| < pi/2, got {self.theta_h}")
+
+
+# the slot descriptors' __set__ fills a frozen HipPose's fields, in order
+_HIP_POSE_SETTERS = tuple(HipPose.__dict__[f.name].__set__ for f in fields(HipPose))
+
+
+def hip_poses(x_h: np.ndarray, z_h: np.ndarray, theta_h: np.ndarray,
+              theta_h_dot: np.ndarray) -> tuple:
+    """tuple(map(HipPose, x_h, z_h, theta_h, theta_h_dot)) of float arrays,
+    built in bulk: one pose per theta_h_dot element.
+
+    HipPose's rule runs as one array pass over every z_h and theta_h
+    element, those past the last rate too (hip_track's t_{last+1}). The
+    first failing element raises through HipPose, with __post_init__'s
+    message. The poses are then filled through the slot descriptors in
+    C-level map passes, with no __init__ or __post_init__ frame per pose.
+    """
+    ok = (z_h > 0.0) & (np.abs(theta_h) < math.pi / 2)
+    if not ok.all():
+        i = int(ok.argmin())
+        HipPose(float(x_h[i]), float(z_h[i]), float(theta_h[i]))
+    poses = list(map(object.__new__, repeat(HipPose, len(theta_h_dot))))
+    for set_field, values in zip(_HIP_POSE_SETTERS, (x_h, z_h, theta_h, theta_h_dot)):
+        deque(map(set_field, poses, values.tolist()), maxlen=0)
+    return tuple(poses)
 
 
 @dataclass

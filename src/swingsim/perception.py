@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .human_model import _each
 from .leg_kinematics import DEG
 
 # Fixed lateral fan of the synthetic camera (full angle, radians).
@@ -144,8 +145,12 @@ def _ray_fan(axis_pitch: float, fov: float, rays_vertical: int, rays_lateral: in
     """Read-only (3, n) rows dx, dy, dz of the ray directions, vertical-major."""
     zeta = axis_pitch + np.linspace(-fov / 2, fov / 2, rays_vertical)
     psi = np.linspace(-LATERAL_FAN / 2, LATERAL_FAN / 2, rays_lateral)
-    zz, pp = (a.ravel() for a in np.meshgrid(zeta, psi, indexing="ij"))
-    fan = np.stack((np.sin(zz) * np.cos(pp), np.sin(pp), -np.cos(zz) * np.cos(pp)))
+    # libm's sin and cos, one call per angle: numpy's own kernels need not
+    # give libm's floats, and the fan's last bits reach the campaign outputs
+    sin_z, cos_z, sin_p, cos_p = (_each(f, a) for a in (zeta, psi) for f in (math.sin, math.cos))
+    sz, sp = (a.ravel() for a in np.meshgrid(sin_z, sin_p, indexing="ij"))
+    cz, cp = (a.ravel() for a in np.meshgrid(cos_z, cos_p, indexing="ij"))
+    fan = np.stack((sz * cp, sp, -cz * cp))
     fan.flags.writeable = False
     return fan
 

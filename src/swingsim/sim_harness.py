@@ -268,8 +268,9 @@ def contact_check(pts: FootPoints, scene: ObstacleScene) -> tuple:
     overlaps none; it counts every box, the one a contact is found on too.
     Heel and toe strictly above the ground, all four points strictly short of
     the first box or past the last (~3 ticks in 4): (None, None) unscanned, as
-    sorted disjoint boxes put every face and span out of the scan's reach
-    (bar its sign test's underflow at a face within ~1e-295 m of x = 0).
+    sorted disjoint boxes put every face and span out of the scan's reach.
+    The face scan compares signs: a product of the two offsets underflows to
+    0 beside a face at x = 0 and would read a touch there.
     """
     g, spans = scene.ground_height, scene.spans
     knee, ankle, toe, heel = pts
@@ -291,7 +292,8 @@ def contact_check(pts: FootPoints, scene: ObstacleScene) -> tuple:
             continue
         for x0, z0, x1, z1 in segments:
             for face_x in (front_x, back_x):
-                if (x0 - face_x) * (x1 - face_x) > 0.0 or abs(x1 - x0) < 1e-12:
+                if (x0 < face_x and x1 < face_x or x0 > face_x and x1 > face_x
+                        or abs(x1 - x0) < 1e-12):
                     continue
                 z = z0 + (z1 - z0) * (face_x - x0) / (x1 - x0)
                 if g < z < top - 1e-9:

@@ -1,0 +1,145 @@
+"""Planted defects the test suite must kill, as a table that reruns.
+
+    python3 tests/mutants.py            # every row
+    python3 tests/mutants.py NAME ...   # the named rows
+
+Run from the repository root. Each row plants one defect: an exact text
+replacement in one file under src/swingsim/, made in a copy of src/, tests/
+and pyproject.toml in a temporary directory. Only the row's own tests then
+run there, unplanted and then planted. A row prints "killed" when they
+pass unplanted and one fails planted, "survived" when all pass planted,
+and "stale" when its old text no longer occurs exactly once in its file or
+its tests do not pass unplanted. The exit status is 1 if any row survived
+or is stale.
+
+pytest does not collect this file (its name lacks the test_ prefix).
+test_mutants_table.py checks, cheaply, that every row still applies, so a
+refactor of the code a row plants its defect in must carry the row along.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str      # under src/swingsim/
+    old: str       # exact text, occurring once in the file
+    new: str
+    tests: tuple   # pytest node ids, relative to the repository root
+    source: str    # the CHANGES.md entry the defect was first planted in
+
+
+MUTANTS = (
+    Mutant(
+        "hip-poses-skips-the-rate-only-sample", "leg_kinematics.py",
+        "    ok = (z_h > 0.0) & (np.abs(theta_h) < math.pi / 2)\n",
+        "    n = len(theta_h_dot)\n"
+        "    ok = (z_h[:n] > 0.0) & (np.abs(theta_h[:n]) < math.pi / 2)\n",
+        ("tests/test_leg_kinematics.py::test_hip_poses_rule_agrees_with_post_init_on_boundary_values",
+         "tests/test_human_model.py::test_hip_track_checks_every_pose_when_built_and_caches_no_failure"),
+        "A hip track's poses are checked in one array pass"),
+    Mutant(
+        "hip-poses-accepts-z-h-0", "leg_kinematics.py",
+        "ok = (z_h > 0.0) &",
+        "ok = (z_h >= 0.0) &",
+        ("tests/test_leg_kinematics.py::test_hip_poses_rule_agrees_with_post_init_on_boundary_values",
+         "tests/test_human_model.py::test_hip_track_checks_every_pose_when_built_and_caches_no_failure"),
+        "A hip track's poses are checked in one array pass"),
+    Mutant(
+        "contact-check-face-scan-multiplies-the-signs", "sim_harness.py",
+        "                if (x0 < face_x and x1 < face_x or x0 > face_x and x1 > face_x\n"
+        "                        or abs(x1 - x0) < 1e-12):\n",
+        "                if (x0 - face_x) * (x1 - face_x) > 0.0 or abs(x1 - x0) < 1e-12:\n",
+        ("tests/test_sim_harness.py::"
+         "test_contact_check_reads_no_face_touch_for_a_leg_an_underflow_short_of_a_face_at_x_0",),
+        "A hip track's poses are checked in one array pass (the FOUND it mends)"),
+    Mutant(
+        "contact-check-reads-the-ground-at-0", "sim_harness.py",
+        "    g, spans = scene.ground_height, scene.spans\n",
+        "    g, spans = 0.0, scene.spans\n",
+        ("tests/test_sim_harness.py::test_contact_check_equals_the_full_scan_at_faces_and_ground",
+         "tests/test_metamorphic.py::test_ground_shift_keeps_every_outcome"),
+        "A campaign builds no step log, and contact_check tests box faces inline"),
+    Mutant(
+        "peak-closed-form-drops-the-trough", "swing_planner.py",
+        "math.remainder(crest, 2.0 * math.pi),\n"
+        "              math.remainder(crest + math.pi, 2.0 * math.pi)]\n",
+        "math.remainder(crest, 2.0 * math.pi)]\n",
+        ("tests/test_swing_planner.py::test_peak_closed_form_equals_scan_on_default_domain",
+         "tests/test_swing_planner.py::test_peak_closed_form_equals_scan_over_table_ranges"),
+        "Closed-form M_z peak in place of the planner's grid + golden-section search"),
+    Mutant(
+        "mz-peak-0.3-deg-high", "swing_planner.py",
+        "    return knee_limit if out is None else out[1]\n",
+        "    return knee_limit if out is None else out[1] + 0.3 * DEG\n",
+        ("tests/test_swing_planner.py::test_mz_peak_matches_exhaustive_scan",),
+        "Each hip trajectory is sampled in one vectorized pass"),
+    Mutant(
+        "choice-rows-takes-a-tied-draw-left", "perception.py",
+        "np.greater(cdf, u[:, None], out=below)",
+        "np.greater_equal(cdf, u[:, None], out=below)",
+        ("tests/test_kmeans_equivalence.py::test_choice_rows_looks_up_a_tied_draw_to_the_right",
+         "tests/test_kmeans_equivalence.py::test_choice_index_is_generator_choice"),
+        "k-means++ seeding of every restart in lockstep, Lloyd on point columns tiled once"),
+    Mutant(
+        "landing-outside-the-mirror-sub-mode", "sim_harness.py",
+        "    landing = (state.phase is THREE_MIRROR and i > 1\n",
+        "    landing = (i > 1\n",
+        ("tests/test_sim_harness.py::test_a_descending_touch_before_the_mirror_sub_mode_is_no_landing",),
+        "How a swing ends is decided in one place"),
+)
+
+
+def source_path(row: Mutant, root: str = ROOT) -> str:
+    return os.path.join(root, "src", "swingsim", row.file)
+
+
+def run(row: Mutant) -> str:
+    """killed, survived or stale, from the row's tests on a planted copy.
+    The tests first run on the copy unplanted: a copy they fail is stale,
+    so a failure after planting is the defect's."""
+    with open(source_path(row)) as f:
+        text = f.read()
+    if text.count(row.old) != 1:
+        return "stale"
+    # no bytecode cache: a planted file can keep the unplanted one's size and mtime
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        for name in ("src", "tests"):
+            shutil.copytree(os.path.join(ROOT, name), os.path.join(tmp, name),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
+        codes = []
+        for planted in (text, text.replace(row.old, row.new)):
+            with open(source_path(row, tmp), "w") as f:
+                f.write(planted)
+            codes.append(subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *row.tests],
+                cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode)
+    return {(0, 0): "survived", (0, 1): "killed"}.get(tuple(codes), "stale")
+
+
+def main(names) -> int:
+    rows = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in rows}
+    if unknown:
+        print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    verdicts = []
+    for row in rows:
+        verdicts.append(run(row))
+        print(f"{verdicts[-1]:9} {row.name}", flush=True)
+    return 0 if all(v == "killed" for v in verdicts) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swingsim import human_model
-from swingsim.leg_kinematics import DEG
+from swingsim.leg_kinematics import DEG, HipPose
 from swingsim.human_model import (
     GaitIntent,
     HipTrajectoryParams,
@@ -260,6 +260,26 @@ def test_hip_track_checks_every_pose_when_built_and_caches_no_failure(monkeypatc
     assert hip_track.cache_info().currsize == 0
     monkeypatch.setattr(human_model, "hip_pose", real)
     assert hip_track(params, None, 0.001) == tuple(ref)
+
+
+def test_hip_track_runs_no_post_init_and_a_direct_pose_still_checks(monkeypatch):
+    # the track's poses are checked in one array pass, not one by one
+    real, calls = HipPose.__post_init__, []
+
+    def counting(self):
+        calls.append(self)
+        real(self)
+
+    monkeypatch.setattr(HipPose, "__post_init__", counting)
+    hip_track.cache_clear()
+    try:
+        track = hip_track(preset(GaitIntent.STEP_ON), None, 0.001)
+    finally:
+        hip_track.cache_clear()
+    assert len(track) > 1000 and calls == []
+    with pytest.raises(ValueError, match="HipPose.z_h must be positive, got -0.1"):
+        HipPose(x_h=0.0, z_h=-0.1, theta_h=0.0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dt", [0.0005, 0.001, 0.0015])

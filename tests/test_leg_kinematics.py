@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from swingsim.leg_kinematics import (
     LegGeometry,
     HipPose,
     forward_points,
+    hip_poses,
 )
 
 GEOM = LegGeometry(thigh_m=0.44, shank_m=0.43, toe_m=0.15, heel_m=0.07)
@@ -133,3 +135,49 @@ def test_per_geometry_values_equal_a_fresh_computation(geom):
     assert dataclasses.replace(geom) == geom and hash(dataclasses.replace(geom)) == hash(geom)
     assert dataclasses.replace(geom, toe_m=geom.toe_m + 0.01).knee_toe_m \
         == math.hypot(geom.shank_m, geom.toe_m + 0.01)
+
+
+HALF_PI = math.pi / 2
+
+
+def _per_pose(x_h, z_h, theta_h, rate):
+    """hip_track's former construction: the rate-only last sample checked on
+    its own, then one HipPose per rate."""
+    HipPose(x_h[-1], z_h[-1], theta_h[-1])
+    return tuple(map(HipPose, x_h, z_h, theta_h, rate))
+
+
+@pytest.mark.parametrize("where", [1, 3], ids=["a-pose", "the-rate-only-sample"])
+@pytest.mark.parametrize("z_h,theta_h", [
+    (0.0, 0.2), (-0.0, 0.2), (5e-324, 0.2), (math.nan, 0.2),
+    (0.9, HALF_PI), (0.9, -HALF_PI), (0.9, math.nextafter(HALF_PI, 0.0)),
+    (0.9, math.nextafter(-HALF_PI, 0.0)), (0.9, math.nan), (0.0, HALF_PI),
+])
+def test_hip_poses_rule_agrees_with_post_init_on_boundary_values(z_h, theta_h, where):
+    # three poses and the sample past them that only a rate reads; the
+    # boundary value sits in a pose or in that last sample
+    x, z, th = [0.0, 0.1, 0.2, 0.3], [0.9, 0.9, 0.9, 0.9], [0.2, 0.3, 0.4, 0.5]
+    z[where], th[where] = z_h, theta_h
+    rate = [1.0, 2.0, 3.0]
+    try:
+        expected = _per_pose(x, z, th, rate)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            hip_poses(*map(np.array, (x, z, th, rate)))
+    else:
+        poses = hip_poses(*map(np.array, (x, z, th, rate)))
+        assert poses == expected
+        assert [tuple(map(float.hex, dataclasses.astuple(p))) for p in poses] \
+            == [tuple(map(float.hex, dataclasses.astuple(p))) for p in expected]
+
+
+def test_hip_poses_are_frozen_slotted_poses_like_constructed_ones():
+    poses = hip_poses(np.array([0.0, 0.1]), np.array([0.9, 0.8]), np.array([0.2, -0.3]),
+                      np.array([1.5]))
+    assert len(poses) == 1
+    built = HipPose(0.0, 0.9, 0.2, 1.5)
+    assert poses[0] == built and hash(poses[0]) == hash(built) and repr(poses[0]) == repr(built)
+    assert type(poses[0].x_h) is float
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        poses[0].z_h = 1.0
+    assert not hasattr(poses[0], "__dict__")

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from swingsim.perception import (
     extract_estimate,
     kmeans_prune,
 )
+from swingsim.sim_harness import TrialConfig, capture_state
 
 DEG = math.pi / 180
 
@@ -96,6 +98,51 @@ def test_cached_ray_fan_is_read_only():
     for a in perception._ray_fan(0.3, model.fov, model.rays_vertical, model.rays_lateral):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def _ray_fan_reference(axis_pitch, model):
+    """The fan ray by ray from libm, vertical-major:
+    (sin zeta cos psi, sin psi, -cos zeta cos psi)."""
+    half = perception.LATERAL_FAN / 2
+    zeta = (axis_pitch + np.linspace(-model.fov / 2, model.fov / 2, model.rays_vertical)).tolist()
+    psi = np.linspace(-half, half, model.rays_lateral).tolist()
+    return np.array([(math.sin(z) * math.cos(p), math.sin(p), -math.cos(z) * math.cos(p))
+                     for z in zeta for p in psi]).T
+
+
+def _campaign_fans():
+    """(axis_pitch, camera) of the campaign's capture, and two others."""
+    cfg = TrialConfig()
+    hip, _ = capture_state(cfg)
+    pitch = camera_pose_from_thigh(hip.x_h, hip.z_h, hip.theta_h, cfg.camera).axis_pitch
+    return [(pitch, cfg.camera), (0.3, CameraModel(rays_vertical=64, rays_lateral=5)),
+            (45 * DEG, CameraModel(fov=50 * DEG, rays_vertical=500, rays_lateral=21))]
+
+
+def test_ray_fan_equals_libm_ray_by_ray():
+    # the fan's last bits reach the campaign digests; numpy's own sin and
+    # cos kernels need not give libm's floats
+    perception._ray_fan.cache_clear()
+    for pitch, model in _campaign_fans():
+        fan = perception._ray_fan(pitch, model.fov, model.rays_vertical, model.rays_lateral)
+        assert fan.tobytes() == _ray_fan_reference(pitch, model).tobytes()
+
+
+@pytest.mark.parametrize("trig", ["sin", "cos"])
+def test_ray_fan_oracle_catches_a_one_ulp_sin_or_cos(monkeypatch, trig):
+    # perception's libm sin or cos moved by one ulp must move the campaign's
+    # fan off the reference test_ray_fan_equals_libm_ray_by_ray compares it
+    # to, which keeps the real math module
+    shim = SimpleNamespace(**vars(math))
+    setattr(shim, trig, lambda x: math.nextafter(getattr(math, trig)(x), math.inf))
+    monkeypatch.setattr(perception, "math", shim)
+    pitch, model = _campaign_fans()[0]
+    perception._ray_fan.cache_clear()
+    try:
+        fan = perception._ray_fan(pitch, model.fov, model.rays_vertical, model.rays_lateral)
+    finally:
+        perception._ray_fan.cache_clear()
+    assert fan.tobytes() != _ray_fan_reference(pitch, model).tobytes()
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.004])

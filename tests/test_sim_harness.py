@@ -229,6 +229,17 @@ def test_contact_check_skips_the_full_scans_underflow_at_a_face_at_x_0():
     assert contact_check(pts, scene) == (None, None)
 
 
+def test_contact_check_reads_no_face_touch_for_a_leg_an_underflow_short_of_a_face_at_x_0():
+    # between two boxes the early return does not apply; the toe lies
+    # 5e-324 m short of the face at x = 0, where the full scan's product
+    # (-0.1)(-5e-324) underflows to 0 and reads a touch, and signs do not
+    scene = ObstacleScene(boxes=(Box(front_x=-0.5, height=0.1, depth=0.2),
+                                 Box(front_x=0.0, height=0.1, depth=0.2)))
+    pts = foot_at((-0.1, 0.06), (-5e-324, 0.05), knee=(-0.2, 0.8), ankle=(-0.15, 0.4))
+    assert contact_check_reference(pts, scene) == (Contact(None, 0.0, 0.05), None)
+    assert contact_check(pts, scene) == (None, None)
+
+
 def test_classify_rules_on_every_touch_by_intent_and_landing():
     # BOX_SCENE's box spans [0.4, 0.6]; the ground touch lies past it
     face = Contact(None, 0.4, 0.08)
@@ -319,6 +330,20 @@ def test_landing_always_in_mirror_phase():
         log, res = run_swing(base, StepLog())
         assert res.outcome in (Outcome.SUCCESS_LEVEL, Outcome.SUCCESS_STEP_OVER)
         assert log.rows[-1].phase == Phase.THREE_MIRROR.value
+
+
+def test_a_descending_touch_before_the_mirror_sub_mode_is_no_landing():
+    # at k_max 1 the first seed-2024 step-over comes down on the ground past
+    # its box, foot moving down, before the planner reaches the mirror
+    # sub-mode: a scuff, not a landing
+    cc = CampaignConfig(seed=2024)
+    cfg = trial_config_for(cc, build_trial_specs(cc)[0])
+    log, res = run_swing(replace(cfg, planner=replace(cfg.planner, k_max=1.0)), StepLog())
+    last, prev = log.rows[-1], log.rows[-2]
+    assert last.phase != Phase.THREE_MIRROR.value
+    assert min(last.z_t_m, last.z_l_m) < min(prev.z_t_m, prev.z_l_m)
+    assert res.landing_surface is Surface.GROUND and res.landing_x > cfg.scene.spans[-1][1]
+    assert res.outcome is Outcome.SCUFF
 
 
 def test_steplog_rows_kinematically_consistent():
