@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .leg_kinematics import DEG, HipPose, hip_poses
+from .leg_kinematics import DEG, HipPose, _each, hip_poses
 
 # Hip height above the ground at the start of every preset swing and in the
 # late-stance capture pose (sim_harness.CAPTURE_*), where it leaves the
@@ -81,26 +81,13 @@ class HipTrajectoryParams:
                              f"past {THETA_H_LIMIT / DEG:.0f} deg")
 
 
-def _each(f, x: np.ndarray, *args) -> np.ndarray:
-    """f(x_i, *args_i) for each element: libm's sin, cos and pow (Python's
-    x ** 2), whose floats numpy's own sin, cos and square do not always give."""
-    return np.fromiter(map(f, x.tolist(), *args), float, len(x))
-
-
-@lru_cache(maxsize=64)
-def _noise_coefficients(sigma: float, seed: int) -> tuple:
-    """(a1, a2, p1, p2) of _noise's sinusoids, drawn once per (sigma, seed)."""
-    rng = np.random.default_rng(seed)
-    a1, a2 = rng.normal(0.0, sigma, 2)
-    p1, p2 = rng.uniform(0.0, 2.0 * math.pi, 2)
-    return float(a1), float(a2), float(p1), float(p2)
-
-
 def _noise(params: HipTrajectoryParams, t: np.ndarray, seed: Optional[int]):
     """Smooth low-frequency angle noise: two seeded sinusoids."""
     if params.noise_sigma <= 0.0 or seed is None:
         return 0.0, 0.0
-    a1, a2, p1, p2 = _noise_coefficients(params.noise_sigma, seed)
+    rng = np.random.default_rng(seed)
+    a1, a2 = rng.normal(0.0, params.noise_sigma, 2)
+    p1, p2 = rng.uniform(0.0, 2.0 * math.pi, 2)
     w1, w2 = 2.0 * math.pi * 2.0, 2.0 * math.pi * 4.5  # Hz-scale wobble
     ph1, ph2 = w1 * t + p1, w2 * t + p2
     val = a1 * _each(math.sin, ph1) + a2 * _each(math.sin, ph2)
@@ -108,18 +95,28 @@ def _noise(params: HipTrajectoryParams, t: np.ndarray, seed: Optional[int]):
     return val, vel
 
 
-@lru_cache(maxsize=64)
 def _flexion_peak(params: HipTrajectoryParams) -> float:
     """Highest flexion of the noise-free hip: one still rising at the lowering
-    onset overshoots until extension_decay stops it. Cached, as each replace()
-    reruns __post_init__ and a one-sample _theta_h costs ~80 us in numpy."""
-    ang, vel = _theta_h(params, np.array([params.lowering_onset_fraction * params.swing_duration]))
-    return float(ang[0]) + max(float(vel[0]), 0.0) ** 2 / (2.0 * params.extension_decay)
+    onset overshoots until extension_decay stops it."""
+    a0, v0 = map(float, _rise(params, params.lowering_onset_fraction * params.swing_duration))
+    return a0 + max(v0, 0.0) ** 2 / (2.0 * params.extension_decay)
 
 
 # Reach of the hip profile: the reversal stops at -THETA_H_LIMIT and a peak past
 # +THETA_H_LIMIT is rejected, leaving room for the noise inside |theta_h| < 90 deg.
 THETA_H_LIMIT = 80.0 * DEG
+
+
+def _rise(params: HipTrajectoryParams, t):
+    """Min-jerk hip angle and rate from theta_h_start to theta_h_end, done by
+    rise_fraction of the swing; t an array or a float (np.clip costs a float
+    ~3 us more than np.minimum and np.maximum)."""
+    T_rise = params.rise_fraction * params.swing_duration
+    span = params.theta_h_end - params.theta_h_start
+    s = np.minimum(np.maximum(t / T_rise, 0.0), 1.0)
+    ang = params.theta_h_start + span * (s * s * s * (10.0 - 15.0 * s + 6.0 * s * s))
+    vel = span * (30.0 * s * s * (1.0 - s) * (1.0 - s)) / T_rise
+    return ang, np.where((0.0 <= t) & (t <= T_rise), vel, 0.0)
 
 
 def _theta_h(params: HipTrajectoryParams, t: np.ndarray) -> tuple:
@@ -133,19 +130,9 @@ def _theta_h(params: HipTrajectoryParams, t: np.ndarray) -> tuple:
     tracks it without accumulating curvature error; the profile stays C1 and
     bounded out to the timeout horizon.
     """
-    T = params.swing_duration
-    T_rise = params.rise_fraction * T
-    t_on = params.lowering_onset_fraction * T
-    span = params.theta_h_end - params.theta_h_start
-
-    def rise(tt):   # min jerk
-        s = np.clip(tt / T_rise, 0.0, 1.0)
-        ang = params.theta_h_start + span * (s * s * s * (10.0 - 15.0 * s + 6.0 * s * s))
-        vel = span * (30.0 * s * s * (1.0 - s) * (1.0 - s)) / T_rise
-        return ang, np.where((0.0 <= tt) & (tt <= T_rise), vel, 0.0)
-
-    ang, vel = rise(t)
-    a0, v0 = (float(v[0]) for v in rise(np.array([t_on])))
+    t_on = params.lowering_onset_fraction * params.swing_duration
+    ang, vel = _rise(params, t)
+    a0, v0 = map(float, _rise(params, t_on))
     a = params.extension_decay
     rate = params.extension_rate
     u = t - t_on
@@ -163,7 +150,7 @@ def _theta_h(params: HipTrajectoryParams, t: np.ndarray) -> tuple:
 # Tuned defaults per intent, built once. Swing durations follow the measured
 # averages (0.61 / 0.64 / 0.81 s); angle endpoints, lift and lowering were
 # tuned so the simulated peak knee flexion and landing geometry land in the
-# reported ranges. Here, below _theta_h: __post_init__ calls it.
+# reported ranges. Here, below _rise: __post_init__ calls it.
 PRESETS = {
     GaitIntent.LEVEL: HipTrajectoryParams(
         swing_duration=0.61, theta_h_end=36.0 * DEG, lowering_depth=0.10),
@@ -217,8 +204,8 @@ def _x_h(params: HipTrajectoryParams, t: np.ndarray) -> np.ndarray:
 
 
 def hip_pose(params: HipTrajectoryParams, t: float | np.ndarray, seed: Optional[int] = None):
-    """Hip state at time t >= 0, valid well past the nominal duration (the
-    harness runs to TIMEOUT_FACTOR x nominal). A float t gives its HipPose;
+    """Hip state at time t >= 0, valid well past the nominal duration
+    (hip_track samples it to the timeout horizon). A float t gives its HipPose;
     an array of times gives the unchecked arrays (x_h, z_h, theta_h,
     theta_h_dot), each element the float a lone sample of it gives."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -249,12 +236,14 @@ def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tu
     by every trial on it: the hip is open loop, so its poses depend only on
     (params, seed, dt), never on the knee.
 
-    track[i] is the pose at tick time t_i (t_0 = 0.0, t_{i+1} = t_i + dt, the
-    floats the harness loop sums), up to the first tick at or past the
-    timeout horizon, the last run_swing reads. Its rate is the average over
-    the coming tick, (theta_h(t_{i+1}) - theta_h(t_i)) / dt: the planner
-    holds its command for one tick, and the instantaneous rate would leak the
-    hip's intra-tick curvature into the knee command and drift the mirror.
+    track[i] is the pose at tick time t_i (t_0 = 0.0, t_{i+1} = t_i + dt,
+    summed in order as run_swing sums its clock). The track, and with it
+    every swing, ends at the timeout horizon: the first tick at or past
+    TIMEOUT_FACTOR x the nominal duration plus half a tick, a bound the sums'
+    rounding cannot move by a tick. Its rate is the average over the coming
+    tick, (theta_h(t_{i+1}) - theta_h(t_i)) / dt: the planner holds its
+    command for one tick, and the instantaneous rate would leak the hip's
+    intra-tick curvature into the knee command and drift the mirror.
 
     One pass, eager to the horizon: np.add.accumulate sums the tick times,
     one hip_pose call samples them all, and hip_poses checks every sample
@@ -265,7 +254,7 @@ def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tu
     constructed per pose took ~2 ms. libm, element by element, keeps every
     pose bit-equal to a lone sample's.
     """
-    end = TIMEOUT_FACTOR * params.swing_duration + dt / 2   # run_swing's loop bound
+    end = TIMEOUT_FACTOR * params.swing_duration + dt / 2
     steps = np.full(int(end / dt) + 4, dt)   # the sums stray from i * dt by far less than a tick
     steps[0] = 0.0
     t = np.add.accumulate(steps)

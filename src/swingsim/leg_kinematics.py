@@ -23,6 +23,12 @@ DEG = math.pi / 180.0
 _new_tuple = tuple.__new__  # a NamedTuple built without its Python-level __new__
 
 
+def _each(f, x: np.ndarray, *args) -> np.ndarray:
+    """f(x_i, *args_i) for each element: libm's sin, cos and pow (Python's
+    x ** 2), whose floats numpy's own sin, cos and square do not always give."""
+    return np.fromiter(map(f, x.tolist(), *args), float, len(x))
+
+
 @dataclass(frozen=True)
 class LegGeometry:
     """Link lengths in meters. Defaults are anthropometric-scale."""
@@ -38,17 +44,10 @@ class LegGeometry:
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"LegGeometry.{name} must be strictly positive, got {v}")
         # Derived once per geometry, not per planner query: the knee-to-toe
-        # distance and its angle off the shank, and the hash the M_z peak
-        # cache keys on, equal to the generated dataclass hash, which would
-        # rebuild the field tuple on every lookup. dataclasses.replace reruns
+        # distance and its angle off the shank. dataclasses.replace reruns
         # __init__; pickle copies __dict__.
         object.__setattr__(self, "knee_toe_m", math.hypot(self.shank_m, self.toe_m))
         object.__setattr__(self, "knee_toe_angle", math.atan2(self.toe_m, self.shank_m))
-        object.__setattr__(self, "_hash",
-                           hash((self.thigh_m, self.shank_m, self.toe_m, self.heel_m)))
-
-    def __hash__(self):
-        return self._hash
 
 
 @dataclass(frozen=True, slots=True)

@@ -15,8 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .human_model import _each
-from .leg_kinematics import DEG
+from .leg_kinematics import DEG, _each
 
 # Fixed lateral fan of the synthetic camera (full angle, radians).
 LATERAL_FAN = 20.0 * DEG
@@ -384,7 +383,9 @@ def kmeans_prune(points: Sequence, k: int, seed: int, restarts: int) -> Elevatio
         raise ValueError("kmeans_prune needs a non-empty point set")
     if k < 1:
         raise ValueError("kmeans_prune needs k >= 1")
-    seeded = (_seed_lockstep(pts, k, np.random.default_rng(seed), max(1, restarts))
+    if restarts < 1:
+        raise ValueError("kmeans_prune needs restarts >= 1")
+    seeded = (_seed_lockstep(pts, k, np.random.default_rng(seed), restarts)
               if pts.shape[0] > k else None)
     best = pts
     if seeded is not None:

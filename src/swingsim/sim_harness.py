@@ -38,7 +38,7 @@ from .perception import (
 )
 from .swing_planner import THREE_MIRROR, PhaseState, PlannerParams, planner_step
 from . import human_model
-from .human_model import TIMEOUT_FACTOR, GaitIntent, HipTrajectoryParams
+from .human_model import GaitIntent, HipTrajectoryParams
 
 # Late-stance capture pose: thigh extended, knee flexed into pre-swing with
 # the heel off the ground, which leaves the capture toe a couple of
@@ -372,8 +372,7 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     dt = params.dt
     t = 0.0
     noise_seed = s_noise if human.noise_sigma > 0.0 else None
-    track = human_model.hip_track(human, noise_seed, dt)
-    i = 0
+    track = human_model.hip_track(human, noise_seed, dt)   # to the timeout horizon
     hip = track[0]
     joint = JointState(theta_k=TOE_OFF_THETA_K, theta_k_dot=0.0, theta_k_ddot=0.0)
     state = PhaseState()
@@ -382,14 +381,13 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     min_clear: Optional[float] = None
     contact: Optional[Contact] = None
 
-    geom, scene, tau = cfg.geometry, cfg.scene, cfg.tracking_lag_tau
-    knee_limit, end = params.knee_limit, TIMEOUT_FACTOR * human.swing_duration + dt / 2
+    geom, scene, tau, knee_limit = cfg.geometry, cfg.scene, cfg.tracking_lag_tau, params.knee_limit
     rows = None if log is None else log.rows
     # min/max below are the conditionals that return the builtins' operand
     # (see swing_planner)
     pts = forward_points(geom, hip, joint.theta_k)
     _, _, toe, heel = pts
-    while t < end:
+    for i in range(1, len(track)):
         # pts is the foot at this tick's hip and knee, shared with the planner
         cmd = planner_step(geom, hip, joint, pts, target, state, params)
         if rows is not None:
@@ -412,7 +410,6 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         joint.theta_k_ddot = (v_actual - v_prev) / dt
 
         t += dt
-        i += 1
         hip = track[i]
         prev, pts = pts, forward_points(geom, hip, theta_k_new)
         _, _, toe, heel = pts

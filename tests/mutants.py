@@ -95,6 +95,22 @@ MUTANTS = (
         "    landing = (i > 1\n",
         ("tests/test_sim_harness.py::test_a_descending_touch_before_the_mirror_sub_mode_is_no_landing",),
         "How a swing ends is decided in one place"),
+    Mutant(
+        "flexion-peak-drops-the-overshoot", "human_model.py",
+        "    return a0 + max(v0, 0.0) ** 2 / (2.0 * params.extension_decay)\n",
+        "    return a0\n",
+        ("tests/test_human_model.py::"
+         "test_params_reject_a_hip_still_rising_at_the_onset_that_overshoots_the_limit",
+         "tests/test_human_model.py::test_flexion_peak_is_the_sampled_peak_of_the_profile"),
+        "The swing horizon has one owner"),
+    Mutant(
+        "hip-track-horizon-drops-the-half-tick", "human_model.py",
+        "    end = TIMEOUT_FACTOR * params.swing_duration + dt / 2\n",
+        "    end = TIMEOUT_FACTOR * params.swing_duration\n",
+        ("tests/test_human_model.py::"
+         "test_the_horizon_keeps_the_tick_at_the_timeout_however_the_tick_sums_round",
+         "tests/test_human_model.py::test_hip_track_equals_direct_hip_pose_construction"),
+        "The swing horizon has one owner"),
 )
 
 

@@ -391,15 +391,22 @@ def test_criterion_7_seed_7_digests(tmp_path):
 
 # NumPy's compatibility policy (NEP 19) does not promise Generator streams
 # across versions. The k-means++ seeding reads integers and random, the depth
-# noise reads normal: a numpy whose stream moved fails the test named for
-# that stream, not only criterion 7's digests. First draws at seed 12345,
-# in the call forms the code uses.
+# noise reads normal, the campaign's trial draws read choice and scalar
+# uniform, and the hip noise reads normal and a uniform pair: a numpy whose
+# stream moved fails the test named for that stream, not only criterion 7's
+# digests. First draws at seed 12345, in the call forms the code uses.
 GENERATOR_FIRST_DRAWS = {
     "integers": (lambda rng: [int(rng.integers(1000)) for _ in range(3)], [699, 227, 788]),
     "random": (lambda rng: [float(v).hex() for v in rng.random(3)],
                ["0x1.d1958c6d97fe0p-3", "0x1.445c4c5727930p-2", "0x1.984049046889dp-1"]),
     "normal": (lambda rng: [float(v).hex() for v in rng.normal(0.0, 1.0, size=3)],
                ["-0x1.6c7fcc2ecc744p+0", "0x1.4383b54eb0649p+0", "-0x1.bdc76014d359ep-1"]),
+    "choice": (lambda rng: [float(rng.choice((0.04, 0.08, 0.16))) for _ in range(3)],
+               [0.16, 0.04, 0.16]),
+    "uniform": (lambda rng: [float(rng.uniform(0.15, 0.70)).hex() for _ in range(3)],
+                ["0x1.19a2b9d156990p-2", "0x1.4bff90632290dp-2", "0x1.2d568e8f397efp-1"]),
+    "uniform-pair": (lambda rng: [float(v).hex() for v in rng.uniform(0.0, 2.0 * math.pi, 2)],
+                     ["0x1.6dab40a57dbd5p+0", "0x1.fd811cb9d9d9cp+0"]),
 }
 
 

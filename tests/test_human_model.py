@@ -4,10 +4,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import oracle_utils
 from swingsim import human_model
 from swingsim.leg_kinematics import DEG, HipPose
 from swingsim.human_model import (
+    TIMEOUT_FACTOR,
     GaitIntent,
     HipTrajectoryParams,
     aim_step_on_progression,
@@ -15,9 +18,8 @@ from swingsim.human_model import (
     hip_track,
     preset,
 )
-from swingsim.config import parse_scenario
+from swingsim.config import DEGREES, HUMAN, parse_scenario
 from swingsim.sim_harness import (
-    TIMEOUT_FACTOR,
     CampaignConfig,
     Outcome,
     StepLog,
@@ -175,6 +177,39 @@ def test_params_reject_a_lift_peak_fraction_outside_0_1(fraction):
         HipTrajectoryParams(swing_duration=0.6, lift_peak_fraction=fraction)
 
 
+def test_params_reject_a_hip_still_rising_at_the_onset_that_overshoots_the_limit():
+    # 30 deg at the onset, rising at 281.25 deg/s: extension_decay stops it
+    # 57.5 deg higher, though theta_h_end is 75 deg
+    with pytest.raises(ValueError, match="peaks at 87.5 deg, past 80 deg"):
+        HipTrajectoryParams(swing_duration=0.6, theta_h_end=75.0 * DEG, rise_fraction=1.0,
+                            lowering_onset_fraction=0.5)
+
+
+def _sampled_peak(params) -> float:
+    """Highest oracle_utils._theta_h on a 10 us grid: a 1 ms grid past the
+    latest peak the table allows (6 s after the onset), refined at 10 us
+    over the two 1 ms steps around its highest sample. The profile rises,
+    holds, then falls, so its peak lies between those steps."""
+    t_on = params.lowering_onset_fraction * params.swing_duration
+    coarse = np.arange(0.0, t_on + 6.0, 1e-3)
+    best = coarse[int(np.argmax([oracle_utils._theta_h(params, t)[0] for t in coarse]))]
+    return max(oracle_utils._theta_h(params, t)[0] for t in best + np.arange(-1e-3, 1e-3, 1e-5))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.fixed_dictionaries({f.attr: st.floats(f.lo, f.hi).map(
+    (lambda v: v * DEG) if f.kind is DEGREES else float) for f in HUMAN}))
+def test_flexion_peak_is_the_sampled_peak_of_the_profile(fields):
+    assume(fields["theta_h_end"] > fields["theta_h_start"])
+    sampled = _sampled_peak(SimpleNamespace(**fields))
+    try:
+        params = HipTrajectoryParams(**fields)
+    except ValueError:   # rejected exactly when the hip flexes past the limit
+        assert sampled > human_model.THETA_H_LIMIT - 1e-6
+        return
+    assert human_model._flexion_peak(params) == pytest.approx(sampled, abs=1e-6)
+
+
 NOISY = replace(preset(GaitIntent.STEP_OVER), noise_sigma=1.0 * DEG)
 TRAJECTORIES = [(preset(i), None) for i in GaitIntent] + [(NOISY, 3), (NOISY, 4)]
 
@@ -280,6 +315,20 @@ def test_hip_track_runs_no_post_init_and_a_direct_pose_still_checks(monkeypatch)
     with pytest.raises(ValueError, match="HipPose.z_h must be positive, got -0.1"):
         HipPose(x_h=0.0, z_h=-0.1, theta_h=0.0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dt", [0.0005, 0.001, 0.0015])
+def test_the_horizon_keeps_the_tick_at_the_timeout_however_the_tick_sums_round(dt):
+    # where TIMEOUT_FACTOR x the duration is n ticks, a swing that meets
+    # nothing runs the ticks at 0, dt, ..., n dt: n + 1 ticks reading n + 2
+    # poses, whether the summed tick time near n dt rounds up or down
+    hip_track.cache_clear()
+    for centis in range(30, 151):
+        params = replace(preset(GaitIntent.LEVEL), swing_duration=centis / 100)
+        n = TIMEOUT_FACTOR * params.swing_duration / dt
+        if abs(n - round(n)) < 1e-9:
+            assert len(hip_track(params, None, dt)) == round(n) + 2, params.swing_duration
+    hip_track.cache_clear()
 
 
 @pytest.mark.parametrize("dt", [0.0005, 0.001, 0.0015])

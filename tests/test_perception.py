@@ -22,7 +22,7 @@ from swingsim.perception import (
     extract_estimate,
     kmeans_prune,
 )
-from swingsim.sim_harness import TrialConfig, capture_state
+from swingsim.sim_harness import TrialConfig, capture_state, perceive, trial_seeds
 
 DEG = math.pi / 180
 
@@ -206,6 +206,22 @@ def test_kmeans_k1_is_centroid():
     kp = kmeans_prune(pts, k=1, seed=5, restarts=20)
     arr = np.asarray(pts)
     assert kp.keypoints[0] == pytest.approx(tuple(arr.mean(axis=0)), abs=1e-12)
+
+
+@pytest.mark.parametrize("k,restarts,match", [(0, 8, "k >= 1"), (2, 0, "restarts >= 1"),
+                                              (2, -4, "restarts >= 1")])
+def test_kmeans_refuses_no_centers_or_no_restarts(k, restarts, match):
+    # refused up front, also where a profile of at most k points needs no pruning
+    for pts in ([(0.0, 0.0), (0.5, 0.1), (1.0, 0.2)], [(0.0, 0.0)]):
+        with pytest.raises(ValueError, match=match):
+            kmeans_prune(pts, k=k, seed=5, restarts=restarts)
+
+
+def test_a_trial_of_no_kmeans_restarts_is_refused():
+    cfg = TrialConfig(scene=ObstacleScene(boxes=(Box(front_x=0.3, height=0.08),)),
+                      kmeans_restarts=0)
+    with pytest.raises(ValueError, match="restarts >= 1"):
+        perceive(cfg, *trial_seeds(cfg.seed)[:2])
 
 
 def test_kmeans_fewer_points_than_k():
