@@ -65,7 +65,7 @@ class HipTrajectoryParams:
     noise_sigma: float = 0.0               # rad, smooth theta_h noise
 
     def __post_init__(self):
-        for name in ("swing_duration", "extension_decay"):
+        for name in ("swing_duration", "forward_speed", "extension_decay"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if not self.theta_h_end > self.theta_h_start:

@@ -17,6 +17,7 @@ import struct
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from itertools import starmap
 from typing import Optional
 
@@ -101,6 +102,18 @@ class TrialConfig:
         if not (self.tracking_lag_tau == 0.0 or self.tracking_lag_tau >= self.planner.dt):
             raise ValueError("tracking_lag_tau must be 0 (ideal tracking) or at least the "
                              f"planner tick {self.planner.dt} s, got {self.tracking_lag_tau}")
+
+    @cached_property
+    def resolved_human(self) -> HipTrajectoryParams:
+        """The trial's hip, worked out once: the preset or human, its base
+        raised onto the scene's ground, and the cooperative step-on aiming."""
+        params = self.human if self.human is not None else human_model.preset(self.intent)
+        params = replace(params, hip_height_base=params.hip_height_base + self.scene.ground_height)
+        if self.intent is GaitIntent.STEP_ON and len(self.scene.boxes) == 1:
+            box = self.scene.boxes[0]
+            params = human_model.aim_step_on_progression(
+                params, box.front_x, box.depth, thigh=self.geometry.thigh_m)
+        return params
 
 
 LOG_COLUMNS = (
@@ -202,9 +215,9 @@ class Contact:
 def capture_state(cfg: TrialConfig) -> tuple:
     """Late-stance camera/toe state used for perception and box placement.
 
-    The hip stands at resolve_human's base, raised onto the scene's ground.
+    The hip stands at cfg.resolved_human's base, already on the scene's ground.
     """
-    hip = HipPose(x_h=0.0, z_h=resolve_human(cfg).hip_height_base, theta_h=CAPTURE_THETA_H)
+    hip = HipPose(x_h=0.0, z_h=cfg.resolved_human.hip_height_base, theta_h=CAPTURE_THETA_H)
     pts = forward_points(cfg.geometry, hip, CAPTURE_THETA_K)
     return hip, pts
 
@@ -312,10 +325,10 @@ def contact_check(pts: FootPoints, scene: ObstacleScene) -> tuple:
 
 
 def toe_off_contact(cfg: TrialConfig) -> Optional[Contact]:
-    """Contact of the noise-free toe-off foot with the scene, if any: a leg,
-    hip base and scene that put the foot into the ground or a box before
-    the swing starts."""
-    hip = human_model.hip_pose(resolve_human(cfg), 0.0)
+    """Contact of the noise-free toe-off foot, on the hip run_swing starts from
+    (cfg.resolved_human at t = 0), with the scene, if any: a leg, hip base and
+    scene that put the foot into the ground or a box before the swing starts."""
+    hip = human_model.hip_pose(cfg.resolved_human, 0.0)
     pts = forward_points(cfg.geometry, hip, TOE_OFF_THETA_K)
     return contact_check(pts, cfg.scene)[0]
 
@@ -338,18 +351,6 @@ def _classify(contact: Optional[Contact], landing: bool, cfg: TrialConfig) -> tu
     return (Outcome.SCUFF if surface is Surface.GROUND else Outcome.TRIP), x, surface
 
 
-def resolve_human(cfg: TrialConfig) -> HipTrajectoryParams:
-    """Preset resolution, the hip base raised onto the scene's ground, and
-    the cooperative step-on aiming."""
-    params = cfg.human if cfg.human is not None else human_model.preset(cfg.intent)
-    params = replace(params, hip_height_base=params.hip_height_base + cfg.scene.ground_height)
-    if cfg.intent is GaitIntent.STEP_ON and len(cfg.scene.boxes) == 1:
-        box = cfg.scene.boxes[0]
-        params = human_model.aim_step_on_progression(
-            params, box.front_x, box.depth, thigh=cfg.geometry.thigh_m)
-    return params
-
-
 def trial_seeds(seed: int) -> tuple:
     """(capture, kmeans, noise) seeds of one trial, spawned from its seed."""
     return tuple(int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(3))
@@ -364,7 +365,7 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     """
     s_capture, s_kmeans, s_noise = trial_seeds(cfg.seed)
 
-    human = resolve_human(cfg)
+    human = cfg.resolved_human
     target_rel, _, _, cap_toe = perceive(cfg, s_capture, s_kmeans)
     target = ControlTarget(z_m=target_rel.z_m, x_c=cap_toe[0] + target_rel.x_c)
 

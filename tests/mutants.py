@@ -111,6 +111,19 @@ MUTANTS = (
          "test_the_horizon_keeps_the_tick_at_the_timeout_however_the_tick_sums_round",
          "tests/test_human_model.py::test_hip_track_equals_direct_hip_pose_construction"),
         "The swing horizon has one owner"),
+    Mutant(
+        "x-h-takes-numpy-sin", "human_model.py",
+        "_each(math.sin, math.pi * u / w)",
+        "np.sin(math.pi * u / w)",
+        ("tests/test_acceptance.py::test_src_takes_no_numpy_transcendental_off_its_allowlist",),
+        "Each hip trajectory is sampled in one vectorized pass (the FOUND on numpy's sin)"),
+    Mutant(
+        "resolved-human-recomputed-per-read", "sim_harness.py",
+        "    @cached_property\n    def resolved_human(",
+        "    @property\n    def resolved_human(",
+        ("tests/test_sim_harness.py::test_a_trial_resolves_its_hip_once",
+         "tests/test_acceptance.py::test_campaign_resolves_each_trials_hip_once"),
+        "Each trial's hip is resolved once"),
 )
 
 

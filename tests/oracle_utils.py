@@ -128,27 +128,31 @@ def kmeans_sse(points, keypoints):
 def brute_force_kmeans_sse(points, kmax):
     """Exhaustive minimum SSE over all partitions into at most kmax parts.
 
-    Restricted-growth enumeration avoids counting label permutations.
+    Restricted-growth enumeration avoids counting label permutations. Each
+    part is a bitmask of its members, and its SSE is computed once per
+    member set: a partition's SSE is its parts' summed in label order.
     """
     pts = np.asarray(points, dtype=float)
     n = len(pts)
     best = math.inf
+    part_sse = {}
 
-    def rec(i, labels, used):
+    def rec(i, parts):
         nonlocal best
         if i == n:
             sse = 0.0
-            for j in range(used):
-                sel = pts[np.array(labels) == j]
-                sse += float(((sel - sel.mean(axis=0)) ** 2).sum())
+            for mask in parts:
+                if mask not in part_sse:
+                    sel = pts[[m for m in range(n) if mask >> m & 1]]
+                    part_sse[mask] = float(((sel - sel.mean(axis=0)) ** 2).sum())
+                sse += part_sse[mask]
             best = min(best, sse)
             return
-        for j in range(min(used + 1, kmax)):
-            labels.append(j)
-            rec(i + 1, labels, max(used, j + 1))
-            labels.pop()
+        for j in range(min(len(parts) + 1, kmax)):
+            grown = parts if j < len(parts) else parts + (0,)
+            rec(i + 1, grown[:j] + (grown[j] | 1 << i,) + grown[j + 1:])
 
-    rec(0, [], 0)
+    rec(0, ())
     return best
 
 

@@ -5,9 +5,11 @@ the lines stream; they also appear in captured output on failure.
 The randomized campaign (criterion 1) is executed once per session and
 shared with the statistics, ordering and trajectory-invariant criteria.
 """
+import ast
 import hashlib
 import json
 import math
+import pathlib
 import time
 from dataclasses import replace
 
@@ -19,7 +21,7 @@ from oracle_utils import GEOM, LIMIT, brute_force_kmeans_sse, grid_boundary, kme
 from swingsim.leg_kinematics import DEG, HipPose
 from swingsim.perception import Box, ObstacleScene, kmeans_prune
 from swingsim import human_model, sim_harness
-from swingsim.human_model import GaitIntent
+from swingsim.human_model import GaitIntent, HipTrajectoryParams
 from swingsim.swing_planner import (
     Phase,
     PhaseState,
@@ -38,7 +40,6 @@ from swingsim.sim_harness import (
     TrialConfig,
     capture_state,
     perceive,
-    resolve_human,
     run_campaign,
     run_swing,
     summary_json,
@@ -64,13 +65,22 @@ PINNED_DIGESTS_SEED_7 = {
 
 @pytest.fixture(scope="session")
 def campaign():
-    cc = CampaignConfig.reproduction_profile(seed=CAMPAIGN_SEED)
+    # a fresh base: CampaignConfig's default TrialConfig is one instance, and
+    # an earlier test may already have resolved its hip
+    cc = replace(CampaignConfig.reproduction_profile(seed=CAMPAIGN_SEED), base=TrialConfig())
     calls = [0]
     real = human_model.hip_pose
 
     def counting(params, t, seed=None):
         calls[0] += 1
         return real(params, t, seed)
+
+    built = [0]
+    post_init = HipTrajectoryParams.__post_init__
+
+    def counting_post_init(self):
+        built[0] += 1
+        post_init(self)
 
     logs = []
     swing = sim_harness.run_swing
@@ -84,11 +94,13 @@ def campaign():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(human_model, "hip_pose", counting)
         mp.setattr(sim_harness, "run_swing", logging_swing)
+        mp.setattr(HipTrajectoryParams, "__post_init__", counting_post_init)
         t0 = time.time()
         result = run_campaign(cc)
         result.runtime_s = time.time() - t0
     result.logs = logs   # one step log per trial, in spec order (serial campaign)
     result.hip_pose_calls = calls[0]
+    result.hip_validations = built[0]
     return cc, result
 
 
@@ -121,7 +133,7 @@ def test_campaign_samples_each_hip_trajectory_once(campaign):
     trajectories = set()
     for spec in res.specs:
         cfg = trial_config_for(cc, spec)
-        human = resolve_human(cfg)
+        human = cfg.resolved_human
         noise_seed = trial_seeds(cfg.seed)[2] if human.noise_sigma > 0.0 else None
         trajectories.add((human, noise_seed, cfg.planner.dt))
     ticks = sum(len(log.rows) for log in res.logs)
@@ -130,6 +142,17 @@ def test_campaign_samples_each_hip_trajectory_once(campaign):
     assert res.hip_pose_calls == len(trajectories)
     print(f"\n[hip track] PASS: {res.hip_pose_calls} hip_pose calls for {len(trajectories)} "
           f"trajectories over {ticks} ticks")
+
+
+def test_campaign_resolves_each_trials_hip_once(campaign):
+    # each trial's TrialConfig builds its hip once: the raised preset, and for
+    # an aimed step-on its aim. The one more is the base trial's, which
+    # trial_config_for reads for the capture toe and keeps.
+    cc, res = campaign
+    n_step_on = sum(spec.intent is GaitIntent.STEP_ON for spec in res.specs)
+    assert res.hip_validations == 1 + len(res.specs) + n_step_on == 241
+    print(f"\n[hip resolution] PASS: {res.hip_validations} HipTrajectoryParams validations "
+          f"for {len(res.specs)} trials")
 
 
 def test_criterion_2_failure_mode_beyond_lookahead():
@@ -414,6 +437,51 @@ GENERATOR_FIRST_DRAWS = {
 def test_generator_stream_first_draws_are_pinned(stream):
     draw, expected = GENERATOR_FIRST_DRAWS[stream]
     assert draw(np.random.default_rng(12345)) == expected
+
+
+# NumPy may hand float64 transcendentals to its own SIMD kernels (NEP 38),
+# whose last bits need not be libm's, so src/ takes them from math, element
+# by element. A numpy one on the result path must be listed below,
+# "module.py:name" -> the reason its bits cannot reach a pinned digest.
+NUMPY_TRANSCENDENTALS = frozenset((
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "asin", "acos", "atan",
+    "atan2", "hypot", "sinh", "cosh", "tanh", "arcsinh", "arccosh", "arctanh", "asinh",
+    "acosh", "atanh", "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "logaddexp",
+    "logaddexp2", "power", "pow", "float_power", "square", "cbrt"))
+NUMPY_TRANSCENDENTALS_ALLOWED = {}
+
+
+def numpy_transcendentals(source: str) -> list:
+    """(line, name) of each numpy transcendental the source names: an
+    attribute of np or numpy at any depth (np.emath.log too), or a from-numpy
+    import. Docstrings and comments are not code, so they never count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found += [(node.lineno, a.name) for a in node.names if a.name in NUMPY_TRANSCENDENTALS]
+        elif isinstance(node, ast.Attribute) and node.attr in NUMPY_TRANSCENDENTALS:
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in ("np", "numpy"):
+                found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_the_numpy_transcendental_scan_reads_code_only():
+    source = (
+        '"""np.sin in a docstring."""\n'
+        "from numpy import exp, where  # np.cos in a comment\n"
+        "y = np.sin(x) + math.cos(x) + rng.power(2.0)\n"
+        "z = numpy.lib.scimath.log(np.square(y))\n")
+    assert numpy_transcendentals(source) == [(2, "exp"), (3, "sin"), (4, "log"), (4, "square")]
+
+
+def test_src_takes_no_numpy_transcendental_off_its_allowlist():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "swingsim"
+    found = {f"{path.name}:{name}": line for path in sorted(src.glob("*.py"))
+             for line, name in numpy_transcendentals(path.read_text())}
+    assert set(found) == set(NUMPY_TRANSCENDENTALS_ALLOWED), found
 
 
 def test_invariant_phase_two_clearance(campaign):

@@ -25,7 +25,6 @@ from swingsim.sim_harness import (
     StepLog,
     TrialConfig,
     build_trial_specs,
-    resolve_human,
     run_swing,
     trial_config_for,
     trial_seeds,
@@ -170,6 +169,14 @@ def test_params_validation():
         HipTrajectoryParams(swing_duration=0.6, rise_fraction=0.0)
 
 
+@pytest.mark.parametrize("speed", [0.0, -0.7, math.nan])
+def test_params_reject_a_forward_speed_that_is_not_positive(speed):
+    # 0 made an aimed step-on divide by it in aim_step_on_progression, and a
+    # negative one walked the hip backwards into a failed swing
+    with pytest.raises(ValueError, match="forward_speed must be positive"):
+        HipTrajectoryParams(swing_duration=0.6, forward_speed=speed)
+
+
 @pytest.mark.parametrize("fraction", [0.0, -0.2, 1.5, math.nan])
 def test_params_reject_a_lift_peak_fraction_outside_0_1(fraction):
     # 0 made every hip sample divide by a zero lift period
@@ -228,7 +235,7 @@ def _campaign_trajectories(seed):
     cc = CampaignConfig(seed=seed)
     out = set()
     for spec in build_trial_specs(cc):
-        human = resolve_human(trial_config_for(cc, spec))
+        human = trial_config_for(cc, spec).resolved_human
         out.add((human, trial_seeds(spec.seed)[2] if human.noise_sigma > 0.0 else None))
     return out
 
@@ -250,7 +257,7 @@ def test_hip_oracle_catches_a_one_ulp_sin_or_cos_in_the_profiles(monkeypatch):
     # per-tick reference, which keeps the real math module.
     cc = CampaignConfig(seed=2024)
     spec = next(s for s in build_trial_specs(cc) if s.intent is GaitIntent.STEP_ON)
-    params = resolve_human(trial_config_for(cc, spec))
+    params = trial_config_for(cc, spec).resolved_human
     shim = SimpleNamespace(**vars(math))
     shim.sin = lambda x: math.nextafter(math.sin(x), math.inf)
     shim.cos = lambda x: math.nextafter(math.cos(x), math.inf)
@@ -359,7 +366,7 @@ def test_the_scenario_table_extremes_build_their_hip_tracks():
                       "lowering_depth_m": 0.2, "noise_sigma_deg": 1.0},
             "scene": {"ground_height_m": -0.3},
             "geometry": {"thigh_m": 0.3, "shank_m": 0.3, "toe_m": 0.05, "heel_m": 0.02}})
-        human = resolve_human(cfg)
+        human = cfg.resolved_human
         for seed in range(20):
             track = hip_track(human, trial_seeds(seed)[2], cfg.planner.dt)
             assert min(p.z_h for p in track) > 0.0

@@ -20,7 +20,7 @@ from swingsim.perception import (
     elevation_keypoints,
     extract_estimate,
 )
-from swingsim.human_model import GaitIntent
+from swingsim.human_model import GaitIntent, HipTrajectoryParams
 from swingsim.swing_planner import Phase
 from swingsim.sim_harness import (
     ROW_FORMAT,
@@ -28,9 +28,11 @@ from swingsim.sim_harness import (
     Contact,
     LogRow,
     Outcome,
+    SUCCESSES,
     StepLog,
     Surface,
     TrialConfig,
+    TrialSpec,
     _classify,
     build_trial_specs,
     capture_state,
@@ -40,6 +42,7 @@ from swingsim.sim_harness import (
     run_swing,
     summarize,
     summary_json,
+    toe_off_contact,
     trial_config_for,
     trial_seeds,
 )
@@ -408,6 +411,32 @@ def test_run_swing_samples_hip_once_per_tick(monkeypatch):
     again, _ = run_swing(cfg, StepLog())
     assert calls == []
     assert steplog_text(again) == steplog_text(log)
+
+
+def test_a_trial_resolves_its_hip_once(monkeypatch):
+    # toe_off_contact, capture_state and run_swing read one TrialConfig's
+    # resolved_human: a step-on validates its raised preset and its aim, a
+    # step-over its raised preset, and a second swing on the config nothing
+    built = []
+    real = HipTrajectoryParams.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(HipTrajectoryParams, "__post_init__", counting)
+    cc = CampaignConfig()
+    for intent, height, validations in ((GaitIntent.STEP_ON, 0.16, 2),
+                                        (GaitIntent.STEP_OVER, 0.08, 1)):
+        cfg = trial_config_for(cc, TrialSpec(0, intent, height, 0.6, 3))
+        built.clear()
+        assert toe_off_contact(cfg) is None
+        _, result = run_swing(cfg)
+        assert result.outcome in SUCCESSES
+        assert len(built) == validations
+        assert built[-1] is cfg.resolved_human
+        run_swing(cfg)
+        assert len(built) == validations
 
 
 def steplog_text(log):
