@@ -58,8 +58,7 @@ def _out_dir(args) -> str:
 
 def _write_json(path: str, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _write_run_info(out: str, argv) -> None:

@@ -15,10 +15,9 @@ from __future__ import annotations
 import json
 import struct
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from itertools import starmap
 from typing import Optional
 
 import numpy as np
@@ -133,24 +132,30 @@ _INT = np.frombuffer(b"".join([b"%4s" % (s + b"%d" % i) for s in (b"", b"-") for
 _FRAC = np.frombuffer(b"".join([b".%03d" % i for i in range(1000)] + [b" nan"]), np.uint32)
 _SEP = np.frombuffer(b"".join([b"%03d," % i for i in range(1000)] + [b"   ,"]
                               + [b"%03d\n" % i for i in range(1000)] + [b"   \n"]), np.uint32)
-_ROW = struct.Struct("=d15x?16d")  # 19 doubles; "?", the phase's truth, tops the 3rd: ~1e-303 or 0
+# a row's 17 numbers as 19 native doubles, as np.frombuffer reads them (native packing takes
+# ~0.2 us a row less than "="'s); the phase's columns 1-2 are zero bytes, its text kept apart
+_ROW = struct.Struct("d16x16d")
 
 
-def _format_rows(rows) -> bytes:
-    """"".join(ROW_FORMAT % row for row in rows).encode() in one numpy pass; ROW_FORMAT writes
-    rows with +-inf, a |v| that rounds to 1000, or a phase text over 23 bytes or with a space."""
-    v = np.frombuffer(b"".join(starmap(_ROW.pack, rows))).reshape(-1, 19)
+def _log_rows(v, phases) -> list:
+    """The LogRows of v, (n, 19) doubles in _ROW's layout, with their phases."""
+    return list(map(LogRow, v[:, 0].tolist(), phases, *v[:, 3:].T.tolist()))
+
+
+def _format_rows(v, phases) -> bytes:
+    """"".join(ROW_FORMAT % row for row in _log_rows(v, phases)).encode() in one numpy pass;
+    ROW_FORMAT writes rows with +-inf, a |v| that rounds to 1000, or a phase text over 23 bytes
+    or with a space."""
     nan, neg = np.isnan(v), np.signbit(v)
     a = np.fmin(np.fmax(np.abs(v), 0.0), 1000.0)  # NaN as 0
     x = a * 1e6  # off by < 2**-53 x < 2**-23, so N is "%.6f"'s unless x is within 2**-22 of a tie
     N = np.rint(x)
     near = np.abs(np.subtract(x, N, out=x), out=x) >= 0.5 - 2.0 ** -22
     N[near] = [float(("%.6f" % f).replace(".", "")) for f in a[near]]
-    index = {}  # phase -> code, in order of first appearance
-    codes = [index.setdefault(row[1], len(index)) for row in rows]
-    texts = [str(p).encode() + b"," for p in index]
+    code = {p: c for c, p in enumerate(dict.fromkeys(phases))}  # in order of first appearance
+    texts = [str(p).encode() + b"," for p in code]
     if not (N < 1e9).all() or any(len(t) > 24 or b" " in t for t in texts):
-        return "".join([ROW_FORMAT % row for row in rows]).encode()
+        return "".join([ROW_FORMAT % row for row in _log_rows(v, phases)]).encode()
     N = (N + np.multiply(neg, 1e9, out=x)).astype(np.intp)  # a minus sign: _INT's second half
     I, F = N // 1000000, N // 1000
     N -= F * 1000
@@ -160,21 +165,31 @@ def _format_rows(rows) -> bytes:
     out = np.empty((len(v), 19, 3), np.uint32)  # 3 words a value; the phase's 6 fill columns 1-2
     out[..., 0], out[..., 1], out[..., 2] = _INT[I], _FRAC[F], _SEP[N]
     phase = np.frombuffer(b"".join(t.rjust(24) for t in texts), np.uint32).reshape(-1, 2, 3)
-    out[:, 1:3] = phase[codes]
+    out[:, 1:3] = phase[list(map(code.__getitem__, phases))]
     return out.tobytes().translate(None, b" ")
 
 
-@dataclass
 class StepLog:
-    """One LogRow per tick of a swing."""
-    rows: list = field(default_factory=list)
+    """The ticks of a swing: each row's numbers packed in buf as _ROW, as
+    run_swing logs them, and its phase in phases. rows builds the LogRows on
+    each read; StepLog(rows) packs given ones."""
+
+    def __init__(self, rows=()):
+        rows = list(rows)
+        self.buf = bytearray(b"".join([_ROW.pack(row[0], *row[2:]) for row in rows]))
+        self.phases = [row[1] for row in rows]
+
+    @property
+    def rows(self) -> list:
+        return _log_rows(np.frombuffer(self.buf).reshape(-1, 19), self.phases)
 
     def write_csv(self, path) -> None:
+        v, phases = np.frombuffer(self.buf).reshape(-1, 19), self.phases
         with open(path, "wb") as fh:
             fh.write((",".join(LOG_COLUMNS) + "\n").encode())
             # 256 rows a pass keep its arrays in warm memory: a few page faults a log, not ~300
-            for i in range(0, len(self.rows), 256):
-                fh.write(_format_rows(self.rows[i:i + 256]))
+            for i in range(0, len(phases), 256):
+                fh.write(_format_rows(v[i:i + 256], phases[i:i + 256]))
 
 
 @dataclass
@@ -359,9 +374,10 @@ def trial_seeds(seed: int) -> tuple:
 def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     """Simulate one swing; returns (log, TrialResult).
 
-    Rows are written only on request: run_swing(cfg, StepLog()) appends one
-    LogRow per tick, and run_swing(cfg), as a campaign calls it, builds none
-    and returns (None, result). The log only observes; the result is the same.
+    Rows are written only on request: run_swing(cfg, StepLog()) packs one
+    row per tick into the log, and run_swing(cfg), as a campaign calls it,
+    logs none and returns (None, result). The log only observes; the result
+    is the same.
     """
     s_capture, s_kmeans, s_noise = trial_seeds(cfg.seed)
 
@@ -383,7 +399,10 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     contact: Optional[Contact] = None
 
     geom, scene, tau, knee_limit = cfg.geometry, cfg.scene, cfg.tracking_lag_tau, params.knee_limit
-    rows = None if log is None else log.rows
+    if log is not None:  # tick i packs row i - 1; the track's length bounds the ticks
+        buf, phases, pack_into, size = log.buf, log.phases, _ROW.pack_into, _ROW.size
+        at = len(buf)
+        buf += bytes(size * (len(track) - 1))
     # min/max below are the conditionals that return the builtins' operand
     # (see swing_planner)
     pts = forward_points(geom, hip, joint.theta_k)
@@ -391,11 +410,12 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     for i in range(1, len(track)):
         # pts is the foot at this tick's hip and knee, shared with the planner
         cmd = planner_step(geom, hip, joint, pts, target, state, params)
-        if rows is not None:
-            rows.append(LogRow(
-                t, state.phase._value_, hip.theta_h, hip.theta_h_dot, joint.theta_k,
-                cmd.knee_vel_cmd, joint.theta_k_dot, hip.x_h, hip.z_h, toe[0], toe[1],
-                heel[0], heel[1], target.z_m, target.x_c, cmd.slope, cmd.c_t, cmd.gamma_1))
+        if log is not None:
+            pack_into(buf, at, t, hip.theta_h, hip.theta_h_dot, joint.theta_k, cmd.knee_vel_cmd,
+                      joint.theta_k_dot, hip.x_h, hip.z_h, toe[0], toe[1], heel[0], heel[1],
+                      target.z_m, target.x_c, cmd.slope, cmd.c_t, cmd.gamma_1)
+            phases.append(state.phase._value_)
+            at += size
 
         # integrate the velocity command over [t, t + dt), updating joint in place
         theta_k, v_prev = joint.theta_k, joint.theta_k_dot
@@ -421,6 +441,8 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         if contact is not None:
             break
 
+    if log is not None:
+        del buf[at:]
     # a touch lands in the mirror sub-mode with the foot's low point below
     # the previous tick's; the first tick is never a landing
     landing = (state.phase is THREE_MIRROR and i > 1

@@ -124,6 +124,39 @@ MUTANTS = (
         ("tests/test_sim_harness.py::test_a_trial_resolves_its_hip_once",
          "tests/test_acceptance.py::test_campaign_resolves_each_trials_hip_once"),
         "Each trial's hip is resolved once"),
+    Mutant(
+        "step-log-packs-c-t-as-the-slope", "sim_harness.py",
+        "cmd.slope, cmd.c_t, cmd.gamma_1)",
+        "cmd.c_t, cmd.slope, cmd.gamma_1)",
+        ("tests/test_sim_harness.py::test_step_log_rows_hold_what_each_tick_saw_and_commanded",),
+        "The step log is packed into the bytes its CSV writer formats"),
+    Mutant(
+        "step-log-buffer-a-row-short", "sim_harness.py",
+        "buf += bytes(size * (len(track) - 1))",
+        "buf += bytes(size * (len(track) - 2))",
+        ("tests/test_human_model.py::test_a_timed_out_swing_reads_the_last_pose_of_its_track",),
+        "The step log is packed into the bytes its CSV writer formats"),
+    Mutant(
+        "step-log-rows-take-the-next-ticks-phase", "sim_harness.py",
+        "v[:, 0].tolist(), phases, *v",
+        "v[:, 0].tolist(), phases[1:], *v",
+        ("tests/test_sim_harness.py::test_step_log_rows_give_back_every_value_bit_for_bit",
+         "tests/test_sim_harness.py::test_step_log_rows_hold_what_each_tick_saw_and_commanded"),
+        "The step log is packed into the bytes its CSV writer formats"),
+    Mutant(
+        "mz-peak-rounds-z-h-to-2-decimals", "swing_planner.py",
+        "_peak_cached(geom, round(z_h, 3),",
+        "_peak_cached(geom, round(z_h, 2),",
+        ("tests/test_swing_planner.py::"
+         "test_mz_peak_reads_the_hip_height_to_the_millimetre_and_the_target_to_10_microns",),
+        "The step log is packed into the bytes its CSV writer formats"),
+    Mutant(
+        "phase-state-peak-key-without-its-geometry", "swing_planner.py",
+        "key = (geom, z_m, knee_limit, round(hip.z_h, 3))",
+        "key = (z_m, knee_limit, round(hip.z_h, 3))",
+        ("tests/test_swing_planner.py::"
+         "test_phase1_peak_memo_never_serves_another_target_geometry_or_knee_limit",),
+        "The step log is packed into the bytes its CSV writer formats"),
 )
 
 

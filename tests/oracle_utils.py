@@ -9,6 +9,8 @@ the boundary solver and checks only the closed-form maximization on top of
 it.
 """
 import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -344,22 +346,30 @@ def hip_pose_reference(params, t: float, seed=None) -> HipPose:
     )
 
 
+@lru_cache(maxsize=8)
+def _hip_samples(params, seed, dt) -> tuple:
+    """(t, z_h, theta_h) at every tick time a swing to the timeout horizon
+    reads, one tick past it too, for params without a progression stop: the
+    stop moves x_h alone, so the aimed step-ons of one preset share these."""
+    horizon = TIMEOUT_FACTOR * params.swing_duration
+    times = [0.0]
+    while times[-1] < horizon + dt / 2:   # run_swing's loop condition
+        times.append(times[-1] + dt)
+    times.append(times[-1] + dt)          # the last pose's rate reads one more
+    samples = tuple((t, _z_h(params, t), _theta_h(params, t)[0] + _noise(params, t, seed)[0])
+                    for t in times)
+    HipPose(x_h=0.0, z_h=samples[-1][1], theta_h=samples[-1][2])  # checked as the poses are
+    return samples
+
+
 def hip_at_reference(params, seed, dt):
     """Every pose a swing to the timeout horizon reads, built one tick at a
     time: a scalar sample per tick time, the rate replaced by the average
     over the coming tick."""
-    horizon = TIMEOUT_FACTOR * params.swing_duration
-    t = 0.0
-    now = hip_pose_reference(params, t, seed)
-    poses = []
-    while True:
-        nxt = hip_pose_reference(params, t + dt, seed)
-        poses.append(HipPose(x_h=now.x_h, z_h=now.z_h, theta_h=now.theta_h,
-                             theta_h_dot=(nxt.theta_h - now.theta_h) / dt))
-        if not t < horizon + dt / 2:   # run_swing's loop condition
-            return poses
-        t += dt
-        now = nxt
+    samples = _hip_samples(replace(params, progression_stop_fraction=1.0), seed, dt)
+    return [HipPose(x_h=_x_h(params, t), z_h=z_h, theta_h=theta_h,
+                    theta_h_dot=(after - theta_h) / dt)
+            for (t, z_h, theta_h), (_, _, after) in zip(samples, samples[1:])]
 
 
 # Reference contact test: contact_check as it was before its early return,

@@ -1,14 +1,24 @@
 """Property tests over the scenario tables: any scenario either parses and
 simulates to a classified outcome with a finite duration and peak flexion,
 or raises ConfigError naming the offending key; and no scenario that parses
-ends within two ticks."""
+ends within two ticks; and a campaign trial written out as a scenario
+replays to the campaign's result."""
+import json
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from swingsim.config import BOX, BOXES, SECTIONS, ConfigError, parse_scenario
+from swingsim.config import BOX, BOXES, SECTIONS, ConfigError, dump_scenario, parse_scenario
 from swingsim.human_model import GaitIntent
-from swingsim.sim_harness import Outcome, StepLog, run_swing
+from swingsim.sim_harness import (
+    CampaignConfig,
+    Outcome,
+    StepLog,
+    build_trial_specs,
+    run_swing,
+    trial_config_for,
+)
 
 
 def valid(f):
@@ -89,3 +99,20 @@ def test_accepted_scenario_does_not_end_within_two_ticks(data):
         return
     _, result = run_swing(cfg)
     assert result.swing_duration > 2.5 * cfg.planner.dt, result.outcome
+
+
+@pytest.mark.parametrize("seed", [2024, 7])
+def test_campaign_trials_replay_through_their_scenario_json(seed):
+    # every 14th trial, so each intent and each step-over height shows up:
+    # trial_config_for -> dump_scenario -> JSON text -> parse_scenario gives
+    # the campaign's TrialResult, though human, None in the campaign's
+    # config, comes back as the resolved preset it was written out as
+    cc = CampaignConfig(seed=seed)
+    specs = build_trial_specs(cc)[::14]
+    assert {s.intent for s in specs} == set(GaitIntent)
+    assert {s.height for s in specs if s.intent is GaitIntent.STEP_OVER} == set(cc.heights)
+    for spec in specs:
+        cfg = trial_config_for(cc, spec)
+        replayed = parse_scenario(json.loads(json.dumps(dump_scenario(cfg))))
+        assert replayed.human is not None and cfg.human is None
+        assert run_swing(replayed)[1] == run_swing(cfg)[1], spec

@@ -1,5 +1,6 @@
 import json
 import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -504,9 +505,61 @@ def test_campaign_builds_no_step_log(monkeypatch):
     cfg = trial_config_for(cc, res.specs[0])
     log, _ = run_swing(cfg)
     assert log is None and built[0] == 0
-    # rows asked for are built through the same name
+    # the log packs its ticks, and rows asked for are built through the same name
     log, _ = run_swing(cfg, StepLog())
-    assert built[0] == len(log.rows) > 0
+    assert built[0] == 0
+    rows = log.rows
+    assert built[0] == len(rows) > 0
+
+
+def test_step_log_rows_hold_what_each_tick_saw_and_commanded(monkeypatch):
+    # row i is tick i's time, phase after the planner, hip, knee before the
+    # integration, foot, target and command; a lagged step-over, so the
+    # knee's actual rate is not its command
+    seen = []
+    real = sim_harness.planner_step
+
+    def recording(geom, hip, joint, pts, target, state, params):
+        cmd = real(geom, hip, joint, pts, target, state, params)
+        seen.append((hip, joint.theta_k, joint.theta_k_dot, pts, target, cmd, state.phase.value))
+        return cmd
+
+    monkeypatch.setattr(sim_harness, "planner_step", recording)
+    cc = CampaignConfig(seed=2024)
+    spec = next(s for s in build_trial_specs(cc) if s.intent is GaitIntent.STEP_OVER)
+    cfg = replace(trial_config_for(cc, spec), tracking_lag_tau=0.02)
+    log, result = run_swing(cfg, StepLog())
+    assert result.outcome is Outcome.SUCCESS_STEP_OVER
+    t, expected = 0.0, []
+    for hip, theta_k, theta_k_dot, pts, target, cmd, phase in seen:
+        expected.append(LogRow(
+            t, phase, hip.theta_h, hip.theta_h_dot, theta_k, cmd.knee_vel_cmd, theta_k_dot,
+            hip.x_h, hip.z_h, *pts.toe, *pts.heel, target.z_m, target.x_c, cmd.slope, cmd.c_t,
+            cmd.gamma_1))
+        t += cfg.planner.dt
+    assert {row.phase for row in expected} >= {Phase.ONE.value, Phase.THREE_MIRROR.value}
+    # repr tells every float apart but NaN's payload, which == cannot compare
+    assert list(map(repr, log.rows)) == list(map(repr, expected))
+
+
+def test_step_log_rows_give_back_every_value_bit_for_bit():
+    # NaN of either sign and with a payload, -0.0, +-inf, subnormals, and
+    # numpy floats, each with its own row's phase
+    bits = struct.Struct("<d")
+    payload_nan = bits.unpack(bytes.fromhex("0100000000f8ff7f"))[0]
+    special = [math.nan, -math.nan, payload_nan, -0.0, 0.0, math.inf, -math.inf, 5e-324,
+               -5e-324, 2.2250738585072009e-308, np.float64(-1.5e-310), np.float64(0.1),
+               np.nextafter(1.0, 2.0), 1e300, -123.456, 7.0, np.float64(math.nan)]
+    rows = [LogRow(special[i % 17], phase, *(special[(i + j) % 17] for j in range(1, 17)))
+            for i, phase in enumerate([p.value for p in Phase] * 4)]
+    back = StepLog(rows).rows
+    assert [row.phase for row in back] == [row.phase for row in rows]
+    for row, got in zip(rows, back):
+        assert type(got) is LogRow
+        assert [bits.pack(v) for v in row[:1] + row[2:]] == [bits.pack(v) for v in got[:1] + got[2:]]
+    # a logged swing's rows read back the same way
+    log, _ = run_swing(TrialConfig(intent=GaitIntent.LEVEL, seed=4), StepLog())
+    assert list(map(repr, StepLog(log.rows).rows)) == list(map(repr, log.rows))
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.02])

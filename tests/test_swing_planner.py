@@ -130,6 +130,19 @@ def test_mz_peak_matches_exhaustive_scan():
         assert abs(tk_p - otk) <= 0.2 * DEG
 
 
+def test_mz_peak_reads_the_hip_height_to_the_millimetre_and_the_target_to_10_microns():
+    # the rounding is part of the model the digests rest on, not only a cache
+    # key: hip heights a few mm apart, in different 1 mm buckets, see
+    # different peaks, and each is the closed form's at the rounded inputs
+    peaks = set()
+    for z_h in (0.9031, 0.9049, 0.9071, 0.9114):
+        for z_m in (0.0502346, 0.0812344):
+            peak = _peak_closed_form(GEOM, round(z_h, 3), round(z_m, 5), LIMIT)[1]
+            assert mz_peak(GEOM, z_h, z_m, LIMIT) == peak
+            peaks.add(peak)
+    assert len(peaks) == 8
+
+
 def test_peak_closed_form_equals_scan_on_default_domain():
     # the grid + golden-section search the closed form replaced, at the
     # planner's own leg and limit over the campaign's hip heights and targets
