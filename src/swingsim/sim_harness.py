@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import struct
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -36,7 +36,7 @@ from .perception import (
     elevation_keypoints,
     extract_estimate,
 )
-from .swing_planner import THREE_MIRROR, PhaseState, PlannerParams, planner_step
+from .swing_planner import THREE_MIRROR, Phase, PhaseState, PlannerParams, planner_step
 from . import human_model
 from .human_model import GaitIntent, HipTrajectoryParams
 
@@ -132,30 +132,33 @@ _INT = np.frombuffer(b"".join([b"%4s" % (s + b"%d" % i) for s in (b"", b"-") for
 _FRAC = np.frombuffer(b"".join([b".%03d" % i for i in range(1000)] + [b" nan"]), np.uint32)
 _SEP = np.frombuffer(b"".join([b"%03d," % i for i in range(1000)] + [b"   ,"]
                               + [b"%03d\n" % i for i in range(1000)] + [b"   \n"]), np.uint32)
-# a row's 17 numbers as 19 native doubles, as np.frombuffer reads them (native packing takes
-# ~0.2 us a row less than "="'s); the phase's columns 1-2 are zero bytes, its text kept apart
-_ROW = struct.Struct("d16x16d")
+# a row as 19 native doubles, as np.frombuffer reads them (native packing takes ~0.2 us a row
+# less than "="'s): t, its phase's index in Phase, 8 zero bytes, then its 16 numbers
+_ROW = struct.Struct("dd8x16d")
+_PHASE_TEXT = tuple(p.value for p in Phase)
+_PHASE_INDEX = {text: i for i, text in enumerate(_PHASE_TEXT)}
+# each phase's text and ',' right-aligned in 6 words, the output's columns 1-2
+_PHASE_WORDS = np.frombuffer(b"".join([(text + ",").encode().rjust(24) for text in _PHASE_TEXT]),
+                             np.uint32).reshape(-1, 2, 3)
 
 
-def _log_rows(v, phases) -> list:
-    """The LogRows of v, (n, 19) doubles in _ROW's layout, with their phases."""
+def _log_rows(v) -> list:
+    """The LogRows of v, (n, 19) doubles in _ROW's layout."""
+    phases = map(_PHASE_TEXT.__getitem__, v[:, 1].astype(np.intp).tolist())
     return list(map(LogRow, v[:, 0].tolist(), phases, *v[:, 3:].T.tolist()))
 
 
-def _format_rows(v, phases) -> bytes:
-    """"".join(ROW_FORMAT % row for row in _log_rows(v, phases)).encode() in one numpy pass;
-    ROW_FORMAT writes rows with +-inf, a |v| that rounds to 1000, or a phase text over 23 bytes
-    or with a space."""
+def _format_rows(v) -> bytes:
+    """"".join(ROW_FORMAT % row for row in _log_rows(v)).encode() in one numpy pass;
+    ROW_FORMAT writes rows with +-inf or a |v| that rounds to 1000."""
     nan, neg = np.isnan(v), np.signbit(v)
     a = np.fmin(np.fmax(np.abs(v), 0.0), 1000.0)  # NaN as 0
     x = a * 1e6  # off by < 2**-53 x < 2**-23, so N is "%.6f"'s unless x is within 2**-22 of a tie
     N = np.rint(x)
     near = np.abs(np.subtract(x, N, out=x), out=x) >= 0.5 - 2.0 ** -22
     N[near] = [float(("%.6f" % f).replace(".", "")) for f in a[near]]
-    code = {p: c for c, p in enumerate(dict.fromkeys(phases))}  # in order of first appearance
-    texts = [str(p).encode() + b"," for p in code]
-    if not (N < 1e9).all() or any(len(t) > 24 or b" " in t for t in texts):
-        return "".join([ROW_FORMAT % row for row in _log_rows(v, phases)]).encode()
+    if not (N < 1e9).all():
+        return "".join([ROW_FORMAT % row for row in _log_rows(v)]).encode()
     N = (N + np.multiply(neg, 1e9, out=x)).astype(np.intp)  # a minus sign: _INT's second half
     I, F = N // 1000000, N // 1000
     N -= F * 1000
@@ -164,32 +167,30 @@ def _format_rows(v, phases) -> bytes:
     I[nan], F[nan], N[nan] = 2000, 1000, N[nan] + 1000
     out = np.empty((len(v), 19, 3), np.uint32)  # 3 words a value; the phase's 6 fill columns 1-2
     out[..., 0], out[..., 1], out[..., 2] = _INT[I], _FRAC[F], _SEP[N]
-    phase = np.frombuffer(b"".join(t.rjust(24) for t in texts), np.uint32).reshape(-1, 2, 3)
-    out[:, 1:3] = phase[list(map(code.__getitem__, phases))]
+    out[:, 1:3] = _PHASE_WORDS[v[:, 1].astype(np.intp)]
     return out.tobytes().translate(None, b" ")
 
 
 class StepLog:
-    """The ticks of a swing: each row's numbers packed in buf as _ROW, as
-    run_swing logs them, and its phase in phases. rows builds the LogRows on
-    each read; StepLog(rows) packs given ones."""
+    """The ticks of a swing, each packed in buf as one _ROW, as run_swing
+    logs them. rows builds the LogRows on each read; StepLog(rows) packs
+    given ones, whose phases must be Phase values."""
 
     def __init__(self, rows=()):
-        rows = list(rows)
-        self.buf = bytearray(b"".join([_ROW.pack(row[0], *row[2:]) for row in rows]))
-        self.phases = [row[1] for row in rows]
+        self.buf = bytearray(b"".join([_ROW.pack(row[0], _PHASE_INDEX[row[1]], *row[2:])
+                                       for row in rows]))
 
     @property
     def rows(self) -> list:
-        return _log_rows(np.frombuffer(self.buf).reshape(-1, 19), self.phases)
+        return _log_rows(np.frombuffer(self.buf).reshape(-1, 19))
 
     def write_csv(self, path) -> None:
-        v, phases = np.frombuffer(self.buf).reshape(-1, 19), self.phases
+        v = np.frombuffer(self.buf).reshape(-1, 19)
         with open(path, "wb") as fh:
             fh.write((",".join(LOG_COLUMNS) + "\n").encode())
             # 256 rows a pass keep its arrays in warm memory: a few page faults a log, not ~300
-            for i in range(0, len(phases), 256):
-                fh.write(_format_rows(v[i:i + 256], phases[i:i + 256]))
+            for i in range(0, len(v), 256):
+                fh.write(_format_rows(v[i:i + 256]))
 
 
 @dataclass
@@ -400,7 +401,7 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
 
     geom, scene, tau, knee_limit = cfg.geometry, cfg.scene, cfg.tracking_lag_tau, params.knee_limit
     if log is not None:  # tick i packs row i - 1; the track's length bounds the ticks
-        buf, phases, pack_into, size = log.buf, log.phases, _ROW.pack_into, _ROW.size
+        buf, index, pack_into, size = log.buf, _PHASE_INDEX, _ROW.pack_into, _ROW.size
         at = len(buf)
         buf += bytes(size * (len(track) - 1))
     # min/max below are the conditionals that return the builtins' operand
@@ -411,10 +412,10 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         # pts is the foot at this tick's hip and knee, shared with the planner
         cmd = planner_step(geom, hip, joint, pts, target, state, params)
         if log is not None:
-            pack_into(buf, at, t, hip.theta_h, hip.theta_h_dot, joint.theta_k, cmd.knee_vel_cmd,
-                      joint.theta_k_dot, hip.x_h, hip.z_h, toe[0], toe[1], heel[0], heel[1],
-                      target.z_m, target.x_c, cmd.slope, cmd.c_t, cmd.gamma_1)
-            phases.append(state.phase._value_)
+            pack_into(buf, at, t, index[state.phase._value_], hip.theta_h, hip.theta_h_dot,
+                      joint.theta_k, cmd.knee_vel_cmd, joint.theta_k_dot, hip.x_h, hip.z_h,
+                      toe[0], toe[1], heel[0], heel[1], target.z_m, target.x_c, cmd.slope,
+                      cmd.c_t, cmd.gamma_1)
             at += size
 
         # integrate the velocity command over [t, t + dt), updating joint in place
@@ -562,31 +563,25 @@ def _stats(values) -> dict:
 def summarize(cc: CampaignConfig, specs, results) -> dict:
     conditions = {}
     for spec, res in zip(specs, results):
-        key = _condition_key(spec)
-        conditions.setdefault(key, []).append((spec, res))
+        conditions.setdefault(_condition_key(spec), []).append(res)
 
     cond_summaries = {}
-    for key in sorted(conditions):
-        entries = conditions[key]
-        ok = [r for _, r in entries if r.outcome in SUCCESSES]
-        clear = [r.min_clearance for _, r in entries if r.min_clearance is not None]
-        outcome_counts = {}
-        for _, r in entries:
-            outcome_counts[r.outcome.value] = outcome_counts.get(r.outcome.value, 0) + 1
+    for key, rs in sorted(conditions.items()):
+        n_ok = sum(r.outcome in SUCCESSES for r in rs)
         cond_summaries[key] = {
-            "n": len(entries),
-            "n_success": len(ok),
-            "success_rate": round(len(ok) / len(entries), 6),
-            "outcomes": dict(sorted(outcome_counts.items())),
-            "swing_duration_s": _stats(r.swing_duration for _, r in entries),
-            "peak_knee_flexion_deg": _stats(r.peak_knee_flexion / DEG for _, r in entries),
-            "min_clearance_m": _stats(clear),
+            "n": len(rs),
+            "n_success": n_ok,
+            "success_rate": round(n_ok / len(rs), 6),
+            "outcomes": dict(sorted(Counter(r.outcome.value for r in rs).items())),
+            "swing_duration_s": _stats(r.swing_duration for r in rs),
+            "peak_knee_flexion_deg": _stats(r.peak_knee_flexion / DEG for r in rs),
+            "min_clearance_m": _stats(r.min_clearance for r in rs if r.min_clearance is not None),
         }
 
     from .config import dump_campaign  # config imports this module
 
     n = len(results)
-    n_ok = sum(1 for r in results if r.outcome in SUCCESSES)
+    n_ok = sum(r.outcome in SUCCESSES for r in results)
     return {
         "campaign": dump_campaign(cc),
         "conditions": cond_summaries,

@@ -4,13 +4,13 @@
     python3 tests/mutants.py NAME ...   # the named rows
 
 Run from the repository root. Each row plants one defect: an exact text
-replacement in one file under src/swingsim/, made in a copy of src/, tests/
-and pyproject.toml in a temporary directory. Only the row's own tests then
-run there, unplanted and then planted. A row prints "killed" when they
-pass unplanted and one fails planted, "survived" when all pass planted,
-and "stale" when its old text no longer occurs exactly once in its file or
-its tests do not pass unplanted. The exit status is 1 if any row survived
-or is stale.
+replacement in one file under src/swingsim/, made in a copy of src/, tests/,
+perfbench/ and pyproject.toml in a temporary directory. Only the row's own
+tests then run there, unplanted and then planted. A row prints "killed"
+when they pass unplanted and one fails planted, "survived" when all pass
+planted, and "stale" when its old text no longer occurs exactly once in its
+file or its tests do not pass unplanted. The exit status is 1 if any row
+survived or is stale.
 
 pytest does not collect this file (its name lacks the test_ prefix).
 test_mutants_table.py checks, cheaply, that every row still applies, so a
@@ -126,8 +126,8 @@ MUTANTS = (
         "Each trial's hip is resolved once"),
     Mutant(
         "step-log-packs-c-t-as-the-slope", "sim_harness.py",
-        "cmd.slope, cmd.c_t, cmd.gamma_1)",
-        "cmd.c_t, cmd.slope, cmd.gamma_1)",
+        "target.x_c, cmd.slope,\n                      cmd.c_t, cmd.gamma_1)",
+        "target.x_c, cmd.c_t,\n                      cmd.slope, cmd.gamma_1)",
         ("tests/test_sim_harness.py::test_step_log_rows_hold_what_each_tick_saw_and_commanded",),
         "The step log is packed into the bytes its CSV writer formats"),
     Mutant(
@@ -138,8 +138,8 @@ MUTANTS = (
         "The step log is packed into the bytes its CSV writer formats"),
     Mutant(
         "step-log-rows-take-the-next-ticks-phase", "sim_harness.py",
-        "v[:, 0].tolist(), phases, *v",
-        "v[:, 0].tolist(), phases[1:], *v",
+        "_PHASE_TEXT.__getitem__, v[:, 1]",
+        "_PHASE_TEXT.__getitem__, v[1:, 1]",
         ("tests/test_sim_harness.py::test_step_log_rows_give_back_every_value_bit_for_bit",
          "tests/test_sim_harness.py::test_step_log_rows_hold_what_each_tick_saw_and_commanded"),
         "The step log is packed into the bytes its CSV writer formats"),
@@ -157,6 +157,19 @@ MUTANTS = (
         ("tests/test_swing_planner.py::"
          "test_phase1_peak_memo_never_serves_another_target_geometry_or_knee_limit",),
         "The step log is packed into the bytes its CSV writer formats"),
+    Mutant(
+        "step-log-phase-index-off-by-one", "sim_harness.py",
+        "_PHASE_WORDS[v[:, 1].astype(np.intp)]",
+        "_PHASE_WORDS[v[:, 1].astype(np.intp) - 1]",
+        ("tests/test_acceptance.py::test_criterion_7_campaign_determinism",
+         "tests/test_sim_harness.py::test_write_csv_writes_row_format_text"),
+        "One packed record per step-log tick"),
+    Mutant(
+        "cli-drops-the-tracer-only-capture-state-import", "cli.py",
+        "    TrialConfig,\n    capture_state,\n",
+        "    TrialConfig,\n",
+        ("tests/test_perfbench_names.py::test_the_names_perfbench_binds_resolve",),
+        "One packed record per step-log tick"),
 )
 
 
@@ -176,7 +189,7 @@ def run(row: Mutant) -> str:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "perfbench"):
             shutil.copytree(os.path.join(ROOT, name), os.path.join(tmp, name),
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(os.path.join(ROOT, "pyproject.toml"), tmp)
