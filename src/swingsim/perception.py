@@ -73,6 +73,13 @@ class ObstacleScene:
         one place a box top is raised onto the ground."""
         return tuple((b.front_x, b.back_x, self.ground_height + b.height) for b in self.boxes)
 
+    @cached_property
+    def x_extent(self) -> tuple:
+        """(front x of the first box, back x of the last), (inf, inf) with no
+        box: sorted disjoint boxes lie wholly inside it."""
+        spans = self.spans
+        return (spans[0][0], spans[-1][1]) if spans else (math.inf, math.inf)
+
 
 @dataclass(frozen=True)
 class CameraModel:

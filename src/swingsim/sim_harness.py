@@ -304,7 +304,7 @@ def contact_check(pts: FootPoints, scene: ObstacleScene) -> tuple:
     g, spans = scene.ground_height, scene.spans
     knee, ankle, toe, heel = pts
     if heel[1] > g and toe[1] > g:
-        front, back = (spans[0][0], spans[-1][1]) if spans else (np.inf, np.inf)
+        front, back = scene.x_extent
         kx, ax, tx, hx = knee[0], ankle[0], toe[0], heel[0]
         if (kx < front and ax < front and tx < front and hx < front
                 or kx > back and ax > back and tx > back and hx > back):
@@ -407,11 +407,11 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     # min/max below are the conditionals that return the builtins' operand
     # (see swing_planner)
     pts = forward_points(geom, hip, joint.theta_k)
-    _, _, toe, heel = pts
     for i in range(1, len(track)):
         # pts is the foot at this tick's hip and knee, shared with the planner
         cmd = planner_step(geom, hip, joint, pts, target, state, params)
         if log is not None:
+            _, _, toe, heel = pts
             pack_into(buf, at, t, index[state.phase._value_], hip.theta_h, hip.theta_h_dot,
                       joint.theta_k, cmd.knee_vel_cmd, joint.theta_k_dot, hip.x_h, hip.z_h,
                       toe[0], toe[1], heel[0], heel[1], target.z_m, target.x_c, cmd.slope,
@@ -434,7 +434,6 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         t += dt
         hip = track[i]
         prev, pts = pts, forward_points(geom, hip, theta_k_new)
-        _, _, toe, heel = pts
         peak_flex = theta_k_new if theta_k_new > peak_flex else peak_flex
         contact, clear = contact_check(pts, scene)
         if clear is not None and (min_clear is None or clear < min_clear):
@@ -447,7 +446,7 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     # a touch lands in the mirror sub-mode with the foot's low point below
     # the previous tick's; the first tick is never a landing
     landing = (state.phase is THREE_MIRROR and i > 1
-               and min(toe[1], heel[1]) < min(prev.toe[1], prev.heel[1]))
+               and min(pts.toe[1], pts.heel[1]) < min(prev.toe[1], prev.heel[1]))
     outcome, landing_x, surface = _classify(contact, landing, cfg)
     return log, TrialResult(
         outcome=outcome, swing_duration=t, peak_knee_flexion=peak_flex, min_clearance=min_clear,

@@ -90,7 +90,16 @@ class PlannerParams:
 @dataclass
 class PhaseState:
     """The planner's memory between ticks. peak_k, out of == and repr with
-    peak_key, is mz_peak at peak_key's (geometry, z_m, knee_limit, round(z_h, 3))."""
+    peak_key, is mz_peak at peak_key's (geometry, z_m, knee_limit, round(z_h, 3)).
+
+    The bucket rule: phase one reuses peak_k without rounding z_h while
+    peak_key holds this geometry (by identity), z_m and knee_limit and
+    |z_h - peak_key[3]| < 0.0005 - 1e-12. That implies round(z_h, 3) ==
+    peak_key[3]: the subtraction is exact (Sterbenz), round is correctly
+    rounded, and the margin keeps out the midpoints that round half to even
+    into the next bucket (0.8125 lies 0.0005 - 5.5e-17 from the double 0.813
+    and rounds to 0.812). Any other hip height takes the rounded key, as a
+    fresh state does."""
     phase: Phase = Phase.ONE
     ticks_in_phase: int = 0                 # n in the blending law; resets on 1->2->3
     theta_k_ddot_ini: float = 0.0           # rad/s^2 at entry of the current major phase
@@ -198,6 +207,9 @@ def mz_peak(geom: LegGeometry, z_h: float, z_m: float, knee_limit: float) -> flo
     cache serves every swing of a process; within a swing PhaseState keeps
     the last answer, which leaves 5,369 of the seed-2024 campaign's 62,230
     phase-one lookups (a per-swing dict of buckets would leave as many).
+    Phase one calls round only when the hip height leaves PhaseState's
+    bucket (its bucket rule), on 5,424 of those 62,230 ticks; a round costs
+    ~0.6 us of a ~3 us phase-one tick.
     """
     out = _peak_cached(geom, round(z_h, 3), round(z_m, 5), knee_limit)
     return knee_limit if out is None else out[1]
@@ -256,14 +268,18 @@ def phase1_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
     dh = -hip.theta_h if dh is None else dh
     dh = MIN_DTHETA_H if MIN_DTHETA_H > dh else dh
 
-    key = (geom, z_m, knee_limit, round(hip.z_h, 3))
-    if state.peak_key != key:
-        state.peak_key, state.peak_k = key, mz_peak(geom, hip.z_h, z_m, knee_limit)
-    peak_k = state.peak_k
-    slope = (peak_k - theta_k) / dh  # k_min
-    if bound is not None:
-        k1 = (bound - theta_k) / dh
-        slope = slope if slope > k1 else k1
+    z_h, key = hip.z_h, state.peak_key
+    # inside the stored 1 mm bucket by more than the margin, round(z_h, 3) is
+    # key[3] (see PhaseState), so round runs only near or past its edge
+    if not (key is not None and key[0] is geom and key[1] == z_m and key[2] == knee_limit
+            and abs(z_h - key[3]) < 0.0005 - 1e-12):
+        key = (geom, z_m, knee_limit, round(z_h, 3))
+        if state.peak_key != key:
+            state.peak_key, state.peak_k = key, mz_peak(geom, z_h, z_m, knee_limit)
+    # max(k_min, k1) as one division: (x - theta_k) / dh, dh > 0, is monotone in x
+    top = state.peak_k
+    top = bound if bound is not None and bound > top else top
+    slope = (top - theta_k) / dh
     return slope * hip.theta_h_dot, slope
 
 
@@ -392,10 +408,11 @@ def planner_step(geom: LegGeometry, hip: HipPose, joint: JointState, pts: FootPo
     unlock the shank lean the mirror mode exists to hold.
     """
     phase = state.phase
-    if (phase is ONE or phase is TWO) and pts.heel[0] > hip.x_h:
+    # pts[3] is the heel and pts[2] the toe: an index skips the field's descriptor
+    if (phase is ONE or phase is TWO) and pts[3][0] > hip.x_h:
         _enter_major_phase(state, THREE_TANGENT, joint, hip)
         phase = THREE_TANGENT
-    elif phase is ONE and pts.toe[1] >= target.z_m:
+    elif phase is ONE and pts[2][1] >= target.z_m:
         _enter_major_phase(state, TWO, joint, hip)
         phase = TWO
 

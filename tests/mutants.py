@@ -96,6 +96,12 @@ MUTANTS = (
         ("tests/test_sim_harness.py::test_a_descending_touch_before_the_mirror_sub_mode_is_no_landing",),
         "How a swing ends is decided in one place"),
     Mutant(
+        "landing-outside-the-mirror-sub-mode-against-the-reference-swing", "sim_harness.py",
+        "    landing = (state.phase is THREE_MIRROR and i > 1\n",
+        "    landing = (i > 1\n",
+        ("tests/test_acceptance.py::test_reference_swing_on_drawn_scenarios",),
+        "What a swing already fixes leaves the 1 kHz tick (ROADMAP item 12's reference swing)"),
+    Mutant(
         "flexion-peak-drops-the-overshoot", "human_model.py",
         "    return a0 + max(v0, 0.0) ** 2 / (2.0 * params.extension_decay)\n",
         "    return a0\n",
@@ -152,8 +158,8 @@ MUTANTS = (
         "The step log is packed into the bytes its CSV writer formats"),
     Mutant(
         "phase-state-peak-key-without-its-geometry", "swing_planner.py",
-        "key = (geom, z_m, knee_limit, round(hip.z_h, 3))",
-        "key = (z_m, knee_limit, round(hip.z_h, 3))",
+        "key = (geom, z_m, knee_limit, round(z_h, 3))",
+        "key = (z_m, knee_limit, round(z_h, 3))",
         ("tests/test_swing_planner.py::"
          "test_phase1_peak_memo_never_serves_another_target_geometry_or_knee_limit",),
         "The step log is packed into the bytes its CSV writer formats"),
@@ -170,6 +176,54 @@ MUTANTS = (
         "    TrialConfig,\n",
         ("tests/test_perfbench_names.py::test_the_names_perfbench_binds_resolve",),
         "One packed record per step-log tick"),
+    Mutant(
+        "phase-one-bucket-without-its-margin", "swing_planner.py",
+        "abs(z_h - key[3]) < 0.0005 - 1e-12",
+        "abs(z_h - key[3]) < 0.0005",
+        ("tests/test_swing_planner.py::"
+         "test_phase1_peak_memo_keeps_a_hip_height_in_its_bucket_only_inside_the_margin",),
+        "What a swing already fixes leaves the 1 kHz tick"),
+    Mutant(
+        "phase-one-bucket-widened-to-0.6-mm", "swing_planner.py",
+        "abs(z_h - key[3]) < 0.0005 - 1e-12",
+        "abs(z_h - key[3]) < 0.0006",
+        ("tests/test_swing_planner.py::"
+         "test_phase1_peak_memo_keeps_a_hip_height_in_its_bucket_only_inside_the_margin",),
+        "What a swing already fixes leaves the 1 kHz tick"),
+    Mutant(
+        "phase-one-bucket-without-its-geometry", "swing_planner.py",
+        "key[0] is geom and key[1] == z_m",
+        "key[1] == z_m",
+        ("tests/test_swing_planner.py::"
+         "test_phase1_peak_memo_never_serves_another_target_geometry_or_knee_limit",),
+        "What a swing already fixes leaves the 1 kHz tick"),
+    Mutant(
+        "scene-x-extent-from-the-first-box-only", "perception.py",
+        "(spans[0][0], spans[-1][1]) if spans",
+        "(spans[0][0], spans[0][1]) if spans",
+        ("tests/test_sim_harness.py::test_contact_check_equals_the_full_scan_on_drawn_legs",),
+        "What a swing already fixes leaves the 1 kHz tick"),
+    Mutant(
+        "hip-track-cache-key-without-the-seed", "human_model.py",
+        "@lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)\n"
+        "def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tuple:\n",
+        "def hip_track(params, seed, dt, _memo={}):\n"
+        "    if (params, dt) not in _memo:\n"
+        "        _memo[params, dt] = _hip_track(params, seed, dt)\n"
+        "    return _memo[params, dt]\n\n\n"
+        "def _hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tuple:\n",
+        ("tests/test_acceptance.py::test_reference_swing_on_a_lagged_swing_and_noisy_hips",),
+        "What a swing already fixes leaves the 1 kHz tick (ROADMAP item 12's reference swing)"),
+    Mutant(
+        "peak-cache-key-without-the-geometry", "swing_planner.py",
+        "_peak_cached = lru_cache(maxsize=8192)(_peak_closed_form)\n",
+        "_peaks = {}\n\n\n"
+        "def _peak_cached(geom, z_h, z_m, knee_limit):\n"
+        "    if (z_h, z_m, knee_limit) not in _peaks:\n"
+        "        _peaks[z_h, z_m, knee_limit] = _peak_closed_form(geom, z_h, z_m, knee_limit)\n"
+        "    return _peaks[z_h, z_m, knee_limit]\n",
+        ("tests/test_acceptance.py::test_reference_swing_on_two_legs_over_one_box",),
+        "What a swing already fixes leaves the 1 kHz tick (ROADMAP item 12's reference swing)"),
 )
 
 

@@ -3,10 +3,10 @@
 These deliberately avoid the solver code paths they check: dense grid scans
 over the forward kinematics, exhaustive partition enumeration, a reference
 k-means kept in its original per-cluster-loop form, the hip profiles in
-their original scalar, one-tick-at-a-time form, and the contact test's full
-scan with no early return. The old peak search is the exception: it reuses
-the boundary solver and checks only the closed-form maximization on top of
-it.
+their original scalar, one-tick-at-a-time form, the contact test's full
+scan with no early return, and a whole swing's tick loop in its plain form.
+The old peak search is the exception: it reuses the boundary solver and
+checks only the closed-form maximization on top of it.
 """
 import math
 from dataclasses import replace
@@ -15,10 +15,31 @@ from functools import lru_cache
 import numpy as np
 
 from swingsim.human_model import PROGRESSION_RAMP_S, THETA_H_LIMIT, TIMEOUT_FACTOR
-from swingsim.leg_kinematics import DEG, HipPose, LegGeometry
-from swingsim.perception import _dedupe
-from swingsim.sim_harness import Contact, Surface, _segment_lowest_over_span
-from swingsim.swing_planner import mz_boundary_knee
+from swingsim.leg_kinematics import DEG, HipPose, JointState, LegGeometry, forward_points
+from swingsim.perception import ControlTarget, _dedupe
+from swingsim.sim_harness import (
+    TOE_OFF_THETA_K,
+    Contact,
+    LogRow,
+    Surface,
+    TrialResult,
+    _classify,
+    _segment_lowest_over_span,
+    perceive,
+    trial_seeds,
+)
+from swingsim.swing_planner import (
+    MIN_DTHETA_H,
+    Phase,
+    PhaseState,
+    _enter_major_phase,
+    _peak_closed_form,
+    blend_command,
+    mx_exit_distance,
+    mz_boundary_knee,
+    phase2_velocity,
+    phase3_velocity,
+)
 
 GEOM = LegGeometry()
 LIMIT = 85.0 * DEG
@@ -407,3 +428,89 @@ def contact_check_reference(pts, scene) -> tuple:
                                 for front_x, back_x, _ in scene.spans):
             contact = Contact(Surface.GROUND, low_x, low)
     return contact, clear
+
+
+# Reference swing: run_swing's tick loop with every speed construct taken out.
+# The hip is sampled one tick at a time (hip_at_reference) where the swing
+# reads a cached, vectorized hip_track; phase one takes the closed-form peak
+# at the rounded hip height and target on every tick, with no memo in the
+# state and no cache; phase one takes the larger of its two slopes, each
+# divided out; the foot points are read by name; contact is the full scan.
+# The rounding is part of the model, not of the cache. Perception is the
+# production perceive: k-means has its own equivalence tests.
+
+def perceived_target(cfg) -> ControlTarget:
+    """The target run_swing steers cfg's swing to: perceive's, x_c made world x."""
+    s_capture, s_kmeans, _ = trial_seeds(cfg.seed)
+    rel, _, _, toe = perceive(cfg, s_capture, s_kmeans)
+    return ControlTarget(z_m=rel.z_m, x_c=toe[0] + rel.x_c)
+
+
+def planner_step_reference(geom, hip, joint, pts, target, state, params) -> tuple:
+    """(command, slope, c_t, gamma_1) of one planner tick, as planner_step
+    gives them, with phase one's peak taken afresh on every tick."""
+    if state.phase in (Phase.ONE, Phase.TWO) and pts.heel[0] > hip.x_h:
+        _enter_major_phase(state, Phase.THREE_TANGENT, joint, hip)
+    elif state.phase is Phase.ONE and pts.toe[1] >= target.z_m:
+        _enter_major_phase(state, Phase.TWO, joint, hip)
+    c_t = math.nan
+    if state.phase is Phase.ONE:
+        limit = params.knee_limit
+        bound = mz_boundary_knee(geom, hip.z_h, target.z_m, hip.theta_h, limit)
+        dh = mx_exit_distance(geom, hip, joint.theta_k, target.x_c)
+        dh = max(-hip.theta_h if dh is None else dh, MIN_DTHETA_H)
+        peak = _peak_closed_form(geom, round(hip.z_h, 3), round(target.z_m, 5), limit)
+        slope = ((limit if peak is None else peak[1]) - joint.theta_k) / dh
+        if bound is not None:
+            slope = max(slope, (bound - joint.theta_k) / dh)
+        raw = slope * hip.theta_h_dot
+    elif state.phase is Phase.TWO:
+        raw, slope = phase2_velocity(geom, hip, target, state, params)
+    else:
+        state.hip_vel_running_max = max(state.hip_vel_running_max, hip.theta_h_dot)
+        raw, slope, c_t = phase3_velocity(geom, hip, joint, target, state, params)
+    cmd, gamma_1 = blend_command(raw, joint.theta_k_dot, state, params)
+    state.ticks_in_phase += 1
+    return cmd, slope, c_t, gamma_1
+
+
+def run_swing_reference(cfg, target: ControlTarget) -> tuple:
+    """(TrialResult, every tick's LogRow) of cfg's swing toward target, an
+    absolute one such as perceived_target(cfg) gives."""
+    human, params, geom = cfg.resolved_human, cfg.planner, cfg.geometry
+    dt, tau = params.dt, cfg.tracking_lag_tau
+    noise_seed = trial_seeds(cfg.seed)[2] if human.noise_sigma > 0.0 else None
+    track = hip_at_reference(human, noise_seed, dt)
+    joint = JointState(theta_k=TOE_OFF_THETA_K, theta_k_dot=0.0, theta_k_ddot=0.0)
+    state = PhaseState()
+    t, hip, peak_flex = 0.0, track[0], joint.theta_k
+    min_clear = contact = None
+    pts = forward_points(geom, hip, joint.theta_k)
+    rows = []
+    for i in range(1, len(track)):
+        cmd, slope, c_t, gamma_1 = planner_step_reference(geom, hip, joint, pts, target,
+                                                          state, params)
+        rows.append(LogRow(t, state.phase.value, hip.theta_h, hip.theta_h_dot, joint.theta_k,
+                           cmd, joint.theta_k_dot, hip.x_h, hip.z_h, *pts.toe, *pts.heel,
+                           target.z_m, target.x_c, slope, c_t, gamma_1))
+        v_prev = joint.theta_k_dot
+        v_new = v_prev + (dt / tau) * (cmd - v_prev) if tau > 0.0 else cmd
+        theta_k = min(max(joint.theta_k + v_new * dt, 0.0), params.knee_limit)
+        v_actual = (theta_k - joint.theta_k) / dt
+        joint = JointState(theta_k=theta_k, theta_k_dot=v_actual,
+                           theta_k_ddot=(v_actual - v_prev) / dt)
+        t += dt
+        hip = track[i]
+        prev, pts = pts, forward_points(geom, hip, theta_k)
+        peak_flex = max(peak_flex, theta_k)
+        contact, clear = contact_check_reference(pts, cfg.scene)
+        if clear is not None and (min_clear is None or clear < min_clear):
+            min_clear = clear
+        if contact is not None:
+            break
+    landing = (state.phase is Phase.THREE_MIRROR and i > 1
+               and min(pts.toe[1], pts.heel[1]) < min(prev.toe[1], prev.heel[1]))
+    outcome, landing_x, surface = _classify(contact, landing, cfg)
+    return TrialResult(outcome=outcome, swing_duration=t, peak_knee_flexion=peak_flex,
+                       min_clearance=min_clear, landing_x=landing_x,
+                       landing_surface=surface, target=target), rows

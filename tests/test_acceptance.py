@@ -15,10 +15,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from oracle_utils import GEOM, LIMIT, brute_force_kmeans_sse, grid_boundary, kmeans_sse
+from oracle_utils import (
+    GEOM,
+    LIMIT,
+    brute_force_kmeans_sse,
+    grid_boundary,
+    kmeans_sse,
+    perceived_target,
+    run_swing_reference,
+)
+from test_config import SCENARIOS
 
-from swingsim.leg_kinematics import DEG, HipPose
+from swingsim.config import ConfigError, parse_scenario
+from swingsim.leg_kinematics import DEG, HipPose, LegGeometry
 from swingsim.perception import Box, ObstacleScene, kmeans_prune
 from swingsim import human_model, sim_harness
 from swingsim.human_model import GaitIntent, HipTrajectoryParams
@@ -179,6 +190,83 @@ def test_criterion_2_failure_mode_beyond_lookahead():
     print(f"[criterion 2] PASS: d=1.05 m -> {far.outcome.value} at "
           f"t={far.swing_duration:.3f} s (level-ground estimate z_m={far.target.z_m:.3f}); "
           f"d=0.55 m -> {near.outcome.value}")
+
+
+# ---------------------------------------------------------------------------
+# one reference swing for the whole tick loop: run_swing, which reads a cached
+# hip track, keeps phase one's peak in its state and a process-wide cache,
+# and returns early from the contact scan, against run_swing_reference, which
+# does none of these (McKeeman, "Differential Testing for Software", 1998)
+
+
+def assert_swing_is_the_reference(cfg, result=None, log=None):
+    """run_swing(cfg), logged and not, gives the reference swing's TrialResult
+    and rows; a given result and log stand for the logged run."""
+    if log is None:
+        log, result = run_swing(cfg, StepLog())
+    ref, rows = run_swing_reference(cfg, perceived_target(cfg))
+    assert result == ref
+    assert run_swing(cfg)[1] == ref
+    # repr is == that takes NaN as equal to NaN and tells -0.0 from 0.0
+    assert repr(log.rows) == repr(rows)
+    return ref
+
+
+def test_reference_swing_on_every_7th_campaign_trial(campaign):
+    cc, res = campaign
+    picked = range(0, len(res.specs), 7)
+    for i in picked:
+        cfg = trial_config_for(cc, res.specs[i])
+        assert_swing_is_the_reference(cfg, res.results[i], res.logs[i])
+    conditions = {(res.specs[i].intent, res.specs[i].height) for i in picked}
+    assert conditions == {(s.intent, s.height) for s in res.specs}  # every condition
+    print(f"[reference swing] PASS: {len(picked)} campaign trials tick for tick")
+
+
+def test_reference_swing_on_the_beyond_lookahead_trip():
+    base = TrialConfig(intent=GaitIntent.STEP_OVER, seed=2)
+    toe_x = capture_state(base)[1].toe[0]
+    box = Box(front_x=toe_x + 1.05, height=0.16, depth=0.15, width=0.40)
+    ref = assert_swing_is_the_reference(replace(base, scene=ObstacleScene(boxes=(box,))))
+    assert ref.outcome is Outcome.TRIP
+
+
+def test_reference_swing_on_a_lagged_swing_and_noisy_hips():
+    # two seeds on one noisy preset: the hips differ only in their noise
+    base = TrialConfig(intent=GaitIntent.STEP_OVER, seed=5)
+    toe_x = capture_state(base)[1].toe[0]
+    scene = ObstacleScene(boxes=(Box(front_x=toe_x + 0.45, height=0.08),))
+    assert_swing_is_the_reference(replace(base, scene=scene, tracking_lag_tau=0.02))
+    noisy = replace(human_model.preset(GaitIntent.STEP_OVER), noise_sigma=2.0 * DEG)
+    hips = set()
+    for seed in (5, 6):
+        cfg = replace(base, scene=scene, human=noisy, seed=seed)
+        assert_swing_is_the_reference(cfg)
+        hips.add(human_model.hip_track(noisy, trial_seeds(seed)[2], cfg.planner.dt)[300])
+    assert len(hips) == 2
+
+
+def test_reference_swing_on_two_legs_over_one_box():
+    # the thigh carries the camera, so a shorter shank sees the same box and
+    # reads the same target height over the same hip: each tick of phase one
+    # asks for the peak at the other leg's rounded hip height and target
+    base = TrialConfig(intent=GaitIntent.STEP_OVER, seed=11)
+    toe_x = capture_state(base)[1].toe[0]
+    scene = ObstacleScene(boxes=(Box(front_x=toe_x + 0.4, height=0.08),))
+    refs = [assert_swing_is_the_reference(replace(base, scene=scene, geometry=geom))
+            for geom in (GEOM, LegGeometry(shank_m=0.41))]
+    assert refs[0].target.z_m == refs[1].target.z_m
+    assert refs[0].peak_knee_flexion != refs[1].peak_knee_flexion
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(SCENARIOS)
+def test_reference_swing_on_drawn_scenarios(data):
+    try:
+        cfg = parse_scenario(data)
+    except ConfigError:
+        return
+    assert_swing_is_the_reference(cfg)
 
 
 def test_criterion_3_peak_flexion_contrast(campaign):

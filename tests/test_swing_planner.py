@@ -407,6 +407,34 @@ def test_phase1_peak_memo_never_serves_another_target_geometry_or_knee_limit():
     assert len(seen) == 4  # the peak moves with each of z_m, the leg and the limit
 
 
+def test_phase1_peak_memo_keeps_a_hip_height_in_its_bucket_only_inside_the_margin():
+    # one PhaseState, its key stored anew before each probe, probed at each
+    # 0.5 mm midpoint around the key and one ulp either side gives the peak
+    # key, peak and command of a fresh state. The doubles 0.8125 and 0.9375
+    # lie less than 0.0005 from the doubles 0.813 and 0.937 but round half to
+    # even into the next bucket: the margin alone keeps them out.
+    params, state = PlannerParams(), PhaseState()
+    joint, target = JointState(theta_k=0.0), far_target(0.17)
+
+    def hip(z_h):
+        return HipPose(x_h=0.0, z_h=z_h, theta_h=-10 * DEG, theta_h_dot=1.0)
+
+    moved = kept = 0
+    for key_z in (0.813, 0.9, 0.937):
+        for mid in (key_z - 0.0005, key_z + 0.0005):
+            for z_h in (math.nextafter(mid, -math.inf), mid, math.nextafter(mid, math.inf)):
+                phase1_velocity(GEOM, hip(key_z), joint, target, state, params)
+                assert state.peak_key[3] == key_z
+                fresh = PhaseState()
+                command = phase1_velocity(GEOM, hip(z_h), joint, target, fresh, params)
+                assert phase1_velocity(GEOM, hip(z_h), joint, target, state, params) == command
+                assert (state.peak_key, state.peak_k) == (fresh.peak_key, fresh.peak_k)
+                moved += round(z_h, 3) != key_z
+                kept += round(z_h, 3) == key_z
+    assert (moved, kept) == (8, 10)
+    assert {0.8125, 0.9375} <= {key_z + d for key_z in (0.813, 0.937) for d in (-0.0005, 0.0005)}
+
+
 def test_tangent_slope_matches_grid_secant_1000_states():
     # acceptance 6(b): the planner's FD tangent of the closed-form boundary vs
     # the interpolated dense-grid secant over the same +/-0.25 deg step,
