@@ -293,7 +293,8 @@ def load_json(path: str):
             return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except (OSError, ValueError) as exc:  # also a repeated key, bad UTF-8, a 4,300-digit int
+    # also a repeated key, bad UTF-8, a 4,300-digit int, a value nested ~1,000 deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 

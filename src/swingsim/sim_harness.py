@@ -143,7 +143,7 @@ _PHASE_WORDS = np.frombuffer(b"".join([(text + ",").encode().rjust(24) for text 
 
 
 def _log_rows(v) -> list:
-    """The LogRows of v, (n, 19) doubles in _ROW's layout."""
+    """The LogRows of v, n rows of doubles in _ROW's layout."""
     phases = map(_PHASE_TEXT.__getitem__, v[:, 1].astype(np.intp).tolist())
     return list(map(LogRow, v[:, 0].tolist(), phases, *v[:, 3:].T.tolist()))
 
@@ -165,15 +165,15 @@ def _format_rows(v) -> bytes:
     F -= I * 1000
     N[:, -1] += 1001  # a row ends in '\n'
     I[nan], F[nan], N[nan] = 2000, 1000, N[nan] + 1000
-    out = np.empty((len(v), 19, 3), np.uint32)  # 3 words a value; the phase's 6 fill columns 1-2
+    out = np.empty((*v.shape, 3), np.uint32)  # 3 words a value; the phase's 6 fill columns 1-2
     out[..., 0], out[..., 1], out[..., 2] = _INT[I], _FRAC[F], _SEP[N]
     out[:, 1:3] = _PHASE_WORDS[v[:, 1].astype(np.intp)]
     return out.tobytes().translate(None, b" ")
 
 
 class StepLog:
-    """The ticks of a swing, each packed in buf as one _ROW, as run_swing
-    logs them. rows builds the LogRows on each read; StepLog(rows) packs
+    """The ticks of a swing, each appended to buf as one _ROW as run_swing
+    logs it. rows builds the LogRows on each read; StepLog(rows) packs
     given ones, whose phases must be Phase values."""
 
     def __init__(self, rows=()):
@@ -182,10 +182,10 @@ class StepLog:
 
     @property
     def rows(self) -> list:
-        return _log_rows(np.frombuffer(self.buf).reshape(-1, 19))
+        return _log_rows(np.frombuffer(self.buf).reshape(-1, _ROW.size // 8))
 
     def write_csv(self, path) -> None:
-        v = np.frombuffer(self.buf).reshape(-1, 19)
+        v = np.frombuffer(self.buf).reshape(-1, _ROW.size // 8)
         with open(path, "wb") as fh:
             fh.write((",".join(LOG_COLUMNS) + "\n").encode())
             # 256 rows a pass keep its arrays in warm memory: a few page faults a log, not ~300
@@ -375,8 +375,8 @@ def trial_seeds(seed: int) -> tuple:
 def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     """Simulate one swing; returns (log, TrialResult).
 
-    Rows are written only on request: run_swing(cfg, StepLog()) packs one
-    row per tick into the log, and run_swing(cfg), as a campaign calls it,
+    Rows are written only on request: run_swing(cfg, StepLog()) appends one
+    row per tick to the log, and run_swing(cfg), as a campaign calls it,
     logs none and returns (None, result). The log only observes; the result
     is the same.
     """
@@ -400,10 +400,8 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     contact: Optional[Contact] = None
 
     geom, scene, tau, knee_limit = cfg.geometry, cfg.scene, cfg.tracking_lag_tau, params.knee_limit
-    if log is not None:  # tick i packs row i - 1; the track's length bounds the ticks
-        buf, index, pack_into, size = log.buf, _PHASE_INDEX, _ROW.pack_into, _ROW.size
-        at = len(buf)
-        buf += bytes(size * (len(track) - 1))
+    if log is not None:  # each tick appends its row, as the planner saw and commanded it
+        buf, index, pack = log.buf, _PHASE_INDEX, _ROW.pack
     # min/max below are the conditionals that return the builtins' operand
     # (see swing_planner)
     pts = forward_points(geom, hip, joint.theta_k)
@@ -412,11 +410,10 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         cmd = planner_step(geom, hip, joint, pts, target, state, params)
         if log is not None:
             _, _, toe, heel = pts
-            pack_into(buf, at, t, index[state.phase._value_], hip.theta_h, hip.theta_h_dot,
-                      joint.theta_k, cmd.knee_vel_cmd, joint.theta_k_dot, hip.x_h, hip.z_h,
-                      toe[0], toe[1], heel[0], heel[1], target.z_m, target.x_c, cmd.slope,
-                      cmd.c_t, cmd.gamma_1)
-            at += size
+            buf += pack(t, index[state.phase._value_], hip.theta_h, hip.theta_h_dot,
+                        joint.theta_k, cmd.knee_vel_cmd, joint.theta_k_dot, hip.x_h, hip.z_h,
+                        toe[0], toe[1], heel[0], heel[1], target.z_m, target.x_c, cmd.slope,
+                        cmd.c_t, cmd.gamma_1)
 
         # integrate the velocity command over [t, t + dt), updating joint in place
         theta_k, v_prev = joint.theta_k, joint.theta_k_dot
@@ -441,8 +438,6 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         if contact is not None:
             break
 
-    if log is not None:
-        del buf[at:]
     # a touch lands in the mirror sub-mode with the foot's low point below
     # the previous tick's; the first tick is never a landing
     landing = (state.phase is THREE_MIRROR and i > 1

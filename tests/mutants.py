@@ -132,16 +132,16 @@ MUTANTS = (
         "Each trial's hip is resolved once"),
     Mutant(
         "step-log-packs-c-t-as-the-slope", "sim_harness.py",
-        "target.x_c, cmd.slope,\n                      cmd.c_t, cmd.gamma_1)",
-        "target.x_c, cmd.c_t,\n                      cmd.slope, cmd.gamma_1)",
+        "target.x_c, cmd.slope,\n                        cmd.c_t, cmd.gamma_1)",
+        "target.x_c, cmd.c_t,\n                        cmd.slope, cmd.gamma_1)",
         ("tests/test_sim_harness.py::test_step_log_rows_hold_what_each_tick_saw_and_commanded",),
         "The step log is packed into the bytes its CSV writer formats"),
     Mutant(
-        "step-log-buffer-a-row-short", "sim_harness.py",
-        "buf += bytes(size * (len(track) - 1))",
-        "buf += bytes(size * (len(track) - 2))",
+        "step-log-skips-the-first-ticks-row", "sim_harness.py",
+        "        if log is not None:\n            _, _, toe, heel = pts\n",
+        "        if log is not None and i > 1:\n            _, _, toe, heel = pts\n",
         ("tests/test_human_model.py::test_a_timed_out_swing_reads_the_last_pose_of_its_track",),
-        "The step log is packed into the bytes its CSV writer formats"),
+        "The step log sizes itself"),
     Mutant(
         "step-log-rows-take-the-next-ticks-phase", "sim_harness.py",
         "_PHASE_TEXT.__getitem__, v[:, 1]",
@@ -224,6 +224,231 @@ MUTANTS = (
         "    return _peaks[z_h, z_m, knee_limit]\n",
         ("tests/test_acceptance.py::test_reference_swing_on_two_legs_over_one_box",),
         "What a swing already fixes leaves the 1 kHz tick (ROADMAP item 12's reference swing)"),
+    Mutant(
+        "format-rows-plain-rint-without-the-near-tie-step", "sim_harness.py",
+        "    N[near] = [float((\"%.6f\" % f).replace(\".\", \"\")) for f in a[near]]\n",
+        "",
+        ("tests/test_sim_harness.py::test_write_csv_writes_row_format_text",),
+        "Step logs written through a vectorized %.6f formatter"),
+    Mutant(
+        "format-rows-sign-from-the-rounded-value", "sim_harness.py",
+        "nan, neg = np.isnan(v), np.signbit(v)",
+        "nan, neg = np.isnan(v), np.rint(v * 1e6) < 0",
+        ("tests/test_sim_harness.py::test_write_csv_writes_row_format_text",),
+        "Step logs written through a vectorized %.6f formatter"),
+    Mutant(
+        "format-rows-drops-the-nan-words", "sim_harness.py",
+        "    I[nan], F[nan], N[nan] = 2000, 1000, N[nan] + 1000\n",
+        "",
+        ("tests/test_sim_harness.py::test_write_csv_writes_row_format_text",),
+        "Step logs written through a vectorized %.6f formatter"),
+    Mutant(
+        "format-rows-drops-the-1000-fallback", "sim_harness.py",
+        "    if not (N < 1e9).all():\n"
+        "        return \"\".join([ROW_FORMAT % row for row in _log_rows(v)]).encode()\n",
+        "",
+        ("tests/test_sim_harness.py::test_write_csv_writes_row_format_text",),
+        "Step logs written through a vectorized %.6f formatter"),
+    Mutant(
+        "ray-fan-cache-key-without-rays-vertical", "perception.py",
+        "@lru_cache(maxsize=RAY_FAN_CACHE)\n"
+        "def _ray_fan(axis_pitch: float, fov: float, rays_vertical: int, rays_lateral: int)",
+        "def _ray_fan(axis_pitch, fov, rays_vertical, rays_lateral, _memo={}):\n"
+        "    key = (axis_pitch, fov, rays_lateral)\n"
+        "    if key not in _memo:\n"
+        "        _memo[key] = _built_fan(axis_pitch, fov, rays_vertical, rays_lateral)\n"
+        "    return _memo[key]\n\n\n"
+        "_ray_fan.cache_clear = _ray_fan.__defaults__[0].clear\n\n\n"
+        "def _built_fan(axis_pitch: float, fov: float, rays_vertical: int, rays_lateral: int)",
+        ("tests/test_perception.py::test_cameras_differing_in_fov_or_rays_vertical_never_share_a_fan"
+         "[change1]",),
+        "Perception's fixed per-capture cost cut"),
+    Mutant(
+        "ray-fan-cache-key-without-the-fov", "perception.py",
+        "@lru_cache(maxsize=RAY_FAN_CACHE)\n"
+        "def _ray_fan(axis_pitch: float, fov: float, rays_vertical: int, rays_lateral: int)",
+        "def _ray_fan(axis_pitch, fov, rays_vertical, rays_lateral, _memo={}):\n"
+        "    key = (axis_pitch, rays_vertical, rays_lateral)\n"
+        "    if key not in _memo:\n"
+        "        _memo[key] = _built_fan(axis_pitch, fov, rays_vertical, rays_lateral)\n"
+        "    return _memo[key]\n\n\n"
+        "_ray_fan.cache_clear = _ray_fan.__defaults__[0].clear\n\n\n"
+        "def _built_fan(axis_pitch: float, fov: float, rays_vertical: int, rays_lateral: int)",
+        ("tests/test_perception.py::test_cameras_differing_in_fov_or_rays_vertical_never_share_a_fan"
+         "[change0]",),
+        "Perception's fixed per-capture cost cut"),
+    Mutant(
+        "lloyd-ignores-its-fixpoint-and-sse-stops", "perception.py",
+        "        fixpoint = (new_assign == assign).all()\n",
+        "        fixpoint, sse = False, math.inf\n",
+        ("tests/test_kmeans_equivalence.py::"
+         "test_kmeans_cost_stays_bounded_over_the_camera_and_trial_tables",),
+        "Perception's fixed per-capture cost cut"),
+    Mutant(
+        "seeding-recomputes-the-distances-to-every-chosen-center", "perception.py",
+        "        np.minimum(d2, _sqdist(px, pz, c[:, :1], c[:, 1:], out=near, dz=cdf), out=d2)\n",
+        "        for c in centers[:, :i + 1].transpose(1, 0, 2):\n"
+        "            np.minimum(d2, _sqdist(px, pz, c[:, :1], c[:, 1:], out=near, dz=cdf), out=d2)\n",
+        ("tests/test_kmeans_equivalence.py::"
+         "test_kmeans_cost_stays_bounded_over_the_camera_and_trial_tables",),
+        "Perception's fixed per-capture cost cut"),
+    Mutant(
+        "tick-bound-raised-to-1.75-ms", "config.py",
+        "Field(\"dt_s\", \"dt\", float, 0.0005, 0.0015)",
+        "Field(\"dt_s\", \"dt\", float, 0.0005, 0.00175)",
+        ("tests/test_metamorphic.py::"
+         "test_the_largest_accepted_tick_keeps_the_outcomes_that_flip_above_it",),
+        "One scene query per tick"),
+    Mutant(
+        "contact-check-returns-at-a-face-touch", "sim_harness.py",
+        "            if contact is not None:\n                break\n        if contact is None",
+        "            if contact is not None:\n                return contact, clear\n"
+        "        if contact is None",
+        ("tests/test_sim_harness.py::test_contact_tick_counts_the_clearance_of_every_box",),
+        "One scene query per tick"),
+    Mutant(
+        "contact-check-stops-at-the-box-after-a-touch", "sim_harness.py",
+        "        if contact is not None:\n            continue\n",
+        "        if contact is not None:\n            break\n",
+        ("tests/test_sim_harness.py::test_contact_tick_counts_the_clearance_of_every_box",),
+        "The step log sizes itself (a third box in the every-box clearance test)"),
+    Mutant(
+        "theta-h-extension-decay-reads-the-stop-fraction", "human_model.py",
+        "    a = params.extension_decay\n",
+        "    a = params.extension_decay * (1 + 1e-9 * (1 - params.progression_stop_fraction))\n",
+        ("tests/test_human_model.py::"
+         "test_hip_track_equals_the_per_tick_reference_on_every_campaign_trajectory",),
+        "The step log is packed into the bytes its CSV writer formats (the hip oracle)"),
+    Mutant(
+        "crop-ignores-the-corridor-width", "perception.py",
+        "keep = np.abs(cloud[:, 1]) <= corridor_width / 2.0",
+        "keep = np.abs(cloud[:, 1]) <= math.inf",
+        ("tests/test_metamorphic.py::test_boxes_wider_than_the_corridor_give_the_same_result",),
+        "Level profiles skip k-means (the corridor-width property)"),
+    Mutant(
+        "campaign-ignores-the-seed-flag", "cli.py",
+        "    if args.seed is not None:\n        cc = replace(cc, seed=args.seed)\n",
+        "",
+        ("tests/test_cli.py::test_seed_flag_sets_the_campaign_seed",),
+        "Deleted what only tests and unreachable branches kept in the trial path"),
+    Mutant(
+        "campaign-ignores-the-strict-flag", "cli.py",
+        "if (cc.expect_all_success or args.strict) and",
+        "if cc.expect_all_success and",
+        ("tests/test_cli.py::test_strict_flag_fails_a_campaign_that_expects_failures",),
+        "The toe is written once (--strict honored by campaign)"),
+    Mutant(
+        "campaign-ignores-expect-all-success", "cli.py",
+        "if (cc.expect_all_success or args.strict) and",
+        "if args.strict and",
+        ("tests/test_cli.py::test_campaign_with_a_failing_trial_exits_1",),
+        "Deleted what only tests and unreachable branches kept in the trial path"),
+    Mutant(
+        "box-top-touch-without-its-surface", "sim_harness.py",
+        "contact = Contact(Surface.OBSTACLE_TOP, hit[1], hit[0])",
+        "contact = Contact(None, hit[1], hit[0])",
+        ("tests/test_sim_harness.py::test_contact_penetrating_box_top_is_trip_outside_mirror",),
+        "Deleted what only tests and unreachable branches kept in the trial path"),
+    Mutant(
+        "step-over-succeeds-short-of-its-box", "sim_harness.py",
+        "\n            and all(x > back_x for _, back_x, _ in cfg.scene.spans)):",
+        "):",
+        ("tests/test_sim_harness.py::test_step_over_landing_on_the_ground_short_of_its_box_is_a_scuff",
+         "tests/test_sim_harness.py::test_classify_rules_on_every_touch_by_intent_and_landing"),
+        "Deleted what only tests and unreachable branches kept in the trial path"),
+    Mutant(
+        "phase-one-unreachable-edge-sign-flipped", "swing_planner.py",
+        "dh = -hip.theta_h if dh is None else dh",
+        "dh = hip.theta_h if dh is None else dh",
+        ("tests/test_swing_planner.py::"
+         "test_phase1_unreachable_mx_edge_uses_the_thigh_to_vertical_distance",),
+        "Deleted what only tests and unreachable branches kept in the trial path"),
+    Mutant(
+        "mx-exit-without-the-past-crest-wrap", "swing_planner.py",
+        "    if phase > HALF_PI:\n        phase -= TWO_PI",
+        "    if False:\n        phase -= TWO_PI",
+        ("tests/test_swing_planner.py::test_mx_exit_past_the_crest_is_unreachable",),
+        "Deleted what only tests and unreachable branches kept in the trial path"),
+    Mutant(
+        "mz-boundary-clear-endpoint-sign-flipped", "swing_planner.py",
+        "if z0 - R * cos(dip - lowest) >= z_m:",
+        "if z0 + R * cos(dip - lowest) >= z_m:",
+        ("tests/test_swing_planner.py::test_solver_endpoint_tests_agree_with_the_chain_oracle",),
+        "The toe is written once"),
+    Mutant(
+        "mz-boundary-unreachable-endpoint-sign-flipped", "swing_planner.py",
+        "if z0 - R * cos(dip - knee_limit) < z_m:",
+        "if z0 + R * cos(dip - knee_limit) < z_m:",
+        ("tests/test_swing_planner.py::test_solver_endpoint_tests_agree_with_the_chain_oracle",),
+        "The toe is written once"),
+    Mutant(
+        "mz-boundary-clear-endpoint-off-by-a-millimetre", "swing_planner.py",
+        "if z0 - R * cos(dip - lowest) >= z_m:",
+        "if z0 - R * cos(dip - lowest) >= z_m + 0.001:",
+        ("tests/test_swing_planner.py::test_solver_endpoint_tests_agree_with_the_chain_oracle",),
+        "The toe is written once"),
+    Mutant(
+        "mz-boundary-unreachable-endpoint-off-by-a-millimetre", "swing_planner.py",
+        "if z0 - R * cos(dip - knee_limit) < z_m:",
+        "if z0 - R * cos(dip - knee_limit) < z_m - 0.001:",
+        ("tests/test_swing_planner.py::test_solver_endpoint_tests_agree_with_the_chain_oracle",),
+        "The toe is written once"),
+    Mutant(
+        "mx-exit-arm-sign-flipped", "swing_planner.py",
+        "if x_h + R * sin(phase) >= x_c:",
+        "if x_h - R * sin(phase) >= x_c:",
+        ("tests/test_swing_planner.py::test_solver_endpoint_tests_agree_with_the_chain_oracle",),
+        "The toe is written once"),
+    Mutant(
+        "mx-exit-x-h-sign-flipped", "swing_planner.py",
+        "if x_h + R * sin(phase) >= x_c:",
+        "if -x_h + R * sin(phase) >= x_c:",
+        ("tests/test_swing_planner.py::test_solver_endpoint_tests_agree_with_the_chain_oracle",),
+        "The toe is written once"),
+    Mutant(
+        "step-on-succeeds-without-a-landing", "sim_harness.py",
+        "if landing and surface is Surface.OBSTACLE_TOP and intent is GaitIntent.STEP_ON:",
+        "if surface is Surface.OBSTACLE_TOP and intent is GaitIntent.STEP_ON:",
+        ("tests/test_sim_harness.py::test_classify_rules_on_every_touch_by_intent_and_landing",),
+        "The toe is written once"),
+    Mutant(
+        "lloyd-without-its-partial-refresh", "perception.py",
+        "        elif moved.size:\n            d2[:, moved] =",
+        "        elif False:\n            d2[:, moved] =",
+        ("tests/test_kmeans_equivalence.py::"
+         "test_lloyd_fills_one_row_per_distinct_point_and_only_moved_columns",),
+        "Lloyd computes each distance once"),
+    Mutant(
+        "lloyd-always-refreshes-every-column", "perception.py",
+        "        if moved.size > FULL_REFRESH_SHARE * k:\n",
+        "        if moved.size:\n",
+        ("tests/test_kmeans_equivalence.py::"
+         "test_lloyd_fills_one_row_per_distinct_point_and_only_moved_columns",),
+        "Lloyd computes each distance once"),
+    Mutant(
+        "lloyd-without-its-grouping", "perception.py",
+        "    if distinct.size == xz.size:\n",
+        "    if True:\n",
+        ("tests/test_kmeans_equivalence.py::"
+         "test_lloyd_fills_one_row_per_distinct_point_and_only_moved_columns",),
+        "Lloyd computes each distance once"),
+    Mutant(
+        "lloyd-sums-the-sse-over-distinct-rows", "perception.py",
+        "        if inv is not None:\n"
+        "            nearest_c, nearest = nearest_c[inv], nearest[inv]\n"
+        "        last_sse, sse = sse, float(np.add.reduce(nearest))\n",
+        "        last_sse, sse = sse, float(np.add.reduce(nearest))\n"
+        "        if inv is not None:\n"
+        "            nearest_c, nearest = nearest_c[inv], nearest[inv]\n",
+        ("tests/test_kmeans_equivalence.py::"
+         "test_perceive_keypoints_equal_reference_on_campaign_scenes",),
+        "Lloyd computes each distance once"),
+    Mutant(
+        "hip-rate-over-a-fixed-millisecond", "human_model.py",
+        "np.diff(theta_h) / dt)",
+        "np.diff(theta_h) / 0.001)",
+        ("tests/test_metamorphic.py::test_halving_the_tick_keeps_every_outcome",),
+        "Level profiles skip k-means (the tick-halving property)"),
 )
 
 

@@ -293,6 +293,11 @@ BAD_INPUTS = [
     (["campaign", "FILE"], RawText('{"seed": 5, "seed": 6}'), "duplicate key 'seed'"),
     # a ValueError traceback from int(): CPython 3.10.7+ parses no integer of 4,300+ digits
     (["run", "FILE"], RawText('{"trial": {"seed": %s}}' % ("1" * 5000)), "Exceeds the limit"),
+    # a RecursionError traceback from json.load, nested as deep in either file
+    (["run", "FILE"], RawText("[" * 100_000 + "]" * 100_000),
+     "in.json: maximum recursion depth exceeded while decoding a JSON array"),
+    (["campaign", "FILE"], RawText('{"seed": ' * 100_000 + "1" + "}" * 100_000),
+     "in.json: maximum recursion depth exceeded while decoding a JSON object"),
     # rejections no other case reaches
     (["run", "FILE"], RawText('{"scene": {'), "invalid JSON at line 1"),
     (["run", "FILE"], [{"scene": {}}], "scenario: top level must be an object"),

@@ -115,6 +115,10 @@ def test_contact_tick_counts_the_clearance_of_every_box():
     two = ObstacleScene(boxes=BOX_SCENE.boxes + (Box(front_x=0.65, height=0.19, depth=0.1),))
     c2, clear2 = contact_check(pts, two)
     assert c2 == c and clear2 == pytest.approx(0.026)
+    # a third box between them, 6.3 cm under the foot: the pass goes on past
+    # the box after the touch too
+    three = ObstacleScene(boxes=two.boxes + (Box(front_x=0.61, height=0.15, depth=0.03),))
+    assert contact_check(pts, three) == (c, clear2)
 
 
 def test_a_tripping_swing_counts_the_clearance_of_its_contact_tick():
