@@ -223,10 +223,10 @@ TIMEOUT_FACTOR = 2.0
 
 # Trajectories hip_track keeps. A campaign runs each trajectory's trials back
 # to back (its 210 trials resolve to 32: one per intent preset and one per
-# aimed step-on box), and a shuffled mix finds its few shared presets among
-# the last 8. A track holds one HipPose per tick to the horizon, ~0.17 KB
-# each: 1,622 poses and ~0.27 MB for the step-over preset at 1 kHz, so 8
-# tracks hold at most ~2.2 MB, where all 32 of a campaign would hold ~7 MB.
+# aimed step-on box): 178 hits and 32 misses at any size. 120 shuffled run
+# scenarios read 101/19 hits/misses at 8, 98-99/21-22 at 4, 93-94/26-27 at 3.
+# A track holds one HipPose per tick to the horizon, ~0.17 KB each: ~0.27 MB
+# for the step-over preset at 1 kHz, so 8 hold at most ~2.2 MB; 3 would save ~1.2 MB.
 HIP_TRACK_CACHE_SIZE = 8
 
 

@@ -75,10 +75,10 @@ class ObstacleScene:
 
     @cached_property
     def x_extent(self) -> tuple:
-        """(front x of the first box, back x of the last), (inf, inf) with no
-        box: sorted disjoint boxes lie wholly inside it."""
+        """(front x of the first box, back x of the last); with no box (inf, -inf),
+        which every x is short of and past. Sorted disjoint boxes lie inside it."""
         spans = self.spans
-        return (spans[0][0], spans[-1][1]) if spans else (math.inf, math.inf)
+        return (spans[0][0], spans[-1][1]) if spans else (math.inf, -math.inf)
 
 
 @dataclass(frozen=True)

@@ -362,7 +362,7 @@ def _classify(contact: Optional[Contact], landing: bool, cfg: TrialConfig) -> tu
     if landing and surface is Surface.GROUND and intent is GaitIntent.LEVEL:
         return Outcome.SUCCESS_LEVEL, x, surface
     if (landing and surface is Surface.GROUND and intent is GaitIntent.STEP_OVER
-            and all(x > back_x for _, back_x, _ in cfg.scene.spans)):
+            and x > cfg.scene.x_extent[1]):
         return Outcome.SUCCESS_STEP_OVER, x, surface
     return (Outcome.SCUFF if surface is Surface.GROUND else Outcome.TRIP), x, surface
 

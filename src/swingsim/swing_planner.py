@@ -31,7 +31,8 @@ from math import asin, atan2, cos, exp, hypot, remainder, sin
 from typing import NamedTuple, Optional
 
 # forward_points is unused here, but perfbench/tracer.py patches this import site
-from .leg_kinematics import DEG, FootPoints, HipPose, JointState, LegGeometry, forward_points
+from .leg_kinematics import (DEG, FootPoints, HipPose, JointState, LegGeometry, _new_tuple,
+                             forward_points)
 from .perception import ControlTarget
 
 TANGENT_STEP = 0.25 * DEG  # rad, central difference half-step
@@ -66,7 +67,6 @@ class Phase(Enum):
 ONE, TWO, THREE_TANGENT = Phase.ONE, Phase.TWO, Phase.THREE_TANGENT
 THREE_CONVERGE, THREE_MIRROR = Phase.THREE_CONVERGE, Phase.THREE_MIRROR
 NAN = math.nan
-_new_tuple = tuple.__new__  # builds PlannerCommand without its Python-level __new__
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,10 @@ class PlannerParams:
 
 @dataclass
 class PhaseState:
-    """The planner's memory between ticks. peak_k, out of == and repr with
-    peak_key, is mz_peak at peak_key's (geometry, z_m, knee_limit, round(z_h, 3)).
+    """The planner's memory between ticks. conv_span's sign picks CONVERGE or
+    MIRROR, and CONVERGE's gain c_t is the same span now over it. peak_k, out
+    of == and repr with peak_key, is mz_peak at peak_key = (geometry, z_m,
+    knee_limit, round(z_h, 3)).
 
     The bucket rule: phase one reuses peak_k without rounding z_h while
     peak_key holds this geometry (by identity), z_m and knee_limit and
@@ -104,8 +106,7 @@ class PhaseState:
     ticks_in_phase: int = 0                 # n in the blending law; resets on 1->2->3
     theta_k_ddot_ini: float = 0.0           # rad/s^2 at entry of the current major phase
     hip_vel_running_max: float = HIP_VEL_FLOOR
-    theta_k_star: float = 0.0               # rad, knee at slope saturation
-    theta_h_star: float = 0.0               # rad, hip at slope saturation
+    conv_span: float = 0.0                  # rad, theta_k - theta_h + theta_0 at slope saturation
     frozen_z_h: Optional[float] = None      # m, hip height M_z is held at
     last_k2: float = 0.0                    # fallback when the boundary query fails
     peak_key: Optional[tuple] = field(default=None, compare=False, repr=False)
@@ -175,8 +176,8 @@ def _peak_closed_form(geom: LegGeometry, z_h: float, z_m: float, knee_limit: flo
     # toe height at the knee limit: z_h + A cos(theta_h) + B sin(theta_h)
     cl, sl = math.cos(knee_limit), math.sin(knee_limit)
     crest = math.atan2(F * cl - S * sl, -T - S * cl - F * sl)
-    angles = [PEAK_THETA_H_LO, PEAK_THETA_H_HI, math.remainder(crest, 2.0 * math.pi),
-              math.remainder(crest + math.pi, 2.0 * math.pi)]
+    angles = [PEAK_THETA_H_LO, PEAK_THETA_H_HI, math.remainder(crest, TWO_PI),
+              math.remainder(crest + math.pi, TWO_PI)]
     c = z_m - z_h
     if c != 0.0:
         cos_star = (S * S + F * F - T * T - c * c) / (2.0 * c * T)
@@ -340,21 +341,18 @@ def phase3_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
             # hip velocity replaced by its running max to keep the knee moving
             return k2 * v_max, k2, NAN
         # slope saturated (or the region collapsed, i.e. the tangent already
-        # passed vertical): memorize the configuration and convert
-        state.theta_k_star = joint.theta_k
-        state.theta_h_star = hip.theta_h
-        denom = state.theta_k_star - state.theta_h_star + params.theta_0
-        phase = state.phase = THREE_CONVERGE if denom > 0.0 else THREE_MIRROR
+        # passed vertical): memorize how far the knee is from theta_h - theta_0
+        span = state.conv_span = joint.theta_k - hip.theta_h + params.theta_0
+        phase = state.phase = THREE_CONVERGE if span > 0.0 else THREE_MIRROR
 
     if phase is THREE_CONVERGE:
         err = joint.theta_k - hip.theta_h + params.theta_0
         if err <= params.conv_tol:
             state.phase = THREE_MIRROR
         else:
-            denom = state.theta_k_star - state.theta_h_star + params.theta_0
             # the entry blend can briefly carry the knee past the memorized
-            # configuration; the slope magnitude stays saturated at k_max
-            c_t = err / denom
+            # span; the slope magnitude stays saturated at k_max
+            c_t = err / state.conv_span
             c_t = 1.0 if 1.0 < c_t else c_t
             # knee extension is negative knee velocity under our sign
             # convention; k_max acts as a magnitude

@@ -63,7 +63,7 @@ def repeated_profiles(draw):
     return pts, draw_k(draw, pts)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
 @given(st.one_of(profiles(), repeated_profiles()), st.integers(0, 2**32 - 1),
        st.integers(1, 8))
 def test_kmeans_prune_equals_reference(profile, seed, restarts):
@@ -76,7 +76,7 @@ def test_kmeans_prune_equals_reference(profile, seed, restarts):
     assert_plain_floats(got)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(profiles(), st.integers(0, 2**32 - 1), st.integers(1, 8))
 def test_lockstep_seeding_equals_sequential_reference(profile, seed, restarts):
     # every restart's centers, and the stream left behind, are those of the

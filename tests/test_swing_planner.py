@@ -501,8 +501,8 @@ def test_phase2_unfreezes_on_nonnegative_slope():
 
 def test_phase3_converge_gain_is_one_at_saturation():
     params = PlannerParams()
-    state = PhaseState(phase=Phase.THREE_CONVERGE, theta_k_star=60 * DEG,
-                       theta_h_star=30 * DEG, hip_vel_running_max=2.0)
+    state = PhaseState(phase=Phase.THREE_CONVERGE, hip_vel_running_max=2.0,
+                       conv_span=60 * DEG - 30 * DEG + params.theta_0)
     joint = JointState(theta_k=60 * DEG)
     hip = HipPose(x_h=0.3, z_h=0.9, theta_h=30 * DEG, theta_h_dot=1.0)
     from swingsim.swing_planner import phase3_velocity
@@ -513,8 +513,8 @@ def test_phase3_converge_gain_is_one_at_saturation():
 
 def test_phase3_converged_enters_mirror():
     params = PlannerParams()
-    state = PhaseState(phase=Phase.THREE_CONVERGE, theta_k_star=60 * DEG,
-                       theta_h_star=30 * DEG, hip_vel_running_max=2.0)
+    state = PhaseState(phase=Phase.THREE_CONVERGE, hip_vel_running_max=2.0,
+                       conv_span=60 * DEG - 30 * DEG + params.theta_0)
     hip = HipPose(x_h=0.3, z_h=0.9, theta_h=30 * DEG, theta_h_dot=0.8)
     joint = JointState(theta_k=hip.theta_h - params.theta_0)  # C^t = 0
     from swingsim.swing_planner import phase3_velocity
@@ -528,12 +528,32 @@ def test_phase3_degenerate_denominator_skips_converge():
     state = PhaseState(phase=Phase.THREE_TANGENT, hip_vel_running_max=2.0,
                        last_k2=-10.0)
     # an absent boundary holds last_k2 = -10, |k2| >= k_max saturates; the
-    # memorized configuration makes the denominator negative
+    # memorized convergence span is negative
     hip = HipPose(x_h=0.5, z_h=0.9, theta_h=40 * DEG, theta_h_dot=1.0)
-    joint = JointState(theta_k=10 * DEG)  # theta_k* - theta_h* + theta_0 < 0
+    joint = JointState(theta_k=10 * DEG)  # theta_k - theta_h + theta_0 < 0
     from swingsim.swing_planner import phase3_velocity
     raw, slope, c_t = phase3_velocity(GEOM, hip, joint, far_target(0.5), state, params)
     assert state.phase is Phase.THREE_MIRROR
+
+
+def test_phase3_saturation_memorizes_the_convergence_span_converge_divides_by():
+    # the knee half a landing lean short of theta_h - theta_0: the span counts
+    # theta_0, so it is positive and the swing converges; the gain starts at
+    # exactly 1 and is the span now over the memorized one
+    from swingsim.swing_planner import phase3_velocity
+    params = PlannerParams()
+    state = PhaseState(phase=Phase.THREE_TANGENT, hip_vel_running_max=2.0,
+                       last_k2=-10.0)
+    hip = HipPose(x_h=0.5, z_h=0.9, theta_h=40 * DEG, theta_h_dot=1.0)
+    joint = JointState(theta_k=hip.theta_h - 0.5 * params.theta_0)
+    raw, slope, c_t = phase3_velocity(GEOM, hip, joint, far_target(0.5), state, params)
+    span = joint.theta_k - hip.theta_h + params.theta_0
+    assert state.phase is Phase.THREE_CONVERGE and state.conv_span == span
+    assert (c_t, slope, raw) == (1.0, -params.k_max, -params.k_max * 2.0)
+    hip = HipPose(x_h=0.5, z_h=0.9, theta_h=41 * DEG, theta_h_dot=1.0)
+    raw, slope, c_t = phase3_velocity(GEOM, hip, joint, far_target(0.5), state, params)
+    assert c_t == (joint.theta_k - hip.theta_h + params.theta_0) / span
+    assert state.phase is Phase.THREE_CONVERGE and state.conv_span == span
 
 
 def test_mirror_holds_shank_under_ideal_tracking():
