@@ -1,26 +1,27 @@
 """Scenario and campaign files: strict JSON with unit-suffixed keys.
 
 A scenario has the sections geometry, camera, planner, human, scene and
-trial; a campaign file is one flat object. Each key is declared once, as a
-row of a table below: file key, dataclass attribute, kind, and inclusive
-valid range in file units (for a list, of each element). Parsing, dumping
-and validation read only these tables; a missing key keeps the dataclass
-default, or for human the intent's preset. An unknown key, a wrong type, or
-a non-finite or out-of-range value raises ConfigError naming the key path,
-e.g. `scene.boxes[0].height_m`; a `__post_init__` check that joins several
-fields names the section.
+trial; a campaign file is one flat object. Each key is declared once, with
+its dataclass field (leg_kinematics.declare): file key, kind and inclusive
+valid range in file units (for a list, of each element), inside the field's
+physical rule. The tables below are read from those declarations, and
+parsing, dumping and validation read only these tables; a missing key keeps
+the dataclass default, or for human the intent's preset. An unknown key, a
+wrong type, or a non-finite or out-of-range value raises ConfigError naming
+the key path, e.g. `scene.boxes[0].height_m`; a rule the library refuses at
+construction, one joining several fields, names the section.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from typing import NamedTuple
 
 from .leg_kinematics import DEG, LegGeometry
 from .perception import Box, CameraModel, ObstacleScene
 from .swing_planner import PlannerParams
-from .human_model import GaitIntent, preset
+from .human_model import GaitIntent, HipTrajectoryParams, preset
 from .sim_harness import CampaignConfig, TrialConfig, TrialSpec, toe_off_contact, trial_config_for
 
 
@@ -44,93 +45,41 @@ class Field(NamedTuple):
     required: bool = False
 
 
-GEOMETRY = (
-    Field("thigh_m", "thigh_m", float, 0.3, 0.6),
-    Field("shank_m", "shank_m", float, 0.3, 0.6),
-    Field("toe_m", "toe_m", float, 0.05, 0.3),
-    Field("heel_m", "heel_m", float, 0.02, 0.15),
-)
-CAMERA = (
-    Field("fov_deg", "fov", DEGREES, 10.0, 170.0),
-    Field("max_range_m", "max_range", float, 0.1, 10.0),
-    Field("rays_vertical", "rays_vertical", int, 2, 500),
-    Field("rays_lateral", "rays_lateral", int, 2, 21),
-    Field("mount_along_thigh_m", "mount_along_thigh", float, 0.0, 0.5),
-    Field("mount_perp_m", "mount_perp", float, -0.2, 0.2),
-    Field("mount_pitch_deg", "mount_pitch", DEGREES, -90.0, 90.0),
-    Field("noise_sigma_m", "depth_noise_sigma", float, 0.0, 0.05),
-)
-PLANNER = (
-    Field("delta_m", "delta", float, 0.001, 0.1),
-    Field("theta0_deg", "theta_0", DEGREES, 0.5, 30.0),
-    Field("kmax", "k_max", float, 0.5, 50.0),
-    Field("alpha1", "alpha_1", float, 0.001, 1.0),
-    Field("alpha2", "alpha_2", float, 0.001, 1.0),
-    # outcomes are not monotone in the tick: over the 0.25 ms grid from 0.5 to 5 ms,
-    # seed-2024 step-overs first turn into trips at 1.75 ms, so 1.5 ms is the last
-    # tick at and below which every campaign outcome holds
-    Field("dt_s", "dt", float, 0.0005, 0.0015),
-    Field("conv_tol_deg", "conv_tol", DEGREES, 0.05, 10.0),
-    Field("knee_limit_deg", "knee_limit", DEGREES, 30.0, 150.0),
-)
-INTENT = Field("intent", "intent", GaitIntent)
-HUMAN = (
-    Field("swing_duration_s", "swing_duration", float, 0.3, 1.5),
-    Field("theta_h_start_deg", "theta_h_start", DEGREES, -45.0, 10.0),
-    Field("theta_h_end_deg", "theta_h_end", DEGREES, 5.0, 75.0),
-    Field("hip_height_base_m", "hip_height_base", float, 0.6, 1.2),
-    Field("hip_lift_m", "hip_lift_amplitude", float, 0.0, 0.15),
-    Field("lift_peak_fraction", "lift_peak_fraction", float, 0.1, 1.0),
-    Field("forward_speed_mps", "forward_speed", float, 0.1, 2.5),
-    Field("progression_stop_fraction", "progression_stop_fraction", float, 0.01, 1.0),
-    Field("rise_fraction", "rise_fraction", float, 0.2, 1.0),
-    Field("lowering_onset_fraction", "lowering_onset_fraction", float, 0.2, 1.0),
-    Field("lowering_depth_m", "lowering_depth", float, 0.0, 0.2),
-    Field("extension_decay_rps2", "extension_decay", float, 0.5, 100.0),
-    Field("extension_rate_rps", "extension_rate", float, 0.0, 10.0),
-    # a sigma of 1 deg keeps the noisy hip angle inside HipPose's bound
-    # around the profile's +-80 deg reach (human_model.THETA_H_LIMIT)
-    Field("noise_sigma_deg", "noise_sigma", DEGREES, 0.0, 1.0),
-)
-HEIGHT = Field("height_m", "height", float, 0.005, 0.5, required=True)
-DEPTH = Field("depth_m", "depth", float, 0.01, 2.0)
-WIDTH = Field("width_m", "width", float, 0.01, 2.0)
-BOX = (Field("front_x_m", "front_x", float, -2.0, 5.0, required=True), HEIGHT, DEPTH, WIDTH)
-SCENE = (
-    Field("ground_height_m", "ground_height", float, -0.3, 0.5),
-    Field("boxes", "boxes", BOXES),
-)
-SEED = Field("seed", "seed", int, 0, 2**64 - 1)
-TAU = Field("tau_s", "tracking_lag_tau", float, 0.0, 0.5)
-TRIAL = (
-    SEED,
-    TAU,
-    Field("kmeans_k", "kmeans_k", int, 1, 100),
-    Field("kmeans_restarts", "kmeans_restarts", int, 1, 20),
-    Field("corridor_width_m", "corridor_width", float, 0.01, 1.0),
-    Field("z_weight", "z_weight", float, 0.1, 50.0),
-    Field("edge_threshold_m", "edge_threshold", float, 0.001, 0.2),
-)
+def _rows(cls) -> tuple:
+    """The file row of each field of cls that declares one, in field order;
+    a field without a default is a required key."""
+    rows = []
+    for f in fields(cls):
+        if "file" not in f.metadata:
+            continue
+        key, lo, hi = f.metadata["file"]
+        rule = f.metadata["rule"]
+        if rule is None:  # not a number
+            kind = {bool: bool, GaitIntent: GaitIntent, tuple: BOXES}[type(f.default)]
+            lo, hi = -math.inf, math.inf
+        else:
+            kind = {"list": FLOATS, "pair": PAIR}.get(
+                rule.shape, int if rule.integer else DEGREES if key.endswith("_deg") else float)
+        rows.append(Field(key, f.name, kind, lo, hi, required=f.default is MISSING))
+    return tuple(rows)
+
+
+GEOMETRY = _rows(LegGeometry)
+CAMERA = _rows(CameraModel)
+PLANNER = _rows(PlannerParams)
+# a missing key keeps the intent's preset, swing_duration_s too
+HUMAN = tuple(f._replace(required=False) for f in _rows(HipTrajectoryParams))
+_, HEIGHT, DEPTH, WIDTH = BOX = _rows(Box)
+SCENE = _rows(ObstacleScene)
+INTENT, *TRIAL = _rows(TrialConfig)   # intent is a key of the human section
+TRIAL = tuple(TRIAL)
+SEED, TAU = TRIAL[:2]
 SECTIONS = {"geometry": GEOMETRY, "camera": CAMERA, "planner": PLANNER,
             "human": (INTENT, *HUMAN), "scene": SCENE, "trial": TRIAL}
 
-DISTANCES = Field("distance_range_m", "distance_range", PAIR, 0.0, 3.0)
-STEP_ON_DISTANCES = Field("step_on_distance_range_m", "step_on_distance_range", PAIR, 0.0, 3.0)
 # tau_s sets the lag of every trial (CampaignConfig.base)
-CAMPAIGN = (
-    SEED,
-    Field("n_step_over", "n_step_over", int, 0, 100_000),
-    Field("n_step_on", "n_step_on", int, 0, 100_000),
-    Field("n_level", "n_level", int, 0, 100_000),
-    Field("heights_m", "heights", FLOATS, HEIGHT.lo, HEIGHT.hi),
-    Field("step_on_height_m", "step_on_height", float, HEIGHT.lo, HEIGHT.hi),
-    DISTANCES,
-    STEP_ON_DISTANCES,
-    Field("box_depth_m", "box_depth", float, DEPTH.lo, DEPTH.hi),
-    Field("box_width_m", "box_width", float, WIDTH.lo, WIDTH.hi),
-    Field("expect_all_success", "expect_all_success", bool),
-    TAU,
-)
+CAMPAIGN = (*_rows(CampaignConfig), TAU)
+DISTANCES, STEP_ON_DISTANCES = (f for f in CAMPAIGN if f.kind is PAIR)
 
 
 def _number(path: str, f: Field, v):

@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .leg_kinematics import DEG, HipPose, _each, hip_poses
+from .leg_kinematics import (DEG, FRACTION, NON_NEGATIVE, POSITIVE, HipPose, Rule, _each,
+                             check_rules, declare, hip_poses)
 
 # Hip height above the ground at the start of every preset swing and in the
 # late-stance capture pose (sim_harness.CAPTURE_*), where it leaves the
@@ -41,6 +42,11 @@ AIM_LANDING_THETA_H = 47.0 * DEG
 AIM_HEEL_BACK = 0.032
 
 
+# a thigh angle from vertical: HipPose's bound
+THIGH_ANGLE = Rule(-math.nextafter(math.pi / 2, 0.0), math.nextafter(math.pi / 2, 0.0),
+                   "lie in (-pi/2, pi/2)")
+
+
 class GaitIntent(Enum):
     LEVEL = "level"
     STEP_OVER = "step_over"
@@ -49,32 +55,43 @@ class GaitIntent(Enum):
 
 @dataclass(frozen=True)
 class HipTrajectoryParams:
-    swing_duration: float                  # s, nominal (profiles keep going past it)
-    theta_h_start: float = -15.0 * DEG     # rad
-    theta_h_end: float = 30.0 * DEG        # rad
-    hip_height_base: float = HIP_BASE_DEFAULT  # m
-    hip_lift_amplitude: float = 0.01       # m, sin^2 bump over the swing
-    lift_peak_fraction: float = 0.5        # swing fraction where the lift peaks
-    forward_speed: float = 0.7             # m/s
-    progression_stop_fraction: float = 1.0  # in (0, 1]; 1.0 = no stop in horizon
-    rise_fraction: float = 0.75            # hip flexion completes by this fraction
-    lowering_onset_fraction: float = 0.9   # start of the lowering/extension cue
-    lowering_depth: float = 0.02           # m, saturating late-swing hip drop
-    extension_decay: float = 12.0          # rad/s^2, hip reversal after onset
-    extension_rate: float = 3.0            # rad/s, terminal (constant) reversal rate
-    noise_sigma: float = 0.0               # rad, smooth theta_h noise
+    # s, nominal (profiles keep going past it)
+    swing_duration: float = declare(POSITIVE, "swing_duration_s", 0.3, 1.5)
+    theta_h_start: float = declare(THIGH_ANGLE, "theta_h_start_deg", -45.0, 10.0,
+                                   default=-15.0 * DEG)  # rad
+    theta_h_end: float = declare(THIGH_ANGLE, "theta_h_end_deg", 5.0, 75.0, default=30.0 * DEG)
+    hip_height_base: float = declare(POSITIVE, "hip_height_base_m", 0.6, 1.2,
+                                     default=HIP_BASE_DEFAULT)  # m
+    # m, sin^2 bump over the swing, peaking at lift_peak_fraction of it
+    hip_lift_amplitude: float = declare(NON_NEGATIVE, "hip_lift_m", 0.0, 0.15, default=0.01)
+    lift_peak_fraction: float = declare(FRACTION, "lift_peak_fraction", 0.1, 1.0, default=0.5)
+    forward_speed: float = declare(POSITIVE, "forward_speed_mps", 0.1, 2.5, default=0.7)  # m/s
+    # 1.0 = no stop in horizon
+    progression_stop_fraction: float = declare(FRACTION, "progression_stop_fraction", 0.01, 1.0,
+                                               default=1.0)
+    # hip flexion completes by this fraction
+    rise_fraction: float = declare(FRACTION, "rise_fraction", 0.2, 1.0, default=0.75)
+    # start of the lowering/extension cue
+    lowering_onset_fraction: float = declare(FRACTION, "lowering_onset_fraction", 0.2, 1.0,
+                                             default=0.9)
+    # m, saturating late-swing hip drop
+    lowering_depth: float = declare(NON_NEGATIVE, "lowering_depth_m", 0.0, 0.2, default=0.02)
+    # rad/s^2, hip reversal after onset
+    extension_decay: float = declare(POSITIVE, "extension_decay_rps2", 0.5, 100.0, default=12.0)
+    # rad/s, terminal (constant) reversal rate; at 100 rad/s a thigh would
+    # sweep its +-80 deg reach in 28 ms, past any human hip
+    extension_rate: float = declare(Rule(0.0, 100.0, "lie in [0, 100] rad/s"),
+                                    "extension_rate_rps", 0.0, 10.0, default=3.0)
+    # rad, smooth theta_h noise, a spread of thigh angles; a file's sigma of
+    # at most 1 deg keeps the noisy hip angle inside HipPose's bound around
+    # the profile's +-80 deg reach (THETA_H_LIMIT)
+    noise_sigma: float = declare(Rule(0.0, math.nextafter(math.pi / 2, 0.0), "lie in [0, pi/2)"),
+                                 "noise_sigma_deg", 0.0, 1.0, default=0.0)
 
     def __post_init__(self):
-        for name in ("swing_duration", "forward_speed", "extension_decay"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+        check_rules(self)
         if not self.theta_h_end > self.theta_h_start:
             raise ValueError("theta_h_end must exceed theta_h_start")
-        for name in ("lift_peak_fraction", "progression_stop_fraction",
-                     "lowering_onset_fraction", "rise_fraction"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
         peak = _flexion_peak(self)
         if not peak <= THETA_H_LIMIT:
             raise ValueError(f"hip flexion peaks at {peak / DEG:.1f} deg, "
@@ -221,6 +238,22 @@ def hip_pose(params: HipTrajectoryParams, t: float | np.ndarray, seed: Optional[
 # A swing that meets nothing ends at TIMEOUT_FACTOR x the nominal duration.
 TIMEOUT_FACTOR = 2.0
 
+# Most ticks a swing may take to the timeout horizon: 20 s at 1 kHz, ~3.4 MB
+# of hip track, where a file's longest swing at its finest tick takes 6,001.
+MAX_HORIZON_TICKS = 20_000
+
+
+def horizon(params: HipTrajectoryParams, dt: float) -> float:
+    """The timeout horizon in s, TIMEOUT_FACTOR x the nominal duration plus
+    half a tick; a ValueError unless it spans 1 to MAX_HORIZON_TICKS ticks,
+    so no track asks numpy for more."""
+    end = TIMEOUT_FACTOR * params.swing_duration + dt / 2
+    if not 1.0 <= end / dt <= MAX_HORIZON_TICKS:
+        raise ValueError(f"the timeout horizon, {TIMEOUT_FACTOR:g} x a {params.swing_duration} s "
+                         f"swing, must span 1 to {MAX_HORIZON_TICKS} ticks of {dt} s")
+    return end
+
+
 # Trajectories hip_track keeps. A campaign runs each trajectory's trials back
 # to back (its 210 trials resolve to 32: one per intent preset and one per
 # aimed step-on box): 178 hits and 32 misses at any size. 120 shuffled run
@@ -239,9 +272,9 @@ def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tu
     track[i] is the pose at tick time t_i (t_0 = 0.0, t_{i+1} = t_i + dt,
     summed in order as run_swing sums its clock). The track, and with it
     every swing, ends at the timeout horizon: the first tick at or past
-    TIMEOUT_FACTOR x the nominal duration plus half a tick, a bound the sums'
-    rounding cannot move by a tick. Its rate is the average over the coming
-    tick, (theta_h(t_{i+1}) - theta_h(t_i)) / dt: the planner holds its
+    horizon(params, dt), a bound the sums' rounding cannot move by a tick.
+    Its rate is the average over the coming tick,
+    (theta_h(t_{i+1}) - theta_h(t_i)) / dt: the planner holds its
     command for one tick, and the instantaneous rate would leak the hip's
     intra-tick curvature into the knee command and drift the mirror.
 
@@ -254,7 +287,7 @@ def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tu
     constructed per pose took ~2 ms. libm, element by element, keeps every
     pose bit-equal to a lone sample's.
     """
-    end = TIMEOUT_FACTOR * params.swing_duration + dt / 2
+    end = horizon(params, dt)
     steps = np.full(int(end / dt) + 4, dt)   # the sums stray from i * dt by far less than a tick
     steps[0] = 0.0
     t = np.add.accumulate(steps)

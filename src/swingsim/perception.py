@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .leg_kinematics import DEG, _each
+from .leg_kinematics import (DEG, FINITE, NON_NEGATIVE, POSITIVE, Rule, _each, at_least,
+                             check_rules, declare)
 
 # Fixed lateral fan of the synthetic camera (full angle, radians).
 LATERAL_FAN = 20.0 * DEG
@@ -36,19 +37,24 @@ FULL_REFRESH_SHARE = 0.25
 DEFAULT_X_C = 0.20
 
 
+# File ranges of a box's height and of its depth and width, m; a campaign's
+# boxes share them
+HEIGHT_RANGE_M, SIZE_RANGE_M = (0.005, 0.5), (0.01, 2.0)
+
+
 @dataclass(frozen=True)
 class Box:
-    """Rectangular obstacle resting on the ground, centered on y = 0."""
+    """Rectangular obstacle resting on the ground, centered on y = 0: its
+    near vertical face at world x front_x, extending depth along x and width
+    along y, in m."""
 
-    front_x: float   # m, world x of the near vertical face
-    height: float    # m
-    depth: float = 0.15   # m, extent along x
-    width: float = 0.40   # m, extent along y
+    front_x: float = declare(FINITE, "front_x_m", -2.0, 5.0)
+    height: float = declare(POSITIVE, "height_m", *HEIGHT_RANGE_M)
+    depth: float = declare(POSITIVE, "depth_m", *SIZE_RANGE_M, default=0.15)
+    width: float = declare(POSITIVE, "width_m", *SIZE_RANGE_M, default=0.40)
 
     def __post_init__(self):
-        for name in ("height", "depth", "width"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"Box.{name} must be positive")
+        check_rules(self)
 
     @property
     def back_x(self) -> float:
@@ -57,10 +63,11 @@ class Box:
 
 @dataclass(frozen=True)
 class ObstacleScene:
-    ground_height: float = 0.0
-    boxes: tuple = ()
+    ground_height: float = declare(FINITE, "ground_height_m", -0.3, 0.5, default=0.0)
+    boxes: tuple = declare(None, "boxes", default=())
 
     def __post_init__(self):
+        check_rules(self)
         boxes = tuple(sorted(self.boxes, key=lambda b: b.front_x))
         object.__setattr__(self, "boxes", boxes)
         for a, b in zip(boxes, boxes[1:]):
@@ -90,22 +97,22 @@ class CameraModel:
     with the default mount.
     """
 
-    fov: float = 65.0 * DEG
-    max_range: float = 1.25            # m along the ray
-    rays_vertical: int = 192
-    rays_lateral: int = 7
-    mount_along_thigh: float = 0.10    # m below hip along the thigh axis
-    mount_perp: float = 0.0            # m anterior, perpendicular to the thigh
-    mount_pitch: float = 21.0 * DEG    # optical axis forward of the thigh-down axis
-    depth_noise_sigma: float = 0.0     # m, Gaussian, applied along the ray
+    fov: float = declare(Rule(math.ulp(0.0), math.nextafter(math.pi, 0.0), "lie in (0, pi)"),
+                         "fov_deg", 10.0, 170.0, default=65.0 * DEG)
+    max_range: float = declare(POSITIVE, "max_range_m", 0.1, 10.0, default=1.25)  # along the ray
+    rays_vertical: int = declare(at_least(2), "rays_vertical", 2, 500, default=192)
+    rays_lateral: int = declare(at_least(2), "rays_lateral", 2, 21, default=7)
+    # m below the hip along the thigh axis, and anterior, perpendicular to it
+    mount_along_thigh: float = declare(NON_NEGATIVE, "mount_along_thigh_m", 0.0, 0.5,
+                                       default=0.10)
+    mount_perp: float = declare(FINITE, "mount_perp_m", -0.2, 0.2, default=0.0)
+    # optical axis forward of the thigh-down axis
+    mount_pitch: float = declare(FINITE, "mount_pitch_deg", -90.0, 90.0, default=21.0 * DEG)
+    # m, Gaussian, applied along the ray
+    depth_noise_sigma: float = declare(NON_NEGATIVE, "noise_sigma_m", 0.0, 0.05, default=0.0)
 
     def __post_init__(self):
-        if not 0.0 < self.fov < math.pi:
-            raise ValueError("CameraModel.fov must be in (0, pi)")
-        if self.rays_vertical < 2 or self.rays_lateral < 2:
-            raise ValueError("CameraModel ray counts must be >= 2")
-        if self.depth_noise_sigma < 0.0:
-            raise ValueError("CameraModel.depth_noise_sigma must be >= 0")
+        check_rules(self)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ touch is a trip (obstacle) or scuff (ground).
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import Counter, namedtuple
 from dataclasses import dataclass, replace
@@ -22,8 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from .leg_kinematics import DEG, LegGeometry, HipPose, JointState, FootPoints, forward_points
+from .leg_kinematics import (DEG, FINITE, NON_NEGATIVE, POSITIVE, FootPoints, HipPose, JointState,
+                             LegGeometry, Rule, at_least, check_rules, declare, forward_points)
 from .perception import (
+    HEIGHT_RANGE_M,
+    SIZE_RANGE_M,
     Box,
     CameraModel,
     ControlTarget,
@@ -83,24 +87,36 @@ class Surface(Enum):
 @dataclass(frozen=True)
 class TrialConfig:
     scene: ObstacleScene = ObstacleScene()
-    intent: GaitIntent = GaitIntent.LEVEL
+    intent: GaitIntent = declare(None, "intent", default=GaitIntent.LEVEL)  # a file's human.intent
     geometry: LegGeometry = LegGeometry()
     planner: PlannerParams = PlannerParams()
     human: Optional[HipTrajectoryParams] = None   # None -> preset(intent)
     camera: CameraModel = CameraModel()
-    seed: int = 0
-    tracking_lag_tau: float = 0.0   # s; 0 = ideal velocity tracking
-    kmeans_k: int = 50
-    kmeans_restarts: int = 8
-    corridor_width: float = 0.15
-    z_weight: float = 6.0
-    edge_threshold: float = 0.02
+    seed: int = declare(at_least(0), "seed", 0, 2**64 - 1, default=0)
+    # s; 0 = ideal velocity tracking
+    tracking_lag_tau: float = declare(NON_NEGATIVE, "tau_s", 0.0, 0.5, default=0.0)
+    kmeans_k: int = declare(at_least(1), "kmeans_k", 1, 100, default=50)
+    kmeans_restarts: int = declare(at_least(1), "kmeans_restarts", 1, 20, default=8)
+    corridor_width: float = declare(POSITIVE, "corridor_width_m", 0.01, 1.0, default=0.15)
+    # k-means weighs height against distance ahead by this; 1,000 bounds it
+    # far below the ~1e150 at which its squared distances overflow
+    z_weight: float = declare(Rule(math.ulp(0.0), 1000.0, "lie in (0, 1000]"), "z_weight",
+                              0.1, 50.0, default=6.0)
+    edge_threshold: float = declare(POSITIVE, "edge_threshold_m", 0.001, 0.2, default=0.02)
 
     def __post_init__(self):
+        check_rules(self)
         # the tick-wise lag update v += (dt / tau)(cmd - v) overshoots below one tick
         if not (self.tracking_lag_tau == 0.0 or self.tracking_lag_tau >= self.planner.dt):
             raise ValueError("tracking_lag_tau must be 0 (ideal tracking) or at least the "
                              f"planner tick {self.planner.dt} s, got {self.tracking_lag_tau}")
+        human = self.human if self.human is not None else human_model.preset(self.intent)
+        # resolved_human raises the hip onto the ground; HipPose needs it above z = 0
+        low = human.hip_height_base + self.scene.ground_height - human.lowering_depth
+        if not low > 0.0:
+            raise ValueError("the hip's lowest point, hip_height_base + scene.ground_height - "
+                             f"lowering_depth, must lie above z = 0, got {low} m")
+        human_model.horizon(human, self.planner.dt)
 
     @cached_property
     def resolved_human(self) -> HipTrajectoryParams:
@@ -452,20 +468,30 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
 # campaigns
 
 
+POSITIVES = POSITIVE._replace(says="be a non-empty tuple of positive, finite numbers", shape="list")
+ORDERED_PAIR = FINITE._replace(says="be an ordered pair of finite numbers", shape="pair")
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
-    seed: int = 2024
-    n_step_over: int = 150
-    n_step_on: int = 30
-    n_level: int = 30
-    heights: tuple = (0.04, 0.08, 0.16)
-    step_on_height: float = 0.16
-    distance_range: tuple = (0.15, 0.70)
-    step_on_distance_range: tuple = (0.50, 0.70)   # steppable window; see notes
-    box_depth: float = Box.depth
-    box_width: float = Box.width
-    base: TrialConfig = TrialConfig()
-    expect_all_success: bool = True
+    seed: int = declare(at_least(0), "seed", 0, 2**64 - 1, default=2024)
+    n_step_over: int = declare(at_least(0), "n_step_over", 0, 100_000, default=150)
+    n_step_on: int = declare(at_least(0), "n_step_on", 0, 100_000, default=30)
+    n_level: int = declare(at_least(0), "n_level", 0, 100_000, default=30)
+    heights: tuple = declare(POSITIVES, "heights_m", *HEIGHT_RANGE_M, default=(0.04, 0.08, 0.16))
+    step_on_height: float = declare(POSITIVE, "step_on_height_m", *HEIGHT_RANGE_M, default=0.16)
+    # m ahead of the capture toe; the step-on range is the steppable window
+    distance_range: tuple = declare(ORDERED_PAIR, "distance_range_m", 0.0, 3.0,
+                                    default=(0.15, 0.70))
+    step_on_distance_range: tuple = declare(ORDERED_PAIR, "step_on_distance_range_m", 0.0, 3.0,
+                                            default=(0.50, 0.70))
+    box_depth: float = declare(POSITIVE, "box_depth_m", *SIZE_RANGE_M, default=Box.depth)
+    box_width: float = declare(POSITIVE, "box_width_m", *SIZE_RANGE_M, default=Box.width)
+    base: TrialConfig = TrialConfig()   # its tracking_lag_tau is the file's tau_s
+    expect_all_success: bool = declare(None, "expect_all_success", default=True)
+
+    def __post_init__(self):
+        check_rules(self)
 
     @staticmethod
     def reproduction_profile(seed: int = 2024) -> "CampaignConfig":

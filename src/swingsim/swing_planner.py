@@ -31,8 +31,8 @@ from math import asin, atan2, cos, exp, hypot, remainder, sin
 from typing import NamedTuple, Optional
 
 # forward_points is unused here, but perfbench/tracer.py patches this import site
-from .leg_kinematics import (DEG, FootPoints, HipPose, JointState, LegGeometry, _new_tuple,
-                             forward_points)
+from .leg_kinematics import (DEG, POSITIVE, FootPoints, HipPose, JointState, LegGeometry,
+                             _new_tuple, check_rules, declare, forward_points)
 from .perception import ControlTarget
 
 TANGENT_STEP = 0.25 * DEG  # rad, central difference half-step
@@ -71,20 +71,26 @@ NAN = math.nan
 
 @dataclass(frozen=True)
 class PlannerParams:
-    delta: float = 0.01                 # m, safety margin (kept with the target)
-    theta_0: float = 5.0 * DEG          # rad, landing shank lean
-    k_max: float = 8.0                  # slope magnitude saturation, hand-tuned
-    alpha_1: float = 0.05               # per-tick blend decay
-    alpha_2: float = 0.05
-    dt: float = 0.001                   # s, must match the harness tick
-    conv_tol: float = 0.5 * DEG         # rad, knee-converged tolerance
-    knee_limit: float = 85.0 * DEG      # rad, hardware flexion limit
+    delta: float = declare(POSITIVE, "delta_m", 0.001, 0.1, default=0.01)  # m, safety margin
+    # rad, landing shank lean
+    theta_0: float = declare(POSITIVE, "theta0_deg", 0.5, 30.0, default=5.0 * DEG)
+    # slope magnitude saturation, hand-tuned
+    k_max: float = declare(POSITIVE, "kmax", 0.5, 50.0, default=8.0)
+    # per-tick blend decays
+    alpha_1: float = declare(POSITIVE, "alpha1", 0.001, 1.0, default=0.05)
+    alpha_2: float = declare(POSITIVE, "alpha2", 0.001, 1.0, default=0.05)
+    # s, must match the harness tick. Outcomes are not monotone in the tick:
+    # over the 0.25 ms grid from 0.5 to 5 ms, seed-2024 step-overs first turn
+    # into trips at 1.75 ms, so 1.5 ms is the last tick at and below which
+    # every campaign outcome holds, and the most a file may set
+    dt: float = declare(POSITIVE, "dt_s", 0.0005, 0.0015, default=0.001)
+    # rad, knee-converged tolerance
+    conv_tol: float = declare(POSITIVE, "conv_tol_deg", 0.05, 10.0, default=0.5 * DEG)
+    # rad, hardware flexion limit
+    knee_limit: float = declare(POSITIVE, "knee_limit_deg", 30.0, 150.0, default=85.0 * DEG)
 
     def __post_init__(self):
-        for name in ("delta", "theta_0", "k_max", "alpha_1", "alpha_2",
-                     "dt", "conv_tol", "knee_limit"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"PlannerParams.{name} must be positive")
+        check_rules(self)
 
 
 @dataclass

@@ -41,16 +41,16 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "hip-poses-skips-the-rate-only-sample", "src/swingsim/leg_kinematics.py",
-        "    ok = (z_h > 0.0) & (np.abs(theta_h) < math.pi / 2)\n",
-        "    n = len(theta_h_dot)\n"
-        "    ok = (z_h[:n] > 0.0) & (np.abs(theta_h[:n]) < math.pi / 2)\n",
+        "    ok = np.isfinite(x_h) & (z_h > 0.0) & (np.abs(theta_h) < math.pi / 2)\n",
+        "    ok = (np.isfinite(x_h) & (z_h > 0.0)\n"
+        "          & (np.abs(theta_h) < math.pi / 2))[:n]\n",
         ("tests/test_leg_kinematics.py::test_hip_poses_rule_agrees_with_post_init_on_boundary_values",
          "tests/test_human_model.py::test_hip_track_checks_every_pose_when_built_and_caches_no_failure"),
         "A hip track's poses are checked in one array pass"),
     Mutant(
         "hip-poses-accepts-z-h-0", "src/swingsim/leg_kinematics.py",
-        "ok = (z_h > 0.0) &",
-        "ok = (z_h >= 0.0) &",
+        "& (z_h > 0.0) &",
+        "& (z_h >= 0.0) &",
         ("tests/test_leg_kinematics.py::test_hip_poses_rule_agrees_with_post_init_on_boundary_values",
          "tests/test_human_model.py::test_hip_track_checks_every_pose_when_built_and_caches_no_failure"),
         "A hip track's poses are checked in one array pass"),
@@ -294,9 +294,9 @@ MUTANTS = (
          "test_kmeans_cost_stays_bounded_over_the_camera_and_trial_tables",),
         "Perception's fixed per-capture cost cut"),
     Mutant(
-        "tick-bound-raised-to-1.75-ms", "src/swingsim/config.py",
-        "Field(\"dt_s\", \"dt\", float, 0.0005, 0.0015)",
-        "Field(\"dt_s\", \"dt\", float, 0.0005, 0.00175)",
+        "tick-bound-raised-to-1.75-ms", "src/swingsim/swing_planner.py",
+        "declare(POSITIVE, \"dt_s\", 0.0005, 0.0015,",
+        "declare(POSITIVE, \"dt_s\", 0.0005, 0.00175,",
         ("tests/test_metamorphic.py::"
          "test_the_largest_accepted_tick_keeps_the_outcomes_that_flip_above_it",),
         "One scene query per tick"),
@@ -498,6 +498,18 @@ MUTANTS = (
         ("tests/test_swing_planner.py::"
          "test_phase3_saturation_memorizes_the_convergence_span_converge_divides_by",),
         "One owner per derived swing quantity"),
+    Mutant(
+        "check-rules-drops-the-finite-test", "src/swingsim/leg_kinematics.py",
+        "else math.isfinite(v)\n",
+        "else True\n",
+        ("tests/test_config.py::test_library_runs_to_a_finite_outcome_or_raises_value_error",),
+        "Each field's physical rule is declared once"),
+    Mutant(
+        "kmeans-k-without-its-int-rule", "src/swingsim/sim_harness.py",
+        "declare(at_least(1), \"kmeans_k\",",
+        "declare(Rule(1, math.inf, \"be >= 1\"), \"kmeans_k\",",
+        ("tests/test_config.py::test_library_runs_to_a_finite_outcome_or_raises_value_error",),
+        "Each field's physical rule is declared once"),
 )
 
 

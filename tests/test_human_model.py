@@ -184,6 +184,13 @@ def test_params_reject_a_lift_peak_fraction_outside_0_1(fraction):
         HipTrajectoryParams(swing_duration=0.6, lift_peak_fraction=fraction)
 
 
+def test_a_trial_on_a_hip_of_infinite_forward_speed_is_refused_when_built():
+    # its hip track held x_h NaN at t = 0 and inf after, and the swing ran to
+    # a SCUFF at landing_x inf with only a RuntimeWarning
+    with pytest.raises(ValueError, match="forward_speed must be positive and finite, got inf"):
+        TrialConfig(human=replace(preset(GaitIntent.LEVEL), forward_speed=math.inf))
+
+
 def test_params_reject_a_hip_still_rising_at_the_onset_that_overshoots_the_limit():
     # 30 deg at the onset, rising at 281.25 deg/s: extension_decay stops it
     # 57.5 deg higher, though theta_h_end is 75 deg

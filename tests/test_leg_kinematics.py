@@ -171,6 +171,24 @@ def test_hip_poses_rule_agrees_with_post_init_on_boundary_values(z_h, theta_h, w
             == [tuple(map(float.hex, dataclasses.astuple(p))) for p in expected]
 
 
+@pytest.mark.parametrize("where", [1, -1], ids=["inner", "last"])
+@pytest.mark.parametrize("field,value", [("x_h", math.nan), ("x_h", math.inf),
+                                         ("theta_h_dot", math.nan), ("theta_h_dot", -math.inf)])
+def test_a_non_finite_x_h_or_rate_is_refused_by_a_pose_and_by_hip_poses(field, value, where):
+    # both used to build a pose: a hip running at an infinite forward speed
+    # gave x_h NaN at t = 0 and inf after, and a swing ended at landing_x inf.
+    # The last x_h is the sample past the poses that only a rate reads.
+    pose = {"x_h": 0.1, "z_h": 0.9, "theta_h": 0.2, "theta_h_dot": 1.0, field: value}
+    message = f"^HipPose.{field} must be finite, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        HipPose(**pose)
+    arrays = dict(x_h=[0.0, 0.1, 0.2, 0.3], z_h=[0.9] * 4, theta_h=[0.2, 0.3, 0.4, 0.5],
+                  theta_h_dot=[1.0, 2.0, 3.0])
+    arrays[field][where] = value
+    with pytest.raises(ValueError, match=message):
+        hip_poses(*(np.array(v) for v in arrays.values()))
+
+
 def test_hip_poses_are_frozen_slotted_poses_like_constructed_ones():
     poses = hip_poses(np.array([0.0, 0.1]), np.array([0.9, 0.8]), np.array([0.2, -0.3]),
                       np.array([1.5]))

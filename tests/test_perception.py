@@ -22,7 +22,7 @@ from swingsim.perception import (
     extract_estimate,
     kmeans_prune,
 )
-from swingsim.sim_harness import TrialConfig, capture_state, perceive, trial_seeds
+from swingsim.sim_harness import TrialConfig, capture_state
 
 DEG = math.pi / 180
 
@@ -218,10 +218,10 @@ def test_kmeans_refuses_no_centers_or_no_restarts(k, restarts, match):
 
 
 def test_a_trial_of_no_kmeans_restarts_is_refused():
-    cfg = TrialConfig(scene=ObstacleScene(boxes=(Box(front_x=0.3, height=0.08),)),
-                      kmeans_restarts=0)
-    with pytest.raises(ValueError, match="restarts >= 1"):
-        perceive(cfg, *trial_seeds(cfg.seed)[:2])
+    # refused when the trial is built, before perceive could run it
+    with pytest.raises(ValueError, match="kmeans_restarts must be an int >= 1, got 0"):
+        TrialConfig(scene=ObstacleScene(boxes=(Box(front_x=0.3, height=0.08),)),
+                    kmeans_restarts=0)
 
 
 def test_kmeans_fewer_points_than_k():

@@ -464,6 +464,24 @@ def test_a_trial_resolves_its_hip_once(monkeypatch):
         assert len(built) == validations
 
 
+@pytest.mark.parametrize("field,value,says", [
+    ("n_step_over", -5, "be an int >= 0"),
+    ("n_level", 2.0, "be an int >= 0"),
+    ("seed", True, "be an int >= 0"),
+    ("heights", (), "be a non-empty tuple of positive, finite numbers"),
+    ("heights", (0.04, math.nan), "be a non-empty tuple of positive, finite numbers"),
+    ("step_on_height", 0.0, "be positive and finite"),
+    ("distance_range", (0.7, 0.15), "be an ordered pair of finite numbers"),
+    ("step_on_distance_range", (0.5, math.inf), "be an ordered pair of finite numbers"),
+    ("box_width", -0.4, "be positive and finite"),
+])
+def test_campaign_refuses_a_count_height_or_range_no_campaign_could_run(field, value, says):
+    # run_campaign ended n_step_over=-5 in numpy's OverflowError, heights=()
+    # in "a cannot be empty", and a reversed range in "high - low < 0"
+    with pytest.raises(ValueError, match=f"^CampaignConfig.{field} must {says}, got "):
+        CampaignConfig(**{field: value})
+
+
 def steplog_text(log):
     # rows hold NaN (c_t before phase three), so compare them as written
     return [ROW_FORMAT % row for row in log.rows]
