@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .leg_kinematics import (DEG, FRACTION, NON_NEGATIVE, POSITIVE, HipPose, Rule, _each,
-                             check_rules, declare, hip_poses)
+from .leg_kinematics import (DEG, FRACTION, NON_NEGATIVE, POSITIVE, THIGH_ANGLE, HipPose, Rule,
+                             _each, check_rules, declare, hip_poses)
 
 # Hip height above the ground at the start of every preset swing and in the
 # late-stance capture pose (sim_harness.CAPTURE_*), where it leaves the
@@ -40,11 +40,6 @@ PROGRESSION_RAMP_S = 0.08
 # landing, and the heel's x offset back from thigh * sin(that angle), in m
 AIM_LANDING_THETA_H = 47.0 * DEG
 AIM_HEEL_BACK = 0.032
-
-
-# a thigh angle from vertical: HipPose's bound
-THIGH_ANGLE = Rule(-math.nextafter(math.pi / 2, 0.0), math.nextafter(math.pi / 2, 0.0),
-                   "lie in (-pi/2, pi/2)")
 
 
 class GaitIntent(Enum):
@@ -84,7 +79,8 @@ class HipTrajectoryParams:
                                     "extension_rate_rps", 0.0, 10.0, default=3.0)
     # rad, smooth theta_h noise, a spread of thigh angles; a file's sigma of
     # at most 1 deg keeps the noisy hip angle inside HipPose's bound around
-    # the profile's +-80 deg reach (THETA_H_LIMIT)
+    # the profile's +-80 deg reach (THETA_H_LIMIT). TrialConfig refuses a
+    # larger one whose drawn track leaves it.
     noise_sigma: float = declare(Rule(0.0, math.nextafter(math.pi / 2, 0.0), "lie in [0, pi/2)"),
                                  "noise_sigma_deg", 0.0, 1.0, default=0.0)
 

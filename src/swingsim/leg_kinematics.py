@@ -57,13 +57,14 @@ def at_least(n: int) -> Rule:
     return Rule(n, math.inf, f"be an int >= {n}", integer=True)
 
 
-def declare(rule: Optional[Rule], key: str, lo: float = None, hi: float = None, *,
+def declare(rule: Optional[Rule], key: str = None, lo: float = None, hi: float = None, *,
             default=MISSING):
     """A dataclass field declared once: its physical rule, which check_rules
-    holds every instance to, and its file row for config: the key (one
-    ending in _deg holds degrees) and, for a number, the inclusive range in
-    file units a file may set, inside the rule."""
-    return field(default=default, metadata={"rule": rule, "file": (key, lo, hi)})
+    holds every instance to, and its file row for config, if a file sets it:
+    the key (one ending in _deg holds degrees) and, for a number, the
+    inclusive range in file units a file may set, inside the rule."""
+    row = {} if key is None else {"file": (key, lo, hi)}
+    return field(default=default, metadata={"rule": rule, **row})
 
 
 @cache
@@ -89,6 +90,9 @@ def check_rules(obj) -> None:
 
 # a link of a human leg (the longest femur on record is ~0.76 m)
 LINK = Rule(math.ulp(0.0), 1.0, "lie in (0, 1] m")
+# a thigh angle from vertical, short of horizontal
+THIGH_ANGLE = Rule(-math.nextafter(math.pi / 2, 0.0), math.nextafter(math.pi / 2, 0.0),
+                   "lie in (-pi/2, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -114,20 +118,13 @@ class LegGeometry:
 class HipPose:
     """User hip state in the world frame."""
 
-    x_h: float                  # m, forward
-    z_h: float                  # m, height
-    theta_h: float              # rad, thigh from vertical, + forward
-    theta_h_dot: float = 0.0    # rad/s
+    x_h: float = declare(FINITE)                        # m, forward
+    z_h: float = declare(POSITIVE)                      # m, height
+    theta_h: float = declare(THIGH_ANGLE)               # rad, thigh from vertical, + forward
+    theta_h_dot: float = declare(FINITE, default=0.0)   # rad/s
 
     def __post_init__(self):
-        if not math.isfinite(self.x_h):
-            raise ValueError(f"HipPose.x_h must be finite, got {self.x_h}")
-        if not self.z_h > 0.0:
-            raise ValueError(f"HipPose.z_h must be positive, got {self.z_h}")
-        if not abs(self.theta_h) < math.pi / 2:
-            raise ValueError(f"HipPose.theta_h must satisfy |theta_h| < pi/2, got {self.theta_h}")
-        if not math.isfinite(self.theta_h_dot):
-            raise ValueError(f"HipPose.theta_h_dot must be finite, got {self.theta_h_dot}")
+        check_rules(self)
 
 
 # the slot descriptors' __set__ fills a frozen HipPose's fields, in order
@@ -139,21 +136,25 @@ def hip_poses(x_h: np.ndarray, z_h: np.ndarray, theta_h: np.ndarray,
     """tuple(map(HipPose, x_h, z_h, theta_h, theta_h_dot)) of float arrays,
     built in bulk: one pose per theta_h_dot element.
 
-    HipPose's rule runs as one array pass over every element, those past
-    the last rate too (hip_track's t_{last+1}). The first failing element
-    raises through HipPose, with __post_init__'s message. The poses are
-    then filled through the slot descriptors in C-level map passes, with no
-    __init__ or __post_init__ frame per pose.
+    HipPose's declared rules run as one array pass over every element,
+    those past the last rate too (hip_track's t_{last+1}). The first
+    failing element raises through HipPose, with check_rules' message. The
+    poses are then filled through the slot descriptors in C-level map
+    passes, with no __init__ or __post_init__ frame per pose: one HipPose
+    built per pose instead took a campaign 1.022x at seed 2024 and 1.015x
+    at seed 7.
     """
     n = len(theta_h_dot)
-    ok = np.isfinite(x_h) & (z_h > 0.0) & (np.abs(theta_h) < math.pi / 2)
-    ok[:n] &= np.isfinite(theta_h_dot)
+    arrays = x_h, z_h, theta_h, theta_h_dot
+    ok = np.ones(len(x_h), bool)
+    for (_, rule), a in zip(_rules(HipPose), arrays):
+        ok[:len(a)] &= np.isfinite(a) & (rule.lo <= a) & (a <= rule.hi)
     if not ok.all():
         i = int(ok.argmin())
         HipPose(float(x_h[i]), float(z_h[i]), float(theta_h[i]),
                 float(theta_h_dot[i]) if i < n else 0.0)
     poses = list(map(object.__new__, repeat(HipPose, n)))
-    for set_field, values in zip(_HIP_POSE_SETTERS, (x_h, z_h, theta_h, theta_h_dot)):
+    for set_field, values in zip(_HIP_POSE_SETTERS, arrays):
         deque(map(set_field, poses, values.tolist()), maxlen=0)
     return tuple(poses)
 
@@ -173,7 +174,9 @@ class FootPoints(NamedTuple):
     A NamedTuple, not a frozen dataclass: one is built per tick, and the
     tuple is the cheaper immutable record to read. Building one through its
     generated __new__, a Python frame, costs ~0.4 us on CPython 3.11, about
-    twice tuple.__new__, so forward_points builds it with tuple.__new__.
+    twice tuple.__new__, so forward_points builds it with tuple.__new__
+    (with planner_step's PlannerCommand, the generated __new__ took a
+    campaign 1.033x at seed 2024 and 1.037x at seed 7).
     """
 
     knee: tuple

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from .leg_kinematics import (DEG, FINITE, NON_NEGATIVE, POSITIVE, Rule, _each, a
 LATERAL_FAN = 20.0 * DEG
 
 # Ray fans _ray_fan keeps; the largest accepted (500 x 21 rays) holds 0.25 MB.
+# A fan built per capture took a campaign 1.021x at seed 2024, 1.020x at 7.
 RAY_FAN_CACHE = 8
 
 # Cap on kmeans_prune's Lloyd center updates per restart: it bounds a
@@ -31,6 +33,8 @@ LLOYD_MAX_ITER = 100
 # _lloyd refreshes only the moved centers' distance columns, or the whole
 # matrix past this share of k. A refresh of j of 50 columns broke even with
 # the whole matrix at j ~ 19-21 (224 and 493 rows); a quarter keeps margin.
+# Refreshing the whole matrix every time took a campaign 1.0215x at seed
+# 2024 and 1.021x at seed 7.
 FULL_REFRESH_SHARE = 0.25
 
 # control_modify's x_c when the profile shows no front edge ahead of the toe.
@@ -300,7 +304,8 @@ def _lloyd_work(pts: np.ndarray, k: int) -> tuple:
     each point's row among the distinct points (None if no point repeats:
     the rows are then the points), the rows tiled to (m, k), and two (m, k)
     buffers. Mirrored lateral rays make m ~0.45 n on clean captures. Grouping
-    on a complex128 view costs ~0.04 ms, np.unique(axis=0) ~0.4 ms."""
+    on a complex128 view costs ~0.04 ms, np.unique(axis=0) ~0.4 ms; a row
+    per point instead took a campaign 1.158x at seed 2024 and 1.146x at 7."""
     px, pz = pts.T.copy()
     xz = np.ascontiguousarray(pts).view(np.complex128)[:, 0]
     distinct, inv = np.unique(xz, return_inverse=True)
@@ -395,10 +400,9 @@ def kmeans_prune(points: Sequence, k: int, seed: int, restarts: int) -> Elevatio
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if pts.shape[0] == 0:
         raise ValueError("kmeans_prune needs a non-empty point set")
-    if k < 1:
-        raise ValueError("kmeans_prune needs k >= 1")
-    if restarts < 1:
-        raise ValueError("kmeans_prune needs restarts >= 1")
+    for name, n in (("k", k), ("restarts", restarts)):
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"kmeans_prune needs an int {name} >= 1, got {n!r}")
     seeded = (_seed_lockstep(pts, k, np.random.default_rng(seed), restarts)
               if pts.shape[0] > k else None)
     best = pts

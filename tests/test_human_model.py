@@ -191,6 +191,28 @@ def test_a_trial_on_a_hip_of_infinite_forward_speed_is_refused_when_built():
         TrialConfig(human=replace(preset(GaitIntent.LEVEL), forward_speed=math.inf))
 
 
+def _noisy_step_over(sigma_deg, seed):
+    human = replace(preset(GaitIntent.STEP_OVER), noise_sigma=sigma_deg * DEG)
+    return TrialConfig(intent=GaitIntent.STEP_OVER, human=human, seed=seed)
+
+
+@pytest.mark.parametrize("sigma_deg,seed", [(20.0, 1), (40.0, 0)])
+def test_a_trial_whose_noisy_hip_leaves_the_thigh_angle_is_refused_when_built(sigma_deg, seed):
+    # both used to build, and run_swing then raised HipPose's error on the track
+    with pytest.raises(ValueError, match=r"^HipPose.theta_h must lie in \(-pi/2, pi/2\), got "):
+        _noisy_step_over(sigma_deg, seed)
+
+
+def test_trials_of_a_few_degrees_of_hip_noise_still_build_and_run_on_the_checked_track():
+    for sigma_deg in (5.0, 10.0):
+        for seed in range(20):
+            cfg = _noisy_step_over(sigma_deg, seed)
+    # the track built with the trial is the one its swing reads
+    misses = hip_track.cache_info().misses
+    run_swing(cfg)
+    assert hip_track.cache_info().misses == misses
+
+
 def test_params_reject_a_hip_still_rising_at_the_onset_that_overshoots_the_limit():
     # 30 deg at the onset, rising at 281.25 deg/s: extension_decay stops it
     # 57.5 deg higher, though theta_h_end is 75 deg
@@ -326,7 +348,7 @@ def test_hip_track_runs_no_post_init_and_a_direct_pose_still_checks(monkeypatch)
     finally:
         hip_track.cache_clear()
     assert len(track) > 1000 and calls == []
-    with pytest.raises(ValueError, match="HipPose.z_h must be positive, got -0.1"):
+    with pytest.raises(ValueError, match="^HipPose.z_h must be positive and finite, got -0.1$"):
         HipPose(x_h=0.0, z_h=-0.1, theta_h=0.0)
     assert len(calls) == 1
 

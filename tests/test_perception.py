@@ -208,13 +208,26 @@ def test_kmeans_k1_is_centroid():
     assert kp.keypoints[0] == pytest.approx(tuple(arr.mean(axis=0)), abs=1e-12)
 
 
-@pytest.mark.parametrize("k,restarts,match", [(0, 8, "k >= 1"), (2, 0, "restarts >= 1"),
-                                              (2, -4, "restarts >= 1")])
+@pytest.mark.parametrize("k,restarts,match", [
+    (0, 8, "k >= 1"), (2, 0, "restarts >= 1"), (2, -4, "restarts >= 1"),
+    (3.0, 8, r"^kmeans_prune needs an int k >= 1, got 3\.0$"),
+    (True, 8, "^kmeans_prune needs an int k >= 1, got True$"),
+    (2, 2.0, r"^kmeans_prune needs an int restarts >= 1, got 2\.0$"),
+    (2, True, "^kmeans_prune needs an int restarts >= 1, got True$"),
+])
 def test_kmeans_refuses_no_centers_or_no_restarts(k, restarts, match):
-    # refused up front, also where a profile of at most k points needs no pruning
+    # refused up front, also where a profile of at most k points needs no
+    # pruning; a float or bool k or restarts used to raise numpy's TypeError,
+    # or none at all on such a profile
     for pts in ([(0.0, 0.0), (0.5, 0.1), (1.0, 0.2)], [(0.0, 0.0)]):
         with pytest.raises(ValueError, match=match):
             kmeans_prune(pts, k=k, seed=5, restarts=restarts)
+
+
+def test_kmeans_takes_numpy_ints():
+    pts = [(0.1 * i, 0.01 * (i % 7)) for i in range(30)]
+    assert kmeans_prune(pts, k=np.int64(3), seed=5, restarts=np.int64(2)) \
+        == kmeans_prune(pts, k=3, seed=5, restarts=2)
 
 
 def test_a_trial_of_no_kmeans_restarts_is_refused():
