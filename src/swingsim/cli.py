@@ -14,6 +14,7 @@ outputs byte-identically; wall-clock metadata is isolated in run_info.json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -56,8 +57,18 @@ def _out_dir(args) -> str:
     return out
 
 
+@contextlib.contextmanager
+def _output(path: str):
+    """Yields path; an OSError while the block writes it (e.g. a directory at
+    its name) is a ConfigError naming it, as _out_dir's are."""
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {path!r}: {exc.strerror}") from None
+
+
 def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
+    with _output(path), open(path, "w") as fh:
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
@@ -82,7 +93,8 @@ def cmd_run(args, argv) -> int:
         _write_json(os.path.join(out, "scenario.json"), dump_scenario(cfg))
 
     log, result = run_swing(cfg, StepLog())
-    log.write_csv(os.path.join(out, "steplog.csv"))
+    with _output(os.path.join(out, "steplog.csv")) as path:
+        log.write_csv(path)
     _write_json(os.path.join(out, "result.json"), result.to_dict())
     _write_run_info(out, argv)
 
@@ -103,7 +115,8 @@ def cmd_campaign(args, argv) -> int:
 
     res = run_campaign(cc, jobs=args.jobs)
     _write_json(os.path.join(out, "summary.json"), res.summary)
-    write_trial_index_csv(os.path.join(out, "trials.csv"), res.specs, res.results)
+    with _output(os.path.join(out, "trials.csv")) as path:
+        write_trial_index_csv(path, res.specs, res.results)
     _write_run_info(out, argv)
 
     overall = res.summary["overall"]
@@ -121,7 +134,7 @@ def cmd_perceive(args, argv) -> int:
     s_capture, s_kmeans, _ = trial_seeds(cfg.seed)
     target, keypoints, profile, toe = perceive(cfg, s_capture, s_kmeans)
 
-    with open(os.path.join(out, "profile.csv"), "w") as fh:
+    with _output(os.path.join(out, "profile.csv")) as path, open(path, "w") as fh:
         fh.write("x_m,z_m\n")
         for x, z in profile:
             fh.write(f"{x:.6f},{z:.6f}\n")
@@ -141,12 +154,13 @@ def cmd_perceive(args, argv) -> int:
     return EXIT_OK
 
 
-SWEEPABLE = {"theta0_deg", "kmax", "alpha1", "alpha2"}
+# sweep's --param: a key of the scenario file's planner section
+PLANNER_KEYS = sorted(f.key for f in config.PLANNER)
 
 
 def cmd_sweep(args, argv) -> int:
-    if args.param not in SWEEPABLE:
-        raise ConfigError(f"sweep.param: must be one of {', '.join(sorted(SWEEPABLE))}")
+    if args.param not in PLANNER_KEYS:
+        raise ConfigError(f"sweep.param: must be one of {', '.join(PLANNER_KEYS)}")
     try:
         values = [float(v) for v in args.values.split(",") if v]
     except ValueError:
@@ -169,8 +183,7 @@ def cmd_sweep(args, argv) -> int:
         rows.append((value, overall["success_rate"], sum(durs) / len(durs),
                      sum(peaks) / len(peaks)))
 
-    path = os.path.join(out, "sweep.csv")
-    with open(path, "w") as fh:
+    with _output(os.path.join(out, "sweep.csv")) as path, open(path, "w") as fh:
         fh.write(f"{args.param},success_rate,mean_duration_s,mean_peak_flexion_deg\n")
         for value, rate, dur, peak in rows:
             fh.write(f"{value:.6f},{rate:.6f},{dur:.6f},{peak:.6f}\n")
@@ -211,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     percp.set_defaults(func=cmd_perceive)
 
     sweepp = sub.add_parser("sweep", help="vary one planner parameter")
-    sweepp.add_argument("--param", required=True, help=",".join(sorted(SWEEPABLE)))
+    sweepp.add_argument("--param", required=True, help=f"a planner key: {', '.join(PLANNER_KEYS)}")
     sweepp.add_argument("--values", required=True, help="comma-separated values")
     sweepp.add_argument("--trials", type=int, default=30, help="step-overs per value")
     sweepp.set_defaults(func=cmd_sweep)

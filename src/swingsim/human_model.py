@@ -6,9 +6,9 @@ progression follow closed-form C1 profiles. Landing is never scripted; the
 profiles keep evolving past the nominal swing duration and the harness ends
 the swing on foot contact. Interaction with the prosthesis emerges entirely
 through the phase predicates of the planner (relative heel/hip geometry).
-Since the hip never depends on the knee, the harness reads each swing's hip
-from a hip_track shared by every trial on the same trajectory, built in one
-vectorized pass to the timeout horizon.
+Since the hip never depends on the knee, each swing's hip is a track built
+in one vectorized pass to the timeout horizon: hip_track caches the preset
+tracks trials share, and build_hip_track builds one a single trial owns.
 
 The late-swing cues the controller relies on are expressed as parameters:
 forward progression that stops early (shortens the step), hip lowering plus
@@ -218,7 +218,7 @@ def _x_h(params: HipTrajectoryParams, t: np.ndarray) -> np.ndarray:
 
 def hip_pose(params: HipTrajectoryParams, t: float | np.ndarray, seed: Optional[int] = None):
     """Hip state at time t >= 0, valid well past the nominal duration
-    (hip_track samples it to the timeout horizon). A float t gives its HipPose;
+    (build_hip_track samples it to the timeout horizon). A float t gives its HipPose;
     an array of times gives the unchecked arrays (x_h, z_h, theta_h,
     theta_h_dot), each element the float a lone sample of it gives."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -250,20 +250,10 @@ def horizon(params: HipTrajectoryParams, dt: float) -> float:
     return end
 
 
-# Trajectories hip_track keeps. A campaign runs each trajectory's trials back
-# to back (its 210 trials resolve to 32: one per intent preset and one per
-# aimed step-on box): 178 hits and 32 misses at any size. 120 shuffled run
-# scenarios read 101/19 hits/misses at 8, 98-99/21-22 at 4, 93-94/26-27 at 3.
-# A track holds one HipPose per tick to the horizon, ~0.17 KB each: ~0.27 MB
-# for the step-over preset at 1 kHz, so 8 hold at most ~2.2 MB; 3 would save ~1.2 MB.
-HIP_TRACK_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)
-def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tuple:
-    """The tuple of hip poses one trajectory presents to the controller, shared
-    by every trial on it: the hip is open loop, so its poses depend only on
-    (params, seed, dt), never on the knee.
+def build_hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tuple:
+    """The tuple of hip poses one trajectory presents to the controller: the
+    hip is open loop, so its poses depend only on (params, seed, dt), never
+    on the knee.
 
     track[i] is the pose at tick time t_i (t_0 = 0.0, t_{i+1} = t_i + dt,
     summed in order as run_swing sums its clock). The track, and with it
@@ -277,7 +267,7 @@ def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tu
     One pass, eager to the horizon: np.add.accumulate sums the tick times,
     one hip_pose call samples them all, and hip_poses checks every sample
     (t_{last+1} too) in one array pass and builds the poses, so an invalid
-    one raises here and nothing is cached. An aimed step-on's track, 1,282
+    one raises here and no track is kept. An aimed step-on's track, 1,282
     poses of which its swing reads ~626, takes ~1.7 ms (2-core Xeon, CPython
     3.11): ~0.8 ms sampling and ~0.7 ms building, where one HipPose
     constructed per pose took ~2 ms. libm, element by element, keeps every
@@ -290,6 +280,19 @@ def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tu
     last = int(np.searchsorted(t, end))          # the first tick at or past the horizon
     x_h, z_h, theta_h, _ = hip_pose(params, t[:last + 2], seed)
     return hip_poses(x_h, z_h, theta_h, np.diff(theta_h) / dt)
+
+
+# Trajectories hip_track keeps: the noise-free, unaimed ones trials share (a
+# trial's own aimed or noisy track is TrialConfig.hip_track's alone). A
+# campaign's 210 trials read 2, the step-over and level presets: 178 hits
+# and 2 misses at any size. 120 shuffled run scenarios (17 of them own
+# tracks) read 101/2 hits/misses at 2 or more, 74/29 and 72/31 at 1 (seeds
+# 2024 and 7). A track holds one HipPose per tick to the horizon, ~0.17 KB
+# each: ~0.27 MB for the step-over preset at 1 kHz.
+HIP_TRACK_CACHE_SIZE = 3
+
+# build_hip_track's track of a trajectory, shared by every trial on it
+hip_track = lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)(build_hip_track)
 
 
 def aim_step_on_progression(params: HipTrajectoryParams, box_front_rel_hip: float,

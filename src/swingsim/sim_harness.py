@@ -2,7 +2,7 @@
 
 One trial is a single swing: a late-stance perception capture fixes the
 control target, the swing starts at toe-off, and each tick reads the
-human hip from the trajectory's shared hip_track (the hip is open loop),
+human hip from the trial's hip_track (the hip is open loop),
 runs the planner, integrates the commanded knee velocity (ideally or
 through a first-order lag), and checks for contact. Geometric
 contact stands in for the hardware's ground-reaction threshold:
@@ -16,7 +16,7 @@ import json
 import math
 import struct
 from collections import Counter, namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from typing import Optional
@@ -118,8 +118,17 @@ class TrialConfig:
                              f"lowering_depth, must lie above z = 0, got {low} m")
         human_model.horizon(human, self.planner.dt)
         if human.noise_sigma > 0.0:
-            # a noisy hip may leave HipPose's rule: build the cached track run_swing reads
-            human_model.hip_track(self.resolved_human, trial_seeds(self.seed)[2], self.planner.dt)
+            self.hip_track  # a noisy hip may leave HipPose's rule: build the track run_swing reads
+
+    def __getstate__(self) -> dict:
+        # the fields alone: run_campaign(jobs > 1) pickles cc.base into every
+        # pool chunk, and what a trial works out (its hip, its track) is rebuilt
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @property
+    def _aimed(self) -> bool:
+        """A step-on at one box: its hip aims the step at that box."""
+        return self.intent is GaitIntent.STEP_ON and len(self.scene.boxes) == 1
 
     @cached_property
     def resolved_human(self) -> HipTrajectoryParams:
@@ -127,11 +136,23 @@ class TrialConfig:
         raised onto the scene's ground, and the cooperative step-on aiming."""
         params = self.human if self.human is not None else human_model.preset(self.intent)
         params = replace(params, hip_height_base=params.hip_height_base + self.scene.ground_height)
-        if self.intent is GaitIntent.STEP_ON and len(self.scene.boxes) == 1:
+        if self._aimed:
             box = self.scene.boxes[0]
             params = human_model.aim_step_on_progression(
                 params, box.front_x, box.depth, thigh=self.geometry.thigh_m)
         return params
+
+    @cached_property
+    def hip_track(self) -> tuple:
+        """The hip poses this trial's swing reads, to the timeout horizon. A
+        hip no other trial can share, one aimed at this trial's box or one
+        drawn from its noise seed, is built for it and kept by it alone; any
+        other comes from human_model.hip_track's cache."""
+        human, dt = self.resolved_human, self.planner.dt
+        noisy = human.noise_sigma > 0.0
+        if not (noisy or self._aimed):
+            return human_model.hip_track(human, None, dt)
+        return human_model.build_hip_track(human, trial_seeds(self.seed)[2] if noisy else None, dt)
 
 
 LOG_COLUMNS = (
@@ -400,17 +421,15 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
     logs none and returns (None, result). The log only observes; the result
     is the same.
     """
-    s_capture, s_kmeans, s_noise = trial_seeds(cfg.seed)
+    s_capture, s_kmeans, _ = trial_seeds(cfg.seed)
 
-    human = cfg.resolved_human
     target_rel, _, _, cap_toe = perceive(cfg, s_capture, s_kmeans)
     target = ControlTarget(z_m=target_rel.z_m, x_c=cap_toe[0] + target_rel.x_c)
 
     params = cfg.planner
     dt = params.dt
     t = 0.0
-    noise_seed = s_noise if human.noise_sigma > 0.0 else None
-    track = human_model.hip_track(human, noise_seed, dt)   # to the timeout horizon
+    track = cfg.hip_track   # to the timeout horizon
     hip = track[0]
     joint = JointState(theta_k=TOE_OFF_THETA_K, theta_k_dot=0.0, theta_k_ddot=0.0)
     state = PhaseState()

@@ -215,15 +215,23 @@ MUTANTS = (
         "What a swing already fixes leaves the 1 kHz tick"),
     Mutant(
         "hip-track-cache-key-without-the-seed", "src/swingsim/human_model.py",
-        "@lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)\n"
-        "def hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tuple:\n",
+        "hip_track = lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)(build_hip_track)\n",
         "def hip_track(params, seed, dt, _memo={}):\n"
         "    if (params, dt) not in _memo:\n"
-        "        _memo[params, dt] = _hip_track(params, seed, dt)\n"
+        "        _memo[params, dt] = build_hip_track(params, seed, dt)\n"
         "    return _memo[params, dt]\n\n\n"
-        "def _hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tuple:\n",
-        ("tests/test_acceptance.py::test_reference_swing_on_a_lagged_swing_and_noisy_hips",),
+        "hip_track.cache_clear = hip_track.__defaults__[0].clear\n",
+        ("tests/test_acceptance.py::test_reference_swing_on_a_lagged_swing_and_noisy_hips",
+         "tests/test_human_model.py::test_hip_tracks_of_different_noise_seeds_differ"),
         "What a swing already fixes leaves the 1 kHz tick (ROADMAP item 12's reference swing)"),
+    Mutant(
+        "own-hip-tracks-through-the-shared-cache", "src/swingsim/sim_harness.py",
+        "return human_model.build_hip_track(human, trial_seeds(self.seed)[2] if noisy else None, dt)",
+        "return human_model.hip_track(human, trial_seeds(self.seed)[2] if noisy else None, dt)",
+        ("tests/test_acceptance.py::test_campaign_caches_only_the_preset_tracks_its_trials_share",
+         "tests/test_sim_harness.py::"
+         "test_noisy_trials_built_before_they_run_sample_each_track_once"),
+        "A trial owns the hip track no other trial can share"),
     Mutant(
         "peak-cache-key-without-the-geometry", "src/swingsim/swing_planner.py",
         "_peak_cached = lru_cache(maxsize=8192)(_peak_closed_form)\n",

@@ -109,6 +109,7 @@ def campaign():
         t0 = time.time()
         result = run_campaign(cc)
         result.runtime_s = time.time() - t0
+    result.hip_track_info = human_model.hip_track.cache_info()
     result.logs = logs   # one step log per trial, in spec order (serial campaign)
     result.hip_pose_calls = calls[0]
     result.hip_validations = built[0]
@@ -153,6 +154,16 @@ def test_campaign_samples_each_hip_trajectory_once(campaign):
     assert res.hip_pose_calls == len(trajectories)
     print(f"\n[hip track] PASS: {res.hip_pose_calls} hip_pose calls for {len(trajectories)} "
           f"trajectories over {ticks} ticks")
+
+
+def test_campaign_caches_only_the_preset_tracks_its_trials_share(campaign):
+    # every step-on aims at its own box, so its track is its trial's alone:
+    # the cache keeps the step-over and level presets, which 178 trials reuse
+    cc, res = campaign
+    info = res.hip_track_info
+    assert (info.hits, info.misses, info.currsize) == (178, 2, 2)
+    print(f"\n[hip track cache] PASS: {info.hits} hits, {info.misses} misses, "
+          f"{info.currsize} tracks kept")
 
 
 def test_campaign_resolves_each_trials_hip_once(campaign):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from swingsim import cli
+from swingsim import cli, config
 from swingsim.cli import main
 from swingsim.config import dump_scenario, load_scenario, parse_scenario
 from swingsim.sim_harness import CampaignConfig, TrialConfig, build_trial_specs, capture_state
@@ -203,6 +203,41 @@ def test_sweep_emits_table(tmp_path):
     rows = open(out / "sweep.csv").read().splitlines()
     assert rows[0] == "theta0_deg,success_rate,mean_duration_s,mean_peak_flexion_deg"
     assert len(rows) == 3
+
+
+def test_sweep_takes_any_planner_key(tmp_path):
+    # delta_m was refused: sweep kept its own list of four planner keys
+    out = tmp_path / "s"
+    assert main(["--out", str(out), "sweep", "--param", "delta_m", "--values", "0.01",
+                 "--trials", "1"]) == 0
+    rows = open(out / "sweep.csv").read().splitlines()
+    assert rows[0] == "delta_m,success_rate,mean_duration_s,mean_peak_flexion_deg"
+    assert len(rows) == 2
+
+
+def test_sweep_help_and_refusal_list_the_planner_table(capsys):
+    keys = ", ".join(sorted(f.key for f in config.PLANNER))
+    with pytest.raises(SystemExit):
+        main(["sweep", "--help"])
+    assert keys in " ".join(capsys.readouterr().out.split())
+    assert main(["sweep", "--param", "nope", "--values", "1"]) == 2
+    assert capsys.readouterr().err == f"config error: sweep.param: must be one of {keys}\n"
+
+
+@pytest.mark.parametrize("command,name", [
+    ("run", "steplog.csv"), ("perceive", "profile.csv"), ("campaign", "summary.json"),
+])
+def test_an_output_file_out_cannot_write_exits_2(command, name, level_scenario, tmp_path,
+                                                 capsys):
+    # an IsADirectoryError traceback (exit 1); a campaign's came after its trials
+    out = tmp_path / "o"
+    (out / name).mkdir(parents=True)
+    arg = level_scenario
+    if command == "campaign":
+        arg = write_json(tmp_path / "one.json", {"n_step_over": 0, "n_step_on": 0, "n_level": 1})
+    assert main(["--out", str(out), command, arg]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: --out: cannot write {str(out / name)!r}: Is a directory\n")
 
 
 def test_env_var_out_dir(level_scenario, tmp_path, monkeypatch):

@@ -482,6 +482,47 @@ def test_campaign_refuses_a_count_height_or_range_no_campaign_could_run(field, v
         CampaignConfig(**{field: value})
 
 
+def test_noisy_trials_built_before_they_run_sample_each_track_once(monkeypatch):
+    from swingsim import human_model
+    calls = []
+    real = human_model.hip_pose
+
+    def counting(params, t, seed=None):
+        if np.ndim(t):
+            calls.append(seed)
+        return real(params, t, seed)
+
+    monkeypatch.setattr(human_model, "hip_pose", counting)
+    human = replace(human_model.preset(GaitIntent.STEP_OVER), noise_sigma=5.0 * DEG)
+    # more noisy trials than the cache holds, all built first, then run
+    cfgs = [TrialConfig(intent=GaitIntent.STEP_OVER, human=human, seed=seed)
+            for seed in range(10)]
+    for cfg in cfgs:
+        run_swing(cfg)
+    assert sorted(calls) == sorted(trial_seeds(seed)[2] for seed in range(10))
+
+
+@pytest.mark.parametrize("intent,boxes", [
+    (GaitIntent.LEVEL, ()),
+    (GaitIntent.STEP_ON, (Box(front_x=0.8, height=0.16),)),
+], ids=["level", "aimed-step-on"])
+def test_a_trial_pickles_to_its_fields_alone_after_it_has_run(intent, boxes):
+    # run_campaign(jobs > 1) pickles cc.base into every pool chunk: a trial's
+    # resolved hip and its track stay out of it
+    import pickle
+    from dataclasses import fields
+    cfg = TrialConfig(intent=intent, scene=ObstacleScene(boxes=boxes), seed=4)
+    run_swing(cfg)
+    blob = pickle.dumps(cfg)
+    # as many bytes as a copy that has not run, though the trial keeps its track
+    assert len(blob) == len(pickle.dumps(replace(cfg)))
+    assert "hip_track" in vars(cfg)
+    copy = pickle.loads(blob)
+    assert copy == cfg
+    assert set(vars(copy)) == {f.name for f in fields(TrialConfig)}
+    assert run_swing(copy)[1] == run_swing(cfg)[1]
+
+
 def steplog_text(log):
     # rows hold NaN (c_t before phase three), so compare them as written
     return [ROW_FORMAT % row for row in log.rows]
@@ -489,9 +530,8 @@ def steplog_text(log):
 
 def test_run_swing_rows_equal_with_warm_and_cleared_hip_track():
     from swingsim import human_model
-    # 1 deg of hip noise, so the track's key carries the trial's noise seed
-    human = replace(human_model.preset(GaitIntent.STEP_OVER), noise_sigma=1.0 * DEG)
-    base = TrialConfig(intent=GaitIntent.STEP_OVER, human=human, seed=11)
+    # the step-over preset, whose track the cache shares between trials
+    base = TrialConfig(intent=GaitIntent.STEP_OVER, seed=11)
     _, pts = capture_state(base)
     # one trajectory, two swing lengths: a step-over, and a trip on a 0.16 m
     # box at 0.9 m
