@@ -233,6 +233,21 @@ MUTANTS = (
          "test_noisy_trials_built_before_they_run_sample_each_track_once"),
         "A trial owns the hip track no other trial can share"),
     Mutant(
+        "shared-hip-tracks-bypass-the-cache", "src/swingsim/sim_harness.py",
+        "            return human_model.hip_track(human, None, dt)\n",
+        "            return human_model.build_hip_track(human, None, dt)\n",
+        ("tests/test_human_model.py::test_a_timed_out_swing_reads_the_last_pose_of_its_track",
+         "tests/test_sim_harness.py::test_run_swing_samples_hip_once_per_tick",
+         "tests/test_sim_harness.py::test_run_swing_rows_equal_with_warm_and_cleared_hip_track"),
+        "A trial owns the hip track no other trial can share"),
+    Mutant(
+        "run-swing-rebuilds-the-trials-own-track", "src/swingsim/sim_harness.py",
+        "    track = cfg.hip_track   # to the timeout horizon\n",
+        "    track = TrialConfig.hip_track.func(cfg)\n",
+        ("tests/test_human_model.py::"
+         "test_trials_of_a_few_degrees_of_hip_noise_still_build_and_run_on_the_checked_track",),
+        "A trial owns the hip track no other trial can share"),
+    Mutant(
         "peak-cache-key-without-the-geometry", "src/swingsim/swing_planner.py",
         "_peak_cached = lru_cache(maxsize=8192)(_peak_closed_form)\n",
         "_peaks = {}\n\n\n"

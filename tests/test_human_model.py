@@ -203,14 +203,24 @@ def test_a_trial_whose_noisy_hip_leaves_the_thigh_angle_is_refused_when_built(si
         _noisy_step_over(sigma_deg, seed)
 
 
-def test_trials_of_a_few_degrees_of_hip_noise_still_build_and_run_on_the_checked_track():
+def test_trials_of_a_few_degrees_of_hip_noise_still_build_and_run_on_the_checked_track(
+        monkeypatch):
     for sigma_deg in (5.0, 10.0):
         for seed in range(20):
             cfg = _noisy_step_over(sigma_deg, seed)
-    # the track built with the trial is the one its swing reads
-    misses = hip_track.cache_info().misses
+    # the track built with the trial is the one its swing reads: the swing
+    # samples no hip trajectory of its own
+    sampled = []
+    real = human_model.hip_pose
+
+    def counting(params, t, seed=None):
+        if np.ndim(t):
+            sampled.append(seed)
+        return real(params, t, seed)
+
+    monkeypatch.setattr(human_model, "hip_pose", counting)
     run_swing(cfg)
-    assert hip_track.cache_info().misses == misses
+    assert sampled == []
 
 
 def test_params_reject_a_hip_still_rising_at_the_onset_that_overshoots_the_limit():
@@ -378,10 +388,13 @@ def test_a_timed_out_swing_reads_the_last_pose_of_its_track(monkeypatch, dt):
     assert result.outcome is Outcome.TIMEOUT
     # tick i reads pose i + 1, so the last tick read the track's last pose
     assert len(log.rows) + 1 == len(hip_track(human, None, dt))
-    # and the per-tick reference track gives the same swing
+    # and the per-tick reference track gives the same swing, on a trial that
+    # has not yet taken its track
+    reference = []
     monkeypatch.setattr(human_model, "hip_track",
-                        lambda p, s, d: tuple(hip_at_reference(p, s, d)))
-    assert run_swing(cfg)[1] == result
+                        lambda p, s, d: reference.append(p) or tuple(hip_at_reference(p, s, d)))
+    assert run_swing(replace(cfg))[1] == result
+    assert reference == [human]
 
 
 def test_the_scenario_table_extremes_build_their_hip_tracks():

@@ -433,7 +433,7 @@ def test_run_swing_samples_hip_once_per_tick(monkeypatch):
     assert times[:len(log.rows)].tolist() == [row[0] for row in log.rows]
     # the hip is open loop: an identical trial reads the same track
     calls.clear()
-    again, _ = run_swing(cfg, StepLog())
+    again, _ = run_swing(TrialConfig(intent=GaitIntent.LEVEL, seed=11), StepLog())
     assert calls == []
     assert steplog_text(again) == steplog_text(log)
 
@@ -543,9 +543,12 @@ def test_run_swing_rows_equal_with_warm_and_cleared_hip_track():
         human_model.hip_track.cache_clear()
         cold[cfg] = steplog_text(run_swing(cfg, StepLog())[0])
     assert len(cold[short]) < len(cold[long_])
-    # both read the one track, whichever swing built it
+    # both read the one track, whichever swing built it: a fresh trial takes
+    # its track from the cache
+    info = human_model.hip_track.cache_info()
     for cfg in (long_, short):
-        assert steplog_text(run_swing(cfg, StepLog())[0]) == cold[cfg]
+        assert steplog_text(run_swing(replace(cfg), StepLog())[0]) == cold[cfg]
+    assert human_model.hip_track.cache_info().hits == info.hits + 2
 
 
 def test_run_swing_evaluates_kinematics_once_per_tick(monkeypatch):
