@@ -13,14 +13,8 @@ Subpackages:
 __version__ = "0.1.0"
 
 from .leg_kinematics import LegGeometry, HipPose, JointState, FootPoints, forward_points
-from .perception import (
-    Box,
-    ObstacleScene,
-    CameraModel,
-    ElevationKeypoints,
-    ObstacleEstimate,
-    ControlTarget,
-)
+from .perception import (Box, ObstacleScene, CameraModel, ElevationKeypoints, ObstacleEstimate,
+                         ControlTarget)
 from .swing_planner import PlannerParams, PhaseState, Phase, PlannerCommand
 from .human_model import GaitIntent, HipTrajectoryParams, preset, hip_pose
 from .sim_harness import TrialConfig, TrialResult, Outcome, run_swing, run_campaign

@@ -26,18 +26,9 @@ from . import config
 from .leg_kinematics import DEG
 from .config import ConfigError, dump_scenario, load_json, load_scenario, parse_campaign
 from .human_model import GaitIntent
-from .sim_harness import (
-    CampaignConfig,
-    SUCCESSES,
-    StepLog,
-    TrialConfig,
-    capture_state,
-    perceive,
-    run_campaign,
-    run_swing,
-    trial_seeds,
-    write_trial_index_csv,
-)
+# capture_state is unused here, but perfbench/tracer.py patches this import site
+from .sim_harness import (SUCCESSES, CampaignConfig, StepLog, TrialConfig, capture_state, perceive,
+                          run_campaign, run_swing, trial_seeds, write_trial_index_csv)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -65,6 +56,16 @@ def _output(path: str):
         yield path
     except OSError as exc:
         raise ConfigError(f"--out: cannot write {path!r}: {exc.strerror}") from None
+
+
+def _writable(out: str, *names) -> list:
+    """The paths of names in out, each opened now through _output to append (an earlier
+    run's file keeps its bytes), so one --out cannot hold is refused before any trial runs."""
+    paths = [os.path.join(out, name) for name in names]
+    for path in paths:
+        with _output(path), open(path, "a"):
+            pass
+    return paths
 
 
 def _write_json(path: str, obj) -> None:
@@ -112,16 +113,17 @@ def cmd_campaign(args, argv) -> int:
     if args.seed is not None:
         cc = replace(cc, seed=args.seed)
     out = _out_dir(args)
+    summary, trials, _ = _writable(out, "summary.json", "trials.csv", "run_info.json")
 
     res = run_campaign(cc, jobs=args.jobs)
-    _write_json(os.path.join(out, "summary.json"), res.summary)
-    with _output(os.path.join(out, "trials.csv")) as path:
-        write_trial_index_csv(path, res.specs, res.results)
+    _write_json(summary, res.summary)
+    with _output(trials):
+        write_trial_index_csv(trials, res.specs, res.results)
     _write_run_info(out, argv)
 
     overall = res.summary["overall"]
     print(f"campaign: {overall['n_success']}/{overall['n']} successful "
-          f"({overall['success_rate'] * 100:.1f}%) -> {os.path.join(out, 'summary.json')}")
+          f"({overall['success_rate'] * 100:.1f}%) -> {summary}")
     if (cc.expect_all_success or args.strict) and overall["n_success"] != overall["n"]:
         return EXIT_FAILURE
     return EXIT_OK
@@ -170,6 +172,7 @@ def cmd_sweep(args, argv) -> int:
     config.check("sweep.trials", TRIALS, args.trials)
     planners = [config.parse_scenario({"planner": {args.param: v}}).planner for v in values]
     out = _out_dir(args)
+    path, _ = _writable(out, "sweep.csv", "run_info.json")
 
     rows = []
     for value, planner in zip(values, planners):
@@ -183,7 +186,7 @@ def cmd_sweep(args, argv) -> int:
         rows.append((value, overall["success_rate"], sum(durs) / len(durs),
                      sum(peaks) / len(peaks)))
 
-    with _output(os.path.join(out, "sweep.csv")) as path, open(path, "w") as fh:
+    with _output(path), open(path, "w") as fh:
         fh.write(f"{args.param},success_rate,mean_duration_s,mean_peak_flexion_deg\n")
         for value, rate, dur, peak in rows:
             fh.write(f"{value:.6f},{rate:.6f},{dur:.6f},{peak:.6f}\n")

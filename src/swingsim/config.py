@@ -134,6 +134,8 @@ def _fields(path: str, table, raw) -> dict:
 
 def _build(path: str, default, fields: dict):
     """`default` (an object, or a class) with `fields`; ValueError -> ConfigError(path)."""
+    if not fields and not isinstance(default, type):
+        return default  # a section that sets no key keeps its default object
     try:
         return default(**fields) if isinstance(default, type) else replace(default, **fields)
     except ValueError as exc:
@@ -172,14 +174,14 @@ def parse_scenario(data) -> TrialConfig:
             raise ConfigError(f"scenario.{key}: unknown section "
                               f"(known: {', '.join(sorted(SECTIONS))})")
     sec = {name: _fields(name, table, data.get(name, {})) for name, table in SECTIONS.items()}
-    base = TrialConfig(intent=sec["human"].pop(INTENT.attr, TrialConfig.intent))
-    cfg = _build("trial", base, dict(
-        sec["trial"],
-        geometry=_build("geometry", base.geometry, sec["geometry"]),
-        camera=_build("camera", base.camera, sec["camera"]),
-        planner=_build("planner", base.planner, sec["planner"]),
-        human=_build("human", preset(base.intent), sec["human"]),
-        scene=_build("scene", base.scene, sec["scene"])))
+    intent = sec["human"].pop(INTENT.attr, TrialConfig.intent)
+    cfg = _build("trial", TrialConfig, dict(
+        sec["trial"], intent=intent,
+        geometry=_build("geometry", TrialConfig.geometry, sec["geometry"]),
+        camera=_build("camera", TrialConfig.camera, sec["camera"]),
+        planner=_build("planner", TrialConfig.planner, sec["planner"]),
+        human=_build("human", preset(intent), sec["human"]),
+        scene=_build("scene", TrialConfig.scene, sec["scene"])))
     contact = toe_off_contact(cfg)
     if contact is not None:
         raise ConfigError(f"scenario: the toe-off foot already touches the scene ({contact}); "

@@ -88,6 +88,12 @@ def check_rules(obj) -> None:
             raise ValueError(f"{type(obj).__name__}.{name} must {rule.says}, got {v!r}")
 
 
+def fields_state(obj) -> dict:
+    """obj's dataclass fields alone, as a __getstate__ for pickle: what an
+    instance works out and caches (a cached_property) is rebuilt, not sent."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 # a link of a human leg (the longest femur on record is ~0.76 m)
 LINK = Rule(math.ulp(0.0), 1.0, "lie in (0, 1] m")
 # a thigh angle from vertical, short of horizontal

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .leg_kinematics import (DEG, FINITE, NON_NEGATIVE, POSITIVE, Rule, _each, at_least,
-                             check_rules, declare)
+                             check_rules, declare, fields_state)
 
 # Fixed lateral fan of the synthetic camera (full angle, radians).
 LATERAL_FAN = 20.0 * DEG
@@ -77,6 +77,9 @@ class ObstacleScene:
         for a, b in zip(boxes, boxes[1:]):
             if b.front_x < a.back_x:
                 raise ValueError("scene boxes overlap in x")
+
+    # its spans and x_extent are rebuilt, not pickled into run_campaign's chunks
+    __getstate__ = fields_state
 
     @cached_property
     def spans(self) -> tuple:

@@ -16,7 +16,7 @@ import json
 import math
 import struct
 from collections import Counter, namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import Optional
@@ -24,22 +24,11 @@ from typing import Optional
 import numpy as np
 
 from .leg_kinematics import (DEG, FINITE, NON_NEGATIVE, POSITIVE, FootPoints, HipPose, JointState,
-                             LegGeometry, Rule, at_least, check_rules, declare, forward_points)
-from .perception import (
-    HEIGHT_RANGE_M,
-    SIZE_RANGE_M,
-    Box,
-    CameraModel,
-    ControlTarget,
-    ObstacleEstimate,
-    ObstacleScene,
-    camera_pose_from_thigh,
-    capture,
-    control_modify,
-    crop_and_project,
-    elevation_keypoints,
-    extract_estimate,
-)
+                             LegGeometry, Rule, at_least, check_rules, declare, fields_state,
+                             forward_points)
+from .perception import (HEIGHT_RANGE_M, SIZE_RANGE_M, Box, CameraModel, ControlTarget,
+                         ObstacleEstimate, ObstacleScene, camera_pose_from_thigh, capture,
+                         control_modify, crop_and_project, elevation_keypoints, extract_estimate)
 from .swing_planner import THREE_MIRROR, Phase, PhaseState, PlannerParams, planner_step
 from . import human_model
 from .human_model import GaitIntent, HipTrajectoryParams
@@ -120,10 +109,9 @@ class TrialConfig:
         if human.noise_sigma > 0.0:
             self.hip_track  # a noisy hip may leave HipPose's rule: build the track run_swing reads
 
-    def __getstate__(self) -> dict:
-        # the fields alone: run_campaign(jobs > 1) pickles cc.base into every
-        # pool chunk, and what a trial works out (its hip, its track) is rebuilt
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    # run_campaign(jobs > 1) pickles cc.base into every pool chunk; what a
+    # trial works out (its hip, its track, its toe-off foot) is rebuilt
+    __getstate__ = fields_state
 
     @property
     def _aimed(self) -> bool:
@@ -153,6 +141,12 @@ class TrialConfig:
         if not (noisy or self._aimed):
             return human_model.hip_track(human, None, dt)
         return human_model.build_hip_track(human, trial_seeds(self.seed)[2] if noisy else None, dt)
+
+    @cached_property
+    def toe_off(self) -> FootPoints:
+        """The foot the swing starts from: the knee at TOE_OFF_THETA_K on the
+        first pose of hip_track, its noise included."""
+        return forward_points(self.geometry, self.hip_track[0], TOE_OFF_THETA_K)
 
 
 LOG_COLUMNS = (
@@ -213,12 +207,10 @@ def _format_rows(v) -> bytes:
 
 class StepLog:
     """The ticks of a swing, each appended to buf as one _ROW as run_swing
-    logs it. rows builds the LogRows on each read; StepLog(rows) packs
-    given ones, whose phases must be Phase values."""
+    logs it; rows builds the LogRows on each read."""
 
-    def __init__(self, rows=()):
-        self.buf = bytearray(b"".join([_ROW.pack(row[0], _PHASE_INDEX[row[1]], *row[2:])
-                                       for row in rows]))
+    def __init__(self):
+        self.buf = bytearray()
 
     @property
     def rows(self) -> list:
@@ -382,12 +374,10 @@ def contact_check(pts: FootPoints, scene: ObstacleScene) -> tuple:
 
 
 def toe_off_contact(cfg: TrialConfig) -> Optional[Contact]:
-    """Contact of the noise-free toe-off foot, on the hip run_swing starts from
-    (cfg.resolved_human at t = 0), with the scene, if any: a leg, hip base and
-    scene that put the foot into the ground or a box before the swing starts."""
-    hip = human_model.hip_pose(cfg.resolved_human, 0.0)
-    pts = forward_points(cfg.geometry, hip, TOE_OFF_THETA_K)
-    return contact_check(pts, cfg.scene)[0]
+    """Contact of cfg.toe_off, the foot run_swing starts from, with the scene,
+    if any: a leg, hip and scene that put the foot into the ground or a box
+    before the swing starts."""
+    return contact_check(cfg.toe_off, cfg.scene)[0]
 
 
 def _classify(contact: Optional[Contact], landing: bool, cfg: TrialConfig) -> tuple:
@@ -443,7 +433,7 @@ def run_swing(cfg: TrialConfig, log: Optional[StepLog] = None) -> tuple:
         buf, index, pack = log.buf, _PHASE_INDEX, _ROW.pack
     # min/max below are the conditionals that return the builtins' operand
     # (see swing_planner)
-    pts = forward_points(geom, hip, joint.theta_k)
+    pts = cfg.toe_off
     for i in range(1, len(track)):
         # pts is the foot at this tick's hip and knee, shared with the planner
         cmd = planner_step(geom, hip, joint, pts, target, state, params)

@@ -182,8 +182,8 @@ MUTANTS = (
         "One packed record per step-log tick"),
     Mutant(
         "cli-drops-the-tracer-only-capture-state-import", "src/swingsim/cli.py",
-        "    TrialConfig,\n    capture_state,\n",
-        "    TrialConfig,\n",
+        "TrialConfig, capture_state, perceive,",
+        "TrialConfig, perceive,",
         ("tests/test_perfbench_names.py::test_the_names_perfbench_binds_resolve",),
         "One packed record per step-log tick"),
     Mutant(
@@ -247,6 +247,30 @@ MUTANTS = (
         ("tests/test_human_model.py::"
          "test_trials_of_a_few_degrees_of_hip_noise_still_build_and_run_on_the_checked_track",),
         "A trial owns the hip track no other trial can share"),
+    Mutant(
+        "toe-off-check-on-the-noise-free-hip", "src/swingsim/sim_harness.py",
+        "    return contact_check(cfg.toe_off, cfg.scene)[0]\n",
+        "    hip = human_model.hip_pose(cfg.resolved_human, 0.0)\n"
+        "    return contact_check(forward_points(cfg.geometry, hip, TOE_OFF_THETA_K), cfg.scene)[0]\n",
+        ("tests/test_config.py::test_the_toe_off_check_reads_the_foot_the_swing_starts_from",
+         "tests/test_config.py::test_a_noisy_toe_off_foot_in_a_box_face_is_rejected"),
+        "The toe-off foot has one owner"),
+    Mutant(
+        "scene-pickles-its-cached-spans", "src/swingsim/perception.py",
+        "    __getstate__ = fields_state\n",
+        "",
+        ("tests/test_sim_harness.py::"
+         "test_a_scene_a_swing_has_read_pickles_to_the_bytes_of_a_fresh_one",),
+        "The toe-off foot has one owner"),
+    Mutant(
+        "campaign-opens-its-outputs-after-the-run", "src/swingsim/cli.py",
+        "    summary, trials, _ = _writable(out, \"summary.json\", \"trials.csv\", \"run_info.json\")\n"
+        "\n"
+        "    res = run_campaign(cc, jobs=args.jobs)\n",
+        "    res = run_campaign(cc, jobs=args.jobs)\n"
+        "    summary, trials, _ = _writable(out, \"summary.json\", \"trials.csv\", \"run_info.json\")\n",
+        ("tests/test_cli.py::test_an_output_file_out_cannot_write_exits_2",),
+        "The toe-off foot has one owner"),
     Mutant(
         "peak-cache-key-without-the-geometry", "src/swingsim/swing_planner.py",
         "_peak_cached = lru_cache(maxsize=8192)(_peak_closed_form)\n",

@@ -3,10 +3,11 @@ import os
 
 import pytest
 
-from swingsim import cli, config
+from swingsim import cli, config, sim_harness
 from swingsim.cli import main
 from swingsim.config import dump_scenario, load_scenario, parse_scenario
-from swingsim.sim_harness import CampaignConfig, TrialConfig, build_trial_specs, capture_state
+from swingsim.sim_harness import (CampaignConfig, TrialConfig, build_trial_specs, capture_state,
+                                  run_swing)
 from swingsim.human_model import GaitIntent
 
 
@@ -226,18 +227,27 @@ def test_sweep_help_and_refusal_list_the_planner_table(capsys):
 
 @pytest.mark.parametrize("command,name", [
     ("run", "steplog.csv"), ("perceive", "profile.csv"), ("campaign", "summary.json"),
+    ("campaign", "trials.csv"), ("sweep", "sweep.csv"),
 ])
 def test_an_output_file_out_cannot_write_exits_2(command, name, level_scenario, tmp_path,
-                                                 capsys):
-    # an IsADirectoryError traceback (exit 1); a campaign's came after its trials
+                                                 capsys, monkeypatch):
+    # an IsADirectoryError traceback (exit 1); a campaign's and a sweep's
+    # refusal came after their trials, which now never start
+    swings = []
+    monkeypatch.setattr(sim_harness, "run_swing", lambda *a: swings.append(a) or run_swing(*a))
     out = tmp_path / "o"
     (out / name).mkdir(parents=True)
-    arg = level_scenario
+    args = [command, level_scenario]
     if command == "campaign":
-        arg = write_json(tmp_path / "one.json", {"n_step_over": 0, "n_step_on": 0, "n_level": 1})
-    assert main(["--out", str(out), command, arg]) == 2
+        args[1] = write_json(tmp_path / "one.json", {"n_step_over": 0, "n_step_on": 0,
+                                                      "n_level": 1})
+    elif command == "sweep":
+        args[1:] = ["--param", "delta_m", "--values", "0.01", "--trials", "1"]
+    assert main(["--out", str(out), *args]) == 2
     assert capsys.readouterr().err == (
         f"config error: --out: cannot write {str(out / name)!r}: Is a directory\n")
+    if command in ("campaign", "sweep"):
+        assert swings == []
 
 
 def test_env_var_out_dir(level_scenario, tmp_path, monkeypatch):

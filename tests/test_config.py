@@ -13,22 +13,24 @@ from dataclasses import fields, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swingsim import cli, config, human_model
+from swingsim import cli, config, human_model, sim_harness
 from swingsim.config import (BOX, BOXES, CAMPAIGN, DEGREES, FLOATS, PAIR, SECTIONS, TAU,
                              ConfigError, dump_scenario, parse_scenario)
 from swingsim.human_model import MAX_HORIZON_TICKS, GaitIntent, HipTrajectoryParams, preset
-from swingsim.leg_kinematics import DEG, LegGeometry
+from swingsim.leg_kinematics import DEG, LegGeometry, forward_points
 from swingsim.perception import Box, CameraModel, ObstacleScene
 from swingsim.swing_planner import PlannerParams
 from swingsim.sim_harness import (
     CampaignConfig,
     Outcome,
     StepLog,
+    TOE_OFF_THETA_K,
     TrialConfig,
     TrialSpec,
     build_trial_specs,
     capture_state,
     run_swing,
+    toe_off_contact,
     trial_config_for,
 )
 
@@ -111,6 +113,71 @@ def test_accepted_scenario_does_not_end_within_two_ticks(data):
         return
     _, result = run_swing(cfg)
     assert result.swing_duration > 2.5 * cfg.planner.dt, result.outcome
+
+
+class FirstTick(Exception):
+    """Raised by a planner stand-in to end a swing at its first tick."""
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(SCENARIOS, st.sampled_from([0.0, 0.5, 1.0]))
+def test_the_toe_off_check_reads_the_foot_the_swing_starts_from(data, sigma):
+    # toe_off_contact tested the noise-free foot and run_swing started from
+    # the noisy hip; both now read TrialConfig.toe_off, bit for bit
+    data.setdefault("human", {})["noise_sigma_deg"] = sigma
+    try:
+        cfg = parse_scenario(data)
+    except ConfigError:
+        return
+    checked, started = [], []
+
+    def first_tick(geom, hip, joint, pts, target, state, params):
+        started.append(pts)
+        raise FirstTick
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim_harness, "contact_check", lambda pts, scene: (checked.append(pts), None))
+        assert toe_off_contact(cfg) is None
+        mp.setattr(sim_harness, "planner_step", first_tick)
+        with pytest.raises(FirstTick):
+            run_swing(cfg)
+    assert list(map(repr, checked)) == list(map(repr, started)) and len(started) == 1
+    if sigma == 0.0:  # a noise-free foot is the lone sample's, as before
+        hip = human_model.hip_pose(cfg.resolved_human, 0.0)
+        assert repr(started[0]) == repr(forward_points(cfg.geometry, hip, TOE_OFF_THETA_K))
+
+
+def test_a_noisy_toe_off_foot_in_a_box_face_is_rejected(tmp_path, capsys):
+    # at 1 deg of hip noise, seed 10 starts the toe 2.6 cm ahead of the
+    # noise-free toe (x = -0.1597 m), through a face at x = -0.145 m that the
+    # noise-free foot clears: the file route checked that foot and let it run
+    over = {"human": {"intent": "step_over", "noise_sigma_deg": 1.0}, "trial": {"seed": 10},
+            "scene": {"boxes": [{"front_x_m": -0.145, "height_m": 0.08}]}}
+    path = tmp_path / "noisy.json"
+    path.write_text(json.dumps(over))
+    assert cli.main(["--out", str(tmp_path / "o"), "run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: scenario: the toe-off foot already touches the scene (a box face at "
+        "x = -0.1450 m")
+    over["human"]["noise_sigma_deg"] = 0.0
+    assert toe_off_contact(parse_scenario(over)) is None
+
+
+def test_a_box_scenario_builds_one_trial(monkeypatch):
+    # the parse built a throwaway TrialConfig(intent=...) and then the trial
+    built = []
+    real = TrialConfig.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(TrialConfig, "__post_init__", counting)
+    cfg = parse_scenario({"human": {"intent": "step_over"}, "trial": {"seed": 3, "tau_s": 0.02},
+                          "scene": {"boxes": [{"front_x_m": 0.3, "height_m": 0.08}]}})
+    assert built == [cfg]
+    assert cfg.geometry is TrialConfig.geometry and cfg.planner is TrialConfig.planner
+    assert cfg.human is preset(GaitIntent.STEP_OVER)
 
 
 @pytest.mark.parametrize("seed", [2024, 7])
