@@ -80,14 +80,8 @@ def _write_run_info(out: str, argv) -> None:
                 {"argv": list(argv), "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")})
 
 
-def _scenario(args) -> TrialConfig:
-    """The scenario file's trial, with --seed applied."""
-    cfg = load_scenario(args.scenario)
-    return cfg if args.seed is None else replace(cfg, seed=args.seed)
-
-
 def cmd_run(args, argv) -> int:
-    cfg = _scenario(args)
+    cfg = load_scenario(args.scenario, args.seed)
     out = _out_dir(args)
 
     if args.dump_config:
@@ -130,7 +124,7 @@ def cmd_campaign(args, argv) -> int:
 
 
 def cmd_perceive(args, argv) -> int:
-    cfg = _scenario(args)
+    cfg = load_scenario(args.scenario, args.seed)
     out = _out_dir(args)
 
     s_capture, s_kmeans, _ = trial_seeds(cfg.seed)

@@ -22,7 +22,7 @@ from .leg_kinematics import DEG, LegGeometry
 from .perception import Box, CameraModel, ObstacleScene
 from .swing_planner import PlannerParams
 from .human_model import GaitIntent, HipTrajectoryParams, preset
-from .sim_harness import CampaignConfig, TrialConfig, TrialSpec, toe_off_contact, trial_config_for
+from .sim_harness import CampaignConfig, ToeOffContact, TrialConfig
 
 
 class ConfigError(ValueError):
@@ -79,7 +79,6 @@ SECTIONS = {"geometry": GEOMETRY, "camera": CAMERA, "planner": PLANNER,
 
 # tau_s sets the lag of every trial (CampaignConfig.base)
 CAMPAIGN = (*_rows(CampaignConfig), TAU)
-DISTANCES, STEP_ON_DISTANCES = (f for f in CAMPAIGN if f.kind is PAIR)
 
 
 def _number(path: str, f: Field, v):
@@ -138,6 +137,10 @@ def _build(path: str, default, fields: dict):
         return default  # a section that sets no key keeps its default object
     try:
         return default(**fields) if isinstance(default, type) else replace(default, **fields)
+    except ToeOffContact as exc:  # no one key places the foot: name the range, or the sections
+        where = next((f"campaign.{f.key}[0]" for f in CAMPAIGN if f.attr == exc.field), None)
+        raise ConfigError(f"{where}: {exc}" if where else f"scenario: {exc}; geometry, "
+                          "human.hip_height_base_m and scene must leave it clear") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -163,10 +166,10 @@ def _dump(table, obj) -> dict:
     return out
 
 
-def parse_scenario(data) -> TrialConfig:
-    """Validate a parsed scenario mapping and build the TrialConfig. A
-    scenario whose toe-off foot already touches the scene is rejected: its
-    swing would end at the first tick."""
+def parse_scenario(data, seed=None) -> TrialConfig:
+    """Validate a parsed scenario mapping and build the TrialConfig, at seed
+    in place of trial.seed if given. A toe-off foot already touching the
+    scene is rejected: its swing would end at the first tick."""
     if not isinstance(data, dict):
         raise ConfigError("scenario: top level must be an object")
     for key in data:
@@ -174,19 +177,16 @@ def parse_scenario(data) -> TrialConfig:
             raise ConfigError(f"scenario.{key}: unknown section "
                               f"(known: {', '.join(sorted(SECTIONS))})")
     sec = {name: _fields(name, table, data.get(name, {})) for name, table in SECTIONS.items()}
+    if seed is not None:  # a noisy hip's toe-off foot moves with the seed: check the one run
+        sec["trial"][SEED.attr] = seed
     intent = sec["human"].pop(INTENT.attr, TrialConfig.intent)
-    cfg = _build("trial", TrialConfig, dict(
+    return _build("trial", TrialConfig, dict(
         sec["trial"], intent=intent,
         geometry=_build("geometry", TrialConfig.geometry, sec["geometry"]),
         camera=_build("camera", TrialConfig.camera, sec["camera"]),
         planner=_build("planner", TrialConfig.planner, sec["planner"]),
         human=_build("human", preset(intent), sec["human"]),
         scene=_build("scene", TrialConfig.scene, sec["scene"])))
-    contact = toe_off_contact(cfg)
-    if contact is not None:
-        raise ConfigError(f"scenario: the toe-off foot already touches the scene ({contact}); "
-                          f"geometry, human.hip_height_base_m and scene must leave it clear")
-    return cfg
 
 
 def dump_scenario(cfg: TrialConfig) -> dict:
@@ -210,19 +210,10 @@ def parse_campaign(data) -> CampaignConfig:
     cc = CampaignConfig.reproduction_profile()
     if TAU.attr in fields:
         fields["base"] = _build("campaign", cc.base, {TAU.attr: fields.pop(TAU.attr)})
-    cc = replace(cc, **fields)
+    cc = _build("campaign", cc, fields)
     if cc.n_step_over + cc.n_step_on + cc.n_level == 0:
         raise ConfigError("campaign: n_step_over, n_step_on and n_level are all 0; "
                           "a campaign needs at least one trial")
-    boxes = [(DISTANCES, GaitIntent.STEP_OVER, h) for h in cc.heights] if cc.n_step_over else []
-    if cc.n_step_on:
-        boxes.append((STEP_ON_DISTANCES, GaitIntent.STEP_ON, cc.step_on_height))
-    for f, intent, height in boxes:
-        low = getattr(cc, f.attr)[0]
-        contact = toe_off_contact(trial_config_for(cc, TrialSpec(0, intent, height, low, 0)))
-        if contact is not None:
-            raise ConfigError(f"campaign.{f.key}[0]: a {height:g} m box at {low:g} m touches "
-                              f"the toe-off foot ({contact}); start the range past the foot")
     return cc
 
 
@@ -249,5 +240,5 @@ def load_json(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def load_scenario(path: str) -> TrialConfig:
-    return parse_scenario(load_json(path))
+def load_scenario(path: str, seed=None) -> TrialConfig:
+    return parse_scenario(load_json(path), seed)

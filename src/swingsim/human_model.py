@@ -239,17 +239,6 @@ TIMEOUT_FACTOR = 2.0
 MAX_HORIZON_TICKS = 20_000
 
 
-def horizon(params: HipTrajectoryParams, dt: float) -> float:
-    """The timeout horizon in s, TIMEOUT_FACTOR x the nominal duration plus
-    half a tick; a ValueError unless it spans 1 to MAX_HORIZON_TICKS ticks,
-    so no track asks numpy for more."""
-    end = TIMEOUT_FACTOR * params.swing_duration + dt / 2
-    if not 1.0 <= end / dt <= MAX_HORIZON_TICKS:
-        raise ValueError(f"the timeout horizon, {TIMEOUT_FACTOR:g} x a {params.swing_duration} s "
-                         f"swing, must span 1 to {MAX_HORIZON_TICKS} ticks of {dt} s")
-    return end
-
-
 def build_hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float) -> tuple:
     """The tuple of hip poses one trajectory presents to the controller: the
     hip is open loop, so its poses depend only on (params, seed, dt), never
@@ -258,7 +247,9 @@ def build_hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float)
     track[i] is the pose at tick time t_i (t_0 = 0.0, t_{i+1} = t_i + dt,
     summed in order as run_swing sums its clock). The track, and with it
     every swing, ends at the timeout horizon: the first tick at or past
-    horizon(params, dt), a bound the sums' rounding cannot move by a tick.
+    TIMEOUT_FACTOR x the nominal duration plus half a tick, a bound the sums'
+    rounding cannot move by a tick. A horizon outside 1 to MAX_HORIZON_TICKS
+    ticks is a ValueError, so no track asks numpy for more.
     Its rate is the average over the coming tick,
     (theta_h(t_{i+1}) - theta_h(t_i)) / dt: the planner holds its
     command for one tick, and the instantaneous rate would leak the hip's
@@ -273,7 +264,10 @@ def build_hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float)
     constructed per pose took ~2 ms. libm, element by element, keeps every
     pose bit-equal to a lone sample's.
     """
-    end = horizon(params, dt)
+    end = TIMEOUT_FACTOR * params.swing_duration + dt / 2
+    if not 1.0 <= end / dt <= MAX_HORIZON_TICKS:
+        raise ValueError(f"the timeout horizon, {TIMEOUT_FACTOR:g} x a {params.swing_duration} s "
+                         f"swing, must span 1 to {MAX_HORIZON_TICKS} ticks of {dt} s")
     steps = np.full(int(end / dt) + 4, dt)   # the sums stray from i * dt by far less than a tick
     steps[0] = 0.0
     t = np.add.accumulate(steps)
@@ -284,11 +278,11 @@ def build_hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float)
 
 # Trajectories hip_track keeps: the noise-free, unaimed ones trials share (a
 # trial's own aimed or noisy track is TrialConfig.hip_track's alone). A
-# campaign's 210 trials read 2, the step-over and level presets: 178 hits
-# and 2 misses at any size. 120 shuffled run scenarios (17 of them own
-# tracks) read 101/2 hits/misses at 2 or more, 74/29 and 72/31 at 1 (seeds
-# 2024 and 7). A track holds one HipPose per tick to the horizon, ~0.17 KB
-# each: ~0.27 MB for the step-over preset at 1 kHz.
+# campaign reads 3, the step-over and level presets and, in its range check
+# alone, the step-on one: 181/3 hits/misses at 2 or more, 180/4 at 1. 120 run
+# scenarios, shuffled (17 own tracks), read 101/2 at 2 or more, 74/29 and 72/31
+# at 1 (seeds 2024 and 7). A track holds one HipPose per tick to the horizon,
+# ~0.17 KB each: ~0.27 MB for the step-over preset at 1 kHz.
 HIP_TRACK_CACHE_SIZE = 3
 
 # build_hip_track's track of a trajectory, shared by every trial on it

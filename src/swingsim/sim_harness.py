@@ -105,9 +105,11 @@ class TrialConfig:
         if not low > 0.0:
             raise ValueError("the hip's lowest point, hip_height_base + scene.ground_height - "
                              f"lowering_depth, must lie above z = 0, got {low} m")
-        human_model.horizon(human, self.planner.dt)
-        if human.noise_sigma > 0.0:
-            self.hip_track  # a noisy hip may leave HipPose's rule: build the track run_swing reads
+        # a swing starting in contact ends at its first tick. Building toe_off's track, the one
+        # run_swing reads, caps the horizon and refuses a noisy hip that leaves HipPose's rule
+        contact = contact_check(self.toe_off, self.scene)[0]
+        if contact is not None:
+            raise ToeOffContact(f"the toe-off foot already touches the scene ({contact})")
 
     # run_campaign(jobs > 1) pickles cc.base into every pool chunk; what a
     # trial works out (its hip, its track, its toe-off foot) is rebuilt
@@ -260,6 +262,14 @@ class Contact:
         return f"{where} at x = {self.x:.4f} m, z = {self.z:.4f} m"
 
 
+class ToeOffContact(ValueError):
+    """A swing that would start in contact; field names a campaign range whose first box does."""
+
+    def __init__(self, says: str, field: Optional[str] = None):
+        super().__init__(says)
+        self.field = field
+
+
 def capture_state(cfg: TrialConfig) -> tuple:
     """Late-stance camera/toe state used for perception and box placement.
 
@@ -371,13 +381,6 @@ def contact_check(pts: FootPoints, scene: ObstacleScene) -> tuple:
                                 for front_x, back_x, _ in spans):
             contact = Contact(Surface.GROUND, low_x, low)
     return contact, clear
-
-
-def toe_off_contact(cfg: TrialConfig) -> Optional[Contact]:
-    """Contact of cfg.toe_off, the foot run_swing starts from, with the scene,
-    if any: a leg, hip and scene that put the foot into the ground or a box
-    before the swing starts."""
-    return contact_check(cfg.toe_off, cfg.scene)[0]
 
 
 def _classify(contact: Optional[Contact], landing: bool, cfg: TrialConfig) -> tuple:
@@ -505,6 +508,20 @@ class CampaignConfig:
 
     def __post_init__(self):
         check_rules(self)
+        # each range's first box against the unaimed trial's toe-off foot, before any trial
+        # runs: the step-on aim moves no pose at t = 0, and an unaimed hip is a cached preset's
+        firsts = [("distance_range", GaitIntent.STEP_OVER, h)
+                  for h in self.heights if self.n_step_over]
+        if self.n_step_on:
+            firsts.append(("step_on_distance_range", GaitIntent.STEP_ON, self.step_on_height))
+        for field, intent, height in firsts:
+            low = getattr(self, field)[0]
+            foot = trial_config_for(self, TrialSpec(0, intent, None, None, 0)).toe_off
+            scene = replace(self.base.scene, boxes=(_box(self, height, low),))
+            contact = contact_check(foot, scene)[0]
+            if contact is not None:
+                raise ToeOffContact(f"a {height:g} m box at {low:g} m touches the toe-off foot "
+                                    f"({contact}); start the range past the foot", field)
 
     @staticmethod
     def reproduction_profile(seed: int = 2024) -> "CampaignConfig":
@@ -541,13 +558,16 @@ def build_trial_specs(cc: CampaignConfig) -> list:
             for idx, (intent, h, d) in enumerate(draws)]
 
 
+def _box(cc: CampaignConfig, height: float, distance: float) -> Box:
+    """A campaign box distance ahead of the base's capture toe, whose x no intent or hip moves."""
+    front = capture_state(cc.base)[1].toe[0] + distance
+    return Box(front_x=front, height=height, depth=cc.box_depth, width=cc.box_width)
+
+
 def trial_config_for(cc: CampaignConfig, spec: TrialSpec) -> TrialConfig:
     """The base trial with the spec's intent and seed, and its box, if any,
     spec.distance ahead of the base's capture toe on the base's ground."""
-    boxes = ()
-    if spec.height is not None:  # the capture toe's x depends on neither intent nor hip height
-        front = capture_state(cc.base)[1].toe[0] + spec.distance
-        boxes = (Box(front_x=front, height=spec.height, depth=cc.box_depth, width=cc.box_width),)
+    boxes = () if spec.height is None else (_box(cc, spec.height, spec.distance),)
     return replace(cc.base, scene=replace(cc.base.scene, boxes=boxes), intent=spec.intent,
                    seed=spec.seed)
 

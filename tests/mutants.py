@@ -249,12 +249,29 @@ MUTANTS = (
         "A trial owns the hip track no other trial can share"),
     Mutant(
         "toe-off-check-on-the-noise-free-hip", "src/swingsim/sim_harness.py",
-        "    return contact_check(cfg.toe_off, cfg.scene)[0]\n",
-        "    hip = human_model.hip_pose(cfg.resolved_human, 0.0)\n"
-        "    return contact_check(forward_points(cfg.geometry, hip, TOE_OFF_THETA_K), cfg.scene)[0]\n",
+        "        contact = contact_check(self.toe_off, self.scene)[0]\n",
+        "        hip = human_model.hip_pose(self.resolved_human, 0.0)\n"
+        "        contact = contact_check(forward_points(self.geometry, hip, TOE_OFF_THETA_K),\n"
+        "                                self.scene)[0]\n",
         ("tests/test_config.py::test_the_toe_off_check_reads_the_foot_the_swing_starts_from",
          "tests/test_config.py::test_a_noisy_toe_off_foot_in_a_box_face_is_rejected"),
         "The toe-off foot has one owner"),
+    Mutant(
+        "trial-construction-skips-the-toe-off-check", "src/swingsim/sim_harness.py",
+        "            raise ToeOffContact(f\"the toe-off foot already touches the scene ({contact})\")\n",
+        "            pass\n",
+        ("tests/test_config.py::test_a_trial_copied_to_another_seed_is_checked_at_that_seed",
+         "tests/test_config.py::test_run_seed_checks_the_toe_off_foot_of_the_seed_it_runs",
+         "tests/test_sim_harness.py::"
+         "test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_trial_runs"),
+        "The trial owns the toe-off rule"),
+    Mutant(
+        "campaign-construction-skips-its-range-check", "src/swingsim/sim_harness.py",
+        "            contact = contact_check(foot, scene)[0]\n",
+        "            contact = None\n",
+        ("tests/test_sim_harness.py::"
+         "test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_trial_runs",),
+        "The trial owns the toe-off rule"),
     Mutant(
         "scene-pickles-its-cached-spans", "src/swingsim/perception.py",
         "    __getstate__ = fields_state\n",

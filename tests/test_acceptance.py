@@ -168,11 +168,11 @@ def test_campaign_caches_only_the_preset_tracks_its_trials_share(campaign):
 
 def test_campaign_resolves_each_trials_hip_once(campaign):
     # each trial's TrialConfig builds its hip once: the raised preset, and for
-    # an aimed step-on its aim. The one more is the base trial's, which
-    # trial_config_for reads for the capture toe and keeps.
+    # an aimed step-on its aim. The base trial, which trial_config_for reads
+    # for the capture toe, resolved its hip when it was built, before the count
     cc, res = campaign
     n_step_on = sum(spec.intent is GaitIntent.STEP_ON for spec in res.specs)
-    assert res.hip_validations == 1 + len(res.specs) + n_step_on == 241
+    assert res.hip_validations == len(res.specs) + n_step_on == 240
     print(f"\n[hip resolution] PASS: {res.hip_validations} HipTrajectoryParams validations "
           f"for {len(res.specs)} trials")
 

@@ -29,8 +29,8 @@ from swingsim.sim_harness import (
     TrialSpec,
     build_trial_specs,
     capture_state,
+    contact_check,
     run_swing,
-    toe_off_contact,
     trial_config_for,
 )
 
@@ -122,11 +122,12 @@ class FirstTick(Exception):
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(SCENARIOS, st.sampled_from([0.0, 0.5, 1.0]))
 def test_the_toe_off_check_reads_the_foot_the_swing_starts_from(data, sigma):
-    # toe_off_contact tested the noise-free foot and run_swing started from
-    # the noisy hip; both now read TrialConfig.toe_off, bit for bit
+    # the file route's check tested the noise-free foot and run_swing started
+    # from the noisy hip; the trial's construction now checks TrialConfig.toe_off,
+    # the foot run_swing starts from, bit for bit
     data.setdefault("human", {})["noise_sigma_deg"] = sigma
     try:
-        cfg = parse_scenario(data)
+        parse_scenario(data)
     except ConfigError:
         return
     checked, started = [], []
@@ -137,7 +138,7 @@ def test_the_toe_off_check_reads_the_foot_the_swing_starts_from(data, sigma):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim_harness, "contact_check", lambda pts, scene: (checked.append(pts), None))
-        assert toe_off_contact(cfg) is None
+        cfg = parse_scenario(data)
         mp.setattr(sim_harness, "planner_step", first_tick)
         with pytest.raises(FirstTick):
             run_swing(cfg)
@@ -160,7 +161,33 @@ def test_a_noisy_toe_off_foot_in_a_box_face_is_rejected(tmp_path, capsys):
         "config error: scenario: the toe-off foot already touches the scene (a box face at "
         "x = -0.1450 m")
     over["human"]["noise_sigma_deg"] = 0.0
-    assert toe_off_contact(parse_scenario(over)) is None
+    cfg = parse_scenario(over)
+    assert contact_check(cfg.toe_off, cfg.scene)[0] is None
+
+
+# the file above at seed 0, whose noisy toe-off foot clears the face
+NOISY_OVER = {"human": {"intent": "step_over", "noise_sigma_deg": 1.0}, "trial": {"seed": 0},
+              "scene": {"boxes": [{"front_x_m": -0.145, "height_m": 0.08}]}}
+
+
+def test_run_seed_checks_the_toe_off_foot_of_the_seed_it_runs(tmp_path, capsys):
+    # the seed-0 file was checked at seed 0 and then swung seed 10, which
+    # TRIPped on the box face at t = 1 ms and exited 0
+    path = tmp_path / "noisy.json"
+    path.write_text(json.dumps(NOISY_OVER))
+    assert cli.main(["--out", str(tmp_path / "o"), "--seed", "10", "run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: scenario: the toe-off foot already touches the scene (a box face at "
+        "x = -0.1450 m")
+
+
+def test_a_trial_copied_to_another_seed_is_checked_at_that_seed():
+    # the toe-off check lived in the file route: a copy at seed 10 built, and
+    # its swing TRIPped on the box face at t = 1 ms
+    cfg = parse_scenario(NOISY_OVER)
+    with pytest.raises(ValueError, match=r"^the toe-off foot already touches the scene "
+                                         r"\(a box face at x = -0.1450 m, z = 0.0101 m\)$"):
+        replace(cfg, seed=10)
 
 
 def test_a_box_scenario_builds_one_trial(monkeypatch):
@@ -281,12 +308,26 @@ def test_library_runs_to_a_finite_outcome_or_raises_value_error(case):
             assert x is None or math.isfinite(x), case
 
 
+LONG_LEG = LegGeometry(thigh_m=0.46, shank_m=0.45, toe_m=0.17)
+
+
 def test_the_library_builds_the_tick_and_legs_past_the_file_ranges_that_studies_need():
     # a 1.75 ms tick, where seed-2024 step-overs first trip, and a 0.46/0.45 m
-    # leg with a 0.17 m toe lie outside the file ranges but inside the rules
+    # leg with a 0.17 m toe lie outside the file ranges but inside the rules;
+    # the longer leg stands on a hip base that lifts its toe-off toe clear
+    human = replace(preset(GaitIntent.STEP_OVER), hip_height_base=0.95)
     cfg = replace(LIBRARY_BASE, planner=replace(LIBRARY_BASE.planner, dt=0.00175),
-                  geometry=LegGeometry(thigh_m=0.46, shank_m=0.45, toe_m=0.17))
+                  geometry=LONG_LEG, human=human)
     assert (cfg.planner.dt, cfg.geometry.toe_m) == (0.00175, 0.17)
+    assert cfg.toe_off.toe[1] > 0.0
+
+
+def test_the_library_refuses_a_leg_whose_toe_off_toe_starts_in_the_ground():
+    # on the default hip base the longer leg's toe starts at z = -0.0365 m:
+    # it built, and its swing SCUFFed at t = 1 ms
+    with pytest.raises(ValueError, match=r"^the toe-off foot already touches the scene "
+                                         r"\(GROUND at x = -0.1552 m, z = -0.0365 m\)$"):
+        replace(LIBRARY_BASE, geometry=LONG_LEG)
 
 
 def test_library_refuses_a_horizon_past_its_cap_before_allocating():

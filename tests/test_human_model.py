@@ -205,9 +205,18 @@ def test_a_trial_whose_noisy_hip_leaves_the_thigh_angle_is_refused_when_built(si
 
 def test_trials_of_a_few_degrees_of_hip_noise_still_build_and_run_on_the_checked_track(
         monkeypatch):
+    # every one builds but those whose noisy toe-off foot starts in the
+    # ground, which used to SCUFF at t = 1 ms
+    refused = []
     for sigma_deg in (5.0, 10.0):
         for seed in range(20):
-            cfg = _noisy_step_over(sigma_deg, seed)
+            try:
+                cfg = _noisy_step_over(sigma_deg, seed)
+            except ValueError as exc:
+                assert str(exc).startswith("the toe-off foot already touches the scene (GROUND")
+                refused.append((sigma_deg, seed))
+    assert refused == [(5.0, 3), (5.0, 10), (5.0, 19), (10.0, 3), (10.0, 6), (10.0, 18),
+                       (10.0, 19)]
     # the track built with the trial is the one its swing reads: the swing
     # samples no hip trajectory of its own
     sampled = []

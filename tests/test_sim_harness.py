@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from oracle_utils import contact_check_reference
+from test_config import LONG_LEG
 
 from swingsim.config import parse_campaign, parse_scenario
 from swingsim.leg_kinematics import DEG, HipPose, FootPoints, forward_points
@@ -43,7 +44,6 @@ from swingsim.sim_harness import (
     run_swing,
     summarize,
     summary_json,
-    toe_off_contact,
     trial_config_for,
     trial_seeds,
 )
@@ -439,9 +439,10 @@ def test_run_swing_samples_hip_once_per_tick(monkeypatch):
 
 
 def test_a_trial_resolves_its_hip_once(monkeypatch):
-    # toe_off_contact, capture_state and run_swing read one TrialConfig's
-    # resolved_human: a step-on validates its raised preset and its aim, a
-    # step-over its raised preset, and a second swing on the config nothing
+    # the trial's construction, capture_state and run_swing read one
+    # TrialConfig's resolved_human: a step-on validates its raised preset and
+    # its aim, a step-over its raised preset, and a second swing on the
+    # config nothing
     built = []
     real = HipTrajectoryParams.__post_init__
 
@@ -453,9 +454,8 @@ def test_a_trial_resolves_its_hip_once(monkeypatch):
     cc = CampaignConfig()
     for intent, height, validations in ((GaitIntent.STEP_ON, 0.16, 2),
                                         (GaitIntent.STEP_OVER, 0.08, 1)):
-        cfg = trial_config_for(cc, TrialSpec(0, intent, height, 0.6, 3))
         built.clear()
-        assert toe_off_contact(cfg) is None
+        cfg = trial_config_for(cc, TrialSpec(0, intent, height, 0.6, 3))
         _, result = run_swing(cfg)
         assert result.outcome in SUCCESSES
         assert len(built) == validations
@@ -494,9 +494,16 @@ def test_noisy_trials_built_before_they_run_sample_each_track_once(monkeypatch):
 
     monkeypatch.setattr(human_model, "hip_pose", counting)
     human = replace(human_model.preset(GaitIntent.STEP_OVER), noise_sigma=5.0 * DEG)
-    # more noisy trials than the cache holds, all built first, then run
-    cfgs = [TrialConfig(intent=GaitIntent.STEP_OVER, human=human, seed=seed)
-            for seed in range(10)]
+    # more noisy trials than the cache holds, all built first, then run. Seed
+    # 3's toe-off foot starts in the ground: its trial samples its track and
+    # is refused
+    cfgs = []
+    for seed in range(10):
+        try:
+            cfgs.append(TrialConfig(intent=GaitIntent.STEP_OVER, human=human, seed=seed))
+        except ValueError:
+            assert seed == 3
+    assert len(cfgs) == 9
     for cfg in cfgs:
         run_swing(cfg)
     assert sorted(calls) == sorted(trial_seeds(seed)[2] for seed in range(10))
@@ -552,14 +559,13 @@ def test_run_swing_rows_equal_with_warm_and_cleared_hip_track():
     base = TrialConfig(intent=GaitIntent.STEP_OVER, seed=11)
     _, pts = capture_state(base)
     # one trajectory, two swing lengths: a step-over, and a trip on a 0.16 m
-    # box at 0.9 m
-    long_, short = (replace(base, scene=ObstacleScene(boxes=(
-        Box(front_x=pts.toe[0] + d, height=h),))) for d, h in ((0.6, 0.08), (0.9, 0.16)))
-
+    # box at 0.9 m; each built, and so its track read, on a cleared cache
     cold = {}
-    for cfg in (long_, short):
+    for d, h in ((0.6, 0.08), (0.9, 0.16)):
         human_model.hip_track.cache_clear()
+        cfg = replace(base, scene=ObstacleScene(boxes=(Box(front_x=pts.toe[0] + d, height=h),)))
         cold[cfg] = steplog_text(run_swing(cfg, StepLog())[0])
+    long_, short = cold
     assert len(cold[short]) < len(cold[long_])
     # both read the one track, whichever swing built it: a fresh trial takes
     # its track from the cache
@@ -872,6 +878,43 @@ def test_mini_campaign_summary_and_determinism():
     assert summary_json(r1.summary) == summary_json(r2.summary)
     assert r1.summary["overall"]["n"] == 10
     assert set(r1.summary["conditions"]) >= {"level", "step_on_h0.16"}
+
+
+def test_parsing_a_campaign_builds_no_hip_track_of_its_own(monkeypatch):
+    # its range check built an aimed step-on trial's own track and dropped it;
+    # the aim moves no pose at t = 0, so the unaimed trial's foot, on a track
+    # human_model.hip_track's cache shares, is the one checked
+    from swingsim import human_model
+    built = []
+    real = human_model.build_hip_track
+
+    def counting(params, seed, dt):
+        built.append(params)
+        return real(params, seed, dt)
+
+    monkeypatch.setattr(human_model, "build_hip_track", counting)
+    parse_campaign({})
+    assert built == []
+
+
+@pytest.mark.parametrize("build,says", [
+    (lambda: CampaignConfig(base=TrialConfig(geometry=LONG_LEG)),
+     r"the toe-off foot already touches the scene \(GROUND at x = -0.1552 m, z = -0.0365 m\)$"),
+    (lambda: CampaignConfig(n_step_on=0, distance_range=(0.0, 0.7), heights=(0.16,)),
+     r"a 0.16 m box at 0 m touches the toe-off foot \(a box face at x = "),
+    (lambda: CampaignConfig(step_on_distance_range=(0.063, 0.7)),
+     r"a 0.16 m box at 0.063 m touches the toe-off foot \("),
+], ids=["long-leg-base", "step-over-range", "step-on-range"])
+def test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_trial_runs(
+        monkeypatch, build, says):
+    # the 0.46/0.45 m leg with a 0.17 m toe ran 0/210, every swing a SCUFF
+    # at t = 1 ms; a range's first box under the foot TRIPped at t = 1 ms
+    def no_trial(cfg, log=None):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim_harness, "run_swing", no_trial)
+    with pytest.raises(ValueError, match="^" + says):
+        run_campaign(build())
 
 
 @pytest.mark.parametrize("data", [
