@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import config
 from .leg_kinematics import DEG
@@ -103,9 +102,7 @@ def cmd_run(args, argv) -> int:
 
 
 def cmd_campaign(args, argv) -> int:
-    cc = parse_campaign(load_json(args.config) if args.config is not None else {})
-    if args.seed is not None:
-        cc = replace(cc, seed=args.seed)
+    cc = parse_campaign(load_json(args.config) if args.config is not None else {}, args.seed)
     out = _out_dir(args)
     summary, trials, _ = _writable(out, "summary.json", "trials.csv", "run_info.json")
 

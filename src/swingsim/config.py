@@ -202,19 +202,16 @@ def dump_scenario(cfg: TrialConfig) -> dict:
     }
 
 
-def parse_campaign(data) -> CampaignConfig:
-    """Validate a parsed campaign mapping; missing keys keep the reproduction
-    profile. A campaign of no trials, and a distance range starting under the
-    toe-off foot, are rejected."""
+def parse_campaign(data, seed=None) -> CampaignConfig:
+    """Validate a parsed campaign mapping and build the CampaignConfig, at seed
+    in place of the file's if given; CampaignConfig refuses a campaign of no
+    trials, and a distance range starting under the toe-off foot."""
     fields = _fields("campaign", CAMPAIGN, data)
-    cc = CampaignConfig.reproduction_profile()
+    if seed is not None:
+        fields[SEED.attr] = seed
     if TAU.attr in fields:
-        fields["base"] = _build("campaign", cc.base, {TAU.attr: fields.pop(TAU.attr)})
-    cc = _build("campaign", cc, fields)
-    if cc.n_step_over + cc.n_step_on + cc.n_level == 0:
-        raise ConfigError("campaign: n_step_over, n_step_on and n_level are all 0; "
-                          "a campaign needs at least one trial")
-    return cc
+        fields["base"] = _build("campaign", CampaignConfig.base, {TAU.attr: fields.pop(TAU.attr)})
+    return _build("campaign", CampaignConfig, fields)
 
 
 def dump_campaign(cc: CampaignConfig) -> dict:

@@ -278,12 +278,12 @@ def build_hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float)
 
 # Trajectories hip_track keeps: the noise-free, unaimed ones trials share (a
 # trial's own aimed or noisy track is TrialConfig.hip_track's alone). A
-# campaign reads 3, the step-over and level presets and, in its range check
-# alone, the step-on one: 181/3 hits/misses at 2 or more, 180/4 at 1. 120 run
-# scenarios, shuffled (17 own tracks), read 101/2 at 2 or more, 74/29 and 72/31
-# at 1 (seeds 2024 and 7). A track holds one HipPose per tick to the horizon,
+# campaign, built and run from a cleared cache, reads 2, the step-over and
+# level presets: 181/2 hits/misses at sizes 1, 2 and 3. 120 run scenarios,
+# shuffled (17 own tracks), read 101/2 at 2 and 3, 74/29 and 72/31 at 1
+# (seeds 2024 and 7). A track holds one HipPose per tick to the horizon,
 # ~0.17 KB each: ~0.27 MB for the step-over preset at 1 kHz.
-HIP_TRACK_CACHE_SIZE = 3
+HIP_TRACK_CACHE_SIZE = 2
 
 # build_hip_track's track of a trajectory, shared by every trial on it
 hip_track = lru_cache(maxsize=HIP_TRACK_CACHE_SIZE)(build_hip_track)

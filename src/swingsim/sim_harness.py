@@ -109,7 +109,7 @@ class TrialConfig:
         # run_swing reads, caps the horizon and refuses a noisy hip that leaves HipPose's rule
         contact = contact_check(self.toe_off, self.scene)[0]
         if contact is not None:
-            raise ToeOffContact(f"the toe-off foot already touches the scene ({contact})")
+            raise ToeOffContact(f"the toe-off foot already touches the scene ({contact})", contact)
 
     # run_campaign(jobs > 1) pickles cc.base into every pool chunk; what a
     # trial works out (its hip, its track, its toe-off foot) is rebuilt
@@ -265,9 +265,9 @@ class Contact:
 class ToeOffContact(ValueError):
     """A swing that would start in contact; field names a campaign range whose first box does."""
 
-    def __init__(self, says: str, field: Optional[str] = None):
+    def __init__(self, says: str, contact: Contact, field: Optional[str] = None):
         super().__init__(says)
-        self.field = field
+        self.contact, self.field = contact, field
 
 
 def capture_state(cfg: TrialConfig) -> tuple:
@@ -508,20 +508,28 @@ class CampaignConfig:
 
     def __post_init__(self):
         check_rules(self)
-        # each range's first box against the unaimed trial's toe-off foot, before any trial
-        # runs: the step-on aim moves no pose at t = 0, and an unaimed hip is a cached preset's
+        if self.n_step_over + self.n_step_on + self.n_level == 0:
+            raise ValueError("n_step_over, n_step_on and n_level are all 0; "
+                             "a campaign needs at least one trial")
+        # before any trial runs, TrialConfig refuses each range's first box and every noisy trial.
+        # At the base's seed a range trial starts from the base's foot: what it touches is the box
         firsts = [("distance_range", GaitIntent.STEP_OVER, h)
                   for h in self.heights if self.n_step_over]
         if self.n_step_on:
             firsts.append(("step_on_distance_range", GaitIntent.STEP_ON, self.step_on_height))
         for field, intent, height in firsts:
             low = getattr(self, field)[0]
-            foot = trial_config_for(self, TrialSpec(0, intent, None, None, 0)).toe_off
-            scene = replace(self.base.scene, boxes=(_box(self, height, low),))
-            contact = contact_check(foot, scene)[0]
-            if contact is not None:
+            try:
+                trial_config_for(self, TrialSpec(0, intent, height, low, self.base.seed))
+            except ToeOffContact as exc:
                 raise ToeOffContact(f"a {height:g} m box at {low:g} m touches the toe-off foot "
-                                    f"({contact}); start the range past the foot", field)
+                                    f"({exc.contact}); start the range past the foot",
+                                    exc.contact, field) from exc
+        for spec in build_trial_specs(self) if self.base.resolved_human.noise_sigma > 0.0 else ():
+            try:
+                trial_config_for(self, spec)
+            except ToeOffContact as exc:
+                raise ToeOffContact(f"trial {spec.index}: {exc}", exc.contact) from exc
 
     @staticmethod
     def reproduction_profile(seed: int = 2024) -> "CampaignConfig":
@@ -558,16 +566,12 @@ def build_trial_specs(cc: CampaignConfig) -> list:
             for idx, (intent, h, d) in enumerate(draws)]
 
 
-def _box(cc: CampaignConfig, height: float, distance: float) -> Box:
-    """A campaign box distance ahead of the base's capture toe, whose x no intent or hip moves."""
-    front = capture_state(cc.base)[1].toe[0] + distance
-    return Box(front_x=front, height=height, depth=cc.box_depth, width=cc.box_width)
-
-
 def trial_config_for(cc: CampaignConfig, spec: TrialSpec) -> TrialConfig:
-    """The base trial with the spec's intent and seed, and its box, if any,
-    spec.distance ahead of the base's capture toe on the base's ground."""
-    boxes = () if spec.height is None else (_box(cc, spec.height, spec.distance),)
+    """The base trial with the spec's intent and seed, and its box, if any, spec.distance
+    ahead of the base's capture toe, whose x no intent or hip moves, on the base's ground."""
+    boxes = () if spec.height is None else (Box(
+        front_x=capture_state(cc.base)[1].toe[0] + spec.distance, height=spec.height,
+        depth=cc.box_depth, width=cc.box_width),)
     return replace(cc.base, scene=replace(cc.base.scene, boxes=boxes), intent=spec.intent,
                    seed=spec.seed)
 
@@ -639,7 +643,7 @@ def summarize(cc: CampaignConfig, specs, results) -> dict:
         "campaign": dump_campaign(cc),
         "conditions": cond_summaries,
         "overall": {"n": n, "n_success": n_ok,
-                    "success_rate": round(n_ok / n, 6) if n else 0.0},
+                    "success_rate": round(n_ok / n, 6)},
     }
 
 

@@ -258,7 +258,8 @@ MUTANTS = (
         "The toe-off foot has one owner"),
     Mutant(
         "trial-construction-skips-the-toe-off-check", "src/swingsim/sim_harness.py",
-        "            raise ToeOffContact(f\"the toe-off foot already touches the scene ({contact})\")\n",
+        "            raise ToeOffContact(f\"the toe-off foot already touches the scene ({contact})\", "
+        "contact)\n",
         "            pass\n",
         ("tests/test_config.py::test_a_trial_copied_to_another_seed_is_checked_at_that_seed",
          "tests/test_config.py::test_run_seed_checks_the_toe_off_foot_of_the_seed_it_runs",
@@ -267,11 +268,25 @@ MUTANTS = (
         "The trial owns the toe-off rule"),
     Mutant(
         "campaign-construction-skips-its-range-check", "src/swingsim/sim_harness.py",
-        "            contact = contact_check(foot, scene)[0]\n",
-        "            contact = None\n",
+        "                trial_config_for(self, TrialSpec(0, intent, height, low, self.base.seed))\n",
+        "                pass\n",
         ("tests/test_sim_harness.py::"
          "test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_trial_runs",),
-        "The trial owns the toe-off rule"),
+        "The trial owns the toe-off rule (re-planted: CampaignConfig owns every campaign rule)"),
+    Mutant(
+        "campaign-accepts-no-trials", "src/swingsim/sim_harness.py",
+        "        if self.n_step_over + self.n_step_on + self.n_level == 0:\n",
+        "        if False:\n",
+        ("tests/test_sim_harness.py::test_a_campaign_of_no_trials_is_refused",
+         "tests/test_cli.py::test_bad_input_exits_2_with_key_path"),
+        "CampaignConfig owns every campaign rule"),
+    Mutant(
+        "campaign-checks-no-noisy-trial", "src/swingsim/sim_harness.py",
+        "build_trial_specs(self) if self.base.resolved_human.noise_sigma > 0.0 else ()",
+        "()",
+        ("tests/test_sim_harness.py::"
+         "test_a_campaign_on_a_noisy_hip_refuses_the_trial_whose_own_start_is_in_contact",),
+        "CampaignConfig owns every campaign rule"),
     Mutant(
         "scene-pickles-its-cached-spans", "src/swingsim/perception.py",
         "    __getstate__ = fields_state\n",
@@ -400,11 +415,13 @@ MUTANTS = (
         ("tests/test_metamorphic.py::test_boxes_wider_than_the_corridor_give_the_same_result",),
         "Level profiles skip k-means (the corridor-width property)"),
     Mutant(
-        "campaign-ignores-the-seed-flag", "src/swingsim/cli.py",
-        "    if args.seed is not None:\n        cc = replace(cc, seed=args.seed)\n",
+        "campaign-ignores-the-seed-flag", "src/swingsim/config.py",
+        "    if seed is not None:\n        fields[SEED.attr] = seed\n",
         "",
-        ("tests/test_cli.py::test_seed_flag_sets_the_campaign_seed",),
-        "Deleted what only tests and unreachable branches kept in the trial path"),
+        ("tests/test_cli.py::test_seed_flag_sets_the_campaign_seed",
+         "tests/test_cli.py::test_a_seeded_campaign_command_builds_one_campaign_config"),
+        "Deleted what only tests and unreachable branches kept in the trial path "
+        "(re-planted: CampaignConfig owns every campaign rule)"),
     Mutant(
         "campaign-ignores-the-strict-flag", "src/swingsim/cli.py",
         "if (cc.expect_all_success or args.strict) and",

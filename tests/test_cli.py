@@ -173,6 +173,27 @@ def test_seed_flag_sets_the_campaign_seed(tmp_path):
     assert seeds == [str(s.seed) for s in specs]
 
 
+def test_a_seeded_campaign_command_builds_one_campaign_config(tmp_path, monkeypatch):
+    # the seed goes into the one build, as run's does; a profile, the file's
+    # copy of it and a seeded copy made three builds, each checking its ranges
+    cfgp = write_json(tmp_path / "camp.json", {
+        "tau_s": 0.02, "n_step_over": 1, "n_step_on": 1, "n_level": 1,
+    })
+    built = []
+    post_init = CampaignConfig.__post_init__
+
+    def counting(self):
+        built.append(self.seed)
+        post_init(self)
+
+    monkeypatch.setattr(CampaignConfig, "__post_init__", counting)
+    out = tmp_path / "c"
+    assert main(["--out", str(out), "--seed", "7", "campaign", cfgp]) == 0
+    assert built == [7]
+    campaign = json.loads(open(out / "summary.json").read())["campaign"]
+    assert (campaign["seed"], campaign["tau_s"]) == (7, 0.02)
+
+
 def test_campaign_with_a_failing_trial_exits_1(tmp_path, capsys):
     # a step-over box beyond the ~1 m look-ahead trips, as in criterion 2
     cfgp = write_json(tmp_path / "camp.json", {

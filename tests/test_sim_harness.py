@@ -880,21 +880,41 @@ def test_mini_campaign_summary_and_determinism():
     assert set(r1.summary["conditions"]) >= {"level", "step_on_h0.16"}
 
 
-def test_parsing_a_campaign_builds_no_hip_track_of_its_own(monkeypatch):
-    # its range check built an aimed step-on trial's own track and dropped it;
-    # the aim moves no pose at t = 0, so the unaimed trial's foot, on a track
-    # human_model.hip_track's cache shares, is the one checked
+def test_parsing_a_campaign_caches_only_the_step_over_preset():
+    # its range check builds the trial each range's first box gives: the
+    # step-overs share the step-over preset's track, and the aimed step-on
+    # builds its own, so the unaimed step-on preset, which no campaign trial
+    # reads, is not cached
     from swingsim import human_model
-    built = []
-    real = human_model.build_hip_track
-
-    def counting(params, seed, dt):
-        built.append(params)
-        return real(params, seed, dt)
-
-    monkeypatch.setattr(human_model, "build_hip_track", counting)
+    human_model.hip_track.cache_clear()
     parse_campaign({})
-    assert built == []
+    assert human_model.hip_track.cache_info().currsize == 1
+    TrialConfig(intent=GaitIntent.STEP_OVER)   # reads the step-over preset's track
+    info = human_model.hip_track.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+
+
+def test_a_campaign_of_no_trials_is_refused():
+    # it ran nothing, and its summary divided 0 successes by 0 trials
+    with pytest.raises(ValueError, match="^n_step_over, n_step_on and n_level are all 0; "):
+        CampaignConfig(n_step_over=0, n_step_on=0, n_level=0)
+
+
+def test_a_campaign_on_a_noisy_hip_refuses_the_trial_whose_own_start_is_in_contact(
+        monkeypatch):
+    # each trial's noise moves its toe-off foot, so a range check at one seed
+    # alone let trial 10, whose foot starts in the ground, raise mid-campaign
+    from swingsim import human_model
+
+    def no_trial(cfg, log=None):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim_harness, "run_swing", no_trial)
+    human = replace(human_model.preset(GaitIntent.STEP_OVER), noise_sigma=5.0 * DEG)
+    base = TrialConfig(intent=GaitIntent.STEP_OVER, human=human)
+    with pytest.raises(ValueError, match=r"^trial 10: the toe-off foot already touches the "
+                                         r"scene \(GROUND at x = -0.0483 m"):
+        CampaignConfig(n_step_over=30, n_step_on=0, n_level=0, base=base)
 
 
 @pytest.mark.parametrize("build,says", [
@@ -922,7 +942,9 @@ def test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_tria
 def test_summary_campaign_block_parses_back_to_the_campaign(data):
     # summary.json echoes every campaign key, so its block is a campaign file
     cc = parse_campaign(data)
-    block = json.loads(summary_json(summarize(cc, [], [])))["campaign"]
+    spec = build_trial_specs(cc)[0]
+    _, result = run_swing(trial_config_for(cc, spec))
+    block = json.loads(summary_json(summarize(cc, [spec], [result])))["campaign"]
     assert parse_campaign(block) == cc
 
 
