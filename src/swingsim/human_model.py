@@ -277,12 +277,12 @@ def build_hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float)
 
 
 # Trajectories hip_track keeps: the noise-free, unaimed ones trials share (a
-# trial's own aimed or noisy track is TrialConfig.hip_track's alone). A
-# campaign, built and run from a cleared cache, reads 2, the step-over and
-# level presets: 181/2 hits/misses at sizes 1, 2 and 3. 120 run scenarios,
-# shuffled (17 own tracks), read 101/2 at 2 and 3, 74/29 and 72/31 at 1
-# (seeds 2024 and 7). A track holds one HipPose per tick to the horizon,
-# ~0.17 KB each: ~0.27 MB for the step-over preset at 1 kHz.
+# trial's own aimed or noisy track is TrialConfig.hip_track's alone). A campaign,
+# built and run from a cleared cache, reads 2, the level preset (its range check's
+# too) and the step-over preset: 182/2 hits/misses at sizes 2 and 3, 181/3 at 1,
+# at seeds 2024 and 7 alike. 120 run scenarios, shuffled (17 own tracks), read
+# 101/2 at 2 and 3, 74/29 and 72/31 at 1 (seeds 2024 and 7). A track holds one
+# HipPose per tick to the horizon, ~0.17 KB each: ~0.27 MB for the step-over preset at 1 kHz.
 HIP_TRACK_CACHE_SIZE = 2
 
 # build_hip_track's track of a trajectory, shared by every trial on it

@@ -512,15 +512,14 @@ class CampaignConfig:
             raise ValueError("n_step_over, n_step_on and n_level are all 0; "
                              "a campaign needs at least one trial")
         # before any trial runs, TrialConfig refuses each range's first box and every noisy trial.
-        # At the base's seed a range trial starts from the base's foot: what it touches is the box
-        firsts = [("distance_range", GaitIntent.STEP_OVER, h)
-                  for h in self.heights if self.n_step_over]
+        # At one seed every preset and aim starts from the base's foot: the base trial decides
+        firsts = [("distance_range", h) for h in self.heights if self.n_step_over]
         if self.n_step_on:
-            firsts.append(("step_on_distance_range", GaitIntent.STEP_ON, self.step_on_height))
-        for field, intent, height in firsts:
+            firsts.append(("step_on_distance_range", self.step_on_height))
+        for field, height in firsts:
             low = getattr(self, field)[0]
             try:
-                trial_config_for(self, TrialSpec(0, intent, height, low, self.base.seed))
+                trial_config_for(self, TrialSpec(0, self.base.intent, height, low, self.base.seed))
             except ToeOffContact as exc:
                 raise ToeOffContact(f"a {height:g} m box at {low:g} m touches the toe-off foot "
                                     f"({exc.contact}); start the range past the foot",

@@ -110,7 +110,7 @@ class PhaseState:
     into the next bucket (0.8125 lies 0.0005 - 5.5e-17 from the double 0.813
     and rounds to 0.812). Any other hip height takes the rounded key, as a
     fresh state does. Rounding on every phase-one tick instead took a
-    campaign 1.006-1.014x at seed 2024 and 1.008x at seed 7."""
+    campaign's trials 1.016x at seed 2024 and 1.007-1.012x at seed 7."""
     phase: Phase = Phase.ONE
     ticks_in_phase: int = 0                 # n in the blending law; resets on 1->2->3
     theta_k_ddot_ini: float = 0.0           # rad/s^2 at entry of the current major phase

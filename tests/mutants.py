@@ -268,11 +268,19 @@ MUTANTS = (
         "The trial owns the toe-off rule"),
     Mutant(
         "campaign-construction-skips-its-range-check", "src/swingsim/sim_harness.py",
-        "                trial_config_for(self, TrialSpec(0, intent, height, low, self.base.seed))\n",
+        "                trial_config_for(self, TrialSpec(0, self.base.intent, height, low, "
+        "self.base.seed))\n",
         "                pass\n",
         ("tests/test_sim_harness.py::"
          "test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_trial_runs",),
-        "The trial owns the toe-off rule (re-planted: CampaignConfig owns every campaign rule)"),
+        "The trial owns the toe-off rule (re-planted: CampaignConfig owns every campaign rule; "
+        "Every campaign range is checked on the base trial)"),
+    Mutant(
+        "trial-accepts-a-hip-that-reaches-the-ground", "src/swingsim/sim_harness.py",
+        "        if not low > 0.0:\n",
+        "        if False:\n",
+        ("tests/test_sim_harness.py::test_a_hip_whose_lowest_point_reaches_the_ground_is_refused",),
+        "Every campaign range is checked on the base trial"),
     Mutant(
         "campaign-accepts-no-trials", "src/swingsim/sim_harness.py",
         "        if self.n_step_over + self.n_step_on + self.n_level == 0:\n",

@@ -22,7 +22,7 @@ from swingsim.perception import (
     elevation_keypoints,
     extract_estimate,
 )
-from swingsim.human_model import GaitIntent, HipTrajectoryParams
+from swingsim.human_model import GaitIntent, HipTrajectoryParams, preset
 from swingsim.swing_planner import Phase
 from swingsim.sim_harness import (
     ROW_FORMAT,
@@ -880,18 +880,62 @@ def test_mini_campaign_summary_and_determinism():
     assert set(r1.summary["conditions"]) >= {"level", "step_on_h0.16"}
 
 
-def test_parsing_a_campaign_caches_only_the_step_over_preset():
-    # its range check builds the trial each range's first box gives: the
-    # step-overs share the step-over preset's track, and the aimed step-on
-    # builds its own, so the unaimed step-on preset, which no campaign trial
-    # reads, is not cached
+def test_parsing_a_campaign_caches_only_the_level_preset():
+    # its range check builds the base trial with each range's first box: on the
+    # default base, the level preset, whose track the cache shares; no aimed
+    # step-on is built, and neither the step-over nor the step-on preset read
     from swingsim import human_model
     human_model.hip_track.cache_clear()
     parse_campaign({})
-    assert human_model.hip_track.cache_info().currsize == 1
-    TrialConfig(intent=GaitIntent.STEP_OVER)   # reads the step-over preset's track
     info = human_model.hip_track.cache_info()
     assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    TrialConfig(intent=GaitIntent.LEVEL)   # reads the level preset's track
+    info = human_model.hip_track.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
+
+
+def test_building_a_campaign_on_a_warm_cache_builds_no_hip_track(monkeypatch):
+    # the step-on range check once built the aimed step-on's own 1,282-pose
+    # track and dropped it, on every construction
+    from swingsim import human_model
+    CampaignConfig()
+    built = []
+    build = human_model.build_hip_track
+
+    def counting(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(human_model, "build_hip_track", counting)
+    CampaignConfig()
+    assert built == []
+
+
+@pytest.mark.parametrize("base", [
+    TrialConfig(),
+    TrialConfig(scene=ObstacleScene(ground_height=0.05)),
+    TrialConfig(human=replace(preset(GaitIntent.LEVEL), theta_h_start=-20.0 * DEG)),
+    TrialConfig(human=replace(preset(GaitIntent.LEVEL), noise_sigma=0.5 * DEG), seed=3),
+    TrialConfig(human=replace(preset(GaitIntent.LEVEL), noise_sigma=0.5 * DEG), seed=11),
+], ids=["default", "ground-0.05", "theta-h-start-20", "noisy-seed-3", "noisy-seed-11"])
+def test_every_intent_starts_from_the_base_trials_foot(base):
+    # CampaignConfig's range check builds the base trial alone, with the base's
+    # intent, for every range: it holds while the presets share their start and
+    # a step-on's aim moves no pose at t = 0
+    cc = CampaignConfig(n_step_over=0, n_step_on=0, n_level=1, base=base)
+    for height, distance in ((None, None), (0.16, 0.5)):
+        for intent in GaitIntent:
+            cfg = trial_config_for(cc, TrialSpec(0, intent, height, distance, base.seed))
+            assert cfg._aimed == (intent is GaitIntent.STEP_ON and height is not None)
+            assert cfg.toe_off == base.toe_off, (intent, height)
+
+
+def test_a_hip_whose_lowest_point_reaches_the_ground_is_refused():
+    # the level preset lowers the hip 0.10 m: from a 0.1 m base it ends at
+    # z = 0, where HipPose refused it only once the swing sampled it
+    human = replace(preset(GaitIntent.LEVEL), hip_height_base=0.1)
+    with pytest.raises(ValueError, match=r"^the hip's lowest point, .* got 0\.0 m$"):
+        TrialConfig(human=human)
 
 
 def test_a_campaign_of_no_trials_is_refused():
