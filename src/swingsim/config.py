@@ -69,7 +69,7 @@ CAMERA = _rows(CameraModel)
 PLANNER = _rows(PlannerParams)
 # a missing key keeps the intent's preset, swing_duration_s too
 HUMAN = tuple(f._replace(required=False) for f in _rows(HipTrajectoryParams))
-_, HEIGHT, DEPTH, WIDTH = BOX = _rows(Box)
+BOX = _rows(Box)
 SCENE = _rows(ObstacleScene)
 INTENT, *TRIAL = _rows(TrialConfig)   # intent is a key of the human section
 TRIAL = tuple(TRIAL)

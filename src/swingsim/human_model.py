@@ -7,8 +7,9 @@ profiles keep evolving past the nominal swing duration and the harness ends
 the swing on foot contact. Interaction with the prosthesis emerges entirely
 through the phase predicates of the planner (relative heel/hip geometry).
 Since the hip never depends on the knee, each swing's hip is a track built
-in one vectorized pass to the timeout horizon: hip_track caches the preset
-tracks trials share, and build_hip_track builds one a single trial owns.
+in one vectorized pass to the timeout horizon, bit-equal to the per-tick
+tests/oracle_utils.hip_at_reference: hip_track caches the preset tracks
+trials share, and build_hip_track builds one a single trial owns.
 
 The late-swing cues the controller relies on are expressed as parameters:
 forward progression that stops early (shortens the step), hip lowering plus
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .leg_kinematics import (DEG, FRACTION, NON_NEGATIVE, POSITIVE, THIGH_ANGLE, HipPose, Rule,
+from .leg_kinematics import (DEG, FRACTION, NON_NEGATIVE, POSITIVE, THIGH_ANGLE, Rule,
                              _each, check_rules, declare, hip_poses)
 
 # Hip height above the ground at the start of every preset swing and in the
@@ -97,21 +98,18 @@ class HipTrajectoryParams:
 def _noise(params: HipTrajectoryParams, t: np.ndarray, seed: Optional[int]):
     """Smooth low-frequency angle noise: two seeded sinusoids."""
     if params.noise_sigma <= 0.0 or seed is None:
-        return 0.0, 0.0
+        return 0.0
     rng = np.random.default_rng(seed)
     a1, a2 = rng.normal(0.0, params.noise_sigma, 2)
     p1, p2 = rng.uniform(0.0, 2.0 * math.pi, 2)
     w1, w2 = 2.0 * math.pi * 2.0, 2.0 * math.pi * 4.5  # Hz-scale wobble
-    ph1, ph2 = w1 * t + p1, w2 * t + p2
-    val = a1 * _each(math.sin, ph1) + a2 * _each(math.sin, ph2)
-    vel = a1 * w1 * _each(math.cos, ph1) + a2 * w2 * _each(math.cos, ph2)
-    return val, vel
+    return a1 * _each(math.sin, w1 * t + p1) + a2 * _each(math.sin, w2 * t + p2)
 
 
 def _flexion_peak(params: HipTrajectoryParams) -> float:
     """Highest flexion of the noise-free hip: one still rising at the lowering
     onset overshoots until extension_decay stops it."""
-    a0, v0 = map(float, _rise(params, params.lowering_onset_fraction * params.swing_duration))
+    _, a0, v0 = _onset(params)
     return a0 + max(v0, 0.0) ** 2 / (2.0 * params.extension_decay)
 
 
@@ -121,19 +119,25 @@ THETA_H_LIMIT = 80.0 * DEG
 
 
 def _rise(params: HipTrajectoryParams, t):
-    """Min-jerk hip angle and rate from theta_h_start to theta_h_end, done by
+    """Min-jerk hip angle from theta_h_start to theta_h_end, done by
     rise_fraction of the swing; t an array or a float (np.clip costs a float
     ~3 us more than np.minimum and np.maximum)."""
+    s = np.minimum(np.maximum(t / (params.rise_fraction * params.swing_duration), 0.0), 1.0)
+    return params.theta_h_start + (params.theta_h_end - params.theta_h_start) * (
+        s * s * s * (10.0 - 15.0 * s + 6.0 * s * s))
+
+
+def _onset(params: HipTrajectoryParams) -> tuple:
+    """(t_on, a0, v0): the lowering onset, and the rise's angle and slope there."""
     T_rise = params.rise_fraction * params.swing_duration
+    t_on = params.lowering_onset_fraction * params.swing_duration
+    s = min(t_on / T_rise, 1.0)
     span = params.theta_h_end - params.theta_h_start
-    s = np.minimum(np.maximum(t / T_rise, 0.0), 1.0)
-    ang = params.theta_h_start + span * (s * s * s * (10.0 - 15.0 * s + 6.0 * s * s))
-    vel = span * (30.0 * s * s * (1.0 - s) * (1.0 - s)) / T_rise
-    return ang, np.where((0.0 <= t) & (t <= T_rise), vel, 0.0)
+    return t_on, float(_rise(params, t_on)), span * (30.0 * s * s * (1.0 - s) * (1.0 - s)) / T_rise
 
 
-def _theta_h(params: HipTrajectoryParams, t: np.ndarray) -> tuple:
-    """Hip angle and rate.
+def _theta_h(params: HipTrajectoryParams, t: np.ndarray) -> np.ndarray:
+    """Hip angle.
 
     Min-jerk rise completed by rise_fraction of the swing, a hold at the end
     angle (the window in which the planner converges the knee), then the
@@ -143,27 +147,19 @@ def _theta_h(params: HipTrajectoryParams, t: np.ndarray) -> tuple:
     tracks it without accumulating curvature error; the profile stays C1 and
     bounded out to the timeout horizon.
     """
-    t_on = params.lowering_onset_fraction * params.swing_duration
-    ang, vel = _rise(params, t)
-    a0, v0 = map(float, _rise(params, t_on))
-    a = params.extension_decay
-    rate = params.extension_rate
+    t_on, a0, v0 = _onset(params)
+    a, rate = params.extension_decay, params.extension_rate
     u = t - t_on
     u_sat = (v0 + rate) / a
-    blend = u <= u_sat
-    late_ang = np.where(blend, a0 + v0 * u - 0.5 * a * u * u,
-                        a0 + v0 * u_sat - 0.5 * a * u_sat * u_sat - rate * (u - u_sat))
-    late_vel = np.where(blend, v0 - a * u, -rate)
-    stopped = late_ang < -THETA_H_LIMIT
-    late = t > t_on
-    return (np.where(late, np.where(stopped, -THETA_H_LIMIT, late_ang), ang),
-            np.where(late, np.where(stopped, 0.0, late_vel), vel))
+    late = np.where(u <= u_sat, a0 + v0 * u - 0.5 * a * u * u,
+                    a0 + v0 * u_sat - 0.5 * a * u_sat * u_sat - rate * (u - u_sat))
+    return np.where(t > t_on, np.maximum(late, -THETA_H_LIMIT), _rise(params, t))
 
 
 # Tuned defaults per intent, built once. Swing durations follow the measured
 # averages (0.61 / 0.64 / 0.81 s); angle endpoints, lift and lowering were
 # tuned so the simulated peak knee flexion and landing geometry land in the
-# reported ranges. Here, below _rise: __post_init__ calls it.
+# reported ranges. Here, below _rise and _onset: __post_init__ calls them.
 PRESETS = {
     GaitIntent.LEVEL: HipTrajectoryParams(
         swing_duration=0.61, theta_h_end=36.0 * DEG, lowering_depth=0.10),
@@ -216,19 +212,9 @@ def _x_h(params: HipTrajectoryParams, t: np.ndarray) -> np.ndarray:
     return np.where(t <= t_stop, v * t, x)
 
 
-def hip_pose(params: HipTrajectoryParams, t: float | np.ndarray, seed: Optional[int] = None):
-    """Hip state at time t >= 0, valid well past the nominal duration
-    (build_hip_track samples it to the timeout horizon). A float t gives its HipPose;
-    an array of times gives the unchecked arrays (x_h, z_h, theta_h,
-    theta_h_dot), each element the float a lone sample of it gives."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    ang, vel = _theta_h(params, ts)
-    n_ang, n_vel = _noise(params, ts, seed)
-    x_h, z_h, theta_h, theta_h_dot = _x_h(params, ts), _z_h(params, ts), ang + n_ang, vel + n_vel
-    if np.ndim(t):
-        return x_h, z_h, theta_h, theta_h_dot
-    return HipPose(x_h=float(x_h[0]), z_h=float(z_h[0]), theta_h=float(theta_h[0]),
-                   theta_h_dot=float(theta_h_dot[0]))
+def hip_pose(params: HipTrajectoryParams, t: np.ndarray, seed: Optional[int] = None) -> tuple:
+    """The unchecked (x_h, z_h, theta_h) arrays at the times t >= 0, valid past the horizon."""
+    return _x_h(params, t), _z_h(params, t), _theta_h(params, t) + _noise(params, t, seed)
 
 
 # A swing that meets nothing ends at TIMEOUT_FACTOR x the nominal duration.
@@ -259,10 +245,9 @@ def build_hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float)
     one hip_pose call samples them all, and hip_poses checks every sample
     (t_{last+1} too) in one array pass and builds the poses, so an invalid
     one raises here and no track is kept. An aimed step-on's track, 1,282
-    poses of which its swing reads ~626, takes ~1.7 ms (2-core Xeon, CPython
-    3.11): ~0.8 ms sampling and ~0.7 ms building, where one HipPose
-    constructed per pose took ~2 ms. libm, element by element, keeps every
-    pose bit-equal to a lone sample's.
+    poses of which its swing reads ~626, takes ~0.8 ms (2-core Xeon, CPython
+    3.11), half of it sampling; one HipPose built per pose took ~2 ms. libm,
+    element by element, keeps every pose oracle_utils.hip_at_reference's.
     """
     end = TIMEOUT_FACTOR * params.swing_duration + dt / 2
     if not 1.0 <= end / dt <= MAX_HORIZON_TICKS:
@@ -272,7 +257,7 @@ def build_hip_track(params: HipTrajectoryParams, seed: Optional[int], dt: float)
     steps[0] = 0.0
     t = np.add.accumulate(steps)
     last = int(np.searchsorted(t, end))          # the first tick at or past the horizon
-    x_h, z_h, theta_h, _ = hip_pose(params, t[:last + 2], seed)
+    x_h, z_h, theta_h = hip_pose(params, t[:last + 2], seed)
     return hip_poses(x_h, z_h, theta_h, np.diff(theta_h) / dt)
 
 

@@ -168,9 +168,9 @@ _INT = np.frombuffer(b"".join([b"%4s" % (s + b"%d" % i) for s in (b"", b"-") for
 _FRAC = np.frombuffer(b"".join([b".%03d" % i for i in range(1000)] + [b" nan"]), np.uint32)
 _SEP = np.frombuffer(b"".join([b"%03d," % i for i in range(1000)] + [b"   ,"]
                               + [b"%03d\n" % i for i in range(1000)] + [b"   \n"]), np.uint32)
-# a row as 19 native doubles, as np.frombuffer reads them (native packing takes ~0.2 us a row
-# less than "="'s): t, its phase's index in Phase, 8 zero bytes, then its 16 numbers
-_ROW = struct.Struct("dd8x16d")
+# a row as native doubles, as np.frombuffer reads them (native packing takes ~0.2 us a row
+# less than "="'s): t, its phase's index in Phase, 8 zero bytes, then its other columns
+_ROW = struct.Struct(f"dd8x{len(LOG_COLUMNS) - 2}d")
 _PHASE_TEXT = tuple(p.value for p in Phase)
 _PHASE_INDEX = {text: i for i, text in enumerate(_PHASE_TEXT)}
 # each phase's text and ',' right-aligned in 6 words, the output's columns 1-2

@@ -367,7 +367,7 @@ def phase3_velocity(geom: LegGeometry, hip: HipPose, joint: JointState,
             # convention; k_max acts as a magnitude
             return -c_t * params.k_max * v_max, -c_t * params.k_max, c_t
 
-    # THREE_MIRROR: knee mirrors the instantaneous hip rate (not the running
+    # THREE_MIRROR: knee mirrors the hip rate of this tick (not the running
     # max); the shank holds its forward lean until contact
     return hip.theta_h_dot, 1.0, 0.0
 
@@ -383,7 +383,7 @@ def blend_command(raw_vel: float, measured_vel: float, state: PhaseState,
     n = state.ticks_in_phase
     alpha_1, alpha_2 = params.alpha_1, params.alpha_2
     g1 = exp(-alpha_1 * n)
-    g2 = g1 if alpha_2 == alpha_1 else exp(-alpha_2 * n)
+    g2 = g1 if alpha_2 == alpha_1 else exp(-alpha_2 * n)  # two exps: 1.004x/0.997x, seeds 2024/7
     return (1.0 - g1) * raw_vel + g1 * (measured_vel
                                         + g2 * state.theta_k_ddot_ini * params.dt), g1
 

@@ -250,7 +250,7 @@ MUTANTS = (
     Mutant(
         "toe-off-check-on-the-noise-free-hip", "src/swingsim/sim_harness.py",
         "        contact = contact_check(self.toe_off, self.scene)[0]\n",
-        "        hip = human_model.hip_pose(self.resolved_human, 0.0)\n"
+        "        hip = human_model.hip_track(self.resolved_human, None, self.planner.dt)[0]\n"
         "        contact = contact_check(forward_points(self.geometry, hip, TOE_OFF_THETA_K),\n"
         "                                self.scene)[0]\n",
         ("tests/test_config.py::test_the_toe_off_check_reads_the_foot_the_swing_starts_from",
@@ -411,8 +411,8 @@ MUTANTS = (
         "The step log sizes itself (a third box in the every-box clearance test)"),
     Mutant(
         "theta-h-extension-decay-reads-the-stop-fraction", "src/swingsim/human_model.py",
-        "    a = params.extension_decay\n",
-        "    a = params.extension_decay * (1 + 1e-9 * (1 - params.progression_stop_fraction))\n",
+        "    a, rate = params.extension_decay,",
+        "    a, rate = params.extension_decay * (1 + 1e-9 * (1 - params.progression_stop_fraction)),",
         ("tests/test_human_model.py::"
          "test_hip_track_equals_the_per_tick_reference_on_every_campaign_trajectory",),
         "The step log is packed into the bytes its CSV writer formats (the hip oracle)"),
@@ -608,6 +608,12 @@ MUTANTS = (
         "declare(Rule(1, math.inf, \"be >= 1\"), \"kmeans_k\",",
         ("tests/test_config.py::test_library_runs_to_a_finite_outcome_or_raises_value_error",),
         "Each field's physical rule is declared once"),
+    Mutant(
+        "blend-takes-alpha-1-for-both-gammas", "src/swingsim/swing_planner.py",
+        "g2 = g1 if alpha_2 == alpha_1 else exp(-alpha_2 * n)",
+        "g2 = g1",
+        ("tests/test_swing_planner.py::test_blend_takes_each_alpha_for_its_own_gamma",),
+        "The hip rate has one definition"),
 )
 
 

@@ -283,19 +283,17 @@ def _noise_coefficients(sigma: float, seed: int) -> tuple:
     return float(a1), float(a2), float(p1), float(p2)
 
 
-def _noise(params, t: float, seed):
+def _noise(params, t: float, seed) -> float:
     """Smooth low-frequency angle noise: two seeded sinusoids."""
     if params.noise_sigma <= 0.0 or seed is None:
-        return 0.0, 0.0
+        return 0.0
     a1, a2, p1, p2 = _noise_coefficients(params.noise_sigma, seed)
     w1, w2 = 2.0 * math.pi * 2.0, 2.0 * math.pi * 4.5  # Hz-scale wobble
-    val = a1 * math.sin(w1 * t + p1) + a2 * math.sin(w2 * t + p2)
-    vel = a1 * w1 * math.cos(w1 * t + p1) + a2 * w2 * math.cos(w2 * t + p2)
-    return val, vel
+    return a1 * math.sin(w1 * t + p1) + a2 * math.sin(w2 * t + p2)
 
 
-def _theta_h(params, t: float) -> tuple:
-    """Hip angle and rate."""
+def _theta_h(params, t: float) -> float:
+    """Hip angle."""
     T = params.swing_duration
     T_rise = params.rise_fraction * T
     t_on = params.lowering_onset_fraction * T
@@ -308,7 +306,7 @@ def _theta_h(params, t: float) -> tuple:
         return ang, vel
 
     if t <= t_on:
-        return rise(t)
+        return rise(t)[0]
     a0, v0 = rise(t_on)
     a = params.extension_decay
     rate = params.extension_rate
@@ -316,14 +314,10 @@ def _theta_h(params, t: float) -> tuple:
     u_sat = (v0 + rate) / a
     if u <= u_sat:
         ang = a0 + v0 * u - 0.5 * a * u * u
-        vel = v0 - a * u
     else:
         ang = (a0 + v0 * u_sat - 0.5 * a * u_sat * u_sat
                - rate * (u - u_sat))
-        vel = -rate
-    if ang < -THETA_H_LIMIT:
-        return -THETA_H_LIMIT, 0.0
-    return ang, vel
+    return max(ang, -THETA_H_LIMIT)
 
 
 def _z_h(params, t: float) -> float:
@@ -355,18 +349,6 @@ def _x_h(params, t: float) -> float:
     return x
 
 
-def hip_pose_reference(params, t: float, seed=None) -> HipPose:
-    """Hip state at time t, one scalar sample."""
-    ang, vel = _theta_h(params, t)
-    n_ang, n_vel = _noise(params, t, seed)
-    return HipPose(
-        x_h=_x_h(params, t),
-        z_h=_z_h(params, t),
-        theta_h=ang + n_ang,
-        theta_h_dot=vel + n_vel,
-    )
-
-
 @lru_cache(maxsize=8)
 def _hip_samples(params, seed, dt) -> tuple:
     """(t, z_h, theta_h) at every tick time a swing to the timeout horizon
@@ -377,7 +359,7 @@ def _hip_samples(params, seed, dt) -> tuple:
     while times[-1] < horizon + dt / 2:   # run_swing's loop condition
         times.append(times[-1] + dt)
     times.append(times[-1] + dt)          # the last pose's rate reads one more
-    samples = tuple((t, _z_h(params, t), _theta_h(params, t)[0] + _noise(params, t, seed)[0])
+    samples = tuple((t, _z_h(params, t), _theta_h(params, t) + _noise(params, t, seed))
                     for t in times)
     HipPose(x_h=0.0, z_h=samples[-1][1], theta_h=samples[-1][2])  # checked as the poses are
     return samples

@@ -143,8 +143,8 @@ def test_the_toe_off_check_reads_the_foot_the_swing_starts_from(data, sigma):
         with pytest.raises(FirstTick):
             run_swing(cfg)
     assert list(map(repr, checked)) == list(map(repr, started)) and len(started) == 1
-    if sigma == 0.0:  # a noise-free foot is the lone sample's, as before
-        hip = human_model.hip_pose(cfg.resolved_human, 0.0)
+    if sigma == 0.0:  # a noise-free foot is the noise-free track's, as before
+        hip = human_model.hip_track(cfg.resolved_human, None, cfg.planner.dt)[0]
         assert repr(started[0]) == repr(forward_points(cfg.geometry, hip, TOE_OFF_THETA_K))
 
 

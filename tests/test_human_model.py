@@ -33,6 +33,11 @@ from swingsim.sim_harness import (
 from oracle_utils import hip_at_reference
 
 
+def _at(params, t, seed=None) -> tuple:
+    """(x_h, z_h, theta_h) of the hip at the one time t, as floats."""
+    return tuple(float(a[0]) for a in hip_pose(params, np.array([t]), seed))
+
+
 def test_preset_swing_durations_match_reported_averages():
     assert preset(GaitIntent.LEVEL).swing_duration == pytest.approx(0.61)
     assert preset(GaitIntent.STEP_ON).swing_duration == pytest.approx(0.64)
@@ -46,50 +51,50 @@ def test_preset_ordering_properties():
     assert over.swing_duration > on.swing_duration >= level.swing_duration
     # step-on progression strictly less than step-over over the whole horizon
     horizon = 1.5 * over.swing_duration
-    x_on = hip_pose(on, 1.5 * on.swing_duration).x_h
-    x_over = hip_pose(over, horizon).x_h
+    x_on = _at(on, 1.5 * on.swing_duration)[0]
+    x_over = _at(over, horizon)[0]
     assert x_on < x_over
 
 
 def test_start_boundary_conditions():
     for intent in GaitIntent:
         p = preset(intent)
-        pose = hip_pose(p, 0.0)
-        assert pose.theta_h == pytest.approx(p.theta_h_start)
-        assert pose.x_h == 0.0
-        assert pose.z_h == pytest.approx(p.hip_height_base)
+        x_h, z_h, theta_h = _at(p, 0.0)
+        assert theta_h == pytest.approx(p.theta_h_start)
+        assert x_h == 0.0
+        assert z_h == pytest.approx(p.hip_height_base)
 
 
 def test_theta_h_rate_nonnegative_during_rise():
     # the rise segment ends at the earlier of rise completion and the
-    # lowering/extension onset (the step-over cue starts inside the rise)
+    # lowering/extension onset (the step-over cue starts inside the rise);
+    # the rate the planner reads is the track's, over each tick inside it
+    dt = 0.001
     for intent in GaitIntent:
         p = preset(intent)
         t_rise = min(p.rise_fraction, p.lowering_onset_fraction) * p.swing_duration
-        for t in np.linspace(0, t_rise, 50):
-            assert hip_pose(p, float(t)).theta_h_dot >= -1e-12
+        track = hip_track(p, None, dt)
+        assert all(pose.theta_h_dot >= 0.0 for pose in track[:int(t_rise / dt)])
 
 
 def test_progression_stops_for_step_on_preset():
     p = preset(GaitIntent.STEP_ON)
     t_stop = p.progression_stop_fraction * p.swing_duration
     ramp = 0.08
-    x_settled = hip_pose(p, t_stop + ramp).x_h
-    for t in np.linspace(t_stop + ramp, 2 * p.swing_duration, 20):
-        assert hip_pose(p, float(t)).x_h == pytest.approx(x_settled, abs=1e-12)
+    x_settled = _at(p, t_stop + ramp)[0]
+    x_h = hip_pose(p, np.linspace(t_stop + ramp, 2 * p.swing_duration, 20))[0]
+    assert x_h.tolist() == pytest.approx([x_settled] * 20, abs=1e-12)
 
 
 def test_c1_continuity_at_1khz():
-    # finite-difference velocity agrees with the reported rate, and velocity
-    # steps between ticks stay bounded (no jumps)
+    # the track's rate is the finite difference over the coming tick, and
+    # rate steps between ticks stay bounded (no jumps), out to the horizon
     dt = 0.001
     for intent in GaitIntent:
         p = preset(intent)
-        ts = np.arange(0.0, 1.9 * p.swing_duration, dt)
-        poses = [hip_pose(p, float(t)) for t in ts]
+        poses = hip_track(p, None, dt)
         for a, b in zip(poses, poses[1:]):
-            fd = (b.theta_h - a.theta_h) / dt
-            assert abs(fd - 0.5 * (a.theta_h_dot + b.theta_h_dot)) < 0.02
+            assert (b.theta_h - a.theta_h) / dt == a.theta_h_dot
             assert abs(b.theta_h_dot - a.theta_h_dot) < 0.05  # <= ~50 rad/s^2
             assert abs(b.x_h - a.x_h) <= p.forward_speed * dt + 1e-12
         zs = np.array([q.z_h for q in poses])
@@ -99,22 +104,23 @@ def test_c1_continuity_at_1khz():
 def test_hip_height_profile_lift_and_lowering():
     p = preset(GaitIntent.STEP_OVER)
     T = p.swing_duration
-    peak = hip_pose(p, p.lift_peak_fraction * T).z_h
+    peak = _at(p, p.lift_peak_fraction * T)[1]
     assert peak == pytest.approx(p.hip_height_base + p.hip_lift_amplitude, abs=1e-9)
-    late = hip_pose(p, 1.8 * T).z_h
+    late = _at(p, 1.8 * T)[1]
     assert late == pytest.approx(p.hip_height_base - p.lowering_depth, abs=2e-3)
     # the default shape is the sin^2 arch over the nominal swing
     q = preset(GaitIntent.LEVEL)
     assert q.lift_peak_fraction == 0.5
-    assert hip_pose(q, q.swing_duration / 2).z_h == pytest.approx(
+    assert _at(q, q.swing_duration / 2)[1] == pytest.approx(
         q.hip_height_base + q.hip_lift_amplitude, abs=1e-9)
 
 
 def test_noise_smooth_and_seeded():
     p = HipTrajectoryParams(swing_duration=0.6, noise_sigma=1.0 * DEG)
-    a = [hip_pose(p, t, seed=5).theta_h for t in np.arange(0, 0.6, 0.001)]
-    b = [hip_pose(p, t, seed=5).theta_h for t in np.arange(0, 0.6, 0.001)]
-    c = [hip_pose(p, t, seed=6).theta_h for t in np.arange(0, 0.6, 0.001)]
+    ts = np.arange(0, 0.6, 0.001)
+    a = hip_pose(p, ts, seed=5)[2].tolist()
+    b = hip_pose(p, ts, seed=5)[2].tolist()
+    c = hip_pose(p, ts, seed=6)[2].tolist()
     assert a == b
     assert a != c
     diffs = np.abs(np.diff(a))
@@ -131,18 +137,19 @@ def test_noise_is_two_sinusoids_drawn_from_the_seed():
         w1, w2 = 2.0 * math.pi * 2.0, 2.0 * math.pi * 4.5
         for t in (0.0, 0.123, 0.6, 1.1):
             noise = a1 * math.sin(w1 * t + p1) + a2 * math.sin(w2 * t + p2)
-            assert hip_pose(p, t, seed=seed).theta_h == hip_pose(quiet, t).theta_h + noise
+            assert _at(p, t, seed)[2] == _at(quiet, t)[2] + noise
 
 
 def test_sample_horizon():
     # hip samples stay valid poses (HipPose checks z_h > 0, |theta_h| < 90
-    # deg) with finite values out to the horizon the harness runs to
+    # deg, all finite) out to the horizon the harness runs to, and so do the
+    # track's rates
     for intent in GaitIntent:
         p = preset(intent)
-        for t in np.linspace(0.0, TIMEOUT_FACTOR * p.swing_duration, 200):
-            pose = hip_pose(p, t)
-            assert all(math.isfinite(v) for v in (pose.x_h, pose.z_h, pose.theta_h,
-                                                  pose.theta_h_dot))
+        ts = np.linspace(0.0, TIMEOUT_FACTOR * p.swing_duration, 200)
+        for x_h, z_h, theta_h in zip(*(a.tolist() for a in hip_pose(p, ts))):
+            HipPose(x_h=x_h, z_h=z_h, theta_h=theta_h)
+        assert all(math.isfinite(pose.theta_h_dot) for pose in hip_track(p, None, 0.001))
 
 
 def test_aim_step_on_progression_targets_box():
@@ -153,7 +160,7 @@ def test_aim_step_on_progression_targets_box():
     # landing heel between front and back of the box for the far case
     thigh, heel_back = 0.44, 0.032
     heel_rel = thigh * math.sin(47 * DEG) - heel_back
-    x_final = hip_pose(far, 2 * p.swing_duration).x_h
+    x_final = _at(far, 2 * p.swing_duration)[0]
     heel = x_final + heel_rel
     assert 0.48 <= heel <= 0.48 + 0.15
 
@@ -223,8 +230,7 @@ def test_trials_of_a_few_degrees_of_hip_noise_still_build_and_run_on_the_checked
     real = human_model.hip_pose
 
     def counting(params, t, seed=None):
-        if np.ndim(t):
-            sampled.append(seed)
+        sampled.append(seed)
         return real(params, t, seed)
 
     monkeypatch.setattr(human_model, "hip_pose", counting)
@@ -247,8 +253,8 @@ def _sampled_peak(params) -> float:
     holds, then falls, so its peak lies between those steps."""
     t_on = params.lowering_onset_fraction * params.swing_duration
     coarse = np.arange(0.0, t_on + 6.0, 1e-3)
-    best = coarse[int(np.argmax([oracle_utils._theta_h(params, t)[0] for t in coarse]))]
-    return max(oracle_utils._theta_h(params, t)[0] for t in best + np.arange(-1e-3, 1e-3, 1e-5))
+    best = coarse[int(np.argmax([oracle_utils._theta_h(params, t) for t in coarse]))]
+    return max(oracle_utils._theta_h(params, t) for t in best + np.arange(-1e-3, 1e-3, 1e-5))
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -335,9 +341,9 @@ def test_hip_track_checks_every_pose_when_built_and_caches_no_failure(monkeypatc
 
     def faulty(params, t, seed=None):
         calls.append(len(t))
-        x_h, z_h, theta_h, rate = (v.copy() for v in real(params, t, seed))
+        x_h, z_h, theta_h = (v.copy() for v in real(params, t, seed))
         (z_h if field == "z_h" else theta_h)[where] = 0.0 if field == "z_h" else math.pi / 2
-        return x_h, z_h, theta_h, rate
+        return x_h, z_h, theta_h
 
     monkeypatch.setattr(human_model, "hip_pose", faulty)
     hip_track.cache_clear()

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from swingsim.config import DEPTH, HEIGHT, PLANNER, WIDTH, ConfigError, parse_scenario
+from swingsim.config import BOX, PLANNER, ConfigError, parse_scenario
 from swingsim.human_model import GaitIntent
 from swingsim.leg_kinematics import DEG
 from swingsim.perception import Box, CameraModel, ObstacleScene
@@ -95,10 +95,12 @@ def test_the_largest_accepted_tick_keeps_the_outcomes_that_flip_above_it():
         assert coarse.outcome is run_swing(cfg)[1].outcome, (index, dt_max)
 
 
+# a box's file rows by key
+BOX_ROWS = {f.key: f for f in BOX}
 # one or two boxes 0-1 m ahead of the hip, where the default camera sees them
 BOXES_IN_VIEW = st.lists(st.fixed_dictionaries(
-    {"front_x_m": st.floats(0.0, 1.0), "height_m": valid(HEIGHT)},
-    optional={"depth_m": valid(DEPTH)}), min_size=1, max_size=2)
+    {"front_x_m": st.floats(0.0, 1.0), "height_m": valid(BOX_ROWS["height_m"])},
+    optional={"depth_m": valid(BOX_ROWS["depth_m"])}), min_size=1, max_size=2)
 
 
 def with_widths(cfg, widths):
@@ -120,7 +122,7 @@ def test_boxes_wider_than_the_corridor_give_the_same_result(scenario, boxes, dat
     # a noisy capture draws noise for the rays that hit, so a ray outside
     # the corridor shifts the noise of later returns (the test below)
     cfg = replace(cfg, camera=replace(cfg.camera, depth_noise_sigma=0.0))
-    width = st.floats(cfg.corridor_width, WIDTH.hi)
+    width = st.floats(cfg.corridor_width, BOX_ROWS["width_m"].hi)
     one, other = ([data.draw(width) for _ in boxes] for _ in range(2))
     _, first = run_swing(with_widths(cfg, one))
     _, second = run_swing(with_widths(cfg, other))

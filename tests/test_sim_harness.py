@@ -488,8 +488,7 @@ def test_noisy_trials_built_before_they_run_sample_each_track_once(monkeypatch):
     real = human_model.hip_pose
 
     def counting(params, t, seed=None):
-        if np.ndim(t):
-            calls.append(seed)
+        calls.append(seed)
         return real(params, t, seed)
 
     monkeypatch.setattr(human_model, "hip_pose", counting)

@@ -598,6 +598,17 @@ def test_blend_spec_arithmetic_n20():
     assert cmd == pytest.approx(1.4482, abs=1e-4)
 
 
+def test_blend_takes_each_alpha_for_its_own_gamma():
+    # alpha_1 fades the raw command in, alpha_2 fades the entry acceleration
+    # out: with distinct alphas, gamma_2 is its own exponential
+    params = PlannerParams(alpha_1=0.05, alpha_2=0.2)
+    state = PhaseState(ticks_in_phase=10, theta_k_ddot_ini=30.0)
+    cmd, gamma_1 = blend_command(2.0, 0.5, state, params)
+    g1, g2 = math.exp(-params.alpha_1 * 10), math.exp(-params.alpha_2 * 10)
+    assert gamma_1 == g1
+    assert cmd == (1.0 - g1) * 2.0 + g1 * (0.5 + g2 * 30.0 * params.dt)
+
+
 # ---------------------------------------------------------------------------
 # planner_step transitions
 
