@@ -381,9 +381,7 @@ def blend_command(raw_vel: float, measured_vel: float, state: PhaseState,
     gamma_1).
     """
     n = state.ticks_in_phase
-    alpha_1, alpha_2 = params.alpha_1, params.alpha_2
-    g1 = exp(-alpha_1 * n)
-    g2 = g1 if alpha_2 == alpha_1 else exp(-alpha_2 * n)  # two exps: 1.004x/0.997x, seeds 2024/7
+    g1, g2 = exp(-params.alpha_1 * n), exp(-params.alpha_2 * n)
     return (1.0 - g1) * raw_vel + g1 * (measured_vel
                                         + g2 * state.theta_k_ddot_ini * params.dt), g1
 

@@ -610,8 +610,8 @@ MUTANTS = (
         "Each field's physical rule is declared once"),
     Mutant(
         "blend-takes-alpha-1-for-both-gammas", "src/swingsim/swing_planner.py",
-        "g2 = g1 if alpha_2 == alpha_1 else exp(-alpha_2 * n)",
-        "g2 = g1",
+        "g1, g2 = exp(-params.alpha_1 * n), exp(-params.alpha_2 * n)",
+        "g1 = g2 = exp(-params.alpha_1 * n)",
         ("tests/test_swing_planner.py::test_blend_takes_each_alpha_for_its_own_gamma",),
         "The hip rate has one definition"),
 )

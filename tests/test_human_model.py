@@ -87,14 +87,14 @@ def test_progression_stops_for_step_on_preset():
 
 
 def test_c1_continuity_at_1khz():
-    # the track's rate is the finite difference over the coming tick, and
-    # rate steps between ticks stay bounded (no jumps), out to the horizon
+    # rate steps between ticks stay bounded (no jumps), out to the horizon;
+    # the rate itself, the difference over the coming tick, is pinned by
+    # test_hip_track_equals_the_per_tick_reference_on_every_campaign_trajectory
     dt = 0.001
     for intent in GaitIntent:
         p = preset(intent)
         poses = hip_track(p, None, dt)
         for a, b in zip(poses, poses[1:]):
-            assert (b.theta_h - a.theta_h) / dt == a.theta_h_dot
             assert abs(b.theta_h_dot - a.theta_h_dot) < 0.05  # <= ~50 rad/s^2
             assert abs(b.x_h - a.x_h) <= p.forward_speed * dt + 1e-12
         zs = np.array([q.z_h for q in poses])
