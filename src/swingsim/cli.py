@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
 import time
@@ -27,7 +26,8 @@ from .config import ConfigError, dump_scenario, load_json, load_scenario, parse_
 from .human_model import GaitIntent
 # capture_state is unused here, but perfbench/tracer.py patches this import site
 from .sim_harness import (SUCCESSES, CampaignConfig, StepLog, TrialConfig, capture_state, perceive,
-                          run_campaign, run_swing, trial_seeds, write_trial_index_csv)
+                          run_campaign, run_swing, summary_json, trial_seeds,
+                          write_trial_index_csv)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -69,12 +69,11 @@ def _writable(out: str, *names) -> list:
 
 def _write_json(path: str, obj) -> None:
     with _output(path), open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(summary_json(obj) + "\n")
 
 
 def _write_run_info(out: str, argv) -> None:
-    # wall-clock timestamp lives only here so every other artifact is
-    # byte-reproducible
+    # the wall-clock timestamp lives only here, so every other artifact is byte-reproducible
     _write_json(os.path.join(out, "run_info.json"),
                 {"argv": list(argv), "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")})
 
@@ -92,11 +91,10 @@ def cmd_run(args, argv) -> int:
     _write_json(os.path.join(out, "result.json"), result.to_dict())
     _write_run_info(out, argv)
 
-    ok = result.outcome in SUCCESSES
     print(f"{result.outcome.value}: swing {result.swing_duration:.3f} s, "
           f"peak knee {result.peak_knee_flexion / DEG:.1f} deg "
           f"-> {os.path.join(out, 'steplog.csv')}")
-    if args.strict and not ok:
+    if args.strict and result.outcome not in SUCCESSES:
         return EXIT_FAILURE
     return EXIT_OK
 
@@ -124,8 +122,7 @@ def cmd_perceive(args, argv) -> int:
     cfg = load_scenario(args.scenario, args.seed)
     out = _out_dir(args)
 
-    s_capture, s_kmeans, _ = trial_seeds(cfg.seed)
-    target, keypoints, profile, toe = perceive(cfg, s_capture, s_kmeans)
+    target, keypoints, profile, toe = perceive(cfg, *trial_seeds(cfg.seed)[:2])
 
     with _output(os.path.join(out, "profile.csv")) as path, open(path, "w") as fh:
         fh.write("x_m,z_m\n")
@@ -188,7 +185,7 @@ def cmd_sweep(args, argv) -> int:
 
 def cmd_show_presets(args, argv) -> int:
     out = {i.value: dump_scenario(TrialConfig(intent=i))["human"] for i in GaitIntent}
-    print(json.dumps(out, indent=2, sort_keys=True))
+    print(summary_json(out))
     return EXIT_OK
 
 

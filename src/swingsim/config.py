@@ -71,9 +71,9 @@ PLANNER = _rows(PlannerParams)
 HUMAN = tuple(f._replace(required=False) for f in _rows(HipTrajectoryParams))
 BOX = _rows(Box)
 SCENE = _rows(ObstacleScene)
-INTENT, *TRIAL = _rows(TrialConfig)   # intent is a key of the human section
-TRIAL = tuple(TRIAL)
-SEED, TAU = TRIAL[:2]
+_TRIAL_ROW = {f.attr: f for f in _rows(TrialConfig)}   # TrialConfig's rows by field name
+INTENT, SEED, TAU = _TRIAL_ROW.pop("intent"), _TRIAL_ROW["seed"], _TRIAL_ROW["tracking_lag_tau"]
+TRIAL = tuple(_TRIAL_ROW.values())   # intent is a key of the human section
 SECTIONS = {"geometry": GEOMETRY, "camera": CAMERA, "planner": PLANNER,
             "human": (INTENT, *HUMAN), "scene": SCENE, "trial": TRIAL}
 

@@ -183,7 +183,8 @@ def capture(scene: ObstacleScene, pose: CameraPose, model: CameraModel,
     perturbed along the ray by Gaussian noise. An empty cloud (camera looking
     skyward, nothing in range) is a valid "no returns" outcome. The camera
     sits on the sagittal plane y = 0. Its ray fan comes read-only from
-    _ray_fan's cache; only a noisy camera builds a Generator.
+    _ray_fan's cache. Only a noisy camera builds a Generator: one for every
+    camera took a campaign 1.009x at seed 2024 and 1.006x at 7 (medians).
     """
     dx, dy, dz = _ray_fan(pose.axis_pitch, model.fov, model.rays_vertical, model.rays_lateral)
     best_t = np.full(dz.shape, np.inf)
@@ -308,7 +309,8 @@ def _lloyd_work(pts: np.ndarray, k: int) -> tuple:
     the rows are then the points), the rows tiled to (m, k), and two (m, k)
     buffers. Mirrored lateral rays make m ~0.45 n on clean captures. Grouping
     on a complex128 view costs ~0.04 ms, np.unique(axis=0) ~0.4 ms; a row
-    per point instead took a campaign 1.158x at seed 2024 and 1.146x at 7."""
+    per point instead took a campaign 1.158x at seed 2024 and 1.146x at 7,
+    and reading inv with no repeat took perceive-grid 1.008x and 1.007x."""
     px, pz = pts.T.copy()
     xz = np.ascontiguousarray(pts).view(np.complex128)[:, 0]
     distinct, inv = np.unique(xz, return_inverse=True)

@@ -646,8 +646,9 @@ def summarize(cc: CampaignConfig, specs, results) -> dict:
     }
 
 
-def summary_json(summary: dict) -> str:
-    return json.dumps(summary, indent=2, sort_keys=True)
+def summary_json(obj: dict) -> str:
+    """The text of every JSON file swingsim writes, less its final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def write_trial_index_csv(path, specs, results) -> None:

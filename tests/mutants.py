@@ -312,6 +312,13 @@ MUTANTS = (
         ("tests/test_cli.py::test_an_output_file_out_cannot_write_exits_2",),
         "The toe-off foot has one owner"),
     Mutant(
+        "cli-json-drops-the-final-newline", "src/swingsim/cli.py",
+        "        fh.write(summary_json(obj) + \"\\n\")\n",
+        "        fh.write(summary_json(obj))\n",
+        ("tests/test_acceptance.py::test_criterion_7_seed_7_digests",
+         "tests/test_acceptance.py::test_criterion_7_run_and_perceive_digests"),
+        "Write every JSON file through one formatter"),
+    Mutant(
         "peak-cache-key-without-the-geometry", "src/swingsim/swing_planner.py",
         "_peak_cached = lru_cache(maxsize=8192)(_peak_closed_form)\n",
         "_peaks = {}\n\n\n"

@@ -31,7 +31,7 @@ from test_config import SCENARIOS
 from swingsim.config import ConfigError, parse_scenario
 from swingsim.leg_kinematics import DEG, HipPose, LegGeometry
 from swingsim.perception import Box, ObstacleScene, kmeans_prune
-from swingsim import human_model, sim_harness
+from swingsim import cli, human_model, sim_harness
 from swingsim.human_model import GaitIntent, HipTrajectoryParams
 from swingsim.swing_planner import (
     Phase,
@@ -67,10 +67,26 @@ PINNED_DIGESTS = {
     "trials.csv": "d037d7d32072388f8ff09df66a4a35b7c5749539cce4cca9165c1038d14abd43",
     "step logs": "841d107a7bae71c8248a91469640c8d706147693c519afa15d7be8e89ba6be4a",
 }
-# the same digests of the seed-7 campaign's summary.json and trials.csv
+# the same digests of the summary.json and trials.csv that `swingsim --seed 7
+# campaign` writes
 PINNED_DIGESTS_SEED_7 = {
     "summary.json": "4fd64b1d8816a9bb464b9659db9eff8e37eacb0d48e9d1e0698b9bd098542b0d",
     "trials.csv": "80218900b6dc403b63a3e8dd25d401c179ba88db1991cd099fb7b690d9d38a8b",
+}
+# a step-over at a 0.08 m box 0.18 m ahead, and the sha256 of each file that
+# `swingsim run` and `swingsim perceive` write for it
+STEP_OVER_SCENARIO = {"human": {"intent": "step_over"},
+                      "scene": {"boxes": [{"front_x_m": 0.18, "height_m": 0.08}]}}
+PINNED_DIGESTS_STEP_OVER = {
+    "run": {
+        "steplog.csv": "1a730fa21fa18d788966ef957ec2f1c01cc2812a2781cf6af7f4d9397f41182b",
+        "result.json": "78981eeaaf2f91b0f1e5ac0991af2ecc49256a5294d061b5ab592dcfb8515253",
+    },
+    "perceive": {
+        "profile.csv": "7e68b834d5765036884768cd90f049e410144128e8a4f7ed6ed7123ab431de5d",
+        "keypoints.json": "97b44e3e7e13ac02840a5f0f7e6f27099f23769fc5d45562a71cdec38bea4ac7",
+        "target.json": "afd5703a76383ff756f942e796c3ee337ea130c0d57f0cfc5c89f7f9e17d058b",
+    },
 }
 
 
@@ -496,15 +512,29 @@ def test_criterion_7_campaign_determinism(campaign, tmp_path):
           f"write_csv wrote all {len(steplogs)} step logs as ROW_FORMAT text")
 
 
+def _digests(folder: pathlib.Path, names) -> dict:
+    return {name: hashlib.sha256((folder / name).read_bytes()).hexdigest() for name in names}
+
+
 def test_criterion_7_seed_7_digests(tmp_path):
-    res = run_campaign(CampaignConfig(seed=7))
-    csv_path = tmp_path / "trials.csv"
-    write_trial_index_csv(csv_path, res.specs, res.results)
-    digests = {name: hashlib.sha256(data).hexdigest() for name, data in (
-        ("summary.json", (summary_json(res.summary) + "\n").encode()),
-        ("trials.csv", csv_path.read_bytes()))}
-    assert digests == PINNED_DIGESTS_SEED_7
-    print("[criterion 7] PASS: seed-7 summary and trials.csv match their pinned digests")
+    # the files a user gets, so the CLI's own writing is pinned with the campaign
+    assert cli.main(["--out", str(tmp_path), "--seed", "7", "campaign"]) == 0
+    assert _digests(tmp_path, PINNED_DIGESTS_SEED_7) == PINNED_DIGESTS_SEED_7
+    print("[criterion 7] PASS: the seed-7 campaign command's summary.json and trials.csv "
+          "match their pinned digests")
+
+
+def test_criterion_7_run_and_perceive_digests(tmp_path):
+    scenario = tmp_path / "s.json"
+    scenario.write_text(json.dumps(STEP_OVER_SCENARIO))
+    digests = {}
+    for command, pins in PINNED_DIGESTS_STEP_OVER.items():
+        out = tmp_path / command
+        assert cli.main(["--out", str(out), command, str(scenario)]) == 0
+        digests[command] = _digests(out, pins)
+    assert digests == PINNED_DIGESTS_STEP_OVER
+    print("[criterion 7] PASS: the step-over scenario's run and perceive files match "
+          "their pinned digests")
 
 
 # ---------------------------------------------------------------------------

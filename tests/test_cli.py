@@ -42,11 +42,11 @@ def test_run_level_scenario(level_scenario, tmp_path, capsys):
     rc = main(["--out", str(out), "run", level_scenario])
     assert rc == 0
     assert "SUCCESS_LEVEL" in capsys.readouterr().out
-    rows = open(out / "steplog.csv").read().splitlines()
+    rows = (out / "steplog.csv").read_text().splitlines()
     assert rows[0].startswith("t_s,phase,theta_h_rad")
     # ~0.61 s at 1 kHz
     assert 560 <= len(rows) - 1 <= 660
-    result = json.loads(open(out / "result.json").read())
+    result = json.loads((out / "result.json").read_text())
     assert result["outcome"] == "SUCCESS_LEVEL"
 
 
@@ -55,15 +55,15 @@ def test_seed_override_changes_stream_not_schema(level_scenario, tmp_path):
     assert main(["--out", str(out1), "--seed", "123", "run", level_scenario]) == 0
     assert main(["--out", str(out2), "--seed", "124", "run", level_scenario]) == 0
     # noiseless level trials agree in outcome regardless of stream
-    r1 = json.loads(open(out1 / "result.json").read())
-    r2 = json.loads(open(out2 / "result.json").read())
+    r1 = json.loads((out1 / "result.json").read_text())
+    r2 = json.loads((out2 / "result.json").read_text())
     assert r1["outcome"] == r2["outcome"] == "SUCCESS_LEVEL"
 
 
 def test_dump_config_round_trip(box_scenario, tmp_path):
     out = tmp_path / "out"
     assert main(["--out", str(out), "run", box_scenario, "--dump-config"]) == 0
-    dumped = json.loads(open(out / "scenario.json").read())
+    dumped = json.loads((out / "scenario.json").read_text())
     cfg1 = parse_scenario(dumped)
     cfg2 = load_scenario(box_scenario)
     assert cfg1 == cfg2
@@ -74,19 +74,19 @@ def test_outputs_reproducible_byte_identical(box_scenario, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--out", str(out1), "run", box_scenario]) == 0
     assert main(["--out", str(out2), "run", box_scenario]) == 0
-    assert open(out1 / "steplog.csv", "rb").read() == open(out2 / "steplog.csv", "rb").read()
-    assert open(out1 / "result.json", "rb").read() == open(out2 / "result.json", "rb").read()
+    assert (out1 / "steplog.csv").read_bytes() == (out2 / "steplog.csv").read_bytes()
+    assert (out1 / "result.json").read_bytes() == (out2 / "result.json").read_bytes()
 
 
 def test_perceive_emits_profile_keypoints_target(box_scenario, tmp_path):
     out = tmp_path / "p"
     assert main(["--out", str(out), "perceive", box_scenario]) == 0
-    profile = open(out / "profile.csv").read().splitlines()
+    profile = (out / "profile.csv").read_text().splitlines()
     assert profile[0] == "x_m,z_m"
     assert len(profile) > 100
-    target = json.loads(open(out / "target.json").read())
+    target = json.loads((out / "target.json").read_text())
     assert target["z_m_m"] == pytest.approx(0.17, abs=0.005)
-    kps = json.loads(open(out / "keypoints.json").read())
+    kps = json.loads((out / "keypoints.json").read_text())
     assert len(kps["keypoints"]) > 10
     # x_c within 2 cm of the true toe-to-front distance
     toe = kps["capture_toe"]["x_m"]
@@ -98,13 +98,13 @@ def test_perceive_on_level_ground_lists_no_keypoints_and_the_level_target(level_
     # nothing ahead rises above the capture toe, so k-means is skipped
     out = tmp_path / "p"
     assert main(["--out", str(out), "perceive", level_scenario]) == 0
-    assert len(open(out / "profile.csv").read().splitlines()) > 100
-    kps = json.loads(open(out / "keypoints.json").read())
+    assert len((out / "profile.csv").read_text().splitlines()) > 100
+    kps = json.loads((out / "keypoints.json").read_text())
     assert kps["keypoints"] == []
     cfg = load_scenario(level_scenario)
     x_t, z_t = capture_state(cfg)[1].toe
     assert kps["capture_toe"] == {"x_m": round(x_t, 6), "z_m": round(z_t, 6)}
-    target = json.loads(open(out / "target.json").read())
+    target = json.loads((out / "target.json").read_text())
     assert target == {"z_m_m": round(z_t + cfg.planner.delta, 6), "x_c_m": 0.2,
                       "x_c_world_m": round(x_t + 0.2, 6)}
 
@@ -121,8 +121,8 @@ def test_perceive_and_run_report_the_same_target(tmp_path):
     p, r = tmp_path / "p", tmp_path / "r"
     assert main(["--seed", "11", "--out", str(p), "perceive", scenario]) == 0
     assert main(["--seed", "11", "--out", str(r), "run", scenario]) == 0
-    target = json.loads(open(p / "target.json").read())
-    result = json.loads(open(r / "result.json").read())
+    target = json.loads((p / "target.json").read_text())
+    result = json.loads((r / "result.json").read_text())
     assert target["z_m_m"] == result["target_z_m_m"]
     assert target["x_c_world_m"] == result["target_x_c_world_m"]
 
@@ -153,10 +153,10 @@ def test_campaign_mini_profile(tmp_path, capsys):
     out = tmp_path / "c"
     rc = main(["--out", str(out), "campaign", cfgp])
     assert rc == 0
-    summary = json.loads(open(out / "summary.json").read())
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["overall"]["n"] == 7
     assert summary["overall"]["success_rate"] == 1.0
-    trials = open(out / "trials.csv").read().splitlines()
+    trials = (out / "trials.csv").read_text().splitlines()
     assert len(trials) == 8
 
 
@@ -166,10 +166,10 @@ def test_seed_flag_sets_the_campaign_seed(tmp_path):
     })
     out = tmp_path / "c"
     assert main(["--out", str(out), "--seed", "5", "campaign", cfgp]) == 0
-    summary = json.loads(open(out / "summary.json").read())
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["campaign"]["seed"] == 5
     specs = build_trial_specs(CampaignConfig(seed=5, n_step_over=1, n_step_on=0, n_level=1))
-    seeds = [row.split(",")[4] for row in open(out / "trials.csv").read().splitlines()[1:]]
+    seeds = [row.split(",")[4] for row in (out / "trials.csv").read_text().splitlines()[1:]]
     assert seeds == [str(s.seed) for s in specs]
 
 
@@ -190,7 +190,7 @@ def test_a_seeded_campaign_command_builds_one_campaign_config(tmp_path, monkeypa
     out = tmp_path / "c"
     assert main(["--out", str(out), "--seed", "7", "campaign", cfgp]) == 0
     assert built == [7]
-    campaign = json.loads(open(out / "summary.json").read())["campaign"]
+    campaign = json.loads((out / "summary.json").read_text())["campaign"]
     assert (campaign["seed"], campaign["tau_s"]) == (7, 0.02)
 
 
@@ -203,7 +203,7 @@ def test_campaign_with_a_failing_trial_exits_1(tmp_path, capsys):
     out = tmp_path / "c"
     assert main(["--out", str(out), "campaign", cfgp]) == 1
     assert "campaign: 1/2 successful" in capsys.readouterr().out
-    trials = open(out / "trials.csv").read().splitlines()
+    trials = (out / "trials.csv").read_text().splitlines()
     assert [row.split(",")[5] for row in trials[1:]] == ["TRIP", "SUCCESS_LEVEL"]
 
 
@@ -222,7 +222,7 @@ def test_sweep_emits_table(tmp_path):
     rc = main(["--out", str(out), "--seed", "11", "sweep", "--param", "theta0_deg",
                "--values", "4,6", "--trials", "2"])
     assert rc == 0
-    rows = open(out / "sweep.csv").read().splitlines()
+    rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "theta0_deg,success_rate,mean_duration_s,mean_peak_flexion_deg"
     assert len(rows) == 3
 
@@ -232,7 +232,7 @@ def test_sweep_takes_any_planner_key(tmp_path):
     out = tmp_path / "s"
     assert main(["--out", str(out), "sweep", "--param", "delta_m", "--values", "0.01",
                  "--trials", "1"]) == 0
-    rows = open(out / "sweep.csv").read().splitlines()
+    rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[0] == "delta_m,success_rate,mean_duration_s,mean_peak_flexion_deg"
     assert len(rows) == 2
 

@@ -7,6 +7,7 @@ with any one number either raises ValueError or runs to a finite result."""
 import json
 import math
 import os
+import pickle
 import warnings
 from dataclasses import fields, replace
 
@@ -284,6 +285,21 @@ def _campaign_trials(cc) -> list:
     return [trial_config_for(cc, TrialSpec(0, *spec, cc.seed)) for spec in specs]
 
 
+# a trial's pickle -> its swing's result: draws repeat, and most campaign draws
+# build the default campaign's trials, so each distinct trial runs once. A
+# pickle tells 0 from 0.0 and -0.0, where == does not
+_LIBRARY_SWINGS = {}
+
+
+def _library_swing(cfg):
+    key = pickle.dumps(cfg)
+    if key not in _LIBRARY_SWINGS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _LIBRARY_SWINGS[key] = run_swing(cfg)[1]
+    return _LIBRARY_SWINGS[key]
+
+
 @settings(max_examples=2 * len(LIBRARY_CASES), derandomize=True, database=None,
           deadline=None)
 @given(st.sampled_from(LIBRARY_CASES))
@@ -298,9 +314,7 @@ def test_library_runs_to_a_finite_outcome_or_raises_value_error(case):
         return
     trials = _campaign_trials(built) if owner == "campaign" else [built]
     for cfg in trials:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            _, result = run_swing(cfg)
+        result = _library_swing(cfg)
         assert isinstance(result.outcome, Outcome), case
         assert result.swing_duration / cfg.planner.dt <= MAX_HORIZON_TICKS + 1, case
         for x in (result.swing_duration, result.peak_knee_flexion, result.target.z_m,
