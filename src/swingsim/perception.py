@@ -31,11 +31,12 @@ RAY_FAN_CACHE = 8
 LLOYD_MAX_ITER = 100
 
 # _lloyd refreshes only the moved centers' distance columns, or the whole
-# matrix past this share of k. A refresh of j of 50 columns broke even with
-# the whole matrix at j ~ 19-21 (224 and 493 rows); a quarter keeps margin.
-# Refreshing the whole matrix every time took a campaign 1.0215x at seed
-# 2024 and 1.021x at seed 7.
-FULL_REFRESH_SHARE = 0.25
+# matrix past this share of k. A refresh of j of 50 columns, one (j, m) block
+# scattered into the matrix, broke even with the whole matrix at j ~ 26
+# (224 rows) and 30-32 (493 rows); half keeps margin. Refreshing the whole
+# matrix every time took a campaign 1.035x at seed 2024 and 1.034x at 7,
+# and perceive-grid's scenes 1.110x and 1.108x.
+FULL_REFRESH_SHARE = 0.5
 
 # control_modify's x_c when the profile shows no front edge ahead of the toe.
 DEFAULT_X_C = 0.20
@@ -235,7 +236,8 @@ def _sqdist(px, pz, cx, cz, out=None, dz=None) -> np.ndarray:
 
     Shapes broadcast: point columns tiled to (n, k) against (k,) centers
     give _lloyd's matrix, (n,) points against (r, 1) centers the seeding's
-    rows. `out` and `dz` are optional reused buffers of the result's shape.
+    rows and _lloyd's partial refresh. `out` and `dz` are optional reused
+    buffers of the result's shape.
     Each term is squared as d * d (the same float as d ** 2) and the two are
     added directly: a sum over a length-2 axis is exactly a + b, so these
     are the bits an (n, k, 2) difference array reduced over its last axis
@@ -306,18 +308,20 @@ def _lloyd_work(pts: np.ndarray, k: int) -> tuple:
     """What _lloyd reads for k centers, made once per kmeans_prune call and
     shared by every restart: the point columns px and pz, the index inv of
     each point's row among the distinct points (None if no point repeats:
-    the rows are then the points), the rows tiled to (m, k), and two (m, k)
-    buffers. Mirrored lateral rays make m ~0.45 n on clean captures. Grouping
-    on a complex128 view costs ~0.04 ms, np.unique(axis=0) ~0.4 ms; a row
-    per point instead took a campaign 1.158x at seed 2024 and 1.146x at 7,
-    and reading inv with no repeat took perceive-grid 1.008x and 1.007x."""
+    the rows are then the points), the rows' columns ux and uz, those tiled
+    to (m, k), and two (m, k) buffers. Mirrored lateral rays make m ~0.45 n
+    on clean captures. Grouping on a complex128 view costs ~0.04 ms,
+    np.unique(axis=0) ~0.4 ms; a row per point instead took a campaign
+    1.158x at seed 2024 and 1.146x at 7, and reading inv with no repeat took
+    perceive-grid 1.008x and 1.007x."""
     px, pz = pts.T.copy()
     xz = np.ascontiguousarray(pts).view(np.complex128)[:, 0]
     distinct, inv = np.unique(xz, return_inverse=True)
     if distinct.size == xz.size:
         distinct, inv = xz, None
-    tx, tz = np.tile(distinct.real[:, None], k), np.tile(distinct.imag[:, None], k)
-    return px, pz, inv, tx, tz, np.empty_like(tx), np.empty_like(tx)
+    ux, uz = distinct.real.copy(), distinct.imag.copy()
+    tx, tz = np.tile(ux[:, None], k), np.tile(uz[:, None], k)
+    return px, pz, inv, ux, uz, tx, tz, np.empty_like(tx), np.empty_like(tx)
 
 
 def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> tuple:
@@ -326,10 +330,11 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
     `work` is _lloyd_work(pts, k). Equal points (±0 too) have equal distance
     rows and an unmoved center an unchanged column, so the matrix has a row
     per distinct point, read back through inv, and each update refreshes the
-    moved centers' columns only. Every sum and test sees the floats of a full
-    matrix, in point order. While no cluster is empty the centroid update is
-    a weighted bincount, which adds each cluster's points in point order
-    exactly as pts[sel].mean(axis=0) does, so the centers are the same floats.
+    moved centers' columns only: one contiguous (moved, m) block, scattered
+    once. Every sum and test sees the floats of a full matrix, in point
+    order. While no cluster is empty the centroid update is a weighted
+    bincount, which adds each cluster's points in point order exactly as
+    pts[sel].mean(axis=0) does, so the centers are the same floats.
 
     An iteration with an empty cluster runs the per-cluster loop instead.
     Each empty cluster is reseeded at the point farthest from its nearest
@@ -343,7 +348,7 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
     through SSEs of ~1e-33 and never reach its fixpoint. So the loop also
     stops, at the centers it holds, on an SSE that does not fall.
     """
-    px, pz, inv, tx, tz, d2, dz = work
+    px, pz, inv, ux, uz, tx, tz, d2, dz = work
     m, k = tx.shape
     rows = np.arange(m) * k  # d2.take(rows + c) reads d2[i, c[i]] for every i
     cx, cz = centers.T.copy()
@@ -384,7 +389,7 @@ def _lloyd(pts: np.ndarray, work: tuple, centers: np.ndarray, max_iter: int) -> 
         if moved.size > FULL_REFRESH_SHARE * k:
             _sqdist(tx, tz, cx, cz, out=d2, dz=dz)
         elif moved.size:
-            d2[:, moved] = _sqdist(tx[:, :moved.size], tz[:, :moved.size], cx[moved], cz[moved])
+            d2[:, moved] = _sqdist(ux, uz, cx[moved, None], cz[moved, None]).T
         assign = new_assign
 
 

@@ -532,6 +532,14 @@ MUTANTS = (
          "test_lloyd_fills_one_row_per_distinct_point_and_only_moved_columns",),
         "Lloyd computes each distance once"),
     Mutant(
+        "lloyd-refreshes-all-but-the-last-moved-center", "src/swingsim/perception.py",
+        "            d2[:, moved] = _sqdist(ux, uz, cx[moved, None], cz[moved, None]).T\n",
+        "            d2[:, moved[:-1]] = _sqdist(ux, uz, cx[moved[:-1], None], cz[moved[:-1], None]).T\n",
+        ("tests/test_kmeans_equivalence.py::test_kmeans_prune_equals_reference",
+         "tests/test_kmeans_equivalence.py::"
+         "test_perceive_keypoints_equal_reference_on_campaign_scenes"),
+        "Lloyd refreshes the moved centers' distances as one contiguous block"),
+    Mutant(
         "lloyd-without-its-grouping", "src/swingsim/perception.py",
         "    if distinct.size == xz.size:\n",
         "    if True:\n",

@@ -368,6 +368,7 @@ BAD_INPUTS = [
     (["run", "FILE"], RawText('{"scene": {'), "invalid JSON at line 1"),
     (["run", "FILE"], [{"scene": {}}], "scenario: top level must be an object"),
     (["run", "FILE"], {"scene": []}, "scene: expected an object, got list"),
+    (["run", "FILE"], {"scene": {"boxes": {}}}, "scene.boxes: expected a list of boxes"),
     (["run", "FILE"], {"scene": {"boxes": [{"front_x_m": 0.5}]}},
      "scene.boxes[0].height_m: missing required key"),
     (["run", "FILE"], {"human": {"intent": "jump"}}, "human.intent: 'jump' is not one of"),

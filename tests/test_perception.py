@@ -222,6 +222,9 @@ def test_kmeans_refuses_no_centers_or_no_restarts(k, restarts, match):
     for pts in ([(0.0, 0.0), (0.5, 0.1), (1.0, 0.2)], [(0.0, 0.0)]):
         with pytest.raises(ValueError, match=match):
             kmeans_prune(pts, k=k, seed=5, restarts=restarts)
+    # an empty point set is refused first, whatever k and restarts are
+    with pytest.raises(ValueError, match="^kmeans_prune needs a non-empty point set$"):
+        kmeans_prune(np.empty((0, 2)), k=k, seed=5, restarts=restarts)
 
 
 def test_kmeans_takes_numpy_ints():
