@@ -1,12 +1,13 @@
 """Desk-scale kinematic simulator of an environment-aware, human-cooperative
 prosthesis swing controller.
 
-Subpackages:
+Modules:
     leg_kinematics  -- sagittal two-link leg model, forward kinematics
     perception      -- synthetic depth capture and elevation-map extraction
     swing_planner   -- three-phase joint-space knee velocity planner
     human_model     -- parametric hip trajectories per gait intent
     sim_harness     -- 1 kHz closed-loop swing trials and campaigns
+    config          -- scenario and campaign files, validated against their dataclasses
     cli             -- command-line front end
 """
 

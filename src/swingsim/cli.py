@@ -7,9 +7,9 @@ Subcommands:
     sweep         vary one planner parameter over a mini-campaign -> table CSV
     show-presets  print the three gait-intent presets
 
-All outputs land in a single per-run directory (--out, or $SWINGSIM_OUT, or
-./swingsim_out). Re-running with the same config and seed reproduces the
-outputs byte-identically; wall-clock metadata is isolated in run_info.json.
+All outputs land in one per-run directory (--out, $SWINGSIM_OUT or ./swingsim_out),
+each opened before any work. Re-running with the same config and seed reproduces
+the outputs byte-identically; wall-clock metadata is isolated in run_info.json.
 """
 from __future__ import annotations
 
@@ -38,28 +38,25 @@ JOBS = config.Field("jobs", "jobs", int, 1, os.cpu_count() or 1)
 TRIALS = next(f for f in config.CAMPAIGN if f.key == "n_step_over")._replace(key="trials", lo=1)
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get("SWINGSIM_OUT") or "swingsim_out"
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:  # e.g. a regular file at the path, or on the way to it
-        raise ConfigError(f"--out: cannot make directory {out!r}: {exc.strerror}") from None
-    return out
-
-
 @contextlib.contextmanager
 def _output(path: str):
     """Yields path; an OSError while the block writes it (e.g. a directory at
-    its name) is a ConfigError naming it, as _out_dir's are."""
+    its name) is a ConfigError naming it."""
     try:
         yield path
     except OSError as exc:
         raise ConfigError(f"--out: cannot write {path!r}: {exc.strerror}") from None
 
 
-def _writable(out: str, *names) -> list:
-    """The paths of names in out, each opened now through _output to append (an earlier
-    run's file keeps its bytes), so one --out cannot hold is refused before any trial runs."""
+def _outputs(args, *names) -> list:
+    """The paths of names in the output directory, which it makes, each opened now through
+    _output to append (an earlier run's file keeps its bytes): a command calls it before its
+    work, so an output it cannot open is refused before any of it."""
+    out = args.out or os.environ.get("SWINGSIM_OUT") or "swingsim_out"
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # e.g. a regular file at the path, or on the way to it
+        raise ConfigError(f"--out: cannot make directory {out!r}: {exc.strerror}") from None
     paths = [os.path.join(out, name) for name in names]
     for path in paths:
         with _output(path), open(path, "a"):
@@ -72,28 +69,26 @@ def _write_json(path: str, obj) -> None:
         fh.write(summary_json(obj) + "\n")
 
 
-def _write_run_info(out: str, argv) -> None:
+def _write_run_info(path: str, argv) -> None:
     # the wall-clock timestamp lives only here, so every other artifact is byte-reproducible
-    _write_json(os.path.join(out, "run_info.json"),
-                {"argv": list(argv), "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")})
+    _write_json(path, {"argv": list(argv), "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S")})
 
 
 def cmd_run(args, argv) -> int:
     cfg = load_scenario(args.scenario, args.seed)
-    out = _out_dir(args)
+    *dumped, steplog, result_json, info = _outputs(
+        args, *["scenario.json"] * args.dump_config, "steplog.csv", "result.json", "run_info.json")
 
-    if args.dump_config:
-        _write_json(os.path.join(out, "scenario.json"), dump_scenario(cfg))
-
+    for path in dumped:  # --dump-config's scenario.json
+        _write_json(path, dump_scenario(cfg))
     log, result = run_swing(cfg, StepLog())
-    with _output(os.path.join(out, "steplog.csv")) as path:
-        log.write_csv(path)
-    _write_json(os.path.join(out, "result.json"), result.to_dict())
-    _write_run_info(out, argv)
+    with _output(steplog):
+        log.write_csv(steplog)
+    _write_json(result_json, result.to_dict())
+    _write_run_info(info, argv)
 
     print(f"{result.outcome.value}: swing {result.swing_duration:.3f} s, "
-          f"peak knee {result.peak_knee_flexion / DEG:.1f} deg "
-          f"-> {os.path.join(out, 'steplog.csv')}")
+          f"peak knee {result.peak_knee_flexion / DEG:.1f} deg -> {steplog}")
     if args.strict and result.outcome not in SUCCESSES:
         return EXIT_FAILURE
     return EXIT_OK
@@ -101,14 +96,13 @@ def cmd_run(args, argv) -> int:
 
 def cmd_campaign(args, argv) -> int:
     cc = parse_campaign(load_json(args.config) if args.config is not None else {}, args.seed)
-    out = _out_dir(args)
-    summary, trials, _ = _writable(out, "summary.json", "trials.csv", "run_info.json")
+    summary, trials, info = _outputs(args, "summary.json", "trials.csv", "run_info.json")
 
     res = run_campaign(cc, jobs=args.jobs)
     _write_json(summary, res.summary)
     with _output(trials):
         write_trial_index_csv(trials, res.specs, res.results)
-    _write_run_info(out, argv)
+    _write_run_info(info, argv)
 
     overall = res.summary["overall"]
     print(f"campaign: {overall['n_success']}/{overall['n']} successful "
@@ -120,27 +114,26 @@ def cmd_campaign(args, argv) -> int:
 
 def cmd_perceive(args, argv) -> int:
     cfg = load_scenario(args.scenario, args.seed)
-    out = _out_dir(args)
+    profile_csv, keypoints_json, target_json, info = _outputs(
+        args, "profile.csv", "keypoints.json", "target.json", "run_info.json")
 
     target, keypoints, profile, toe = perceive(cfg, *trial_seeds(cfg.seed)[:2])
-
-    with _output(os.path.join(out, "profile.csv")) as path, open(path, "w") as fh:
+    with _output(profile_csv), open(profile_csv, "w") as fh:
         fh.write("x_m,z_m\n")
         for x, z in profile:
             fh.write(f"{x:.6f},{z:.6f}\n")
-    _write_json(os.path.join(out, "keypoints.json"), {
+    _write_json(keypoints_json, {
         "capture_toe": {"x_m": round(toe[0], 6), "z_m": round(toe[1], 6)},
         "keypoints": [{"x_m": round(x, 6), "z_m": round(z, 6)}
                       for x, z in (keypoints.keypoints if keypoints else ())],
     })
-    _write_json(os.path.join(out, "target.json"), {
+    _write_json(target_json, {
         "z_m_m": round(target.z_m, 6),
         "x_c_m": round(target.x_c, 6),
         "x_c_world_m": round(toe[0] + target.x_c, 6),
     })
-    _write_run_info(out, argv)
-    print(f"z_m = {target.z_m:.4f} m, x_c = {target.x_c:.4f} m "
-          f"-> {os.path.join(out, 'target.json')}")
+    _write_run_info(info, argv)
+    print(f"z_m = {target.z_m:.4f} m, x_c = {target.x_c:.4f} m -> {target_json}")
     return EXIT_OK
 
 
@@ -159,8 +152,7 @@ def cmd_sweep(args, argv) -> int:
         raise ConfigError("sweep.values: is empty")
     config.check("sweep.trials", TRIALS, args.trials)
     planners = [config.parse_scenario({"planner": {args.param: v}}).planner for v in values]
-    out = _out_dir(args)
-    path, _ = _writable(out, "sweep.csv", "run_info.json")
+    path, info = _outputs(args, "sweep.csv", "run_info.json")
 
     rows = []
     for value, planner in zip(values, planners):
@@ -178,7 +170,7 @@ def cmd_sweep(args, argv) -> int:
         fh.write(f"{args.param},success_rate,mean_duration_s,mean_peak_flexion_deg\n")
         for value, rate, dur, peak in rows:
             fh.write(f"{value:.6f},{rate:.6f},{dur:.6f},{peak:.6f}\n")
-    _write_run_info(out, argv)
+    _write_run_info(info, argv)
     print(f"swept {args.param} over {len(values)} values -> {path}")
     return EXIT_OK
 

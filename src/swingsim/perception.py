@@ -24,6 +24,7 @@ LATERAL_FAN = 20.0 * DEG
 
 # Ray fans _ray_fan keeps; the largest accepted (500 x 21 rays) holds 0.25 MB.
 # A fan built per capture took a campaign 1.021x at seed 2024, 1.020x at 7.
+# Each workload, at either seed, reads one fan: a campaign 209/1 hits/misses, 120 ops 119/1.
 RAY_FAN_CACHE = 8
 
 # Cap on kmeans_prune's Lloyd center updates per restart: it bounds a

@@ -99,9 +99,8 @@ class TrialConfig:
         if not (self.tracking_lag_tau == 0.0 or self.tracking_lag_tau >= self.planner.dt):
             raise ValueError("tracking_lag_tau must be 0 (ideal tracking) or at least the "
                              f"planner tick {self.planner.dt} s, got {self.tracking_lag_tau}")
-        human = self.human if self.human is not None else human_model.preset(self.intent)
         # resolved_human raises the hip onto the ground; HipPose needs it above z = 0
-        low = human.hip_height_base + self.scene.ground_height - human.lowering_depth
+        low = self.resolved_human.hip_height_base - self.resolved_human.lowering_depth
         if not low > 0.0:
             raise ValueError("the hip's lowest point, hip_height_base + scene.ground_height - "
                              f"lowering_depth, must lie above z = 0, got {low} m")

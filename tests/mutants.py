@@ -304,13 +304,28 @@ MUTANTS = (
         "The toe-off foot has one owner"),
     Mutant(
         "campaign-opens-its-outputs-after-the-run", "src/swingsim/cli.py",
-        "    summary, trials, _ = _writable(out, \"summary.json\", \"trials.csv\", \"run_info.json\")\n"
+        "    summary, trials, info = _outputs(args, \"summary.json\", \"trials.csv\", \"run_info.json\")\n"
         "\n"
         "    res = run_campaign(cc, jobs=args.jobs)\n",
         "    res = run_campaign(cc, jobs=args.jobs)\n"
-        "    summary, trials, _ = _writable(out, \"summary.json\", \"trials.csv\", \"run_info.json\")\n",
+        "    summary, trials, info = _outputs(args, \"summary.json\", \"trials.csv\", \"run_info.json\")\n",
         ("tests/test_cli.py::test_an_output_file_out_cannot_write_exits_2",),
         "The toe-off foot has one owner"),
+    Mutant(
+        "run-opens-its-outputs-after-the-swing", "src/swingsim/cli.py",
+        "    *dumped, steplog, result_json, info = _outputs(\n"
+        "        args, *[\"scenario.json\"] * args.dump_config, \"steplog.csv\", \"result.json\", \"run_info.json\")\n"
+        "\n"
+        "    for path in dumped:  # --dump-config's scenario.json\n"
+        "        _write_json(path, dump_scenario(cfg))\n"
+        "    log, result = run_swing(cfg, StepLog())\n",
+        "    log, result = run_swing(cfg, StepLog())\n"
+        "    *dumped, steplog, result_json, info = _outputs(\n"
+        "        args, *[\"scenario.json\"] * args.dump_config, \"steplog.csv\", \"result.json\", \"run_info.json\")\n"
+        "    for path in dumped:\n"
+        "        _write_json(path, dump_scenario(cfg))\n",
+        ("tests/test_cli.py::test_an_output_file_out_cannot_write_exits_2",),
+        "One output policy in cli"),
     Mutant(
         "cli-json-drops-the-final-newline", "src/swingsim/cli.py",
         "        fh.write(summary_json(obj) + \"\\n\")\n",

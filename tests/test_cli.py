@@ -6,8 +6,7 @@ import pytest
 from swingsim import cli, config, sim_harness
 from swingsim.cli import main
 from swingsim.config import dump_scenario, load_scenario, parse_scenario
-from swingsim.sim_harness import (CampaignConfig, TrialConfig, build_trial_specs, capture_state,
-                                  run_swing)
+from swingsim.sim_harness import CampaignConfig, TrialConfig, build_trial_specs, capture_state
 from swingsim.human_model import GaitIntent
 
 
@@ -246,29 +245,43 @@ def test_sweep_help_and_refusal_list_the_planner_table(capsys):
     assert capsys.readouterr().err == f"config error: sweep.param: must be one of {keys}\n"
 
 
-@pytest.mark.parametrize("command,name", [
-    ("run", "steplog.csv"), ("perceive", "profile.csv"), ("campaign", "summary.json"),
-    ("campaign", "trials.csv"), ("sweep", "sweep.csv"),
-])
+# every output of every command, in the order the command opens them
+OUTPUTS = {
+    "run": ("scenario.json", "steplog.csv", "result.json", "run_info.json"),
+    "perceive": ("profile.csv", "keypoints.json", "target.json", "run_info.json"),
+    "campaign": ("summary.json", "trials.csv", "run_info.json"),
+    "sweep": ("sweep.csv", "run_info.json"),
+}
+
+
+@pytest.mark.parametrize("command,name", [(c, n) for c, names in OUTPUTS.items() for n in names])
 def test_an_output_file_out_cannot_write_exits_2(command, name, level_scenario, tmp_path,
                                                  capsys, monkeypatch):
-    # an IsADirectoryError traceback (exit 1); a campaign's and a sweep's
-    # refusal came after their trials, which now never start
-    swings = []
-    monkeypatch.setattr(sim_harness, "run_swing", lambda *a: swings.append(a) or run_swing(*a))
-    out = tmp_path / "o"
-    (out / name).mkdir(parents=True)
-    args = [command, level_scenario]
-    if command == "campaign":
-        args[1] = write_json(tmp_path / "one.json", {"n_step_over": 0, "n_step_on": 0,
-                                                      "n_level": 1})
-    elif command == "sweep":
-        args[1:] = ["--param", "delta_m", "--values", "0.01", "--trials", "1"]
-    assert main(["--out", str(out), *args]) == 2
-    assert capsys.readouterr().err == (
-        f"config error: --out: cannot write {str(out / name)!r}: Is a directory\n")
-    if command in ("campaign", "sweep"):
-        assert swings == []
+    # an IsADirectoryError traceback (exit 1). Then run and perceive opened
+    # each output as they wrote it: the refusal came after their work and
+    # after the outputs before the refused one were written
+    work = []
+    for module, attr in ((cli, "run_swing"), (cli, "perceive"), (sim_harness, "run_swing")):
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda *a, real=real: work.append(a) or real(*a))
+    args = {"run": ["run", level_scenario, "--dump-config"],
+            "perceive": ["perceive", level_scenario],
+            "campaign": ["campaign", write_json(tmp_path / "one.json", {
+                "n_step_over": 0, "n_step_on": 0, "n_level": 1})],
+            "sweep": ["sweep", "--param", "delta_m", "--values", "0.01", "--trials", "1"]}
+    # an --out that holds nothing else, and one that holds an earlier run's outputs
+    for out, earlier in ((tmp_path / "new", ()), (tmp_path / "old", OUTPUTS[command])):
+        (out / name).mkdir(parents=True)
+        for other in set(earlier) - {name}:
+            (out / other).write_text(f"an earlier run's {other}\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert main(["--out", str(out), *args[command]]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --out: cannot write {str(out / name)!r}: Is a directory\n")
+        assert work == []
+        # the outputs opened before the refused one may be left, but empty
+        after = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+        assert after == {**dict.fromkeys(after, b""), **before}
 
 
 def test_env_var_out_dir(level_scenario, tmp_path, monkeypatch):

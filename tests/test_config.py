@@ -400,6 +400,32 @@ def test_every_file_range_lies_inside_its_fields_rule():
             == sorted(d.name for d in fields(cls) if d.metadata.get("rule")), cls
 
 
+# one value of each JSON type, and the types each kind of key takes
+JSON_TYPES = {"null": None, "bool": True, "string": "x", "int": 1, "float": 0.5, "list": [],
+              "object": {}, "nested list": [[0.5]]}
+TAKES = {float: {"int", "float"}, DEGREES: {"int", "float"}, int: {"int"}, bool: {"bool"},
+         GaitIntent: {"string"}, BOXES: {"list"}, FLOATS: {"list"}, PAIR: {"list"}}
+
+
+def test_every_key_refuses_each_json_type_its_kind_does_not_take():
+    # BAD_INPUTS holds hand-picked cases; this is every key path a file has
+    box = {"front_x_m": 0.5, "height_m": 0.1}  # a box's required keys
+    probes = [(f"{name}.{f.key}", f.kind, parse_scenario, lambda v, n=name, k=f.key: {n: {k: v}})
+              for name, table in SECTIONS.items() for f in table]
+    probes += [(f"scene.boxes[0].{f.key}", f.kind, parse_scenario,
+                lambda v, k=f.key: {"scene": {"boxes": [{**box, k: v}]}}) for f in BOX]
+    probes += [(f"campaign.{f.key}", f.kind, config.parse_campaign, lambda v, k=f.key: {k: v})
+               for f in CAMPAIGN]
+    assert {kind for _, kind, _, _ in probes} == set(TAKES)
+    for path, kind, parse, data in probes:
+        for json_type, v in JSON_TYPES.items():
+            if json_type in TAKES[kind]:
+                continue
+            with pytest.raises(ConfigError) as exc:
+                parse(data(v))
+            assert str(exc.value).startswith((f"{path}:", f"{path}[")), (json_type, str(exc.value))
+
+
 def test_cli_jobs_and_trials_validate_as_before():
     assert cli.JOBS == config.Field("jobs", "jobs", int, 1, os.cpu_count() or 1)
     assert cli.TRIALS == config.Field("trials", "n_step_over", int, 1, 100_000)
