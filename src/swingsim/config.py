@@ -140,7 +140,8 @@ def _build(path: str, default, fields: dict):
     except ToeOffContact as exc:  # no one key places the foot: name the range, or the sections
         where = next((f"campaign.{f.key}[0]" for f in CAMPAIGN if f.attr == exc.field), None)
         raise ConfigError(f"{where}: {exc}" if where else f"scenario: {exc}; geometry, "
-                          "human.hip_height_base_m and scene must leave it clear") from exc
+                          "human.hip_height_base_m, human.theta_h_start_deg and scene must "
+                          "leave it clear") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

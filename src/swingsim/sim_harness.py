@@ -99,13 +99,8 @@ class TrialConfig:
         if not (self.tracking_lag_tau == 0.0 or self.tracking_lag_tau >= self.planner.dt):
             raise ValueError("tracking_lag_tau must be 0 (ideal tracking) or at least the "
                              f"planner tick {self.planner.dt} s, got {self.tracking_lag_tau}")
-        # resolved_human raises the hip onto the ground; HipPose needs it above z = 0
-        low = self.resolved_human.hip_height_base - self.resolved_human.lowering_depth
-        if not low > 0.0:
-            raise ValueError("the hip's lowest point, hip_height_base + scene.ground_height - "
-                             f"lowering_depth, must lie above z = 0, got {low} m")
         # a swing starting in contact ends at its first tick. Building toe_off's track, the one
-        # run_swing reads, caps the horizon and refuses a noisy hip that leaves HipPose's rule
+        # run_swing reads, caps the horizon and refuses a hip, low or noisy, out of HipPose's rule
         contact = contact_check(self.toe_off, self.scene)[0]
         if contact is not None:
             raise ToeOffContact(f"the toe-off foot already touches the scene ({contact})", contact)
@@ -124,6 +119,10 @@ class TrialConfig:
         """The trial's hip, worked out once: the preset or human, its base
         raised onto the scene's ground, and the cooperative step-on aiming."""
         params = self.human if self.human is not None else human_model.preset(self.intent)
+        low = params.hip_height_base + self.scene.ground_height - params.lowering_depth
+        if not low > 0.0:  # HipPose needs the hip above z = 0
+            raise ValueError("the hip's lowest point, hip_height_base + scene.ground_height - "
+                             f"lowering_depth, must lie above z = 0, got {low} m")
         params = replace(params, hip_height_base=params.hip_height_base + self.scene.ground_height)
         if self._aimed:
             box = self.scene.boxes[0]
@@ -262,7 +261,7 @@ class Contact:
 
 
 class ToeOffContact(ValueError):
-    """A swing that would start in contact; field names a campaign range whose first box does."""
+    """A swing that would start in contact; field names a campaign range whose box does."""
 
     def __init__(self, says: str, contact: Contact, field: Optional[str] = None):
         super().__init__(says)
@@ -510,24 +509,27 @@ class CampaignConfig:
         if self.n_step_over + self.n_step_on + self.n_level == 0:
             raise ValueError("n_step_over, n_step_on and n_level are all 0; "
                              "a campaign needs at least one trial")
-        # before any trial runs, TrialConfig refuses each range's first box and every noisy trial.
-        # At one seed every preset and aim starts from the base's foot: the base trial decides
-        firsts = [("distance_range", h) for h in self.heights if self.n_step_over]
-        if self.n_step_on:
-            firsts.append(("step_on_distance_range", self.step_on_height))
-        for field, height in firsts:
-            low = getattr(self, field)[0]
-            try:
-                trial_config_for(self, TrialSpec(0, self.base.intent, height, low, self.base.seed))
-            except ToeOffContact as exc:
+        # every noise-free trial starts from the base's foot, and every box a range places lies
+        # inside one box spanning the range, as tall as its tallest: one query decides the range
+        for field, height, n in (("distance_range", max(self.heights), self.n_step_over),
+                                 ("step_on_distance_range", self.step_on_height, self.n_step_on)):
+            if not n:
+                continue
+            low, high = getattr(self, field)
+            box = self.box(height, low, high - low + self.box_depth)
+            contact = contact_check(self.base.toe_off, replace(self.base.scene, boxes=(box,)))[0]
+            if contact is not None:
                 raise ToeOffContact(f"a {height:g} m box at {low:g} m touches the toe-off foot "
-                                    f"({exc.contact}); start the range past the foot",
-                                    exc.contact, field) from exc
+                                    f"({contact}); start the range past the foot", contact, field)
         for spec in build_trial_specs(self) if self.base.resolved_human.noise_sigma > 0.0 else ():
             try:
                 trial_config_for(self, spec)
             except ToeOffContact as exc:
                 raise ToeOffContact(f"trial {spec.index}: {exc}", exc.contact) from exc
+
+    def box(self, height: float, distance: float, depth: float) -> Box:
+        """A box distance ahead of the base's capture toe, whose x no intent or hip moves."""
+        return Box(capture_state(self.base)[1].toe[0] + distance, height, depth, self.box_width)
 
     @staticmethod
     def reproduction_profile(seed: int = 2024) -> "CampaignConfig":
@@ -565,11 +567,8 @@ def build_trial_specs(cc: CampaignConfig) -> list:
 
 
 def trial_config_for(cc: CampaignConfig, spec: TrialSpec) -> TrialConfig:
-    """The base trial with the spec's intent and seed, and its box, if any, spec.distance
-    ahead of the base's capture toe, whose x no intent or hip moves, on the base's ground."""
-    boxes = () if spec.height is None else (Box(
-        front_x=capture_state(cc.base)[1].toe[0] + spec.distance, height=spec.height,
-        depth=cc.box_depth, width=cc.box_width),)
+    """The base trial with the spec's intent and seed, and its box (CampaignConfig.box), if any."""
+    boxes = () if spec.height is None else (cc.box(spec.height, spec.distance, cc.box_depth),)
     return replace(cc.base, scene=replace(cc.base.scene, boxes=boxes), intent=spec.intent,
                    seed=spec.seed)
 

@@ -268,19 +268,45 @@ MUTANTS = (
         "The trial owns the toe-off rule"),
     Mutant(
         "campaign-construction-skips-its-range-check", "src/swingsim/sim_harness.py",
-        "                trial_config_for(self, TrialSpec(0, self.base.intent, height, low, "
-        "self.base.seed))\n",
-        "                pass\n",
+        "            contact = contact_check(self.base.toe_off, replace(self.base.scene, "
+        "boxes=(box,)))[0]\n",
+        "            contact = None\n",
         ("tests/test_sim_harness.py::"
          "test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_trial_runs",),
         "The trial owns the toe-off rule (re-planted: CampaignConfig owns every campaign rule; "
-        "Every campaign range is checked on the base trial)"),
+        "Every campaign range is checked on the base trial; Each campaign range is checked "
+        "with one contact query)"),
+    Mutant(
+        "campaign-range-check-spans-only-the-first-box", "src/swingsim/sim_harness.py",
+        "            box = self.box(height, low, high - low + self.box_depth)\n",
+        "            box = self.box(height, low, self.box_depth)\n",
+        ("tests/test_cli.py::test_bad_input_exits_2_with_key_path",
+         "tests/test_sim_harness.py::"
+         "test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_trial_runs"),
+        "Each campaign range is checked with one contact query"),
+    Mutant(
+        "campaign-range-check-uses-the-lowest-height", "src/swingsim/sim_harness.py",
+        "(\"distance_range\", max(self.heights), self.n_step_over)",
+        "(\"distance_range\", min(self.heights), self.n_step_over)",
+        ("tests/test_sim_harness.py::"
+         "test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_trial_runs",),
+        "Each campaign range is checked with one contact query"),
     Mutant(
         "trial-accepts-a-hip-that-reaches-the-ground", "src/swingsim/sim_harness.py",
-        "        if not low > 0.0:\n",
+        "        if not low > 0.0:  # HipPose needs the hip above z = 0\n",
         "        if False:\n",
-        ("tests/test_sim_harness.py::test_a_hip_whose_lowest_point_reaches_the_ground_is_refused",),
-        "Every campaign range is checked on the base trial"),
+        ("tests/test_sim_harness.py::test_a_hip_whose_lowest_point_reaches_the_ground_is_refused",
+         "tests/test_sim_harness.py::"
+         "test_a_hip_raised_onto_ground_below_z_0_is_refused_at_its_lowest_point"),
+        "Every campaign range is checked on the base trial (re-planted: Each campaign range is "
+        "checked with one contact query)"),
+    Mutant(
+        "scenario-toe-off-message-drops-the-start-angle", "src/swingsim/config.py",
+        "\"human.hip_height_base_m, human.theta_h_start_deg and scene must \"",
+        "\"human.hip_height_base_m and scene must \"",
+        ("tests/test_cli.py::test_bad_input_exits_2_with_key_path",
+         "tests/test_cli.py::test_run_rejects_toe_off_foot_in_the_ground"),
+        "Each campaign range is checked with one contact query"),
     Mutant(
         "campaign-accepts-no-trials", "src/swingsim/sim_harness.py",
         "        if self.n_step_over + self.n_step_on + self.n_level == 0:\n",

@@ -311,7 +311,7 @@ def test_run_rejects_toe_off_foot_in_the_ground(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: scenario: the toe-off foot")
     assert "(GROUND at x = " in err
-    for name in ("geometry", "human.hip_height_base_m", "scene"):
+    for name in ("geometry", "human.hip_height_base_m", "human.theta_h_start_deg", "scene"):
         assert name in err
 
 
@@ -336,6 +336,11 @@ BAD_INPUTS = [
      "campaign.distance_range_m[0]"),
     (["campaign", "FILE"], {"step_on_distance_range_m": [0.063, 0.7]},
      "campaign.step_on_distance_range_m[0]"),
+    # its first box clears the foot, and trial 51's raised a traceback mid-run
+    (["campaign", "FILE"], {"heights_m": [0.01], "distance_range_m": [0.0, 0.7],
+                            "box_depth_m": 0.01, "n_step_on": 0, "n_level": 0},
+     "campaign.distance_range_m[0]: a 0.01 m box at 0 m touches the toe-off foot (OBSTACLE_TOP "
+     "at x = -0.1597 m, z = 0.0094 m); start the range past the foot"),
     # ran no trial and passed expect_all_success with "0/0 successful (0.0%)"
     (["campaign", "FILE"], {"n_step_over": 0, "n_step_on": 0, "n_level": 0},
      "campaign: n_step_over, n_step_on and n_level are all 0"),
@@ -357,6 +362,8 @@ BAD_INPUTS = [
     (["run", "FILE"], {"camera": {"max_range_m": float("inf")}}, "camera.max_range_m"),
     (["run", "FILE"], {"human": {"intent": "step_over", "theta_h_end_deg": 80,
                                  "noise_sigma_deg": 10}}, "human.theta_h_end_deg"),
+    # in range, but it puts the toe-off foot 2 mm into the ground
+    (["run", "FILE"], {"human": {"theta_h_start_deg": 0}}, "human.theta_h_start_deg"),
     (["sweep", "--param", "nope", "--values", "1"], None, "sweep.param: must be one of"),
     (["sweep", "--param", "kmax", "--values", "-1"], None, "planner.kmax"),
     (["sweep", "--param", "kmax", "--values", "4", "--trials", "0"], None, "sweep.trials"),

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracle_utils import contact_check_reference
 from test_config import LONG_LEG
@@ -35,6 +35,7 @@ from swingsim.sim_harness import (
     Surface,
     TrialConfig,
     TrialSpec,
+    ToeOffContact,
     _classify,
     build_trial_specs,
     capture_state,
@@ -880,17 +881,21 @@ def test_mini_campaign_summary_and_determinism():
 
 
 def test_parsing_a_campaign_caches_only_the_level_preset():
-    # its range check builds the base trial with each range's first box: on the
-    # default base, the level preset, whose track the cache shares; no aimed
-    # step-on is built, and neither the step-over nor the step-on preset read
+    # its range check reads the base trial's toe-off foot, which the base
+    # worked out when it was built: the default base reads no track, and a
+    # base the file builds (tau_s) reads the level preset's, whose track the
+    # cache shares; no aimed step-on is built, and no other preset read
     from swingsim import human_model
     human_model.hip_track.cache_clear()
     parse_campaign({})
     info = human_model.hip_track.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    parse_campaign({"tau_s": 0.02})
+    info = human_model.hip_track.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
     TrialConfig(intent=GaitIntent.LEVEL)   # reads the level preset's track
     info = human_model.hip_track.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_building_a_campaign_on_a_warm_cache_builds_no_hip_track(monkeypatch):
@@ -918,9 +923,9 @@ def test_building_a_campaign_on_a_warm_cache_builds_no_hip_track(monkeypatch):
     TrialConfig(human=replace(preset(GaitIntent.LEVEL), noise_sigma=0.5 * DEG), seed=11),
 ], ids=["default", "ground-0.05", "theta-h-start-20", "noisy-seed-3", "noisy-seed-11"])
 def test_every_intent_starts_from_the_base_trials_foot(base):
-    # CampaignConfig's range check builds the base trial alone, with the base's
-    # intent, for every range: it holds while the presets share their start and
-    # a step-on's aim moves no pose at t = 0
+    # CampaignConfig's range check reads the base trial's toe-off foot alone,
+    # for every range: it holds while the presets share their start and a
+    # step-on's aim moves no pose at t = 0
     cc = CampaignConfig(n_step_over=0, n_step_on=0, n_level=1, base=base)
     for height, distance in ((None, None), (0.16, 0.5)):
         for intent in GaitIntent:
@@ -935,6 +940,16 @@ def test_a_hip_whose_lowest_point_reaches_the_ground_is_refused():
     human = replace(preset(GaitIntent.LEVEL), hip_height_base=0.1)
     with pytest.raises(ValueError, match=r"^the hip's lowest point, .* got 0\.0 m$"):
         TrialConfig(human=human)
+
+
+def test_a_hip_raised_onto_ground_below_z_0_is_refused_at_its_lowest_point():
+    # on ground 1 m below a 0.9 m base, the raised base, -0.1 m, was reported
+    # under HipTrajectoryParams.hip_height_base, a field that held 0.9
+    human = replace(preset(GaitIntent.LEVEL), hip_height_base=0.9)
+    with pytest.raises(ValueError, match=r"^the hip's lowest point, hip_height_base \+ "
+                                         r"scene\.ground_height - lowering_depth, must lie "
+                                         r"above z = 0, got -0\.19999999999999998 m$"):
+        TrialConfig(human=human, scene=ObstacleScene(ground_height=-1.0))
 
 
 def test_a_campaign_of_no_trials_is_refused():
@@ -967,17 +982,69 @@ def test_a_campaign_on_a_noisy_hip_refuses_the_trial_whose_own_start_is_in_conta
      r"a 0.16 m box at 0 m touches the toe-off foot \(a box face at x = "),
     (lambda: CampaignConfig(step_on_distance_range=(0.063, 0.7)),
      r"a 0.16 m box at 0.063 m touches the toe-off foot \("),
-], ids=["long-leg-base", "step-over-range", "step-on-range"])
+    # its 0.005 m boxes clear the foot, and its 0.16 m box at 0 m does not
+    (lambda: CampaignConfig(n_step_on=0, distance_range=(0.0, 0.7), heights=(0.005, 0.16)),
+     r"a 0.16 m box at 0 m touches the toe-off foot \(a box face at x = "),
+    # its first box, at 0 m, clears the foot; trial 51's, at 0.0528 m, does not
+    (lambda: CampaignConfig(n_step_on=0, n_level=0, distance_range=(0.0, 0.7), heights=(0.01,),
+                            box_depth=0.01),
+     r"a 0.01 m box at 0 m touches the toe-off foot \(OBSTACLE_TOP at x = -0.1597 m, "
+     r"z = 0.0094 m\); start the range past the foot$"),
+], ids=["long-leg-base", "step-over-range", "step-on-range", "two-heights", "thin-box"])
 def test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_trial_runs(
         monkeypatch, build, says):
     # the 0.46/0.45 m leg with a 0.17 m toe ran 0/210, every swing a SCUFF
-    # at t = 1 ms; a range's first box under the foot TRIPped at t = 1 ms
+    # at t = 1 ms; a range's box under the foot TRIPped at t = 1 ms, and a
+    # thin box inside a range whose first box clears the foot raised mid-run
     def no_trial(cfg, log=None):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(sim_harness, "run_swing", no_trial)
     with pytest.raises(ValueError, match="^" + says):
         run_campaign(build())
+
+
+RANGE_BASES = (TrialConfig(), TrialConfig(scene=ObstacleScene(ground_height=0.05)),
+               TrialConfig(human=replace(preset(GaitIntent.LEVEL), theta_h_start=-20.0 * DEG)))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(base=st.sampled_from(RANGE_BASES), seed=st.integers(0, 2**32),
+       counts=st.tuples(st.integers(0, 30), st.integers(0, 4), st.integers(0, 1)).filter(any),
+       heights=st.lists(st.floats(0.005, 0.2), min_size=1, max_size=3),
+       step_on_height=st.floats(0.005, 0.2),
+       ranges=st.lists(st.tuples(st.floats(0.0, 0.2), st.floats(0.0, 0.6)), min_size=2,
+                       max_size=2),
+       box_depth=st.floats(0.01, 0.3))
+@example(base=RANGE_BASES[0], seed=2024, counts=(150, 0, 0), heights=[0.01], step_on_height=0.16,
+         ranges=[(0.0, 0.7), (0.5, 0.2)], box_depth=0.01)
+@example(base=RANGE_BASES[0], seed=2024, counts=(150, 30, 30), heights=[0.005, 0.16],
+         step_on_height=0.16, ranges=[(0.0, 0.7), (0.5, 0.2)], box_depth=0.15)
+def test_a_campaign_refuses_a_range_some_box_of_which_touches_or_builds_every_trial(
+        base, seed, counts, heights, step_on_height, ranges, box_depth):
+    # the range check once built each height's first box alone; a thin, low
+    # box further in touched the toe-off foot, and the trial raised mid-run
+    (low, span), (on_low, on_span) = ranges
+    try:
+        cc = CampaignConfig(seed=seed, n_step_over=counts[0], n_step_on=counts[1],
+                            n_level=counts[2], heights=tuple(heights),
+                            step_on_height=step_on_height, distance_range=(low, low + span),
+                            step_on_distance_range=(on_low, on_low + on_span),
+                            box_depth=box_depth, base=base)
+    except ToeOffContact as exc:
+        # the refusal names a range the campaign draws from, and a box of it touches
+        height, (lo, hi), n = {
+            "distance_range": (max(heights), (low, low + span), counts[0]),
+            "step_on_distance_range": (step_on_height, (on_low, on_low + on_span), counts[1]),
+        }[exc.field]
+        assert n > 0
+        assert str(exc).startswith(f"a {height:g} m box at {lo:g} m touches the toe-off foot (")
+        toe_x = capture_state(base)[1].toe[0]
+        assert any(contact_check(base.toe_off, replace(base.scene, boxes=(
+            Box(toe_x + d, height, box_depth),)))[0] for d in np.linspace(lo, hi, 2001))
+        return
+    for spec in build_trial_specs(cc):
+        trial_config_for(cc, spec)   # a start in contact raises ToeOffContact
 
 
 @pytest.mark.parametrize("data", [
