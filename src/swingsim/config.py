@@ -139,9 +139,10 @@ def _build(path: str, default, fields: dict):
         return default(**fields) if isinstance(default, type) else replace(default, **fields)
     except ToeOffContact as exc:  # no one key places the foot: name the range, or the sections
         where = next((f"campaign.{f.key}[0]" for f in CAMPAIGN if f.attr == exc.field), None)
+        noisy = where is None and fields["human"].noise_sigma > 0.0  # the seed moves a noisy foot
+        keys = "human.theta_h_start_deg" + ", human.noise_sigma_deg, trial.seed" * noisy
         raise ConfigError(f"{where}: {exc}" if where else f"scenario: {exc}; geometry, "
-                          "human.hip_height_base_m, human.theta_h_start_deg and scene must "
-                          "leave it clear") from exc
+                          f"human.hip_height_base_m, {keys} and scene must leave it clear") from exc
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

@@ -509,11 +509,11 @@ class CampaignConfig:
         if self.n_step_over + self.n_step_on + self.n_level == 0:
             raise ValueError("n_step_over, n_step_on and n_level are all 0; "
                              "a campaign needs at least one trial")
-        # every noise-free trial starts from the base's foot, and every box a range places lies
-        # inside one box spanning the range, as tall as its tallest: one query decides the range
+        noisy = self.base.resolved_human.noise_sigma > 0.0  # then each trial's seed moves its foot
+        # else every trial starts from the base's foot, and one box spanning a range holds its boxes
         for field, height, n in (("distance_range", max(self.heights), self.n_step_over),
                                  ("step_on_distance_range", self.step_on_height, self.n_step_on)):
-            if not n:
+            if not n or noisy:
                 continue
             low, high = getattr(self, field)
             box = self.box(height, low, high - low + self.box_depth)
@@ -521,11 +521,12 @@ class CampaignConfig:
             if contact is not None:
                 raise ToeOffContact(f"a {height:g} m box at {low:g} m touches the toe-off foot "
                                     f"({contact}); start the range past the foot", contact, field)
-        for spec in build_trial_specs(self) if self.base.resolved_human.noise_sigma > 0.0 else ():
+        for spec in build_trial_specs(self) if noisy else ():
             try:
                 trial_config_for(self, spec)
-            except ToeOffContact as exc:
-                raise ToeOffContact(f"trial {spec.index}: {exc}", exc.contact) from exc
+            except ValueError as exc:  # any refusal, its type and fields kept, names its trial
+                exc.args = (f"trial {spec.index}: {exc}",)
+                raise
 
     def box(self, height: float, distance: float, depth: float) -> Box:
         """A box distance ahead of the base's capture toe, whose x no intent or hip moves."""

@@ -302,11 +302,12 @@ MUTANTS = (
         "checked with one contact query)"),
     Mutant(
         "scenario-toe-off-message-drops-the-start-angle", "src/swingsim/config.py",
-        "\"human.hip_height_base_m, human.theta_h_start_deg and scene must \"",
-        "\"human.hip_height_base_m and scene must \"",
+        "f\"human.hip_height_base_m, {keys} and scene must leave it clear\"",
+        "\"human.hip_height_base_m and scene must leave it clear\"",
         ("tests/test_cli.py::test_bad_input_exits_2_with_key_path",
          "tests/test_cli.py::test_run_rejects_toe_off_foot_in_the_ground"),
-        "Each campaign range is checked with one contact query"),
+        "Each campaign range is checked with one contact query (re-planted: One start check "
+        "per campaign base)"),
     Mutant(
         "campaign-accepts-no-trials", "src/swingsim/sim_harness.py",
         "        if self.n_step_over + self.n_step_on + self.n_level == 0:\n",
@@ -316,11 +317,36 @@ MUTANTS = (
         "CampaignConfig owns every campaign rule"),
     Mutant(
         "campaign-checks-no-noisy-trial", "src/swingsim/sim_harness.py",
-        "build_trial_specs(self) if self.base.resolved_human.noise_sigma > 0.0 else ()",
+        "build_trial_specs(self) if noisy else ()",
         "()",
         ("tests/test_sim_harness.py::"
-         "test_a_campaign_on_a_noisy_hip_refuses_the_trial_whose_own_start_is_in_contact",),
-        "CampaignConfig owns every campaign rule"),
+         "test_a_campaign_on_a_noisy_hip_refuses_the_trial_whose_own_start_is_in_contact",
+         "tests/test_sim_harness.py::test_a_noisy_campaign_names_the_trial_whose_hip_is_refused"),
+        "CampaignConfig owns every campaign rule (re-planted: One start check per campaign "
+        "base)"),
+    Mutant(
+        "campaign-range-check-runs-on-a-noisy-base", "src/swingsim/sim_harness.py",
+        "            if not n or noisy:\n",
+        "            if not n:\n",
+        ("tests/test_sim_harness.py::"
+         "test_a_noisy_campaign_whose_every_trial_starts_clear_runs_every_trial",
+         "tests/test_sim_harness.py::"
+         "test_a_campaign_refuses_a_range_some_box_of_which_touches_or_builds_every_trial"),
+        "One start check per campaign base"),
+    Mutant(
+        "campaign-names-only-a-trial-in-contact", "src/swingsim/sim_harness.py",
+        "            except ValueError as exc:  # any refusal, its type and fields kept, "
+        "names its trial\n",
+        "            except ToeOffContact as exc:\n",
+        ("tests/test_sim_harness.py::test_a_noisy_campaign_names_the_trial_whose_hip_is_refused",),
+        "One start check per campaign base"),
+    Mutant(
+        "scenario-toe-off-message-drops-the-noise-keys", "src/swingsim/config.py",
+        "\"human.theta_h_start_deg\" + \", human.noise_sigma_deg, trial.seed\" * noisy",
+        "\"human.theta_h_start_deg\"",
+        ("tests/test_config.py::test_a_noisy_toe_off_foot_in_a_box_face_is_rejected",
+         "tests/test_config.py::test_run_seed_checks_the_toe_off_foot_of_the_seed_it_runs"),
+        "One start check per campaign base"),
     Mutant(
         "scene-pickles-its-cached-spans", "src/swingsim/perception.py",
         "    __getstate__ = fields_state\n",

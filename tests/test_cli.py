@@ -313,6 +313,8 @@ def test_run_rejects_toe_off_foot_in_the_ground(tmp_path, capsys):
     assert "(GROUND at x = " in err
     for name in ("geometry", "human.hip_height_base_m", "human.theta_h_start_deg", "scene"):
         assert name in err
+    # a noise-free foot moves with neither the noise nor the seed
+    assert "human.noise_sigma_deg" not in err and "trial.seed" not in err
 
 
 class RawText(str):

@@ -158,9 +158,13 @@ def test_a_noisy_toe_off_foot_in_a_box_face_is_rejected(tmp_path, capsys):
     path = tmp_path / "noisy.json"
     path.write_text(json.dumps(over))
     assert cli.main(["--out", str(tmp_path / "o"), "run", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(
+    err = capsys.readouterr().err
+    assert err.startswith(
         "config error: scenario: the toe-off foot already touches the scene (a box face at "
         "x = -0.1450 m")
+    # the noise and the seed move the foot too, so the refusal names both
+    assert err.endswith("; geometry, human.hip_height_base_m, human.theta_h_start_deg, "
+                        "human.noise_sigma_deg, trial.seed and scene must leave it clear\n")
     over["human"]["noise_sigma_deg"] = 0.0
     cfg = parse_scenario(over)
     assert contact_check(cfg.toe_off, cfg.scene)[0] is None
@@ -177,9 +181,11 @@ def test_run_seed_checks_the_toe_off_foot_of_the_seed_it_runs(tmp_path, capsys):
     path = tmp_path / "noisy.json"
     path.write_text(json.dumps(NOISY_OVER))
     assert cli.main(["--out", str(tmp_path / "o"), "--seed", "10", "run", str(path)]) == 2
-    assert capsys.readouterr().err.startswith(
+    err = capsys.readouterr().err
+    assert err.startswith(
         "config error: scenario: the toe-off foot already touches the scene (a box face at "
         "x = -0.1450 m")
+    assert "human.noise_sigma_deg" in err and "trial.seed" in err
 
 
 def test_a_trial_copied_to_another_seed_is_checked_at_that_seed():

@@ -1,7 +1,9 @@
 import json
 import math
+import re
 import struct
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -923,9 +925,10 @@ def test_building_a_campaign_on_a_warm_cache_builds_no_hip_track(monkeypatch):
     TrialConfig(human=replace(preset(GaitIntent.LEVEL), noise_sigma=0.5 * DEG), seed=11),
 ], ids=["default", "ground-0.05", "theta-h-start-20", "noisy-seed-3", "noisy-seed-11"])
 def test_every_intent_starts_from_the_base_trials_foot(base):
-    # CampaignConfig's range check reads the base trial's toe-off foot alone,
-    # for every range: it holds while the presets share their start and a
-    # step-on's aim moves no pose at t = 0
+    # CampaignConfig's range check reads the noise-free base trial's toe-off
+    # foot alone, for every range: it holds while the presets share their
+    # start and a step-on's aim moves no pose at t = 0. A noisy base is
+    # checked by its trials alone, so its rows check trial_config_for alone
     cc = CampaignConfig(n_step_over=0, n_step_on=0, n_level=1, base=base)
     for height, distance in ((None, None), (0.16, 0.5)):
         for intent in GaitIntent:
@@ -975,6 +978,30 @@ def test_a_campaign_on_a_noisy_hip_refuses_the_trial_whose_own_start_is_in_conta
         CampaignConfig(n_step_over=30, n_step_on=0, n_level=0, base=base)
 
 
+def test_a_noisy_campaign_names_the_trial_whose_hip_is_refused(monkeypatch):
+    # only a trial's start in contact was named: trial 12's hip, tipped past
+    # pi/2 by its noise, was refused without its trial's index
+    def no_trial(cfg, log=None):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(sim_harness, "run_swing", no_trial)
+    human = replace(preset(GaitIntent.STEP_OVER), noise_sigma=25.0 * DEG, hip_height_base=1.2)
+    base = TrialConfig(intent=GaitIntent.STEP_OVER, human=human, seed=2)
+    with pytest.raises(ValueError, match=r"^trial 12: HipPose\.theta_h must lie in "
+                                         r"\(-pi/2, pi/2\), got 1\.584125150594464$"):
+        run_campaign(CampaignConfig(n_step_over=0, n_step_on=0, n_level=40, base=base))
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_a_noisy_campaign_whose_every_trial_starts_clear_runs_every_trial(seed):
+    # the range check read the base seed's toe-off foot, which no trial has,
+    # and refused a 0.01 m box at 0.005 m that no trial's own foot touches
+    base = TrialConfig(human=replace(preset(GaitIntent.LEVEL), noise_sigma=1.0 * DEG), seed=seed)
+    cc = CampaignConfig(n_step_over=20, n_step_on=0, n_level=0, heights=(0.01,), box_depth=0.01,
+                        distance_range=(0.005, 0.7), base=base)
+    assert run_campaign(cc).summary["overall"]["n"] == 20
+
+
 @pytest.mark.parametrize("build,says", [
     (lambda: CampaignConfig(base=TrialConfig(geometry=LONG_LEG)),
      r"the toe-off foot already touches the scene \(GROUND at x = -0.1552 m, z = -0.0365 m\)$"),
@@ -1004,8 +1031,11 @@ def test_a_library_campaign_whose_swings_start_in_contact_raises_before_any_tria
         run_campaign(build())
 
 
+NOISY_STEP_OVER = replace(preset(GaitIntent.STEP_OVER), noise_sigma=5.0 * DEG)
 RANGE_BASES = (TrialConfig(), TrialConfig(scene=ObstacleScene(ground_height=0.05)),
-               TrialConfig(human=replace(preset(GaitIntent.LEVEL), theta_h_start=-20.0 * DEG)))
+               TrialConfig(human=replace(preset(GaitIntent.LEVEL), theta_h_start=-20.0 * DEG)),
+               TrialConfig(human=replace(preset(GaitIntent.LEVEL), noise_sigma=1.0 * DEG), seed=3),
+               TrialConfig(intent=GaitIntent.STEP_OVER, human=NOISY_STEP_OVER))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -1020,26 +1050,51 @@ RANGE_BASES = (TrialConfig(), TrialConfig(scene=ObstacleScene(ground_height=0.05
          ranges=[(0.0, 0.7), (0.5, 0.2)], box_depth=0.01)
 @example(base=RANGE_BASES[0], seed=2024, counts=(150, 30, 30), heights=[0.005, 0.16],
          step_on_height=0.16, ranges=[(0.0, 0.7), (0.5, 0.2)], box_depth=0.15)
+# the base seed's foot touches a box at 0.005 m, and no trial's own foot does
+@example(base=RANGE_BASES[3], seed=2024, counts=(20, 0, 0), heights=[0.01], step_on_height=0.16,
+         ranges=[(0.005, 0.695), (0.5, 0.2)], box_depth=0.01)
+# trial 10's own foot starts in the ground
+@example(base=RANGE_BASES[4], seed=2024, counts=(30, 0, 0), heights=[0.04, 0.08, 0.16],
+         step_on_height=0.16, ranges=[(0.15, 0.55), (0.5, 0.2)], box_depth=0.15)
 def test_a_campaign_refuses_a_range_some_box_of_which_touches_or_builds_every_trial(
         base, seed, counts, heights, step_on_height, ranges, box_depth):
     # the range check once built each height's first box alone; a thin, low
-    # box further in touched the toe-off foot, and the trial raised mid-run
+    # box further in touched the toe-off foot, and the trial raised mid-run.
+    # A noisy hip moves each trial's foot: such a campaign is refused only
+    # for a trial that does not build, and the refusal names it
     (low, span), (on_low, on_span) = ranges
+    kw = dict(seed=seed, n_step_over=counts[0], n_step_on=counts[1], n_level=counts[2],
+              heights=tuple(heights), step_on_height=step_on_height,
+              distance_range=(low, low + span), step_on_distance_range=(on_low, on_low + on_span),
+              box_depth=box_depth, base=base)
+    toe_x = capture_state(base)[1].toe[0]
     try:
-        cc = CampaignConfig(seed=seed, n_step_over=counts[0], n_step_on=counts[1],
-                            n_level=counts[2], heights=tuple(heights),
-                            step_on_height=step_on_height, distance_range=(low, low + span),
-                            step_on_distance_range=(on_low, on_low + on_span),
-                            box_depth=box_depth, base=base)
-    except ToeOffContact as exc:
+        cc = CampaignConfig(**kw)
+    except ValueError as exc:
+        if base.resolved_human.noise_sigma > 0.0:
+            named = re.fullmatch(r"trial (\d+): (.*)", str(exc))
+            assert named, exc
+            index, says = int(named[1]), named[2]
+            for spec in build_trial_specs(SimpleNamespace(**kw))[:index + 1]:
+                boxes = () if spec.height is None else (
+                    Box(toe_x + spec.distance, spec.height, box_depth),)
+                try:
+                    replace(base, scene=replace(base.scene, boxes=boxes), intent=spec.intent,
+                            seed=spec.seed)
+                except ValueError as own:
+                    # the named trial is the first that does not build, for its own reason
+                    assert (spec.index, type(own), str(own)) == (index, type(exc), says)
+                    assert vars(own) == vars(exc)
+                    return
+            raise AssertionError(f"trial {index} builds") from exc
         # the refusal names a range the campaign draws from, and a box of it touches
+        assert isinstance(exc, ToeOffContact)
         height, (lo, hi), n = {
             "distance_range": (max(heights), (low, low + span), counts[0]),
             "step_on_distance_range": (step_on_height, (on_low, on_low + on_span), counts[1]),
         }[exc.field]
         assert n > 0
         assert str(exc).startswith(f"a {height:g} m box at {lo:g} m touches the toe-off foot (")
-        toe_x = capture_state(base)[1].toe[0]
         assert any(contact_check(base.toe_off, replace(base.scene, boxes=(
             Box(toe_x + d, height, box_depth),)))[0] for d in np.linspace(lo, hi, 2001))
         return
